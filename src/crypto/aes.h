@@ -16,6 +16,8 @@
 
 namespace plinius::crypto {
 
+class AesGcm;
+
 class Aes {
  public:
   static constexpr std::size_t kBlockSize = 16;
@@ -47,6 +49,8 @@ class Aes {
   static bool hw_accelerated() noexcept;
 
  private:
+  friend class AesGcm;  // drives the stitched CTR+GHASH kernel with these keys
+
   // Round keys stored byte-wise, 16 bytes per round key, rounds_+1 keys.
   std::array<std::uint8_t, kBlockSize*(kMaxRounds + 1)> enc_round_keys_{};
   int rounds_ = 10;
@@ -63,12 +67,20 @@ bool aesni_supported() noexcept;
 void aesni_encrypt_blocks(const std::uint8_t* round_keys, int rounds,
                           const std::uint8_t* in, std::uint8_t* out,
                           std::size_t nblocks);
+/// CTR transform, eight blocks in flight. With a non-null `y` it is also the
+/// stitched GCM encrypt: the output, zero-padded to whole blocks, is absorbed
+/// into the GHASH state `y` using `h_powers` = H^1..H^8 (GCM byte order).
 void aesni_ctr_xcrypt(const std::uint8_t* round_keys, int rounds,
                       const std::uint8_t counter[16], const std::uint8_t* in,
-                      std::uint8_t* out, std::size_t len);
+                      std::uint8_t* out, std::size_t len,
+                      const std::uint8_t* h_powers = nullptr, std::uint8_t* y = nullptr);
 bool clmul_supported() noexcept;
 void clmul_gf128_mul(const std::uint8_t x[16], const std::uint8_t h[16],
                      std::uint8_t out[16]);
+/// Absorbs `nblocks` whole blocks into the GHASH state `y`, with one
+/// reduction per eight blocks (`h_powers` as above).
+void clmul_ghash(const std::uint8_t* h_powers, std::uint8_t y[16], const std::uint8_t* in,
+                 std::size_t nblocks);
 }  // namespace detail
 
 }  // namespace plinius::crypto

@@ -1,6 +1,8 @@
 #include "crypto/gcm.h"
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -8,10 +10,6 @@
 namespace plinius::crypto {
 
 namespace {
-
-void xor_block(std::uint8_t* dst, const std::uint8_t* src) {
-  for (int i = 0; i < 16; ++i) dst[i] ^= src[i];
-}
 
 void put_be64(std::uint8_t* p, std::uint64_t v) {
   for (int i = 7; i >= 0; --i) {
@@ -46,6 +44,55 @@ bool clmul_verified() {
   return ok;
 }
 
+/// Fills H^1..H^8 for the aggregated PCLMUL kernel; bit-serial needs only H.
+void derive_h_powers(const std::uint8_t h[16], bool clmul, std::uint8_t powers[16 * 8]) {
+  std::memcpy(powers, h, 16);
+  if (!clmul) return;
+  for (int k = 1; k < 8; ++k) detail::clmul_gf128_mul(powers + 16 * (k - 1), h, powers + 16 * k);
+}
+
+/// Absorbs `nblocks` whole blocks into the GHASH state `y`.
+void ghash_blocks(const std::uint8_t* h_powers, bool clmul, std::uint8_t y[16],
+                  const std::uint8_t* in, std::size_t nblocks) {
+  if (clmul) {
+    detail::clmul_ghash(h_powers, y, in, nblocks);
+    return;
+  }
+  for (std::size_t b = 0; b < nblocks; ++b) {
+    for (int i = 0; i < 16; ++i) y[i] ^= in[16 * b + i];
+    std::uint8_t t[16];
+    gf128_mul(y, h_powers, t);
+    std::memcpy(y, t, 16);
+  }
+}
+
+/// Absorbs `data` zero-padded to a whole number of blocks.
+void ghash_padded(const std::uint8_t* h_powers, bool clmul, std::uint8_t y[16],
+                  ByteSpan data) {
+  const std::size_t whole = data.size() / 16;
+  ghash_blocks(h_powers, clmul, y, data.data(), whole);
+  if (const std::size_t rest = data.size() % 16; rest > 0) {
+    std::uint8_t last[16] = {};
+    std::memcpy(last, data.data() + 16 * whole, rest);
+    ghash_blocks(h_powers, clmul, y, last, 1);
+  }
+}
+
+/// Absorbs the final [len(A)]64 || [len(C)]64 block (lengths in bits).
+void ghash_lengths(const std::uint8_t* h_powers, bool clmul, std::uint8_t y[16],
+                   std::uint64_t aad_bytes, std::uint64_t ct_bytes) {
+  std::uint8_t block[16];
+  put_be64(block, aad_bytes * 8);
+  put_be64(block + 8, ct_bytes * 8);
+  ghash_blocks(h_powers, clmul, y, block, 1);
+}
+
+void check_length(std::size_t n, const char* what) {
+  if (n > kGcmMaxPlaintext) {
+    throw CryptoError(std::string(what) + ": longer than the SP 800-38D limit");
+  }
+}
+
 }  // namespace
 
 void gf128_mul(const std::uint8_t x[16], const std::uint8_t h[16], std::uint8_t out[16]) {
@@ -76,21 +123,11 @@ void gf128_mul(const std::uint8_t x[16], const std::uint8_t h[16], std::uint8_t 
   for (int i = 0; i < 8; ++i) out[8 + i] = static_cast<std::uint8_t>(z_lo >> (56 - 8 * i));
 }
 
-Ghash::Ghash(const std::uint8_t h[16]) {
-  std::memcpy(h_.data(), h, 16);
-  use_clmul_ = clmul_verified();
+Ghash::Ghash(const std::uint8_t h[16]) : use_clmul_(clmul_verified()) {
+  derive_h_powers(h, use_clmul_, h_.data());
 }
 
-void Ghash::absorb_block(const std::uint8_t block[16]) {
-  xor_block(y_.data(), block);
-  std::uint8_t out[16];
-  if (use_clmul_) {
-    detail::clmul_gf128_mul(y_.data(), h_.data(), out);
-  } else {
-    gf128_mul(y_.data(), h_.data(), out);
-  }
-  std::memcpy(y_.data(), out, 16);
-}
+Ghash::~Ghash() { secure_zero(h_.data(), h_.size()); }
 
 void Ghash::update(ByteSpan data) {
   std::size_t off = 0;
@@ -101,14 +138,13 @@ void Ghash::update(ByteSpan data) {
     partial_len_ += take;
     off += take;
     if (partial_len_ == 16) {
-      absorb_block(partial_.data());
+      ghash_blocks(h_.data(), use_clmul_, y_.data(), partial_.data(), 1);
       partial_len_ = 0;
     }
   }
-  while (off + 16 <= data.size()) {
-    absorb_block(data.data() + off);
-    off += 16;
-  }
+  const std::size_t whole = (data.size() - off) / 16;
+  ghash_blocks(h_.data(), use_clmul_, y_.data(), data.data() + off, whole);
+  off += 16 * whole;
   if (off < data.size()) {
     std::memcpy(partial_.data(), data.data() + off, data.size() - off);
     partial_len_ = data.size() - off;
@@ -119,25 +155,27 @@ void Ghash::update_padded(ByteSpan data) {
   update(data);
   if (partial_len_ > 0) {
     std::memset(partial_.data() + partial_len_, 0, 16 - partial_len_);
-    absorb_block(partial_.data());
+    ghash_blocks(h_.data(), use_clmul_, y_.data(), partial_.data(), 1);
     partial_len_ = 0;
   }
 }
 
 void Ghash::finish_lengths(std::uint64_t aad_bytes, std::uint64_t ct_bytes) {
   expects(partial_len_ == 0, "Ghash::finish_lengths: unpadded partial block");
-  std::uint8_t block[16];
-  put_be64(block, aad_bytes * 8);
-  put_be64(block + 8, ct_bytes * 8);
-  absorb_block(block);
+  ghash_lengths(h_.data(), use_clmul_, y_.data(), aad_bytes, ct_bytes);
 }
 
 void Ghash::digest(std::uint8_t out[16]) const { std::memcpy(out, y_.data(), 16); }
 
-AesGcm::AesGcm(ByteSpan key) : aes_(key) {
+AesGcm::AesGcm(ByteSpan key) : aes_(key), use_clmul_(clmul_verified()) {
   const std::uint8_t zero[16] = {};
-  aes_.encrypt_block(zero, h_.data());
+  std::uint8_t h[16];
+  aes_.encrypt_block(zero, h);
+  derive_h_powers(h, use_clmul_, h_powers_.data());
+  secure_zero(h, sizeof(h));
 }
+
+AesGcm::~AesGcm() { secure_zero(h_powers_.data(), h_powers_.size()); }
 
 void AesGcm::derive_j0(ByteSpan iv, std::uint8_t j0[16]) const {
   if (iv.size() == kGcmIvSize) {
@@ -147,59 +185,61 @@ void AesGcm::derive_j0(ByteSpan iv, std::uint8_t j0[16]) const {
     return;
   }
   // General-length IV: J0 = GHASH(IV || pad || [0]64 || [len(IV) bits]64).
-  Ghash g(h_.data());
-  g.update_padded(iv);
+  std::memset(j0, 0, 16);
+  ghash_padded(h_powers_.data(), use_clmul_, j0, iv);
   std::uint8_t block[16] = {};
   put_be64(block + 8, static_cast<std::uint64_t>(iv.size()) * 8);
-  g.update(ByteSpan(block, 16));
-  g.digest(j0);
+  ghash_blocks(h_powers_.data(), use_clmul_, j0, block, 1);
+}
+
+void AesGcm::finish_tag(const std::uint8_t j0[16], std::uint8_t y[16],
+                        std::uint64_t aad_bytes, std::uint64_t ct_bytes,
+                        std::uint8_t tag[kGcmTagSize]) const {
+  ghash_lengths(h_powers_.data(), use_clmul_, y, aad_bytes, ct_bytes);
+  std::uint8_t ekj0[16];
+  aes_.encrypt_block(j0, ekj0);
+  for (int i = 0; i < 16; ++i) tag[i] = y[i] ^ ekj0[i];
 }
 
 void AesGcm::encrypt(ByteSpan iv, ByteSpan aad, ByteSpan plain, MutableByteSpan cipher,
                      std::uint8_t tag[kGcmTagSize]) const {
+  check_length(plain.size(), "AesGcm::encrypt");
   if (cipher.size() < plain.size()) throw CryptoError("AesGcm::encrypt: output too small");
 
   std::uint8_t j0[16];
   derive_j0(iv, j0);
-
   std::uint8_t ctr[16];
   std::memcpy(ctr, j0, 16);
   big_endian_inc32(ctr);
-  aes_.ctr_xcrypt(ctr, plain, cipher);
 
-  Ghash g(h_.data());
-  g.update_padded(aad);
-  g.update_padded(ByteSpan(cipher.data(), plain.size()));
-  g.finish_lengths(aad.size(), plain.size());
-
-  std::uint8_t s[16];
-  g.digest(s);
-  std::uint8_t ekj0[16];
-  aes_.encrypt_block(j0, ekj0);
-  for (int i = 0; i < 16; ++i) tag[i] = s[i] ^ ekj0[i];
+  std::uint8_t y[16] = {};
+  ghash_padded(h_powers_.data(), use_clmul_, y, aad);
+  if (use_clmul_ && aes_.use_aesni_) {
+    detail::aesni_ctr_xcrypt(aes_.enc_round_keys_.data(), aes_.rounds_, ctr, plain.data(),
+                             cipher.data(), plain.size(), h_powers_.data(), y);
+  } else {
+    aes_.ctr_xcrypt(ctr, plain, cipher);
+    ghash_padded(h_powers_.data(), use_clmul_, y, ByteSpan(cipher.data(), plain.size()));
+  }
+  finish_tag(j0, y, aad.size(), plain.size(), tag);
 }
 
 bool AesGcm::decrypt(ByteSpan iv, ByteSpan aad, ByteSpan cipher, MutableByteSpan plain,
                      const std::uint8_t tag[kGcmTagSize]) const {
+  check_length(cipher.size(), "AesGcm::decrypt");
   if (plain.size() < cipher.size()) throw CryptoError("AesGcm::decrypt: output too small");
 
   std::uint8_t j0[16];
   derive_j0(iv, j0);
 
-  Ghash g(h_.data());
-  g.update_padded(aad);
-  g.update_padded(cipher);
-  g.finish_lengths(aad.size(), cipher.size());
-
-  std::uint8_t s[16];
-  g.digest(s);
-  std::uint8_t ekj0[16];
-  aes_.encrypt_block(j0, ekj0);
+  std::uint8_t y[16] = {};
+  ghash_padded(h_powers_.data(), use_clmul_, y, aad);
+  ghash_padded(h_powers_.data(), use_clmul_, y, cipher);
   std::uint8_t expected[16];
-  for (int i = 0; i < 16; ++i) expected[i] = s[i] ^ ekj0[i];
+  finish_tag(j0, y, aad.size(), cipher.size(), expected);
 
   if (!secure_equal(ByteSpan(expected, 16), ByteSpan(tag, kGcmTagSize))) {
-    std::memset(plain.data(), 0, cipher.size());
+    std::fill_n(plain.data(), cipher.size(), std::uint8_t{0});
     return false;
   }
 

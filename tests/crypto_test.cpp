@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 #include <set>
 
 #include "common/bytes.h"
@@ -331,6 +333,304 @@ TEST(AesGcm, NonTwelveByteIvSupported) {
   Bytes back(plain.size());
   EXPECT_TRUE(gcm.decrypt(iv, {}, ct, back, tag));
   EXPECT_EQ(back, plain);
+}
+
+TEST(AesGcm, RejectsLengthsPastSp80038dLimit) {
+  const Bytes key(16, 0x11), iv(12, 0x22);
+  AesGcm gcm(key);
+  std::uint8_t tiny[16] = {}, tag[16] = {};
+  // Spans claiming more bytes than exist: the limit check must throw before
+  // a single byte is read or written (ASan would catch a touch).
+  const std::size_t oversize = kGcmMaxPlaintext + 1;
+  const ByteSpan huge_in(tiny, oversize);
+  const MutableByteSpan huge_out(tiny, oversize);
+  EXPECT_THROW(gcm.encrypt(iv, {}, huge_in, huge_out, tag), CryptoError);
+  EXPECT_THROW((void)gcm.decrypt(iv, {}, huge_in, huge_out, tag), CryptoError);
+  for (const auto b : tiny) EXPECT_EQ(b, 0);
+}
+
+TEST(AesGcm, CopySurvivesOriginalsDestruction) {
+  const Bytes key(16, 0x33), iv(12, 0x44), plain(200, 0x55);
+  Bytes ct1(plain.size()), ct2(plain.size());
+  std::uint8_t tag1[16], tag2[16];
+  auto original = std::make_unique<AesGcm>(key);
+  original->encrypt(iv, {}, plain, ct1, tag1);
+  const AesGcm copy = *original;
+  original.reset();  // wipes the original's round keys and H powers
+  copy.encrypt(iv, {}, plain, ct2, tag2);
+  EXPECT_EQ(ct1, ct2);
+  EXPECT_EQ(0, memcmp(tag1, tag2, 16));
+}
+
+// --- Differential: the 8-block kernels against a one-block-at-a-time oracle -
+
+void oracle_inc32(std::uint8_t counter[16]) {
+  for (int i = 15; i >= 12; --i) {
+    if (++counter[i] != 0) break;
+  }
+}
+
+void oracle_put_be64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 7; i >= 0; --i, v >>= 8) p[i] = static_cast<std::uint8_t>(v);
+}
+
+// Textbook SP 800-38D: one Aes::encrypt_block per counter block and one
+// bit-serial gf128_mul per GHASH block, with no batching anywhere.
+struct GcmOracle {
+  explicit GcmOracle(ByteSpan key) : aes(key) {
+    const std::uint8_t zero[16] = {};
+    aes.encrypt_block(zero, h);
+  }
+  void ghash(std::uint8_t y[16], ByteSpan data) const {
+    for (std::size_t off = 0; off < data.size(); off += 16) {
+      for (std::size_t i = 0; i < 16 && off + i < data.size(); ++i) y[i] ^= data[off + i];
+      std::uint8_t t[16];
+      gf128_mul(y, h, t);
+      std::memcpy(y, t, 16);
+    }
+  }
+  void seal(ByteSpan iv, ByteSpan aad, ByteSpan plain, std::uint8_t* ct,
+            std::uint8_t tag[16]) const {
+    std::uint8_t j0[16] = {}, block[16] = {};
+    if (iv.size() == 12) {
+      std::memcpy(j0, iv.data(), 12);
+      j0[15] = 1;
+    } else {
+      ghash(j0, iv);
+      oracle_put_be64(block + 8, iv.size() * 8);
+      ghash(j0, ByteSpan(block, 16));
+    }
+    std::uint8_t ctr[16], ks[16];
+    std::memcpy(ctr, j0, 16);
+    for (std::size_t off = 0; off < plain.size(); off += 16) {
+      oracle_inc32(ctr);
+      aes.encrypt_block(ctr, ks);
+      for (std::size_t i = 0; i < 16 && off + i < plain.size(); ++i) {
+        ct[off + i] = plain[off + i] ^ ks[i];
+      }
+    }
+    std::uint8_t y[16] = {};
+    ghash(y, aad);
+    ghash(y, ByteSpan(ct, plain.size()));
+    oracle_put_be64(block, aad.size() * 8);
+    oracle_put_be64(block + 8, plain.size() * 8);
+    ghash(y, ByteSpan(block, 16));
+    aes.encrypt_block(j0, ks);
+    for (int i = 0; i < 16; ++i) tag[i] = y[i] ^ ks[i];
+  }
+  Aes aes;
+  std::uint8_t h[16];
+};
+
+// Seals `plain` through the library with the input at byte offset `in_off`
+// and the output at `out_off` of their buffers (the same buffer when
+// `in_place`), checks ciphertext and tag bitwise against the oracle, then
+// opens it back the same way.
+void expect_matches_oracle(const AesGcm& gcm, const GcmOracle& oracle, ByteSpan iv,
+                           ByteSpan aad, ByteSpan plain, std::size_t in_off = 0,
+                           std::size_t out_off = 0, bool in_place = false) {
+  Bytes want(plain.size());
+  std::uint8_t want_tag[16], tag[16];
+  oracle.seal(iv, aad, plain, want.data(), want_tag);
+
+  Bytes in_buf(plain.size() + 16), out_buf(plain.size() + 16);
+  if (in_place) out_off = in_off;
+  std::uint8_t* in = in_buf.data() + in_off;
+  std::uint8_t* out = (in_place ? in_buf.data() : out_buf.data()) + out_off;
+  std::copy(plain.begin(), plain.end(), in);
+  gcm.encrypt(iv, aad, ByteSpan(in, plain.size()), MutableByteSpan(out, plain.size()), tag);
+  ASSERT_TRUE(std::equal(want.begin(), want.end(), out))
+      << "ciphertext, len " << plain.size() << " aad " << aad.size() << " iv " << iv.size();
+  ASSERT_EQ(0, memcmp(tag, want_tag, 16))
+      << "tag, len " << plain.size() << " aad " << aad.size() << " iv " << iv.size();
+
+  std::uint8_t* back = in_place ? out : in;
+  ASSERT_TRUE(gcm.decrypt(iv, aad, ByteSpan(out, plain.size()),
+                          MutableByteSpan(back, plain.size()), tag));
+  ASSERT_TRUE(std::equal(plain.begin(), plain.end(), back)) << "open, len " << plain.size();
+}
+
+TEST(AesGcm, MatchesOracleAtEveryLengthAndAadTo300) {
+  Rng rng(30);
+  for (const std::size_t key_size : {16u, 32u}) {
+    Bytes key(key_size), iv(12), data(300 + 40);
+    rng.fill(key.data(), key.size());
+    rng.fill(iv.data(), iv.size());
+    rng.fill(data.data(), data.size());
+    const AesGcm gcm(key);
+    const GcmOracle oracle(key);
+    for (std::size_t len = 0; len <= 300; ++len) {
+      for (std::size_t aad = 0; aad <= 40; ++aad) {
+        expect_matches_oracle(gcm, oracle, iv, ByteSpan(data.data() + len, aad),
+                              ByteSpan(data.data(), len));
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(AesGcm, MatchesOracleWithNonTwelveByteIvs) {
+  Rng rng(31);
+  Bytes key(16), iv(64), data(300);
+  rng.fill(key.data(), key.size());
+  rng.fill(iv.data(), iv.size());
+  rng.fill(data.data(), data.size());
+  const AesGcm gcm(key);
+  const GcmOracle oracle(key);
+  for (const std::size_t iv_len : {1u, 8u, 11u, 13u, 16u, 17u, 33u, 64u}) {
+    for (std::size_t len = 0; len <= 300; len += 7) {
+      expect_matches_oracle(gcm, oracle, ByteSpan(iv.data(), iv_len),
+                            ByteSpan(data.data(), len % 41), ByteSpan(data.data(), len));
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(AesGcm, MatchesOracleAtUnalignedAndInPlaceBuffers) {
+  Rng rng(32);
+  Bytes key(16), iv(12), data(300);
+  rng.fill(key.data(), key.size());
+  rng.fill(iv.data(), iv.size());
+  rng.fill(data.data(), data.size());
+  const AesGcm gcm(key);
+  const GcmOracle oracle(key);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    const ByteSpan aad(data.data(), len % 41);
+    for (std::size_t in_off = 1; in_off <= 15; ++in_off) {
+      const std::size_t out_off = 16 - in_off;
+      expect_matches_oracle(gcm, oracle, iv, aad, ByteSpan(data.data(), len), in_off, out_off);
+      expect_matches_oracle(gcm, oracle, iv, aad, ByteSpan(data.data(), len), in_off, 0,
+                            /*in_place=*/true);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(AesGcm, MatchesOracleOnMegabyteBuffers) {
+  Rng rng(33);
+  Bytes key(16), iv(12), aad(20);
+  rng.fill(key.data(), key.size());
+  rng.fill(iv.data(), iv.size());
+  rng.fill(aad.data(), aad.size());
+  const AesGcm gcm(key);
+  const GcmOracle oracle(key);
+  for (const std::size_t len : {std::size_t{1} << 20, std::size_t{16} << 20}) {
+    Bytes plain(len);
+    rng.fill(plain.data(), plain.size());
+    expect_matches_oracle(gcm, oracle, iv, aad, plain, 3, 5);
+  }
+}
+
+TEST(AesGcm, TagOfChunkAlignedLengthPlusTailMatchesOracle) {
+  // 128-byte chunks are the stitched kernel's unit; 1..15 tail bytes take
+  // the zero-padded last-block path right after a full chunk.
+  Rng rng(34);
+  Bytes key(16), iv(12), data(3 * 128 + 15);
+  rng.fill(key.data(), key.size());
+  rng.fill(iv.data(), iv.size());
+  rng.fill(data.data(), data.size());
+  const AesGcm gcm(key);
+  const GcmOracle oracle(key);
+  for (std::size_t chunks = 1; chunks <= 3; ++chunks) {
+    for (std::size_t tail = 1; tail <= 15; ++tail) {
+      expect_matches_oracle(gcm, oracle, iv, {}, ByteSpan(data.data(), 128 * chunks + tail));
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(AesGcm, TamperedCiphertextLeavesPlainAllZero) {
+  Rng rng(35);
+  Bytes key(16), iv(12);
+  rng.fill(key.data(), key.size());
+  rng.fill(iv.data(), iv.size());
+  const AesGcm gcm(key);
+  for (const std::size_t len : {1u, 16u, 127u, 128u, 129u, 1000u, 4099u}) {
+    Bytes plain(len), ct(len);
+    rng.fill(plain.data(), plain.size());
+    std::uint8_t tag[16];
+    gcm.encrypt(iv, {}, plain, ct, tag);
+    ct[len - 1] ^= 0x40;
+    Bytes back(len, 0xAA);
+    EXPECT_FALSE(gcm.decrypt(iv, {}, ct, back, tag));
+    EXPECT_TRUE(std::all_of(back.begin(), back.end(), [](std::uint8_t b) { return b == 0; }))
+        << "len " << len;
+  }
+  // An empty message with a forged tag: nothing to zero, and no null write.
+  const std::uint8_t forged[16] = {};
+  EXPECT_FALSE(gcm.decrypt(iv, {}, {}, {}, forged));
+}
+
+TEST(Aes128, CtrWrapsLowWordModulo2To32) {
+  Rng rng(36);
+  Bytes key(16), ctr(16), plain(20 * 16 + 9);
+  rng.fill(key.data(), key.size());
+  rng.fill(ctr.data(), ctr.size());
+  rng.fill(plain.data(), plain.size());
+  ctr[12] = ctr[13] = ctr[14] = 0xFF;
+  ctr[15] = 0xFA;  // the low word wraps after 6 blocks
+  const Aes aes(key);
+  Bytes out(plain.size());
+  aes.ctr_xcrypt(ctr.data(), plain, out);
+
+  std::uint8_t block[16], ks[16];
+  std::memcpy(block, ctr.data(), 16);
+  for (std::size_t off = 0; off < plain.size(); off += 16) {
+    aes.encrypt_block(block, ks);
+    for (std::size_t i = 0; i < 16 && off + i < plain.size(); ++i) {
+      ASSERT_EQ(out[off + i], plain[off + i] ^ ks[i]) << "block " << off / 16;
+    }
+    oracle_inc32(block);
+  }
+  EXPECT_EQ(0, memcmp(block, ctr.data(), 12)) << "the wrap must not carry into the IV";
+}
+
+TEST(Ghash, SplitUpdatesMatchOneShot) {
+  Rng rng(37);
+  std::uint8_t h[16];
+  rng.fill(h, 16);
+  Bytes data(400);
+  rng.fill(data.data(), data.size());
+  Ghash one(h);
+  one.update_padded(data);
+  one.finish_lengths(0, data.size());
+  std::uint8_t want[16];
+  one.digest(want);
+
+  for (const std::size_t split : {1u, 15u, 17u, 127u, 129u}) {
+    Ghash two(h);
+    two.update(ByteSpan(data.data(), split));
+    two.update(ByteSpan(data.data() + split, data.size() - split));
+    two.update_padded({});
+    two.finish_lengths(0, data.size());
+    std::uint8_t got[16];
+    two.digest(got);
+    EXPECT_EQ(0, memcmp(got, want, 16)) << "split at " << split;
+  }
+}
+
+TEST(Ghash, EveryHPowerMatchesRepeatedGf128Mul) {
+  // A run of n blocks that is zero except for the field's one (0x80 0...)
+  // at block j digests to H^(n-j): it reads the precomputed power straight
+  // out of the aggregated kernel.
+  Rng rng(38);
+  std::uint8_t h[16];
+  rng.fill(h, 16);
+  std::uint8_t powers[9][16] = {};
+  std::memcpy(powers[1], h, 16);
+  for (int k = 2; k <= 8; ++k) gf128_mul(powers[k - 1], h, powers[k]);
+  for (int n = 1; n <= 8; ++n) {
+    for (int j = 0; j < n; ++j) {
+      Bytes run(16 * static_cast<std::size_t>(n), 0);
+      run[16 * static_cast<std::size_t>(j)] = 0x80;
+      Ghash g(h);
+      g.update(run);
+      std::uint8_t got[16];
+      g.digest(got);
+      EXPECT_EQ(0, memcmp(got, powers[n - j], 16)) << "H^" << n - j << " via a " << n
+                                                   << "-block run";
+    }
+  }
 }
 
 // --- Envelope (IV || CT || MAC, the paper's 28-byte overhead) ---------------
