@@ -8,7 +8,7 @@
 
 #include "ml/config.h"
 #include "ml/synth_digits.h"
-#include "plinius/distributed.h"
+#include "plinius/fleet/fleet.h"
 
 int main() {
   using namespace plinius;
@@ -25,11 +25,11 @@ int main() {
               "scaling", "test acc");
   double base_throughput = 0;
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    ClusterOptions opt;
+    fleet::FleetOptions opt;
     opt.workers = workers;
     opt.sync_every = 8;
-    DistributedTrainer cluster(MachineProfile::emlsgx_pm(), 64u << 20,
-                               ml::make_cnn_config(3, 8, 64), opt);
+    fleet::ElasticTrainer cluster(MachineProfile::emlsgx_pm(), 64u << 20,
+                                  ml::make_cnn_config(3, 8, 64), opt);
     cluster.load_dataset(digits.train);
     constexpr std::uint64_t kIters = 48;
     const sim::Nanos before = cluster.elapsed_ns();  // exclude one-time data load

@@ -7,7 +7,7 @@
 #include "ml/config.h"
 #include "ml/metrics.h"
 #include "ml/synth_digits.h"
-#include "plinius/distributed.h"
+#include "plinius/fleet/fleet.h"
 
 int main() {
   using namespace plinius;
@@ -17,11 +17,11 @@ int main() {
   dopt.test_count = 1000;
   const auto digits = ml::make_synth_digits(dopt);
 
-  ClusterOptions opt;
+  fleet::FleetOptions opt;
   opt.workers = 4;
   opt.sync_every = 10;
-  DistributedTrainer cluster(MachineProfile::emlsgx_pm(), 64u << 20,
-                             ml::make_cnn_config(3, 8, 64), opt);
+  fleet::ElasticTrainer cluster(MachineProfile::emlsgx_pm(), 64u << 20,
+                                ml::make_cnn_config(3, 8, 64), opt);
   cluster.load_dataset(digits.train);
 
   std::printf("== phase 1: 4 workers, 40 iterations each ==\n");

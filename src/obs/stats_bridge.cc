@@ -1,7 +1,6 @@
 #include "obs/stats_bridge.h"
 
 #include "plinius/checkpoint.h"
-#include "plinius/distributed.h"
 #include "plinius/fleet/fleet.h"
 #include "plinius/mirror.h"
 #include "plinius/pm_data.h"

@@ -176,8 +176,8 @@ class Trainer {
   ScrubReport scrub(const ScrubOptions& options = {});
 
   /// Marks this trainer as recovered from a peer at `iteration` (set by
-  /// DistributedTrainer after re-provisioning parameters over the attested
-  /// channel); persists the episode in the recovery log.
+  /// fleet::ElasticTrainer after re-provisioning parameters over the
+  /// attested channel); persists the episode in the recovery log.
   void note_peer_recovery(std::uint64_t iteration);
 
   /// Deep invariant check over the trainer's persistent state, for

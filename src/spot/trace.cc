@@ -1,6 +1,7 @@
 #include "spot/trace.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/error.h"
@@ -44,6 +45,8 @@ SpotTrace SpotTrace::from_file(const std::string& path) {
 
 std::string SpotTrace::to_csv() const {
   std::ostringstream out;
+  // Round-trip precision: parse_csv(to_csv()) reproduces every double exactly.
+  out.precision(std::numeric_limits<double>::max_digits10);
   out << "timestamp,price\n";
   for (const auto& e : entries) out << e.timestamp_s << ',' << e.price << '\n';
   return out.str();

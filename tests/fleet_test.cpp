@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/backoff.h"
@@ -9,7 +13,6 @@
 #include "ml/config.h"
 #include "ml/synth_digits.h"
 #include "obs/registry.h"
-#include "plinius/distributed.h"
 #include "plinius/fleet/fleet.h"
 
 namespace plinius::fleet {
@@ -84,53 +87,107 @@ TEST(Fleet, RejectsBadOptions) {
                Error);
 }
 
-// The acceptance bar: kBarrier + zero preemption reproduces
-// DistributedTrainer bitwise — same losses, same weights, same clock.
-TEST(Fleet, BarrierNoPreemptionMatchesDistributedTrainerBitwise) {
-  const auto data = small_data();
-  const auto config = ml::make_cnn_config(2, 4, 16);
+// Synchronous data-parallel training written out by hand: plain Trainers on
+// the fleet's platform seeds (0x5367E0 + w) and round-robin shards, each
+// running `sync_every` iterations per round, then a plain average in worker
+// order (accumulate into worker 0, scale by 1/n, copy back).
+struct ReferenceLoop {
+  std::vector<std::unique_ptr<Platform>> platforms;
+  std::vector<std::unique_ptr<Trainer>> trainers;
 
-  ClusterOptions copt;
-  copt.workers = 3;
-  copt.sync_every = 4;
-  DistributedTrainer dist(MachineProfile::emlsgx_pm(), 48u << 20, config, copt);
-  dist.load_dataset(data);
-  const float dist_loss = dist.train(12);
-
-  FleetOptions fopt;
-  fopt.workers = 3;
-  fopt.sync_every = 4;
-  fopt.policy = SyncPolicy::kBarrier;
-  ElasticTrainer fleet(MachineProfile::emlsgx_pm(), 48u << 20, config, fopt);
-  fleet.load_dataset(data);
-  const float fleet_loss = fleet.train(12);
-
-  EXPECT_EQ(fleet_loss, dist_loss);  // bitwise, not approximately
-  EXPECT_EQ(fleet.sync_rounds(), dist.sync_rounds());
-  EXPECT_DOUBLE_EQ(fleet.elapsed_ns(), dist.elapsed_ns());
-  for (std::size_t w = 0; w < 3; ++w) {
-    const auto& hist = dist.trainer(w).loss_history();
-    const auto& mine = fleet.losses(w);
-    ASSERT_EQ(mine.size(), hist.size()) << "worker " << w;
-    for (std::size_t i = 0; i < hist.size(); ++i) {
-      ASSERT_EQ(mine[i], hist[i]) << "worker " << w << " iteration " << i;
+  ReferenceLoop(const ml::ModelConfig& config, const ml::Dataset& data,
+                std::size_t workers, std::size_t sync_every, std::uint64_t target) {
+    const auto shards = shard_round_robin(data, workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+      platforms.push_back(std::make_unique<Platform>(MachineProfile::emlsgx_pm(),
+                                                     48u << 20, 0x5367E0ULL + w));
+      trainers.push_back(
+          std::make_unique<Trainer>(*platforms[w], config, TrainerOptions{}));
+      (void)trainers[w]->resume_or_init();
+      trainers[w]->load_dataset(shards[w]);
     }
-    const std::size_t layers = dist.network(w).num_layers();
-    for (std::size_t l = 0; l < layers; ++l) {
-      const auto ref = dist.network(w).layer(l).parameters();
-      const auto got = fleet.network(w).layer(l).parameters();
-      ASSERT_EQ(ref.size(), got.size());
-      for (std::size_t b = 0; b < ref.size(); ++b) {
-        for (std::size_t i = 0; i < ref[b].values.size(); ++i) {
-          ASSERT_EQ(got[b].values[i], ref[b].values[i])
-              << "worker " << w << " layer " << l << " buffer " << b;
+    for (std::uint64_t done = 0; done < target;) {
+      done = std::min<std::uint64_t>(done + sync_every, target);
+      for (auto& t : trainers) (void)t->train(done);
+      ml::Network& first = trainers[0]->network();
+      for (std::size_t l = 0; l < first.num_layers(); ++l) {
+        const auto params = first.layer(l).parameters();
+        for (std::size_t b = 0; b < params.size(); ++b) {
+          const std::span<float> acc = params[b].values;
+          for (std::size_t w = 1; w < workers; ++w) {
+            const auto other = trainers[w]->network().layer(l).parameters()[b].values;
+            for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += other[i];
+          }
+          const float inv = 1.0f / static_cast<float>(workers);
+          for (auto& v : acc) v *= inv;
+          for (std::size_t w = 1; w < workers; ++w) {
+            auto other = trainers[w]->network().layer(l).parameters()[b].values;
+            std::copy(acc.begin(), acc.end(), other.begin());
+          }
         }
       }
     }
   }
-  EXPECT_TRUE(fleet.report().completed);
-  EXPECT_EQ(fleet.report().kills, 0u);
-  EXPECT_EQ(fleet.report().redone_iterations, 0u);
+};
+
+// The barrier contract: kBarrier + zero preemption is the reference loop,
+// bitwise — same losses, same weights — with the sync-round count and the
+// simulated wall time pinned.
+TEST(Fleet, BarrierNoPreemptionMatchesReferenceLoopBitwise) {
+  const auto data = small_data();
+  const auto config = ml::make_cnn_config(2, 4, 16);
+  struct Case {
+    std::size_t workers;
+    std::size_t sync_every;
+    std::uint64_t sync_rounds;
+  };
+  // One worker has nothing to average: it is a plain Trainer.
+  const Case cases[] = {{1, 4, 0}, {3, 4, 3}};
+  std::vector<sim::Nanos> elapsed;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::to_string(c.workers) + " workers, sync every " +
+                 std::to_string(c.sync_every));
+    FleetOptions opt;
+    opt.workers = c.workers;
+    opt.sync_every = c.sync_every;
+    ElasticTrainer fleet(MachineProfile::emlsgx_pm(), 48u << 20, config, opt);
+    fleet.load_dataset(data);
+    const float fleet_loss = fleet.train(12);
+    const ReferenceLoop ref(config, data, c.workers, c.sync_every, 12);
+
+    float ref_loss = 0;
+    for (const auto& t : ref.trainers) ref_loss += t->loss_history().back();
+    EXPECT_EQ(fleet_loss, ref_loss / static_cast<float>(c.workers));  // bitwise
+    EXPECT_EQ(fleet.sync_rounds(), c.sync_rounds);
+    for (std::size_t w = 0; w < c.workers; ++w) {
+      const auto& hist = ref.trainers[w]->loss_history();
+      const auto& mine = fleet.losses(w);
+      ASSERT_EQ(mine.size(), hist.size()) << "worker " << w;
+      for (std::size_t i = 0; i < hist.size(); ++i) {
+        ASSERT_EQ(mine[i], hist[i]) << "worker " << w << " iteration " << i;
+      }
+      ml::Network& ref_net = ref.trainers[w]->network();
+      EXPECT_EQ(fleet.network(w).iterations(), 12u);
+      for (std::size_t l = 0; l < ref_net.num_layers(); ++l) {
+        const auto want = ref_net.layer(l).parameters();
+        const auto got = fleet.network(w).layer(l).parameters();
+        ASSERT_EQ(want.size(), got.size());
+        for (std::size_t b = 0; b < want.size(); ++b) {
+          for (std::size_t i = 0; i < want[b].values.size(); ++i) {
+            ASSERT_EQ(got[b].values[i], want[b].values[i])
+                << "worker " << w << " layer " << l << " buffer " << b;
+          }
+        }
+      }
+    }
+    EXPECT_TRUE(fleet.report().completed);
+    EXPECT_EQ(fleet.report().kills, 0u);
+    EXPECT_EQ(fleet.report().redone_iterations, 0u);
+    elapsed.push_back(fleet.elapsed_ns());
+  }
+  // Simulated wall time depends only on the cost model, not on host threads,
+  // GEMM kernels or float results.
+  EXPECT_DOUBLE_EQ(elapsed[1], 6220699.6787833096);
 }
 
 TEST(Fleet, KilledWorkerRejoinsFromMirrorWithoutRedoneWork) {
@@ -165,6 +222,120 @@ TEST(Fleet, KilledWorkerRejoinsFromMirrorWithoutRedoneWork) {
   for (std::size_t w = 0; w < 3; ++w) {
     EXPECT_EQ(fleet.network(w).iterations(), 16u);
   }
+}
+
+// ------------------------------------------------------------ Distributed --
+// Plain synchronous data-parallel training: ElasticTrainer with its defaults
+// (kBarrier, PreemptionModel::kNone).
+
+TEST(Distributed, RejectsBadOptions) {
+  FleetOptions opt;
+  opt.workers = 0;
+  EXPECT_THROW(ElasticTrainer(MachineProfile::emlsgx_pm(), 48u << 20,
+                              small_config(), opt),
+               Error);
+}
+
+TEST(Distributed, TrainsAndStaysSynchronized) {
+  FleetOptions opt;
+  opt.workers = 3;
+  opt.sync_every = 4;
+  ElasticTrainer fleet(MachineProfile::emlsgx_pm(), 48u << 20,
+                       ml::make_cnn_config(2, 4, 16), opt);
+  fleet.load_dataset(small_data(512));
+  const float loss = fleet.train(12);
+  EXPECT_TRUE(std::isfinite(loss));
+  EXPECT_EQ(fleet.sync_rounds(), 3u);
+
+  // After the final averaging round, all workers hold identical weights.
+  const auto ref = fleet.network(0).layer(0).parameters();
+  for (std::size_t w = 1; w < fleet.workers(); ++w) {
+    const auto other = fleet.network(w).layer(0).parameters();
+    for (std::size_t b = 0; b < ref.size(); ++b) {
+      for (std::size_t i = 0; i < ref[b].values.size(); ++i) {
+        ASSERT_EQ(ref[b].values[i], other[b].values[i])
+            << "worker " << w << " buffer " << b << " index " << i;
+      }
+    }
+  }
+  // Every worker reached the target.
+  for (std::size_t w = 0; w < fleet.workers(); ++w) {
+    EXPECT_EQ(fleet.network(w).iterations(), 12u);
+  }
+  EXPECT_GT(fleet.elapsed_ns(), 0.0);
+}
+
+TEST(Distributed, SingleWorkerDegeneratesToLocalTraining) {
+  FleetOptions opt;
+  opt.workers = 1;
+  opt.sync_every = 4;
+  ElasticTrainer fleet(MachineProfile::emlsgx_pm(), 48u << 20, small_config(),
+                       opt);
+  fleet.load_dataset(small_data(64));
+  const float loss = fleet.train(8);
+  EXPECT_TRUE(std::isfinite(loss));
+  EXPECT_EQ(fleet.sync_rounds(), 0u);  // nothing to average
+  EXPECT_EQ(fleet.network(0).iterations(), 8u);
+}
+
+TEST(Distributed, KilledWorkerResumesFromItsMirrorAndRejoins) {
+  FleetOptions opt;
+  opt.workers = 2;
+  opt.sync_every = 5;
+  ElasticTrainer fleet(MachineProfile::emlsgx_pm(), 48u << 20,
+                       ml::make_cnn_config(2, 4, 16), opt);
+  fleet.load_dataset(small_data(512));
+  (void)fleet.train(10);
+
+  fleet.kill_worker(1);
+  EXPECT_FALSE(fleet.alive(1));
+  // Next use reconstructs worker 1 from its PM mirror at iteration 10.
+  EXPECT_EQ(fleet.network(1).iterations(), 10u);
+
+  (void)fleet.train(20);
+  EXPECT_EQ(fleet.network(0).iterations(), 20u);
+  EXPECT_EQ(fleet.network(1).iterations(), 20u);
+
+  // Weights synchronized again after rejoin.
+  const auto a = fleet.network(0).layer(1).parameters();
+  const auto b = fleet.network(1).layer(1).parameters();
+  for (std::size_t i = 0; i < a[0].values.size(); ++i) {
+    ASSERT_EQ(a[0].values[i], b[0].values[i]);
+  }
+}
+
+TEST(Distributed, LearnsTheTask) {
+  ml::SynthDigitsOptions dopt;
+  dopt.train_count = 2048;
+  dopt.test_count = 512;
+  const auto digits = ml::make_synth_digits(dopt);
+
+  FleetOptions opt;
+  opt.workers = 2;
+  opt.sync_every = 10;
+  ElasticTrainer fleet(MachineProfile::emlsgx_pm(), 64u << 20,
+                       ml::make_cnn_config(3, 8, 32), opt);
+  fleet.load_dataset(digits.train);
+  (void)fleet.train(60);
+
+  const double acc = fleet.network(0).accuracy(
+      digits.test.x.values.data(), digits.test.y.values.data(), digits.test.size());
+  EXPECT_GT(acc, 0.5);
+}
+
+TEST(Distributed, SyncCostsCommunicationTime) {
+  auto elapsed_with = [](std::size_t sync_every) {
+    FleetOptions opt;
+    opt.workers = 4;
+    opt.sync_every = sync_every;
+    ElasticTrainer fleet(MachineProfile::emlsgx_pm(), 48u << 20,
+                         ml::make_cnn_config(2, 4, 16), opt);
+    fleet.load_dataset(small_data(512));
+    (void)fleet.train(12);
+    return fleet.elapsed_ns();
+  };
+  // More frequent synchronization = more rounds = more network time.
+  EXPECT_GT(elapsed_with(2), elapsed_with(12));
 }
 
 // Satellite sweep: kill 1..N-1 workers at every phase of an averaging round.

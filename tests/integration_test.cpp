@@ -200,25 +200,21 @@ TEST(Fuzz, WeightsBlobRejectsMutationsOrStaysShapeSafe) {
 }
 
 TEST(Integration, BundledSpotTraceMatchesGenerator) {
-  // data/spot_trace.csv is the seed-57 synthetic trace; regeneration must
-  // reproduce it bit-for-bit (protects the Fig. 10 scenario).
+  // data/spot_trace.csv is the seed-57 synthetic trace written by to_csv();
+  // regeneration must reproduce it bit-for-bit (protects the Fig. 10
+  // scenario, which replays the bundled file).
   spot::SpotTrace bundled;
-  bool found = false;
-  for (const char* path : {"data/spot_trace.csv", "../data/spot_trace.csv",
-                           "../../data/spot_trace.csv"}) {
-    try {
-      bundled = spot::SpotTrace::from_file(path);
-      found = true;
-      break;
-    } catch (const Error&) {
-    }
+  try {
+    bundled = spot::SpotTrace::from_file(PLINIUS_DATA_DIR "/spot_trace.csv");
+  } catch (const Error& e) {
+    FAIL() << e.what();
   }
-  if (!found) GTEST_SKIP() << "bundled trace not found from this working directory";
   const auto regenerated = spot::SpotTrace::synthetic(256, 57);
   ASSERT_EQ(bundled.size(), regenerated.size());
   int above_bid = 0;
   for (std::size_t i = 0; i < bundled.size(); ++i) {
-    EXPECT_NEAR(bundled.entries[i].price, regenerated.entries[i].price, 1e-6);
+    EXPECT_EQ(bundled.entries[i].timestamp_s, regenerated.entries[i].timestamp_s);
+    EXPECT_EQ(bundled.entries[i].price, regenerated.entries[i].price);
     above_bid += bundled.entries[i].price > 0.0955;
   }
   EXPECT_GT(above_bid, 0);

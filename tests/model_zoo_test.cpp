@@ -1,9 +1,9 @@
 // Every bundled model config must parse, build, train a step and make
-// finite predictions. Run from the repo root or the build directory.
+// finite predictions.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <fstream>
+#include <string>
 
 #include "common/error.h"
 #include "ml/config.h"
@@ -12,21 +12,11 @@
 namespace plinius::ml {
 namespace {
 
-std::string find_models_dir() {
-  for (const char* candidate : {"data/models", "../data/models", "../../data/models"}) {
-    std::ifstream probe(std::string(candidate) + "/lenet5.cfg");
-    if (probe.good()) return candidate;
-  }
-  return "";
-}
-
 class ModelZooTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ModelZooTest, ParsesBuildsAndTrains) {
-  const std::string dir = find_models_dir();
-  if (dir.empty()) GTEST_SKIP() << "data/models not reachable from cwd";
-
-  const auto config = ModelConfig::from_file(dir + "/" + GetParam());
+  const auto config =
+      ModelConfig::from_file(std::string(PLINIUS_DATA_DIR "/models/") + GetParam());
   Rng rng(1);
   Network net = build_network(config, rng);
   ASSERT_GT(net.num_layers(), 0u);
