@@ -9,8 +9,17 @@
 namespace plinius::ml {
 
 namespace {
-constexpr float kLeakySlope = 0.1f;  // Darknet's leaky coefficient
+
+// The rectifiers run Darknet's sign branch only to report it to an installed
+// recorder; otherwise — and always under the oblivious variant, which has no
+// branch to report — they run the branch-free select kernels.
+bool branch_free_rectifier(Activation a) {
+  return (a == Activation::kLeakyRelu || a == Activation::kRelu) &&
+         (oblivious_options().branchless_activation ||
+          obs::page_trace_recorder() == nullptr);
 }
+
+}  // namespace
 
 Activation activation_from_name(const std::string& name) {
   if (name == "linear") return Activation::kLinear;
@@ -38,41 +47,28 @@ const char* activation_name(Activation a) {
 }
 
 void activate(Activation a, float* x, std::size_t n) {
-  // Only the rectifiers have branchless rewrites; dispatching any other
-  // activation would bounce back here (oblivious_activate falls through to
-  // the baseline for the rest).
-  if (oblivious_options().branchless_activation &&
-      (a == Activation::kLeakyRelu || a == Activation::kRelu)) {
+  if (branch_free_rectifier(a)) {
     oblivious_activate(a, x, n);
     return;
   }
-  // Baseline: the sign test is a secret-dependent branch — report each
-  // outcome to the leakage observatory when one is recording.
+  // A recorded rectifier reports each sign-test outcome to the observatory.
   obs::PageTraceRecorder* rec = obs::page_trace_recorder();
   switch (a) {
     case Activation::kLinear:
       return;
     case Activation::kLeakyRelu:
-      if (rec != nullptr) {
-        for (std::size_t i = 0; i < n; ++i) {
-          const bool pos = x[i] > 0;
-          rec->branch("act.leaky", pos);
-          x[i] = pos ? x[i] : kLeakySlope * x[i];
-        }
-        return;
+      for (std::size_t i = 0; i < n; ++i) {
+        const bool pos = x[i] > 0;
+        rec->branch("act.leaky", pos);
+        x[i] = pos ? x[i] : kLeakySlope * x[i];
       }
-      for (std::size_t i = 0; i < n; ++i) x[i] = x[i] > 0 ? x[i] : kLeakySlope * x[i];
       return;
     case Activation::kRelu:
-      if (rec != nullptr) {
-        for (std::size_t i = 0; i < n; ++i) {
-          const bool pos = x[i] > 0;
-          rec->branch("act.relu", pos);
-          x[i] = pos ? x[i] : 0;
-        }
-        return;
+      for (std::size_t i = 0; i < n; ++i) {
+        const bool pos = x[i] > 0;
+        rec->branch("act.relu", pos);
+        x[i] = pos ? x[i] : 0;
       }
-      for (std::size_t i = 0; i < n; ++i) x[i] = x[i] > 0 ? x[i] : 0;
       return;
     case Activation::kLogistic:
       for (std::size_t i = 0; i < n; ++i) x[i] = 1.0f / (1.0f + std::exp(-x[i]));
@@ -84,8 +80,7 @@ void activate(Activation a, float* x, std::size_t n) {
 }
 
 void gradient(Activation a, const float* y, float* delta, std::size_t n) {
-  if (oblivious_options().branchless_activation &&
-      (a == Activation::kLeakyRelu || a == Activation::kRelu)) {
+  if (branch_free_rectifier(a)) {
     oblivious_activation_gradient(a, y, delta, n);
     return;
   }
@@ -94,26 +89,18 @@ void gradient(Activation a, const float* y, float* delta, std::size_t n) {
     case Activation::kLinear:
       return;
     case Activation::kLeakyRelu:
-      if (rec != nullptr) {
-        for (std::size_t i = 0; i < n; ++i) {
-          const bool pos = y[i] > 0;
-          rec->branch("act.grad", pos);
-          delta[i] *= pos ? 1.0f : kLeakySlope;
-        }
-        return;
+      for (std::size_t i = 0; i < n; ++i) {
+        const bool pos = y[i] > 0;
+        rec->branch("act.grad", pos);
+        delta[i] *= pos ? 1.0f : kLeakySlope;
       }
-      for (std::size_t i = 0; i < n; ++i) delta[i] *= y[i] > 0 ? 1.0f : kLeakySlope;
       return;
     case Activation::kRelu:
-      if (rec != nullptr) {
-        for (std::size_t i = 0; i < n; ++i) {
-          const bool pos = y[i] > 0;
-          rec->branch("act.grad", pos);
-          delta[i] *= pos ? 1.0f : 0.0f;
-        }
-        return;
+      for (std::size_t i = 0; i < n; ++i) {
+        const bool pos = y[i] > 0;
+        rec->branch("act.grad", pos);
+        delta[i] *= pos ? 1.0f : 0.0f;
       }
-      for (std::size_t i = 0; i < n; ++i) delta[i] *= y[i] > 0 ? 1.0f : 0.0f;
       return;
     case Activation::kLogistic:
       for (std::size_t i = 0; i < n; ++i) delta[i] *= y[i] * (1.0f - y[i]);

@@ -1,5 +1,6 @@
 #include "ml/connected_layer.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "ml/gemm.h"
@@ -23,12 +24,22 @@ ConnectedLayer::ConnectedLayer(Shape in, const ConnectedConfig& config, Rng& ini
 void ConnectedLayer::forward(const float* input, std::size_t batch, bool /*train*/) {
   const std::size_t inputs = in_shape_.size();
   const std::size_t outputs = out_shape_.size();
-  std::fill(output_.begin(), output_.end(), 0.0f);
   obs::touch_pages("fc.weights", 0, weights_.size() * sizeof(float));
   obs::touch_pages("fc.in", 0, batch * inputs * sizeof(float));
 
-  // output[batch x outputs] = input[batch x inputs] * W^T
-  gemm_nt(batch, outputs, inputs, 1.0f, input, weights_.data(), output_.data());
+  if (outputs > batch) {
+    // output^T[outputs x batch] = W * input^T, transposed back: gemm_nt packs
+    // whichever operand is its B, and here the batch is smaller than the
+    // weight matrix. Bitwise equal to the direct form below by gemm.h's
+    // transpose symmetry.
+    output_t_.assign(outputs * batch, 0.0f);
+    gemm_nt(outputs, batch, inputs, 1.0f, weights_.data(), input, output_t_.data());
+    transpose(outputs, batch, output_t_.data(), output_.data());
+  } else {
+    // output[batch x outputs] = input[batch x inputs] * W^T
+    std::fill(output_.begin(), output_.end(), 0.0f);
+    gemm_nt(batch, outputs, inputs, 1.0f, input, weights_.data(), output_.data());
+  }
   for (std::size_t b = 0; b < batch; ++b) {
     float* out = output_.data() + b * outputs;
     for (std::size_t o = 0; o < outputs; ++o) out[o] += biases_[o];

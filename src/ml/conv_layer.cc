@@ -230,8 +230,12 @@ void ConvLayer::backward(const float* input, float* input_delta, std::size_t bat
   }
 
   workspace_.resize(k * n_spatial);
-  std::vector<float> col_delta;
-  if (input_delta != nullptr) col_delta.resize(k * n_spatial);
+  if (input_delta != nullptr) {
+    // W^T once per call; every sample's input gradient reuses it.
+    weights_t_.resize(weights_.size());
+    transpose(config_.filters, k, weights_.data(), weights_t_.data());
+    col_delta_.resize(k * n_spatial);
+  }
 
   for (std::size_t b = 0; b < batch; ++b) {
     const float* im = input + b * in_shape_.size();
@@ -253,13 +257,14 @@ void ConvLayer::backward(const float* input, float* input_delta, std::size_t bat
 
     // Input gradients: cols_delta = W^T x delta_b, scattered back by col2im.
     if (input_delta != nullptr) {
-      std::fill(col_delta.begin(), col_delta.end(), 0.0f);
-      gemm_tn(k, n_spatial, config_.filters, 1.0f, weights_.data(), d, col_delta.data());
+      std::fill(col_delta_.begin(), col_delta_.end(), 0.0f);
+      gemm_nn(k, n_spatial, config_.filters, 1.0f, weights_t_.data(), d,
+              col_delta_.data());
       float* id = input_delta + b * in_shape_.size();
       if (config_.ksize == 1 && config_.stride == 1 && config_.pad == 0) {
-        for (std::size_t i = 0; i < in_shape_.size(); ++i) id[i] += col_delta[i];
+        for (std::size_t i = 0; i < in_shape_.size(); ++i) id[i] += col_delta_[i];
       } else {
-        col2im(col_delta.data(), in_shape_.c, in_shape_.h, in_shape_.w, config_.ksize,
+        col2im(col_delta_.data(), in_shape_.c, in_shape_.h, in_shape_.w, config_.ksize,
                config_.stride, config_.pad, id);
       }
     }

@@ -36,6 +36,9 @@ class ConvLayer final : public Layer {
   [[nodiscard]] std::size_t forward_macs() const override;
 
   [[nodiscard]] const ConvConfig& config() const noexcept { return config_; }
+  [[nodiscard]] std::span<const float> weight_updates() const noexcept {
+    return weight_updates_;
+  }
 
  private:
   void forward_batchnorm(std::size_t batch, bool train);
@@ -57,6 +60,8 @@ class ConvLayer final : public Layer {
   std::vector<float> x_, x_norm_;  // pre-BN and normalized activations
 
   std::vector<float> workspace_;  // im2col scratch
+  std::vector<float> weights_t_;  // backward: W^T [k x filters]
+  std::vector<float> col_delta_;  // backward: one sample's column gradient
 };
 
 }  // namespace plinius::ml

@@ -223,6 +223,10 @@ void gemm_tt(std::size_t m, std::size_t n, std::size_t k, float alpha, const flo
   gemm_packed(m, n, k, alpha, t_pack_a.data(), t_pack_b.data(), c);
 }
 
+void transpose(std::size_t rows, std::size_t cols, const float* src, float* dst) {
+  transpose_pack(cols, rows, src, dst);
+}
+
 void gemm(bool ta, bool tb, std::size_t m, std::size_t n, std::size_t k, float alpha,
           const float* a, const float* b, float* c) {
   if (!ta && !tb) {

@@ -15,6 +15,14 @@
 // MR-row tile whose code path depends only on the matrix shape. Results are
 // therefore bitwise identical at every thread count, including 1.
 //
+// Transpose symmetry: with alpha = 1 and a zeroed C, gemm_nt(m, n, k, A, B)
+// is bitwise the transpose of gemm_nt(n, m, k, B, A). Every C element is the
+// same chain on either orientation and in every tile shape (full, row tail,
+// column tail): per KC block, one accumulator adds a[i][p] * b[j][p] in
+// ascending p (fused on the SIMD paths), then C += block sum — and the
+// products commute. ConnectedLayer::forward relies on this to choose its
+// orientation from its own shape (tests/gemm_test.cpp pins it).
+//
 // When the build enables AVX2/FMA for this translation unit (the default on
 // compilers that support it — see PLINIUS_GEMM_SIMD in src/CMakeLists.txt),
 // the kernels check CPU support at runtime and fall back to the scalar
@@ -40,6 +48,9 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k, float alpha, const flo
 /// C += alpha * A^T * B^T  (A: K x M, B: N x K)
 void gemm_tt(std::size_t m, std::size_t n, std::size_t k, float alpha, const float* a,
              const float* b, float* c);
+
+/// dst[cols x rows] = src[rows x cols]^T (out of place, exact copy).
+void transpose(std::size_t rows, std::size_t cols, const float* src, float* dst);
 
 /// General entry point mirroring Darknet's gemm(TA, TB, ...).
 void gemm(bool ta, bool tb, std::size_t m, std::size_t n, std::size_t k, float alpha,

@@ -11,7 +11,6 @@ namespace plinius::ml {
 
 namespace {
 ObliviousOptions g_oblivious_options;
-constexpr float kLeakySlope = 0.1f;  // must match activation.cc
 }  // namespace
 
 const ObliviousOptions& oblivious_options() noexcept { return g_oblivious_options; }

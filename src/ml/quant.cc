@@ -19,7 +19,6 @@ namespace plinius::ml {
 namespace {
 
 constexpr float kBnEps = 1e-5f;       // as ConvLayer::forward_batchnorm
-constexpr float kLeakySlope = 0.1f;   // as activation.cc
 
 // Smallest admissible scale: guards against all-zero calibration activations
 // producing a zero divisor. 1e-6 / 127 is far below any real activation.

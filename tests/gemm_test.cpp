@@ -5,7 +5,9 @@
 // serial-vs-parallel identity the kernels guarantee by construction.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -22,12 +24,13 @@ struct Shape {
   std::size_t m, n, k;
 };
 
-// Tile sizes in ml/gemm.cc are MR=4, NR=16, KC=256: cover below, at, and
-// above every boundary, plus degenerate vectors.
+// Tiles in ml/gemm.cc are MR=6 rows (AVX2 and scalar kernels) or MR=16
+// (AVX-512 kernel) by NR=16 columns, with KC=256: cover below, at, and above
+// every boundary, plus degenerate vectors.
 const Shape kShapes[] = {
     {1, 1, 1},   {1, 16, 7},  {3, 15, 5},   {4, 16, 16},  {5, 17, 31},
-    {7, 33, 64}, {8, 48, 96}, {13, 29, 257}, {16, 64, 300}, {31, 80, 40},
-    {64, 1, 64}, {1, 64, 64}, {33, 100, 20},
+    {7, 33, 64}, {8, 48, 96}, {13, 29, 257}, {16, 64, 300}, {17, 24, 40},
+    {31, 80, 40}, {32, 19, 70}, {64, 1, 64}, {1, 64, 64}, {33, 100, 20},
 };
 
 // Fills with values whose products stay well-scaled so a relative tolerance
@@ -127,6 +130,44 @@ TEST(GemmDeterminism, BitwiseIdenticalAcrossThreadCounts) {
     }
   }
   par::set_max_threads(saved);
+}
+
+// The transpose symmetry of ml/gemm.h that lets ConnectedLayer::forward pick
+// its orientation: with alpha = 1 and a zeroed C, gemm_nt(m, n, k, A, B) is
+// bitwise the transpose of gemm_nt(n, m, k, B, A).
+TEST(GemmDeterminism, NtBitwiseEqualsTransposeOfSwappedNt) {
+  Rng rng(0x7A5);
+  for (const Shape& s : kShapes) {
+    const auto a = random_matrix(s.m * s.k, rng);  // M x K
+    const auto b = random_matrix(s.n * s.k, rng);  // N x K
+    std::vector<float> direct(s.m * s.n, 0.0f), swapped(s.n * s.m, 0.0f);
+    ml::gemm_nt(s.m, s.n, s.k, 1.0f, a.data(), b.data(), direct.data());
+    ml::gemm_nt(s.n, s.m, s.k, 1.0f, b.data(), a.data(), swapped.data());
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < s.m; ++i) {
+      for (std::size_t j = 0; j < s.n; ++j) {
+        mismatches += std::bit_cast<std::uint32_t>(direct[i * s.n + j]) !=
+                      std::bit_cast<std::uint32_t>(swapped[j * s.m + i]);
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "m=" << s.m << " n=" << s.n << " k=" << s.k;
+  }
+}
+
+TEST(GemmTranspose, ExactOutOfPlaceCopy) {
+  Rng rng(0x7A6);
+  for (const Shape& s : kShapes) {
+    const auto src = random_matrix(s.m * s.n, rng);  // M x N
+    std::vector<float> dst(s.n * s.m);
+    ml::transpose(s.m, s.n, src.data(), dst.data());
+    for (std::size_t i = 0; i < s.m; ++i) {
+      for (std::size_t j = 0; j < s.n; ++j) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(dst[j * s.m + i]),
+                  std::bit_cast<std::uint32_t>(src[i * s.n + j]))
+            << "m=" << s.m << " n=" << s.n;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -8,7 +8,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/parallel.h"
@@ -169,25 +172,59 @@ TEST(LeakAnalyzer, EditDistanceIsNormalizedAndSubsamples) {
 
 // ------------------------------------------------- oblivious kernel parity --
 
+// The rectifiers have three implementations that must agree bit for bit: the
+// unrecorded default (branch-free), the recorded path (Darknet's sign branch,
+// reported to the observatory) and the oblivious kernels — including on
+// signed zeros, NaN, infinities and subnormals.
 TEST(ObliviousKernels, ActivationBitwiseEqualToBaseline) {
   Rng rng(7);
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            std::numeric_limits<float>::min() / 4,
+                            -std::numeric_limits<float>::min() / 4};
   for (const ml::Activation act :
        {ml::Activation::kLeakyRelu, ml::Activation::kRelu}) {
-    std::vector<float> base(512), obl;
-    for (auto& v : base) v = rng.normal();
-    base[0] = 0.0f;
-    base[1] = -0.0f;
-    obl = base;
-    ml::activate(act, base.data(), base.size());
-    ml::oblivious_activate(act, obl.data(), obl.size());
-    EXPECT_EQ(std::memcmp(base.data(), obl.data(), base.size() * sizeof(float)), 0);
+    std::vector<float> x(512);
+    for (auto& v : x) v = rng.normal();
+    std::copy(std::begin(specials), std::end(specials), x.begin());
+    std::vector<float> delta(x.size());
+    for (auto& v : delta) v = rng.normal();
+    // The special deltas sit where y is an ordinary value of either sign.
+    std::copy(std::begin(specials), std::end(specials),
+              delta.begin() + static_cast<std::ptrdiff_t>(std::size(specials)));
 
-    std::vector<float> d1(512), d2;
-    for (auto& v : d1) v = rng.normal();
-    d2 = d1;
-    ml::gradient(act, base.data(), d1.data(), d1.size());
-    ml::oblivious_activation_gradient(act, obl.data(), d2.data(), d2.size());
-    EXPECT_EQ(std::memcmp(d1.data(), d2.data(), d1.size() * sizeof(float)), 0);
+    auto run = [&](const char* path) {
+      std::vector<float> y = x, d = delta;
+      const std::string p = path;
+      if (p == "oblivious") {
+        ml::oblivious_activate(act, y.data(), y.size());
+        ml::oblivious_activation_gradient(act, y.data(), d.data(), d.size());
+      } else if (p == "recorded") {
+        obs::ScopedLeakRecorder rec;
+        ml::activate(act, y.data(), y.size());
+        ml::gradient(act, y.data(), d.data(), d.size());
+        EXPECT_EQ(rec.recorder().raw_branch_events(), 2 * x.size());
+      } else {
+        ml::activate(act, y.data(), y.size());
+        ml::gradient(act, y.data(), d.data(), d.size());
+      }
+      y.insert(y.end(), d.begin(), d.end());
+      return y;
+    };
+    const auto unrecorded = run("unrecorded");
+    for (const char* path : {"recorded", "oblivious"}) {
+      const auto other = run(path);
+      EXPECT_EQ(std::memcmp(unrecorded.data(), other.data(),
+                            unrecorded.size() * sizeof(float)),
+                0)
+          << ml::activation_name(act) << ": unrecorded vs " << path;
+    }
   }
 }
 

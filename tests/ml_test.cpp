@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <numeric>
+#include <span>
+#include <string>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "ml/activation.h"
 #include "ml/config.h"
@@ -552,6 +556,344 @@ TEST(Training, LossDecreasesOnSynthDigits) {
   const double acc = net.accuracy(digits.test.x.values.data(),
                                   digits.test.y.values.data(), digits.test.size());
   EXPECT_GT(acc, 0.5);  // 10% is chance; the digits are learnable quickly
+}
+
+// --- layer lowering -------------------------------------------------------------------
+//
+// The layers lower Darknet's training step onto gemm with shortcuts that must
+// not change a bit: ConnectedLayer::forward computes W * X^T and transposes
+// it back when outputs > batch, ConvLayer::backward multiplies by a
+// once-transposed W, sgd_update is one pass, and the rectifiers run
+// branch-free. The reference below is the direct lowering — gemm_nt(batch,
+// ...) forward, per-sample gemm_tn input gradients, three-pass SGD, ternary
+// activations — and one Network::train_batch step must match it bitwise.
+
+void ref_activate(Activation a, float* x, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (a == Activation::kLeakyRelu) x[i] = x[i] > 0 ? x[i] : kLeakySlope * x[i];
+    if (a == Activation::kRelu) x[i] = x[i] > 0 ? x[i] : 0;
+  }
+}
+
+void ref_gradient(Activation a, const float* y, float* delta, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (a == Activation::kLeakyRelu) delta[i] *= y[i] > 0 ? 1.0f : kLeakySlope;
+    if (a == Activation::kRelu) delta[i] *= y[i] > 0 ? 1.0f : 0.0f;
+  }
+}
+
+void ref_sgd(std::vector<float>& values, std::vector<float>& grads, const SgdParams& p,
+             std::size_t batch, bool use_decay) {
+  const float lr = p.learning_rate / static_cast<float>(batch);
+  if (use_decay) {
+    const float d = -p.decay * static_cast<float>(batch);
+    for (std::size_t i = 0; i < values.size(); ++i) grads[i] += d * values[i];
+  }
+  for (std::size_t i = 0; i < values.size(); ++i) values[i] += lr * grads[i];
+  for (std::size_t i = 0; i < values.size(); ++i) grads[i] *= p.momentum;
+}
+
+// The state one training step leaves behind in the layer under test.
+struct StepState {
+  std::vector<float> output, input_delta, weight_updates;
+  std::vector<std::vector<float>> params;  // parameters() order
+};
+
+// The softmax head's seed for the layer's delta, as Network::train_batch
+// produces it (loss_and_delta, then SoftmaxLayer::backward adds it in).
+std::vector<float> ref_head_delta(const std::vector<float>& logits,
+                                  const std::vector<float>& y, Shape out,
+                                  std::size_t batch) {
+  SoftmaxLayer head(out);
+  head.prepare(batch);
+  head.forward(logits.data(), batch, true);
+  (void)head.loss_and_delta(y.data(), batch);
+  std::vector<float> delta(logits.size(), 0.0f);
+  head.backward(nullptr, delta.data(), batch);
+  return delta;
+}
+
+StepState ref_connected_step(Shape in, const ConnectedConfig& cfg,
+                             std::vector<std::vector<float>> params,
+                             const std::vector<float>& x, const std::vector<float>& y,
+                             std::size_t batch, const SgdParams& hyper) {
+  const std::size_t inputs = in.size(), outputs = cfg.outputs;
+  std::vector<float>& w = params[0];
+  std::vector<float>& bias = params[1];
+  StepState r;
+  r.output.assign(batch * outputs, 0.0f);
+  gemm_nt(batch, outputs, inputs, 1.0f, x.data(), w.data(), r.output.data());
+  for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t o = 0; o < outputs; ++o) r.output[b * outputs + o] += bias[o];
+  }
+  ref_activate(cfg.activation, r.output.data(), r.output.size());
+
+  std::vector<float> delta = ref_head_delta(r.output, y, Shape{outputs, 1, 1}, batch);
+  ref_gradient(cfg.activation, r.output.data(), delta.data(), delta.size());
+  std::vector<float> bias_updates(outputs, 0.0f);
+  for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t o = 0; o < outputs; ++o) bias_updates[o] += delta[b * outputs + o];
+  }
+  r.weight_updates.assign(outputs * inputs, 0.0f);
+  gemm_tn(outputs, inputs, batch, 1.0f, delta.data(), x.data(), r.weight_updates.data());
+  r.input_delta.assign(batch * inputs, 0.0f);
+  gemm_nn(batch, inputs, outputs, 1.0f, delta.data(), w.data(), r.input_delta.data());
+
+  ref_sgd(w, r.weight_updates, hyper, batch, true);
+  ref_sgd(bias, bias_updates, hyper, batch, false);
+  r.params = std::move(params);
+  return r;
+}
+
+StepState ref_conv_step(Shape in, const ConvConfig& cfg,
+                        std::vector<std::vector<float>> params,
+                        const std::vector<float>& x, const std::vector<float>& y,
+                        std::size_t batch, const SgdParams& hyper) {
+  constexpr float kEps = 1e-5f, kMomentum = 0.99f;
+  const std::size_t f_n = cfg.filters;
+  const Shape out{f_n, conv_out_dim(in.h, cfg.ksize, cfg.stride, cfg.pad),
+                  conv_out_dim(in.w, cfg.ksize, cfg.stride, cfg.pad)};
+  const std::size_t sp = out.h * out.w;
+  const std::size_t k = in.c * cfg.ksize * cfg.ksize;
+  const bool direct = cfg.ksize == 1 && cfg.stride == 1 && cfg.pad == 0;
+  const bool bn = cfg.batch_normalize;
+  std::vector<float>& w = params[0];
+  std::vector<float>& bias = params[1];
+  std::vector<float> cols(k * sp);
+  auto cols_of = [&](std::size_t b) {
+    const float* im = x.data() + b * in.size();
+    if (direct) return im;
+    im2col(im, in.c, in.h, in.w, cfg.ksize, cfg.stride, cfg.pad, cols.data());
+    return static_cast<const float*>(cols.data());
+  };
+
+  StepState r;
+  r.output.assign(batch * out.size(), 0.0f);
+  for (std::size_t b = 0; b < batch; ++b) {
+    gemm_nn(f_n, sp, k, 1.0f, w.data(), cols_of(b), r.output.data() + b * out.size());
+  }
+  std::vector<float> mean(f_n), var(f_n), x_pre, x_norm(r.output.size());
+  if (bn) {
+    x_pre = r.output;
+    for (std::size_t f = 0; f < f_n; ++f) {
+      double sum = 0, sq = 0;
+      for (std::size_t b = 0; b < batch; ++b) {
+        for (std::size_t s = 0; s < sp; ++s) sum += r.output[(b * f_n + f) * sp + s];
+      }
+      mean[f] = static_cast<float>(sum / (batch * sp));
+      for (std::size_t b = 0; b < batch; ++b) {
+        for (std::size_t s = 0; s < sp; ++s) {
+          const double d = r.output[(b * f_n + f) * sp + s] - mean[f];
+          sq += d * d;
+        }
+      }
+      var[f] = static_cast<float>(sq / (batch * sp));
+      params[3][f] = kMomentum * params[3][f] + (1.0f - kMomentum) * mean[f];
+      params[4][f] = kMomentum * params[4][f] + (1.0f - kMomentum) * var[f];
+    }
+    for (std::size_t b = 0; b < batch; ++b) {
+      for (std::size_t f = 0; f < f_n; ++f) {
+        const float inv_std = 1.0f / std::sqrt(var[f] + kEps);
+        for (std::size_t s = 0; s < sp; ++s) {
+          const std::size_t i = (b * f_n + f) * sp + s;
+          x_norm[i] = (r.output[i] - mean[f]) * inv_std;
+          r.output[i] = params[2][f] * x_norm[i];
+        }
+      }
+    }
+  }
+  for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t f = 0; f < f_n; ++f) {
+      for (std::size_t s = 0; s < sp; ++s) r.output[(b * f_n + f) * sp + s] += bias[f];
+    }
+  }
+  ref_activate(cfg.activation, r.output.data(), r.output.size());
+
+  std::vector<float> delta = ref_head_delta(r.output, y, out, batch);
+  ref_gradient(cfg.activation, r.output.data(), delta.data(), delta.size());
+  std::vector<float> bias_updates(f_n, 0.0f), scale_updates(f_n, 0.0f);
+  for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t f = 0; f < f_n; ++f) {
+      double sum = 0;
+      for (std::size_t s = 0; s < sp; ++s) sum += delta[(b * f_n + f) * sp + s];
+      bias_updates[f] += static_cast<float>(sum);
+    }
+  }
+  if (bn) {
+    const auto per_filter = static_cast<float>(batch * sp);
+    for (std::size_t f = 0; f < f_n; ++f) {
+      double ssum = 0;
+      for (std::size_t b = 0; b < batch; ++b) {
+        for (std::size_t s = 0; s < sp; ++s) {
+          const std::size_t i = (b * f_n + f) * sp + s;
+          ssum += delta[i] * x_norm[i];
+        }
+      }
+      scale_updates[f] += static_cast<float>(ssum);
+    }
+    for (std::size_t b = 0; b < batch; ++b) {
+      for (std::size_t f = 0; f < f_n; ++f) {
+        for (std::size_t s = 0; s < sp; ++s) delta[(b * f_n + f) * sp + s] *= params[2][f];
+      }
+    }
+    std::vector<float> mean_delta(f_n), var_delta(f_n);
+    for (std::size_t f = 0; f < f_n; ++f) {
+      const float inv_std = 1.0f / std::sqrt(var[f] + kEps);
+      double dmean = 0, dvar = 0;
+      for (std::size_t b = 0; b < batch; ++b) {
+        for (std::size_t s = 0; s < sp; ++s) {
+          const std::size_t i = (b * f_n + f) * sp + s;
+          dmean += delta[i];
+          dvar += delta[i] * (x_pre[i] - mean[f]);
+        }
+      }
+      mean_delta[f] = static_cast<float>(-dmean * inv_std);
+      var_delta[f] = static_cast<float>(
+          dvar * -0.5 * std::pow(static_cast<double>(var[f]) + kEps, -1.5));
+    }
+    for (std::size_t b = 0; b < batch; ++b) {
+      for (std::size_t f = 0; f < f_n; ++f) {
+        const float inv_std = 1.0f / std::sqrt(var[f] + kEps);
+        for (std::size_t s = 0; s < sp; ++s) {
+          const std::size_t i = (b * f_n + f) * sp + s;
+          delta[i] = delta[i] * inv_std +
+                     var_delta[f] * 2.0f * (x_pre[i] - mean[f]) / per_filter +
+                     mean_delta[f] / per_filter;
+        }
+      }
+    }
+  }
+
+  r.weight_updates.assign(w.size(), 0.0f);
+  r.input_delta.assign(batch * in.size(), 0.0f);
+  std::vector<float> col_delta(k * sp);
+  for (std::size_t b = 0; b < batch; ++b) {
+    const float* d = delta.data() + b * out.size();
+    gemm_nt(f_n, k, sp, 1.0f, d, cols_of(b), r.weight_updates.data());
+    std::fill(col_delta.begin(), col_delta.end(), 0.0f);
+    gemm_tn(k, sp, f_n, 1.0f, w.data(), d, col_delta.data());
+    float* id = r.input_delta.data() + b * in.size();
+    if (direct) {
+      for (std::size_t i = 0; i < in.size(); ++i) id[i] += col_delta[i];
+    } else {
+      col2im(col_delta.data(), in.c, in.h, in.w, cfg.ksize, cfg.stride, cfg.pad, id);
+    }
+  }
+
+  ref_sgd(w, r.weight_updates, hyper, batch, true);
+  ref_sgd(bias, bias_updates, hyper, batch, false);
+  if (bn) ref_sgd(params[2], scale_updates, hyper, batch, false);
+  r.params = std::move(params);
+  return r;
+}
+
+void expect_bitwise(std::span<const float> got, std::span<const float> want,
+                    const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+      << what;
+}
+
+// One Network::train_batch step of `L` behind an identity (1x1) max-pool,
+// which passes the input through and receives the layer's input delta, and
+// in front of a softmax head; checked bitwise against `ref` at 1 and 4
+// threads.
+template <class L, class Config, class Ref>
+void check_lowering(Shape in, const Config& cfg, std::size_t batch, Ref ref,
+                    const std::string& name) {
+  Rng data_rng(0x10E5 + batch);
+  std::vector<float> x(batch * in.size());
+  for (auto& v : x) v = data_rng.normal();
+
+  const std::size_t saved = par::max_threads();
+  for (const std::size_t threads : {1u, 4u}) {
+    par::set_max_threads(threads);
+    Rng init_rng(0x1A7E);
+    Network net(in);
+    net.add(std::make_unique<MaxPoolLayer>(in, MaxPoolConfig{1, 1}));
+    auto owned = std::make_unique<L>(in, cfg, init_rng);
+    L& layer = *owned;
+    net.add(std::move(owned));
+    const Shape out = layer.output_shape();
+    net.add(std::make_unique<SoftmaxLayer>(out));
+    std::vector<float> y(batch * out.size(), 0.0f);
+    for (std::size_t b = 0; b < batch; ++b) {
+      y[b * out.size() + data_rng.below(out.size())] = 1.0f;
+    }
+
+    std::vector<std::vector<float>> initial;
+    for (const auto& p : layer.parameters()) initial.emplace_back(p.values.begin(), p.values.end());
+    const StepState want = ref(in, cfg, std::move(initial), x, y, batch, net.hyper());
+    net.train_batch(x.data(), y.data(), batch);
+
+    const std::string at = name + " @" + std::to_string(threads) + " threads: ";
+    expect_bitwise(layer.output(), want.output, at + "output");
+    expect_bitwise(net.layer(0).delta(), want.input_delta, at + "input delta");
+    expect_bitwise(layer.weight_updates(), want.weight_updates, at + "weight_updates");
+    const auto params = layer.parameters();
+    ASSERT_EQ(params.size(), want.params.size());
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      expect_bitwise(params[i].values, want.params[i], at + params[i].name);
+    }
+  }
+  par::set_max_threads(saved);
+}
+
+TEST(LayerLowering, ConnectedMatchesDirectLoweringBitwise) {
+  struct Case {
+    std::size_t inputs, outputs, batch;
+    Activation act;
+  };
+  const Case cases[] = {
+      {300, 64, 8, Activation::kLeakyRelu},    // outputs > batch, K past one KC block
+      {520, 100, 12, Activation::kLeakyRelu},  // outputs > batch, K over two KC blocks
+      {33, 17, 5, Activation::kRelu},          // 17 x 5: row and column tails
+      {40, 10, 32, Activation::kLinear},       // outputs < batch: direct form
+      {24, 16, 16, Activation::kLeakyRelu},    // outputs == batch: direct form
+      {50, 10, 1, Activation::kLeakyRelu},     // batch 1
+  };
+  for (const Case& c : cases) {
+    ConnectedConfig cfg;
+    cfg.outputs = c.outputs;
+    cfg.activation = c.act;
+    check_lowering<ConnectedLayer>(Shape{c.inputs, 1, 1}, cfg, c.batch,
+                                   ref_connected_step,
+                                   "fc " + std::to_string(c.inputs) + "->" +
+                                       std::to_string(c.outputs) + " batch " +
+                                       std::to_string(c.batch));
+  }
+}
+
+TEST(LayerLowering, ConvMatchesDirectLoweringBitwise) {
+  struct Case {
+    Shape in;
+    std::size_t filters, ksize, stride, pad;
+    bool bn;
+    Activation act;
+  };
+  // paper_5layer.cfg's five conv layers, then a 1x1 conv (the direct path).
+  const Case cases[] = {
+      {{1, 28, 28}, 8, 3, 2, 1, true, Activation::kLeakyRelu},
+      {{8, 14, 14}, 16, 3, 2, 1, true, Activation::kLeakyRelu},
+      {{16, 7, 7}, 16, 3, 1, 1, true, Activation::kLeakyRelu},
+      {{16, 7, 7}, 32, 3, 2, 1, true, Activation::kLeakyRelu},
+      {{32, 4, 4}, 32, 3, 1, 1, true, Activation::kLeakyRelu},
+      {{8, 5, 5}, 6, 1, 1, 0, false, Activation::kRelu},
+  };
+  for (const Case& c : cases) {
+    ConvConfig cfg;
+    cfg.filters = c.filters;
+    cfg.ksize = c.ksize;
+    cfg.stride = c.stride;
+    cfg.pad = c.pad;
+    cfg.batch_normalize = c.bn;
+    cfg.activation = c.act;
+    check_lowering<ConvLayer>(c.in, cfg, 6, ref_conv_step,
+                              "conv " + std::to_string(c.in.c) + "x" +
+                                  std::to_string(c.in.h) + " f" +
+                                  std::to_string(c.filters) + " k" +
+                                  std::to_string(c.ksize));
+  }
 }
 
 }  // namespace
