@@ -1,218 +1,130 @@
 #include "plinius/metrics_log.h"
 
+#include <cstddef>
+#include <string>
+
 #include "common/error.h"
 
 namespace plinius {
 
-MetricsLog::MetricsLog(romulus::Romulus& rom, sgx::EnclaveRuntime& enclave)
-    : rom_(&rom), enclave_(&enclave) {}
+template <typename Record>
+PmRecordLog<Record>::PmRecordLog(romulus::Romulus& rom, int root_slot,
+                                 std::uint64_t magic, const char* name,
+                                 bool compact_when_full)
+    : rom_(&rom),
+      root_slot_(root_slot),
+      magic_(magic),
+      name_(name),
+      compact_when_full_(compact_when_full) {}
 
-bool MetricsLog::exists() const {
-  const std::uint64_t off = rom_->root(kRootSlot);
-  return off != 0 && rom_->read<std::uint64_t>(off) == kMagic;
+template <typename Record>
+bool PmRecordLog<Record>::exists() const {
+  const std::uint64_t off = rom_->root(root_slot_);
+  return off != 0 && rom_->read<std::uint64_t>(off) == magic_;
 }
 
-MetricsLog::Header MetricsLog::header() const {
-  expects(exists(), "MetricsLog: no log in PM");
-  return rom_->read<Header>(rom_->root(kRootSlot));
+template <typename Record>
+typename PmRecordLog<Record>::Header PmRecordLog<Record>::header() const {
+  if (!exists()) {
+    throw Error(std::string("precondition violated: ") + name_ + ": no log in PM");
+  }
+  const Header hdr = rom_->read<Header>(rom_->root(root_slot_));
+  if (hdr.count > hdr.capacity) {
+    throw PmError(std::string(name_) + ": corrupt record count " +
+                  std::to_string(hdr.count) + " exceeds capacity " +
+                  std::to_string(hdr.capacity));
+  }
+  rom_->check_extent(hdr.entries_off, hdr.capacity, sizeof(Record), name_);
+  return hdr;
 }
 
-void MetricsLog::create(std::size_t capacity) {
-  if (exists()) throw PmError("MetricsLog::create: log already exists");
-  expects(capacity > 0, "MetricsLog: capacity must be positive");
+template <typename Record>
+void PmRecordLog<Record>::create(std::size_t capacity) {
+  if (exists()) throw PmError(std::string(name_) + "::create: log already exists");
+  expects(capacity > 0, "PmRecordLog: capacity must be positive");
   rom_->run_transaction([&] {
-    Header hdr{kMagic, capacity, 0, 0};
-    hdr.entries_off = rom_->pmalloc(capacity * sizeof(MetricsEntry));
+    Header hdr{magic_, capacity, 0, 0};
+    hdr.entries_off = rom_->pmalloc(capacity * sizeof(Record));
     const std::size_t hdr_off = rom_->pmalloc(sizeof(Header));
     rom_->tx_store(hdr_off, &hdr, sizeof(hdr));
-    rom_->set_root(kRootSlot, hdr_off);
+    rom_->set_root(root_slot_, hdr_off);
   });
 }
 
-void MetricsLog::append(const MetricsEntry& entry) {
-  const Header hdr = header();
-  if (hdr.count >= hdr.capacity) throw PmError("MetricsLog: log is full");
-  rom_->run_transaction([&] {
-    rom_->tx_store(hdr.entries_off + hdr.count * sizeof(MetricsEntry), &entry,
-                   sizeof(entry));
-    rom_->tx_assign(rom_->root(kRootSlot) + offsetof(Header, count), hdr.count + 1);
-  });
-}
-
-std::size_t MetricsLog::size() const { return header().count; }
-std::size_t MetricsLog::capacity() const { return header().capacity; }
-
-MetricsEntry MetricsLog::at(std::size_t index) const {
-  const Header hdr = header();
-  if (index >= hdr.count) throw PmError("MetricsLog::at: index out of range");
-  rom_->device().charge_read(sizeof(MetricsEntry));
-  return rom_->read<MetricsEntry>(hdr.entries_off + index * sizeof(MetricsEntry));
-}
-
-std::vector<MetricsEntry> MetricsLog::all() const {
-  const Header hdr = header();
-  rom_->device().charge_read(hdr.count * sizeof(MetricsEntry));
-  std::vector<MetricsEntry> out(hdr.count);
-  for (std::uint64_t i = 0; i < hdr.count; ++i) {
-    out[i] = rom_->read<MetricsEntry>(hdr.entries_off + i * sizeof(MetricsEntry));
+template <typename Record>
+void PmRecordLog<Record>::append(const Record& record) {
+  Header hdr = header();
+  if (hdr.count >= hdr.capacity && !compact_when_full_) {
+    throw PmError(std::string(name_) + ": log is full");
   }
+  rom_->run_transaction([&] {
+    if (hdr.count >= hdr.capacity) {
+      // Compact: keep the newest half.
+      const std::uint64_t keep = hdr.capacity / 2;
+      const std::uint64_t drop = hdr.count - keep;
+      for (std::uint64_t i = 0; i < keep; ++i) {
+        const Record e = read_record(hdr, drop + i);
+        rom_->tx_store(hdr.entries_off + i * sizeof(Record), &e, sizeof(e));
+      }
+      hdr.count = keep;
+    }
+    rom_->tx_store(hdr.entries_off + hdr.count * sizeof(Record), &record, sizeof(record));
+    rom_->tx_assign(rom_->root(root_slot_) + offsetof(Header, count), hdr.count + 1);
+  });
+}
+
+template <typename Record>
+Record PmRecordLog<Record>::at(std::size_t index) const {
+  const Header hdr = header();
+  if (index >= hdr.count) {
+    throw PmError(std::string(name_) + "::at: index out of range");
+  }
+  rom_->device().charge_read(sizeof(Record));
+  return read_record(hdr, index);
+}
+
+template <typename Record>
+std::vector<Record> PmRecordLog<Record>::all() const {
+  const Header hdr = header();
+  rom_->device().charge_read(hdr.count * sizeof(Record));
+  std::vector<Record> out(hdr.count);
+  for (std::uint64_t i = 0; i < hdr.count; ++i) out[i] = read_record(hdr, i);
   return out;
 }
+
+template <typename Record>
+void PmRecordLog<Record>::set_count(std::uint64_t count) {
+  rom_->run_transaction([&] {
+    rom_->tx_assign(rom_->root(root_slot_) + offsetof(Header, count), count);
+  });
+}
+
+template class PmRecordLog<MetricsEntry>;
+template class PmRecordLog<RecoveryRecord>;
+template class PmRecordLog<ServeWindowRecord>;
+
+MetricsLog::MetricsLog(romulus::Romulus& rom, sgx::EnclaveRuntime& /*enclave*/)
+    : PmRecordLog(rom, kRootSlot, 0x504C4D4554524943ULL /* "PLMETRIC" */, "MetricsLog",
+                  /*compact_when_full=*/false) {}
 
 void MetricsLog::truncate_after(std::uint64_t iteration) {
   const Header hdr = header();
   std::uint64_t keep = hdr.count;
-  while (keep > 0) {
-    const auto e =
-        rom_->read<MetricsEntry>(hdr.entries_off + (keep - 1) * sizeof(MetricsEntry));
-    if (e.iteration <= iteration) break;
-    --keep;
-  }
-  if (keep == hdr.count) return;
-  rom_->run_transaction([&] {
-    rom_->tx_assign(rom_->root(kRootSlot) + offsetof(Header, count), keep);
-  });
+  while (keep > 0 && read_record(hdr, keep - 1).iteration > iteration) --keep;
+  if (keep != hdr.count) set_count(keep);
 }
 
-RecoveryLog::RecoveryLog(romulus::Romulus& rom, sgx::EnclaveRuntime& enclave)
-    : rom_(&rom), enclave_(&enclave) {}
+RecoveryLog::RecoveryLog(romulus::Romulus& rom, sgx::EnclaveRuntime& /*enclave*/)
+    : PmRecordLog(rom, kRootSlot, 0x504C5245434F5652ULL /* "PLRECOVR" */, "RecoveryLog",
+                  /*compact_when_full=*/true) {}
 
-bool RecoveryLog::exists() const {
-  const std::uint64_t off = rom_->root(kRootSlot);
-  return off != 0 && rom_->read<std::uint64_t>(off) == kMagic;
-}
-
-RecoveryLog::Header RecoveryLog::header() const {
-  expects(exists(), "RecoveryLog: no log in PM");
-  return rom_->read<Header>(rom_->root(kRootSlot));
-}
-
-void RecoveryLog::create(std::size_t capacity) {
-  if (exists()) throw PmError("RecoveryLog::create: log already exists");
-  expects(capacity > 0, "RecoveryLog: capacity must be positive");
-  rom_->run_transaction([&] {
-    Header hdr{kMagic, capacity, 0, 0};
-    hdr.entries_off = rom_->pmalloc(capacity * sizeof(RecoveryRecord));
-    const std::size_t hdr_off = rom_->pmalloc(sizeof(Header));
-    rom_->tx_store(hdr_off, &hdr, sizeof(hdr));
-    rom_->set_root(kRootSlot, hdr_off);
-  });
-}
-
-void RecoveryLog::append(const RecoveryRecord& record) {
-  Header hdr = header();
-  rom_->run_transaction([&] {
-    if (hdr.count >= hdr.capacity) {
-      // Compact: keep the newest half. Recovery must never fail because its
-      // own paper trail ran out of space.
-      const std::uint64_t keep = hdr.capacity / 2;
-      const std::uint64_t drop = hdr.count - keep;
-      for (std::uint64_t i = 0; i < keep; ++i) {
-        const auto e = rom_->read<RecoveryRecord>(hdr.entries_off +
-                                                  (drop + i) * sizeof(RecoveryRecord));
-        rom_->tx_store(hdr.entries_off + i * sizeof(RecoveryRecord), &e, sizeof(e));
-      }
-      hdr.count = keep;
-    }
-    rom_->tx_store(hdr.entries_off + hdr.count * sizeof(RecoveryRecord), &record,
-                   sizeof(record));
-    rom_->tx_assign(rom_->root(kRootSlot) + offsetof(Header, count), hdr.count + 1);
-  });
-}
-
-std::size_t RecoveryLog::size() const { return header().count; }
-std::size_t RecoveryLog::capacity() const { return header().capacity; }
-
-RecoveryRecord RecoveryLog::at(std::size_t index) const {
-  const Header hdr = header();
-  if (index >= hdr.count) throw PmError("RecoveryLog::at: index out of range");
-  rom_->device().charge_read(sizeof(RecoveryRecord));
-  return rom_->read<RecoveryRecord>(hdr.entries_off + index * sizeof(RecoveryRecord));
-}
-
-std::vector<RecoveryRecord> RecoveryLog::all() const {
-  const Header hdr = header();
-  rom_->device().charge_read(hdr.count * sizeof(RecoveryRecord));
-  std::vector<RecoveryRecord> out(hdr.count);
-  for (std::uint64_t i = 0; i < hdr.count; ++i) {
-    out[i] = rom_->read<RecoveryRecord>(hdr.entries_off + i * sizeof(RecoveryRecord));
-  }
-  return out;
-}
-
-ServeLog::ServeLog(romulus::Romulus& rom, sgx::EnclaveRuntime& enclave)
-    : rom_(&rom), enclave_(&enclave) {}
-
-bool ServeLog::exists() const {
-  const std::uint64_t off = rom_->root(kRootSlot);
-  return off != 0 && rom_->read<std::uint64_t>(off) == kMagic;
-}
-
-ServeLog::Header ServeLog::header() const {
-  expects(exists(), "ServeLog: no log in PM");
-  return rom_->read<Header>(rom_->root(kRootSlot));
-}
-
-void ServeLog::create(std::size_t capacity) {
-  if (exists()) throw PmError("ServeLog::create: log already exists");
-  expects(capacity > 0, "ServeLog: capacity must be positive");
-  rom_->run_transaction([&] {
-    Header hdr{kMagic, capacity, 0, 0};
-    hdr.entries_off = rom_->pmalloc(capacity * sizeof(ServeWindowRecord));
-    const std::size_t hdr_off = rom_->pmalloc(sizeof(Header));
-    rom_->tx_store(hdr_off, &hdr, sizeof(hdr));
-    rom_->set_root(kRootSlot, hdr_off);
-  });
-}
-
-void ServeLog::append(const ServeWindowRecord& record) {
-  Header hdr = header();
-  rom_->run_transaction([&] {
-    if (hdr.count >= hdr.capacity) {
-      // Compact: keep the newest half — serving never stalls on telemetry.
-      const std::uint64_t keep = hdr.capacity / 2;
-      const std::uint64_t drop = hdr.count - keep;
-      for (std::uint64_t i = 0; i < keep; ++i) {
-        const auto e = rom_->read<ServeWindowRecord>(
-            hdr.entries_off + (drop + i) * sizeof(ServeWindowRecord));
-        rom_->tx_store(hdr.entries_off + i * sizeof(ServeWindowRecord), &e, sizeof(e));
-      }
-      hdr.count = keep;
-    }
-    rom_->tx_store(hdr.entries_off + hdr.count * sizeof(ServeWindowRecord), &record,
-                   sizeof(record));
-    rom_->tx_assign(rom_->root(kRootSlot) + offsetof(Header, count), hdr.count + 1);
-  });
-}
-
-std::size_t ServeLog::size() const { return header().count; }
-std::size_t ServeLog::capacity() const { return header().capacity; }
-
-ServeWindowRecord ServeLog::at(std::size_t index) const {
-  const Header hdr = header();
-  if (index >= hdr.count) throw PmError("ServeLog::at: index out of range");
-  rom_->device().charge_read(sizeof(ServeWindowRecord));
-  return rom_->read<ServeWindowRecord>(hdr.entries_off +
-                                       index * sizeof(ServeWindowRecord));
-}
-
-std::vector<ServeWindowRecord> ServeLog::all() const {
-  const Header hdr = header();
-  rom_->device().charge_read(hdr.count * sizeof(ServeWindowRecord));
-  std::vector<ServeWindowRecord> out(hdr.count);
-  for (std::uint64_t i = 0; i < hdr.count; ++i) {
-    out[i] =
-        rom_->read<ServeWindowRecord>(hdr.entries_off + i * sizeof(ServeWindowRecord));
-  }
-  return out;
-}
+ServeLog::ServeLog(romulus::Romulus& rom, sgx::EnclaveRuntime& /*enclave*/)
+    : PmRecordLog(rom, kRootSlot, 0x504C5345525645ULL /* "PLSERVE" */, "ServeLog",
+                  /*compact_when_full=*/true) {}
 
 std::uint64_t ServeLog::next_window() const {
   const Header hdr = header();
-  if (hdr.count == 0) return 0;
-  const auto last = rom_->read<ServeWindowRecord>(
-      hdr.entries_off + (hdr.count - 1) * sizeof(ServeWindowRecord));
-  return last.window + 1;
+  return hdr.count == 0 ? 0 : read_record(hdr, hdr.count - 1).window + 1;
 }
 
 }  // namespace plinius

@@ -22,49 +22,69 @@
 
 namespace plinius {
 
-struct MetricsEntry {
-  std::uint64_t iteration;
-  float loss;
-  float learning_rate;
-};
-
-class MetricsLog {
+/// Fixed-capacity, append-only PM array of trivially copyable records under
+/// one root slot: the layout the three logs below share. Appends are durable
+/// Romulus transactions. The header is untrusted PM data, so header() bounds
+/// the record count by the capacity, and the capacity by main, before any
+/// caller reads or allocates over them.
+template <typename Record>
+class PmRecordLog {
  public:
-  static constexpr int kRootSlot = pm::kMetricsLogRootSlot;
-
-  MetricsLog(romulus::Romulus& rom, sgx::EnclaveRuntime& enclave);
-
   [[nodiscard]] bool exists() const;
-
   /// Creates the log with a fixed capacity (one durable transaction).
   void create(std::size_t capacity);
+  /// Appends one record (durable transaction). When full, the log either
+  /// throws PmError or first drops its oldest half (see each log).
+  void append(const Record& record);
+  [[nodiscard]] std::size_t size() const { return header().count; }
+  [[nodiscard]] std::size_t capacity() const { return header().capacity; }
+  [[nodiscard]] Record at(std::size_t index) const;
+  [[nodiscard]] std::vector<Record> all() const;
 
-  /// Appends one entry (durable transaction). Throws PmError when full.
-  void append(const MetricsEntry& entry);
-
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t capacity() const;
-  [[nodiscard]] MetricsEntry at(std::size_t index) const;
-  [[nodiscard]] std::vector<MetricsEntry> all() const;
-
-  /// Drops every entry with iteration > `iteration` — used after a crash to
-  /// reconcile the log with the restored mirror (entries from iterations
-  /// whose mirror-out never committed are stale).
-  void truncate_after(std::uint64_t iteration);
-
- private:
+ protected:
   struct Header {
     std::uint64_t magic;
     std::uint64_t capacity;
     std::uint64_t count;
     std::uint64_t entries_off;
   };
-  static constexpr std::uint64_t kMagic = 0x504C4D4554524943ULL;  // "PLMETRIC"
+
+  PmRecordLog(romulus::Romulus& rom, int root_slot, std::uint64_t magic, const char* name,
+              bool compact_when_full);
 
   [[nodiscard]] Header header() const;
+  [[nodiscard]] Record read_record(const Header& hdr, std::uint64_t index) const {
+    return rom_->read<Record>(hdr.entries_off + index * sizeof(Record));
+  }
+  /// Durably sets the record count (one transaction).
+  void set_count(std::uint64_t count);
 
+ private:
   romulus::Romulus* rom_;
-  sgx::EnclaveRuntime* enclave_;
+  int root_slot_;
+  std::uint64_t magic_;
+  const char* name_;
+  bool compact_when_full_;
+};
+
+struct MetricsEntry {
+  std::uint64_t iteration;
+  float loss;
+  float learning_rate;
+};
+
+/// The training-metrics log described above. append throws PmError when the
+/// log is full.
+class MetricsLog : public PmRecordLog<MetricsEntry> {
+ public:
+  static constexpr int kRootSlot = pm::kMetricsLogRootSlot;
+
+  MetricsLog(romulus::Romulus& rom, sgx::EnclaveRuntime& enclave);
+
+  /// Drops every entry with iteration > `iteration` — used after a crash to
+  /// reconcile the log with the restored mirror (entries from iterations
+  /// whose mirror-out never committed are stale).
+  void truncate_after(std::uint64_t iteration);
 };
 
 /// One recovery episode, as persisted by the trainer's recovery ladder
@@ -84,36 +104,13 @@ struct RecoveryRecord {
 /// every recovery the trainer performed, surviving the very faults it
 /// documents (unless the region itself is reformatted, which the next
 /// record's kReformatted flag then admits). Same Romulus transaction
-/// machinery as MetricsLog, separate root slot.
-class RecoveryLog {
+/// machinery as MetricsLog, separate root slot. When full, the oldest half is
+/// dropped first — recovery history must never block recovery itself.
+class RecoveryLog : public PmRecordLog<RecoveryRecord> {
  public:
   static constexpr int kRootSlot = pm::kRecoveryLogRootSlot;
 
   RecoveryLog(romulus::Romulus& rom, sgx::EnclaveRuntime& enclave);
-
-  [[nodiscard]] bool exists() const;
-  void create(std::size_t capacity);
-  /// Appends one record (durable transaction). When full, the oldest half is
-  /// dropped first — recovery history must never block recovery itself.
-  void append(const RecoveryRecord& record);
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t capacity() const;
-  [[nodiscard]] RecoveryRecord at(std::size_t index) const;
-  [[nodiscard]] std::vector<RecoveryRecord> all() const;
-
- private:
-  struct Header {
-    std::uint64_t magic;
-    std::uint64_t capacity;
-    std::uint64_t count;
-    std::uint64_t entries_off;
-  };
-  static constexpr std::uint64_t kMagic = 0x504C5245434F5652ULL;  // "PLRECOVR"
-
-  [[nodiscard]] Header header() const;
-
-  romulus::Romulus* rom_;
-  sgx::EnclaveRuntime* enclave_;
 };
 
 /// One serving window, as persisted by serve::InferenceServer after each
@@ -135,36 +132,14 @@ struct ServeWindowRecord {
 /// a Plinius serving deployment, riding the same Romulus transaction
 /// machinery as MetricsLog (separate root slot). When full, the oldest half
 /// is dropped — the serving path must never stall on its own telemetry.
-class ServeLog {
+class ServeLog : public PmRecordLog<ServeWindowRecord> {
  public:
   static constexpr int kRootSlot = pm::kServeLogRootSlot;
 
   ServeLog(romulus::Romulus& rom, sgx::EnclaveRuntime& enclave);
 
-  [[nodiscard]] bool exists() const;
-  void create(std::size_t capacity);
-  /// Appends one window record (durable transaction; compacts when full).
-  void append(const ServeWindowRecord& record);
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t capacity() const;
-  [[nodiscard]] ServeWindowRecord at(std::size_t index) const;
-  [[nodiscard]] std::vector<ServeWindowRecord> all() const;
   /// window value for the next append (max persisted window + 1; 0 if empty).
   [[nodiscard]] std::uint64_t next_window() const;
-
- private:
-  struct Header {
-    std::uint64_t magic;
-    std::uint64_t capacity;
-    std::uint64_t count;
-    std::uint64_t entries_off;
-  };
-  static constexpr std::uint64_t kMagic = 0x504C5345525645ULL;  // "PLSERVE"
-
-  [[nodiscard]] Header header() const;
-
-  romulus::Romulus* rom_;
-  sgx::EnclaveRuntime* enclave_;
 };
 
 }  // namespace plinius

@@ -24,15 +24,11 @@ MirrorModel::~MirrorModel() = default;
 bool MirrorModel::exists() const {
   const std::uint64_t off = rom_->root(kRootSlot);
   if (off == 0) return false;
-  // The root slot is untrusted PM data: validate the full Header extent
-  // before any read (header() reads all of it), so a corrupt slot surfaces
+  // The root slot is untrusted PM data: reading the full Header (which
+  // header() reads) range-checks its whole extent, so a corrupt slot surfaces
   // as a PmError instead of an out-of-bounds main-region access.
-  if (off > rom_->main_size() || sizeof(Header) > rom_->main_size() - off) {
-    throw PmError("MirrorModel::exists: corrupt root slot: header offset " +
-                  std::to_string(off) + " + " + std::to_string(sizeof(Header)) +
-                  " bytes exceeds main size " + std::to_string(rom_->main_size()));
-  }
-  return rom_->read<std::uint64_t>(off) == kMagic;
+  return rom_->read<Header>(off, "MirrorModel::exists: corrupt root slot").magic ==
+         kMagic;
 }
 
 MirrorModel::Header MirrorModel::header() const {
@@ -42,30 +38,53 @@ MirrorModel::Header MirrorModel::header() const {
 
 std::uint64_t MirrorModel::iteration() const { return header().iteration; }
 
-MirrorModel::LayerNode MirrorModel::checked_node(std::uint64_t node_off,
-                                                 const char* ctx) const {
-  if (node_off > rom_->main_size() ||
-      sizeof(LayerNode) > rom_->main_size() - node_off) {
-    throw PmError(std::string(ctx) + ": layer node offset " +
-                  std::to_string(node_off) + " + " +
-                  std::to_string(sizeof(LayerNode)) + " bytes exceeds main size " +
-                  std::to_string(rom_->main_size()));
-  }
-  return rom_->read<LayerNode>(node_off);
-}
-
-void MirrorModel::check_buffer_extent(const LayerNode& node, std::size_t b,
-                                      const char* ctx) const {
-  const std::uint64_t len = node.buf_sealed_len[b];
-  const auto check = [&](std::uint64_t off, const char* which) {
-    if (off > rom_->main_size() || len > rom_->main_size() - off) {
-      throw PmError(std::string(ctx) + ": corrupt " + which + " buffer extent [" +
-                    std::to_string(off) + ", +" + std::to_string(len) +
-                    ") exceeds main size " + std::to_string(rom_->main_size()));
+MirrorModel::Walk MirrorModel::walk(ml::Network* net, const char* ctx) const {
+  Walk w;
+  w.hdr = header();
+  if (net != nullptr) {
+    if (w.hdr.num_layers != net->num_layers()) {
+      throw MlError(std::string(ctx) + ": layer count mismatch");
     }
-  };
-  check(node.buf_off[b], "primary");
-  if (node.buf_replica_off[b] != 0) check(node.buf_replica_off[b], "replica");
+  } else if (w.hdr.num_layers > rom_->main_size() / sizeof(LayerNode)) {
+    // No net to compare against: a count no region could hold is corrupt,
+    // and the bound keeps a cyclic list from walking forever.
+    throw PmError(std::string(ctx) + ": corrupt layer count " +
+                  std::to_string(w.hdr.num_layers));
+  }
+  std::uint64_t node_off = w.hdr.head;
+  for (std::uint64_t i = 0; i < w.hdr.num_layers; ++i) {
+    if (node_off == 0) throw PmError(std::string(ctx) + ": truncated layer list");
+    const LayerNode node = rom_->read<LayerNode>(node_off, ctx);
+    std::vector<ml::ParamBuffer> buffers;
+    if (net != nullptr) {
+      buffers = net->layer(i).parameters();
+      if (node.num_buffers != buffers.size()) {
+        throw MlError(std::string(ctx) + ": buffer count mismatch");
+      }
+    }
+    if (node.num_buffers > kMaxBuffersPerLayer) {
+      throw PmError(std::string(ctx) + ": corrupt buffer count " +
+                    std::to_string(node.num_buffers) + " in layer node at offset " +
+                    std::to_string(node_off));
+    }
+    for (std::size_t b = 0; b < node.num_buffers; ++b) {
+      const std::uint64_t len = node.buf_sealed_len[b];
+      if (net != nullptr && len != crypto::sealed_size(buffers[b].values.size_bytes())) {
+        throw MlError(std::string(ctx) + ": buffer size mismatch");
+      }
+      rom_->check_extent(node.buf_off[b], len, ctx);
+      if (node.buf_replica_off[b] != 0) {
+        rom_->check_extent(node.buf_replica_off[b], len, ctx);
+      }
+      w.extents.push_back({static_cast<std::size_t>(i), b, node.buf_off[b],
+                           node.buf_replica_off[b], len});
+    }
+    for (auto& p : buffers) w.params.push_back(std::move(p));
+    w.nodes.push_back(node_off);
+    node_off = node.next;
+  }
+  w.tail_next = node_off;
+  return w;
 }
 
 void MirrorModel::alloc(ml::Network& net) {
@@ -108,48 +127,31 @@ void MirrorModel::alloc(ml::Network& net) {
 }
 
 MirrorModel::SealPlan MirrorModel::build_seal_plan(ml::Network& net, const char* ctx) {
-  // Serial walk: validate the PM layer list against the model and build the
-  // seal task list. IVs are drawn from the key's sequence here, in list
-  // order, so the counter stays strictly monotonic no matter how the sealing
-  // tasks are scheduled afterwards.
-  const Header hdr = header();
-  if (hdr.num_layers != net.num_layers()) {
-    throw MlError(std::string(ctx) + ": layer count mismatch");
-  }
+  // Build the seal task list from the validated walk. IVs are drawn from the
+  // key's sequence here, in list order, so the counter stays strictly
+  // monotonic no matter how the sealing tasks are scheduled afterwards.
+  const Walk w = walk(&net, ctx);
   SealPlan plan;
-  std::uint64_t node_off = hdr.head;
-  for (std::size_t i = 0; i < net.num_layers(); ++i) {
-    expects(node_off != 0, "MirrorModel: truncated layer list");
-    const LayerNode node = checked_node(node_off, ctx);
-    const auto buffers = net.layer(i).parameters();
-    if (node.num_buffers != buffers.size()) {
-      throw MlError(std::string(ctx) + ": buffer count mismatch");
-    }
-    for (std::size_t b = 0; b < buffers.size(); ++b) {
-      const ByteSpan plain = float_bytes(buffers[b].values);
-      if (node.buf_sealed_len[b] != crypto::sealed_size(plain.size())) {
-        throw MlError(std::string(ctx) + ": buffer size mismatch");
-      }
-      check_buffer_extent(node, b, ctx);
-      SealTask task{plain,
-                    node.buf_off[b],
-                    node.buf_replica_off[b],
-                    node.buf_sealed_len[b],
-                    plan.scratch_bytes,
-                    plan.plain_bytes,
-                    {}};
-      iv_seq_.next(task.iv);
-      plan.scratch_bytes += task.sealed_len;
-      plan.plain_bytes += plain.size();
-      // Encrypt cost: touch the (EPC-resident) weights + one GCM pass.
-      const sim::Nanos touch_ns = enclave_->touch_task_ns(plain.size());
-      const sim::Nanos crypto_ns = enclave_->crypto_task_ns(plain.size());
-      plan.touch_sum += touch_ns;
-      plan.crypto_sum += crypto_ns;
-      plan.costs.push_back(touch_ns + crypto_ns);
-      plan.tasks.push_back(task);
-    }
-    node_off = node.next;
+  for (std::size_t t = 0; t < w.extents.size(); ++t) {
+    const SealedExtent& e = w.extents[t];
+    const ByteSpan plain = float_bytes(w.params[t].values);
+    SealTask task{plain,
+                  e.primary_off,
+                  e.replica_off,
+                  e.sealed_len,
+                  plan.scratch_bytes,
+                  plan.plain_bytes,
+                  {}};
+    iv_seq_.next(task.iv);
+    plan.scratch_bytes += task.sealed_len;
+    plan.plain_bytes += plain.size();
+    // Encrypt cost: touch the (EPC-resident) weights + one GCM pass.
+    const sim::Nanos touch_ns = enclave_->touch_task_ns(plain.size());
+    const sim::Nanos crypto_ns = enclave_->crypto_task_ns(plain.size());
+    plan.touch_sum += touch_ns;
+    plan.crypto_sum += crypto_ns;
+    plan.costs.push_back(touch_ns + crypto_ns);
+    plan.tasks.push_back(task);
   }
   return plan;
 }
@@ -336,97 +338,71 @@ std::uint64_t MirrorModel::restore_model(ml::Network& net, bool snapshot) {
   expects(async_ == nullptr,
           "MirrorModel: restore with an async save in flight — drain it first");
   ++stats_.restore_attempts;
-  const Header hdr = header();
-  if (hdr.num_layers != net.num_layers()) {
-    throw MlError(std::string(ctx) + ": layer count mismatch");
-  }
   obs::Span span(enclave_->clock(), obs::Category::kMirrorRestore,
                  snapshot ? "mirror.restore.snapshot" : "mirror.restore");
   enclave_->charge_ecall();
 
-  // Phase 1 (serial): walk the PM layer list with the same range checks
-  // verify_integrity performs (node offsets and buffer extents are untrusted
-  // PM data), stage every sealed buffer into enclave scratch, and charge the
-  // reads. PM reads stay serial: the media bandwidth is shared, so lanes
-  // would not overlap them anyway.
-  struct OpenTask {
-    std::size_t scratch_off;
-    std::size_t sealed_len;
-    std::uint64_t pm_off;
-    std::uint64_t replica_off;  // 0 = unreplicated
-    std::span<float> dest;
-    std::size_t plain_off;  // float offset into the snapshot staging buffer
-    std::size_t layer;
-    std::string name;
-  };
-  std::vector<OpenTask> tasks;
+  // Phase 1 (serial): lay the validated walk's buffers out in enclave
+  // scratch, stage every sealed buffer there, and charge the reads. PM reads
+  // stay serial: the media bandwidth is shared, so lanes would not overlap
+  // them anyway.
+  const Walk w = walk(&net, ctx);
+  const std::size_t n = w.extents.size();
+  std::vector<std::size_t> scratch_off(n);
+  std::vector<std::size_t> plain_off(n);  // float offset into the snapshot stage
   std::vector<sim::Nanos> costs;
   sim::Nanos open_crypto_sum = 0;  // GCM share of the decrypt costs
   sim::Nanos open_copy_sum = 0;    // plain-copy share
   std::size_t scratch_bytes = 0;
   std::size_t plain_floats = 0;
-  std::uint64_t node_off = hdr.head;
-  for (std::size_t i = 0; i < net.num_layers(); ++i) {
-    expects(node_off != 0, "MirrorModel: truncated layer list");
-    const LayerNode node = checked_node(node_off, ctx);
-    const auto buffers = net.layer(i).parameters();
-    if (node.num_buffers != buffers.size()) {
-      throw MlError(std::string(ctx) + ": buffer count mismatch");
-    }
-    for (std::size_t b = 0; b < buffers.size(); ++b) {
-      const std::size_t sealed_len = node.buf_sealed_len[b];
-      if (sealed_len != crypto::sealed_size(buffers[b].values.size_bytes())) {
-        throw MlError(std::string(ctx) + ": buffer size mismatch");
-      }
-      check_buffer_extent(node, b, ctx);
-      tasks.push_back({scratch_bytes, sealed_len, node.buf_off[b],
-                       node.buf_replica_off[b], buffers[b].values, plain_floats, i,
-                       buffers[b].name});
-      scratch_bytes += sealed_len;
-      plain_floats += buffers[b].values.size();
-      // Decrypt cost: one GCM pass + the plain copy into the layer arrays.
-      const sim::Nanos crypto_ns = enclave_->crypto_task_ns(sealed_len);
-      const sim::Nanos copy_ns =
-          enclave_->plain_copy_ns(buffers[b].values.size_bytes());
-      open_crypto_sum += crypto_ns;
-      open_copy_sum += copy_ns;
-      costs.push_back(crypto_ns + copy_ns);
-    }
-    node_off = node.next;
+  for (std::size_t t = 0; t < n; ++t) {
+    const std::size_t sealed_len = w.extents[t].sealed_len;
+    const std::span<float> values = w.params[t].values;
+    scratch_off[t] = scratch_bytes;
+    plain_off[t] = plain_floats;
+    scratch_bytes += sealed_len;
+    plain_floats += values.size();
+    // Decrypt cost: one GCM pass + the plain copy into the layer arrays.
+    const sim::Nanos crypto_ns = enclave_->crypto_task_ns(sealed_len);
+    const sim::Nanos copy_ns = enclave_->plain_copy_ns(values.size_bytes());
+    open_crypto_sum += crypto_ns;
+    open_copy_sum += copy_ns;
+    costs.push_back(crypto_ns + copy_ns);
   }
 
   // Snapshot mode decrypts into this staging buffer; the layer arrays are
   // only written after every buffer has authenticated.
   std::vector<float> plain_stage(snapshot ? plain_floats : 0);
-  const auto dest_span = [&](const OpenTask& task) {
-    return snapshot ? std::span<float>(plain_stage.data() + task.plain_off,
-                                       task.dest.size())
-                    : task.dest;
+  const auto dest_span = [&](std::size_t t) {
+    const std::span<float> values = w.params[t].values;
+    return snapshot ? std::span<float>(plain_stage.data() + plain_off[t], values.size())
+                    : values;
+  };
+  const auto sealed_span = [&](std::size_t t) {
+    return ByteSpan(scratch_.data() + scratch_off[t], w.extents[t].sealed_len);
   };
 
   sim::Stopwatch rd(enclave_->clock());
   scratch_.resize(scratch_bytes);
-  // Stage PM -> enclave scratch. Offsets were validated against main above.
-  for (const OpenTask& task : tasks) {
-    rom_->device().charge_read(task.sealed_len);
+  // Stage PM -> enclave scratch. The walk validated every extent.
+  for (std::size_t t = 0; t < n; ++t) {
+    const SealedExtent& e = w.extents[t];
+    rom_->device().charge_read(e.sealed_len);
     if (enclave_->model().real_sgx) {
-      enclave_->copy_into_enclave(task.sealed_len);
+      enclave_->copy_into_enclave(e.sealed_len);
     }
-    std::memcpy(scratch_.data() + task.scratch_off, rom_->main_base() + task.pm_off,
-                task.sealed_len);
+    std::memcpy(scratch_.data() + scratch_off[t], rom_->main_base() + e.primary_off,
+                e.sealed_len);
   }
   stats_.read_ns += rd.elapsed();
 
   // Phase 2: authenticate + decrypt every buffer concurrently, straight into
   // the layers' (disjoint) parameter arrays.
-  std::vector<std::uint8_t> auth_ok(tasks.size(), 0);
-  par::parallel_for(tasks.size(), [&](par::Range r) {
+  std::vector<std::uint8_t> auth_ok(n, 0);
+  par::parallel_for(n, [&](par::Range r) {
     for (std::size_t t = r.begin; t < r.end; ++t) {
-      const OpenTask& task = tasks[t];
-      const ByteSpan sealed(scratch_.data() + task.scratch_off, task.sealed_len);
-      auth_ok[t] = crypto::open_into(gcm_, sealed, float_bytes_mut(dest_span(task)))
-                       ? 1
-                       : 0;
+      auth_ok[t] =
+          crypto::open_into(gcm_, sealed_span(t), float_bytes_mut(dest_span(t))) ? 1 : 0;
     }
   });
   const sim::Nanos open_t0 = enclave_->clock().now();
@@ -445,37 +421,32 @@ std::uint64_t MirrorModel::restore_model(ml::Network& net, bool snapshot) {
   // retries from its A/B sibling. A sibling that authenticates both restores
   // the weights and rewrites the corrupt primary (one durable transaction for
   // all repairs; tx_store's full-line write-back also clears line poison).
-  struct Repair {
-    std::uint64_t pm_off;
-    std::size_t scratch_off;
-    std::size_t sealed_len;
-  };
-  std::vector<Repair> repairs;
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
+  std::vector<std::size_t> repairs;  // tasks whose primary is rebuilt
+  for (std::size_t t = 0; t < n; ++t) {
     if (auth_ok[t]) continue;
-    const OpenTask& task = tasks[t];
-    if (task.replica_off != 0) {
-      rom_->device().charge_read(task.sealed_len);
-      if (enclave_->model().real_sgx) enclave_->copy_into_enclave(task.sealed_len);
-      std::memcpy(scratch_.data() + task.scratch_off,
-                  rom_->main_base() + task.replica_off, task.sealed_len);
-      const ByteSpan sealed(scratch_.data() + task.scratch_off, task.sealed_len);
-      stats_.decrypt_ns += enclave_->crypto_task_ns(task.sealed_len);
-      if (crypto::open_into(gcm_, sealed, float_bytes_mut(dest_span(task)))) {
-        repairs.push_back({task.pm_off, task.scratch_off, task.sealed_len});
+    const SealedExtent& e = w.extents[t];
+    if (e.replica_off != 0) {
+      rom_->device().charge_read(e.sealed_len);
+      if (enclave_->model().real_sgx) enclave_->copy_into_enclave(e.sealed_len);
+      std::memcpy(scratch_.data() + scratch_off[t], rom_->main_base() + e.replica_off,
+                  e.sealed_len);
+      stats_.decrypt_ns += enclave_->crypto_task_ns(e.sealed_len);
+      if (crypto::open_into(gcm_, sealed_span(t), float_bytes_mut(dest_span(t)))) {
+        repairs.push_back(t);
         ++stats_.replica_repairs;
         continue;
       }
     }
     throw CryptoError(std::string(ctx) + ": authentication failed for layer " +
-                      std::to_string(task.layer) + " buffer " + task.name +
-                      (task.replica_off != 0 ? " (both A/B copies corrupt)"
-                                             : " (PM mirror corrupted or tampered)"));
+                      std::to_string(e.layer) + " buffer " + w.params[t].name +
+                      (e.replica_off != 0 ? " (both A/B copies corrupt)"
+                                          : " (PM mirror corrupted or tampered)"));
   }
   if (!repairs.empty()) {
     rom_->run_transaction([&] {
-      for (const Repair& r : repairs) {
-        rom_->tx_store(r.pm_off, scratch_.data() + r.scratch_off, r.sealed_len);
+      for (const std::size_t t : repairs) {
+        rom_->tx_store(w.extents[t].primary_off, scratch_.data() + scratch_off[t],
+                       w.extents[t].sealed_len);
       }
     });
   }
@@ -484,57 +455,37 @@ std::uint64_t MirrorModel::restore_model(ml::Network& net, bool snapshot) {
   // copied into the layer arrays (plain enclave-DRAM copies, charged above in
   // the per-task costs; an extra pass, but torn-weight-free on any failure).
   if (snapshot) {
-    for (const OpenTask& task : tasks) {
-      std::memcpy(task.dest.data(), plain_stage.data() + task.plain_off,
-                  task.dest.size_bytes());
+    for (std::size_t t = 0; t < n; ++t) {
+      const std::span<float> values = w.params[t].values;
+      std::memcpy(values.data(), plain_stage.data() + plain_off[t], values.size_bytes());
     }
     enclave_->charge_plain_copy(plain_floats * sizeof(float));
   }
 
-  net.set_iterations(hdr.iteration);
+  net.set_iterations(w.hdr.iteration);
   ++stats_.restores;
-  return hdr.iteration;
+  return w.hdr.iteration;
 }
 
 std::uint64_t MirrorModel::verify_integrity(ml::Network& net) {
-  const Header hdr = header();
-  if (hdr.num_layers != net.num_layers()) {
-    throw MlError("MirrorModel::verify_integrity: layer count mismatch");
-  }
-
+  const Walk w = walk(&net, "MirrorModel::verify_integrity");
   Bytes plain_scratch;
-  std::uint64_t node_off = hdr.head;
-  for (std::size_t i = 0; i < net.num_layers(); ++i) {
-    if (node_off == 0) throw PmError("MirrorModel::verify_integrity: truncated layer list");
-    const LayerNode node = checked_node(node_off, "MirrorModel::verify_integrity");
-    const auto buffers = net.layer(i).parameters();
-    if (node.num_buffers != buffers.size()) {
-      throw MlError("MirrorModel::verify_integrity: buffer count mismatch");
+  for (std::size_t t = 0; t < w.extents.size(); ++t) {
+    const SealedExtent& e = w.extents[t];
+    scratch_.resize(e.sealed_len);
+    std::memcpy(scratch_.data(), rom_->main_base() + e.primary_off, e.sealed_len);
+    plain_scratch.resize(w.params[t].values.size_bytes());
+    if (!crypto::open_into(gcm_, scratch_,
+                           MutableByteSpan(plain_scratch.data(), plain_scratch.size()))) {
+      throw CryptoError(
+          "MirrorModel::verify_integrity: authentication failed for layer " +
+          std::to_string(e.layer) + " buffer " + w.params[t].name);
     }
-    for (std::size_t b = 0; b < buffers.size(); ++b) {
-      const std::size_t sealed_len = node.buf_sealed_len[b];
-      if (sealed_len != crypto::sealed_size(buffers[b].values.size_bytes())) {
-        throw MlError("MirrorModel::verify_integrity: buffer size mismatch");
-      }
-      if (node.buf_off[b] > rom_->main_size() ||
-          sealed_len > rom_->main_size() - node.buf_off[b]) {
-        throw PmError("MirrorModel::verify_integrity: buffer offset out of range");
-      }
-      scratch_.resize(sealed_len);
-      std::memcpy(scratch_.data(), rom_->main_base() + node.buf_off[b], sealed_len);
-      plain_scratch.resize(buffers[b].values.size_bytes());
-      if (!crypto::open_into(gcm_, scratch_,
-                             MutableByteSpan(plain_scratch.data(), plain_scratch.size()))) {
-        throw CryptoError("MirrorModel::verify_integrity: authentication failed for layer " +
-                          std::to_string(i) + " buffer " + buffers[b].name);
-      }
-    }
-    node_off = node.next;
   }
-  if (node_off != 0) {
+  if (w.tail_next != 0) {
     throw PmError("MirrorModel::verify_integrity: layer list longer than the model");
   }
-  return hdr.iteration;
+  return w.hdr.iteration;
 }
 
 bool MirrorModel::replicated() const {
@@ -544,10 +495,7 @@ bool MirrorModel::replicated() const {
 MirrorScrubReport MirrorModel::scrub(ml::Network& net, bool repair) {
   expects(async_ == nullptr,
           "MirrorModel::scrub: async save in flight — drain it first");
-  const Header hdr = header();
-  if (hdr.num_layers != net.num_layers()) {
-    throw MlError("MirrorModel::scrub: layer count mismatch");
-  }
+  const Walk w = walk(&net, "MirrorModel::scrub");
   MirrorScrubReport report;
   obs::Span span(enclave_->clock(), obs::Category::kScrub, "mirror.scrub");
 
@@ -574,55 +522,41 @@ MirrorScrubReport MirrorModel::scrub(ml::Network& net, bool repair) {
                              MutableByteSpan(plain_scratch.data(), plain_len));
   };
 
-  std::uint64_t node_off = hdr.head;
-  for (std::size_t i = 0; i < net.num_layers(); ++i) {
-    if (node_off == 0) throw PmError("MirrorModel::scrub: truncated layer list");
-    const LayerNode node = checked_node(node_off, "MirrorModel::scrub");
-    const auto buffers = net.layer(i).parameters();
-    if (node.num_buffers != buffers.size()) {
-      throw MlError("MirrorModel::scrub: buffer count mismatch");
-    }
-    for (std::size_t b = 0; b < buffers.size(); ++b) {
-      const std::size_t sealed_len = node.buf_sealed_len[b];
-      const std::size_t plain_len = buffers[b].values.size_bytes();
-      if (sealed_len != crypto::sealed_size(plain_len)) {
-        throw MlError("MirrorModel::scrub: buffer size mismatch");
-      }
-      check_buffer_extent(node, b, "MirrorModel::scrub");
-      ++report.buffers_checked;
+  for (std::size_t t = 0; t < w.extents.size(); ++t) {
+    const SealedExtent& e = w.extents[t];
+    const std::size_t plain_len = w.params[t].values.size_bytes();
+    ++report.buffers_checked;
 
-      const bool primary_ok = copy_ok(node.buf_off[b], sealed_len, plain_len);
-      if (node.buf_replica_off[b] == 0) {
-        if (!primary_ok) {
-          ++report.auth_failures;
-          ++report.unrecoverable;
-        }
-        continue;
-      }
-      // copy_ok leaves the authenticated bytes in sealed_scratch; grab the
-      // primary's before the replica check overwrites them.
-      Bytes primary_bytes = primary_ok ? sealed_scratch : Bytes{};
-      const bool replica_ok = copy_ok(node.buf_replica_off[b], sealed_len, plain_len);
-      if (!primary_ok) ++report.auth_failures;
-      if (!replica_ok) ++report.auth_failures;
-      if (primary_ok && replica_ok) continue;
-      if (!primary_ok && !replica_ok) {
+    const bool primary_ok = copy_ok(e.primary_off, e.sealed_len, plain_len);
+    if (e.replica_off == 0) {
+      if (!primary_ok) {
+        ++report.auth_failures;
         ++report.unrecoverable;
-        continue;
       }
-      if (repair) {
-        if (primary_ok) {
-          repairs.push_back({node.buf_replica_off[b], std::move(primary_bytes)});
-        } else {
-          repairs.push_back({node.buf_off[b], sealed_scratch});
-        }
-        ++report.repaired;
-        ++stats_.replica_repairs;
-      }
+      continue;
     }
-    node_off = node.next;
+    // copy_ok leaves the authenticated bytes in sealed_scratch; grab the
+    // primary's before the replica check overwrites them.
+    Bytes primary_bytes = primary_ok ? sealed_scratch : Bytes{};
+    const bool replica_ok = copy_ok(e.replica_off, e.sealed_len, plain_len);
+    if (!primary_ok) ++report.auth_failures;
+    if (!replica_ok) ++report.auth_failures;
+    if (primary_ok && replica_ok) continue;
+    if (!primary_ok && !replica_ok) {
+      ++report.unrecoverable;
+      continue;
+    }
+    if (repair) {
+      if (primary_ok) {
+        repairs.push_back({e.replica_off, std::move(primary_bytes)});
+      } else {
+        repairs.push_back({e.primary_off, sealed_scratch});
+      }
+      ++report.repaired;
+      ++stats_.replica_repairs;
+    }
   }
-  if (node_off != 0) {
+  if (w.tail_next != 0) {
     throw PmError("MirrorModel::scrub: layer list longer than the model");
   }
 
@@ -639,24 +573,17 @@ MirrorScrubReport MirrorModel::scrub(ml::Network& net, bool repair) {
 void MirrorModel::dispose() {
   expects(async_ == nullptr,
           "MirrorModel::dispose: async save in flight — drain it first");
-  const Header hdr = header();
-  // Walk first (reads can throw on corrupt offsets), free second.
+  // Walk first (it throws on a corrupt list), free second, in list order:
+  // each node's buffers (primary, then replica), then the node itself.
+  const Walk w = walk(nullptr, "MirrorModel::dispose");
   std::vector<std::uint64_t> blocks;
-  std::uint64_t node_off = hdr.head;
-  for (std::uint64_t i = 0; i < hdr.num_layers; ++i) {
-    if (node_off == 0) throw PmError("MirrorModel::dispose: truncated layer list");
-    const LayerNode node = checked_node(node_off, "MirrorModel::dispose");
-    if (node.num_buffers > kMaxBuffersPerLayer) {
-      throw PmError("MirrorModel::dispose: corrupt buffer count " +
-                    std::to_string(node.num_buffers) + " in layer node at offset " +
-                    std::to_string(node_off));
+  std::size_t t = 0;
+  for (std::size_t i = 0; i < w.nodes.size(); ++i) {
+    for (; t < w.extents.size() && w.extents[t].layer == i; ++t) {
+      blocks.push_back(w.extents[t].primary_off);
+      if (w.extents[t].replica_off != 0) blocks.push_back(w.extents[t].replica_off);
     }
-    for (std::size_t b = 0; b < node.num_buffers; ++b) {
-      blocks.push_back(node.buf_off[b]);
-      if (node.buf_replica_off[b] != 0) blocks.push_back(node.buf_replica_off[b]);
-    }
-    blocks.push_back(node_off);
-    node_off = node.next;
+    blocks.push_back(w.nodes[i]);
   }
   blocks.push_back(rom_->root(kRootSlot));
 
@@ -667,31 +594,12 @@ void MirrorModel::dispose() {
 }
 
 std::vector<MirrorModel::SealedExtent> MirrorModel::sealed_extents() const {
-  const Header hdr = header();
-  std::vector<SealedExtent> extents;
-  std::uint64_t node_off = hdr.head;
-  for (std::uint64_t i = 0; i < hdr.num_layers; ++i) {
-    if (node_off == 0) throw PmError("MirrorModel::sealed_extents: truncated layer list");
-    const LayerNode node = checked_node(node_off, "MirrorModel::sealed_extents");
-    for (std::size_t b = 0; b < node.num_buffers && b < kMaxBuffersPerLayer; ++b) {
-      extents.push_back({static_cast<std::size_t>(i), b, node.buf_off[b],
-                         node.buf_replica_off[b], node.buf_sealed_len[b]});
-    }
-    node_off = node.next;
-  }
-  return extents;
+  return walk(nullptr, "MirrorModel::sealed_extents").extents;
 }
 
 std::size_t MirrorModel::encryption_metadata_bytes() const {
-  const Header hdr = header();
-  std::size_t buffers = 0;
-  std::uint64_t node_off = hdr.head;
-  while (node_off != 0) {
-    const LayerNode node = checked_node(node_off, "MirrorModel::encryption_metadata_bytes");
-    buffers += node.num_buffers;
-    node_off = node.next;
-  }
-  return buffers * crypto::kSealOverhead;
+  return walk(nullptr, "MirrorModel::encryption_metadata_bytes").extents.size() *
+         crypto::kSealOverhead;
 }
 
 }  // namespace plinius

@@ -69,6 +69,21 @@ struct MirrorScrubReport {
   [[nodiscard]] bool healthy() const noexcept { return unrecoverable == 0; }
 };
 
+/// The header and the layer list live in PM the enclave does not control, so
+/// every entry point reads them through one validated walk before it touches
+/// a sealed byte. On every entry point the walk checks, failing closed:
+///   * the root slot and the full header extent (PmError);
+///   * num_layers: equal to the net's layer count where the entry point takes
+///     a net (MlError), otherwise at most main_size / sizeof(LayerNode), which
+///     bounds a cyclic list (PmError);
+///   * each node's extent, and that the list holds num_layers nodes (PmError);
+///   * num_buffers: equal to the layer's buffer count with a net (MlError),
+///     never above kMaxBuffersPerLayer (PmError);
+///   * sealed_len == sealed_size(plain) with a net (MlError);
+///   * every primary and replica extent inside main (PmError).
+/// Only verify_integrity and scrub also reject a list longer than the model
+/// (the last node's next must be 0); every other entry point reads exactly
+/// num_layers nodes and ignores what follows.
 class MirrorModel {
  public:
   static constexpr int kRootSlot = pm::kMirrorRootSlot;
@@ -227,9 +242,19 @@ class MirrorModel {
     std::size_t plain_off;
     std::uint8_t iv[crypto::kGcmIvSize];
   };
-  /// Validated walk of the PM layer list against `net`, with per-buffer
-  /// costs split into their EPC-paging and GCM shares. Shared by the
-  /// synchronous and the pipelined save paths.
+  /// The layer list as walk() validated it: node offsets and every sealed
+  /// buffer's extent in list order, plus — when walked against a net — the
+  /// net's parameter buffer for each extent.
+  struct Walk {
+    Header hdr;
+    std::vector<std::uint64_t> nodes;
+    std::vector<SealedExtent> extents;
+    std::vector<ml::ParamBuffer> params;  // parallel to extents; empty without a net
+    std::uint64_t tail_next = 0;          // the last node's next pointer
+  };
+  /// Seal plan built from a walk against the net, with per-buffer costs
+  /// split into their EPC-paging and GCM shares. Shared by the synchronous
+  /// and the pipelined save paths.
   struct SealPlan {
     std::vector<SealTask> tasks;
     std::vector<sim::Nanos> costs;
@@ -241,6 +266,10 @@ class MirrorModel {
   struct AsyncSeal;  // pending pipelined save (defined in mirror.cc)
 
   [[nodiscard]] Header header() const;
+  /// The one walk of the untrusted PM layer list; every entry point consumes
+  /// its table (contract in the class comment). Throws PmError/MlError
+  /// naming `ctx`.
+  [[nodiscard]] Walk walk(ml::Network* net, const char* ctx) const;
   [[nodiscard]] SealPlan build_seal_plan(ml::Network& net, const char* ctx);
   /// Durably commits a sealed plan (buffers from `sealed` + the iteration
   /// counter) in one Romulus transaction, accumulating write_ns.
@@ -248,11 +277,6 @@ class MirrorModel {
   /// Shared mirror_in / mirror_in_snapshot implementation; `snapshot`
   /// selects staged-then-install semantics over decrypt-in-place.
   std::uint64_t restore_model(ml::Network& net, bool snapshot);
-  /// Reads a layer node after validating that [node_off, node_off +
-  /// sizeof(LayerNode)) lies inside the PM main region; throws PmError
-  /// (naming `ctx`) on a corrupt offset. All layer-list walks use this.
-  [[nodiscard]] LayerNode checked_node(std::uint64_t node_off, const char* ctx) const;
-  void check_buffer_extent(const LayerNode& node, std::size_t b, const char* ctx) const;
 
   romulus::Romulus* rom_;
   sgx::EnclaveRuntime* enclave_;

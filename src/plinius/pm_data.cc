@@ -26,7 +26,23 @@ bool PmDataStore::exists() const {
 
 PmDataStore::Header PmDataStore::header() const {
   expects(exists(), "PmDataStore: no dataset in PM");
-  return rom_->read<Header>(rom_->root(kRootSlot));
+  const Header hdr = rom_->read<Header>(rom_->root(kRootSlot));
+  // Every layout field is untrusted PM data that sizes or places a memcpy:
+  // validate them once, here, so no reader can index outside main.
+  const std::uint64_t max_cols = rom_->main_size() / sizeof(float);
+  const bool cols_ok = hdr.x_cols <= max_cols && hdr.y_cols <= max_cols;
+  const std::uint64_t plain_len = cols_ok ? (hdr.x_cols + hdr.y_cols) * sizeof(float) : 0;
+  const std::uint64_t record_len =
+      hdr.encrypted != 0 ? crypto::sealed_size(plain_len) : plain_len;
+  if (hdr.rows == 0 || !cols_ok || hdr.record_len != record_len) {
+    throw PmError("PmDataStore: corrupt record layout (rows " + std::to_string(hdr.rows) +
+                  ", x_cols " + std::to_string(hdr.x_cols) + ", y_cols " +
+                  std::to_string(hdr.y_cols) + ", record_len " +
+                  std::to_string(hdr.record_len) + ")");
+  }
+  rom_->check_extent(hdr.records_off, hdr.rows, hdr.record_len,
+                     "PmDataStore: corrupt record extent");
+  return hdr;
 }
 
 std::size_t PmDataStore::rows() const { return header().rows; }

@@ -41,15 +41,39 @@ bool TensorMirror::exists() const {
 
 TensorMirror::Header TensorMirror::header() const {
   expects(exists(), "TensorMirror: no tensor mirror in PM");
-  return rom_->read<Header>(rom_->root(root_slot_));
+  const Header hdr = rom_->read<Header>(rom_->root(root_slot_));
+  // The count is untrusted PM data that sizes the table walk: bound it by
+  // the table's extent before any caller allocates or loops over it.
+  rom_->check_extent(hdr.table_off, hdr.count, sizeof(Entry),
+                     "TensorMirror: corrupt entry table");
+  return hdr;
 }
 
 std::vector<TensorMirror::Entry> TensorMirror::table(const Header& hdr) const {
   std::vector<Entry> entries(hdr.count);
   for (std::uint64_t i = 0; i < hdr.count; ++i) {
-    entries[i] = rom_->read<Entry>(hdr.table_off + i * sizeof(Entry));
+    Entry& e = entries[i];
+    e = rom_->read<Entry>(hdr.table_off + i * sizeof(Entry));
+    if (std::memchr(e.name, '\0', sizeof(e.name)) == nullptr ||
+        e.plain_len > e.sealed_len || crypto::sealed_size(e.plain_len) != e.sealed_len) {
+      throw PmError("TensorMirror: corrupt table entry " + std::to_string(i));
+    }
+    rom_->check_extent(e.sealed_off, e.sealed_len, "TensorMirror: corrupt sealed extent");
   }
   return entries;
+}
+
+const TensorMirror::Entry& TensorMirror::entry_for(std::span<const Entry> entries,
+                                                   const NamedBlob& blob,
+                                                   const char* ctx) {
+  for (const Entry& e : entries) {
+    if (blob.name != e.name) continue;
+    if (e.plain_len != blob.bytes.size()) {
+      throw MlError(std::string(ctx) + ": size mismatch for " + blob.name);
+    }
+    return e;
+  }
+  throw MlError(std::string(ctx) + ": unknown tensor " + blob.name);
 }
 
 std::uint64_t TensorMirror::version() const { return header().version; }
@@ -116,26 +140,13 @@ void TensorMirror::mirror_out_blobs(std::span<const NamedBlob> blobs,
   rom_->run_transaction([&] {
     rom_->tx_assign(rom_->root(root_slot_) + offsetof(Header, version), version);
     for (const auto& b : blobs) {
-      const Entry* entry = nullptr;
-      for (const Entry& e : entries) {
-        if (b.name == e.name) {
-          entry = &e;
-          break;
-        }
-      }
-      if (entry == nullptr) {
-        throw MlError("TensorMirror::mirror_out: unknown tensor " + b.name);
-      }
-      if (entry->plain_len != b.bytes.size()) {
-        throw MlError("TensorMirror::mirror_out: size mismatch for " + b.name);
-      }
-
-      enclave_->touch_enclave(entry->plain_len);
-      enclave_->charge_crypto(entry->plain_len);
-      scratch_.resize(entry->sealed_len);
+      const Entry& entry = entry_for(entries, b, "TensorMirror::mirror_out");
+      enclave_->touch_enclave(entry.plain_len);
+      enclave_->charge_crypto(entry.plain_len);
+      scratch_.resize(entry.sealed_len);
       crypto::seal_into(gcm_, iv_seq_, ByteSpan(b.bytes.data(), b.bytes.size()),
                         MutableByteSpan(scratch_.data(), scratch_.size()));
-      rom_->tx_store(entry->sealed_off, scratch_.data(), scratch_.size());
+      rom_->tx_store(entry.sealed_off, scratch_.data(), scratch_.size());
     }
   });
 }
@@ -149,37 +160,19 @@ std::uint64_t TensorMirror::mirror_in_blobs(std::span<const NamedBlob> blobs) {
   enclave_->charge_ecall();
 
   for (const auto& b : blobs) {
-    const Entry* entry = nullptr;
-    for (const auto& e : entries) {
-      if (b.name == e.name) {
-        entry = &e;
-        break;
-      }
-    }
-    if (entry == nullptr) {
-      throw MlError("TensorMirror::mirror_in: unknown tensor " + b.name);
-    }
-    if (entry->plain_len != b.bytes.size()) {
-      throw MlError("TensorMirror::mirror_in: size mismatch for " + b.name);
-    }
-    if (entry->sealed_off > rom_->main_size() ||
-        entry->sealed_len > rom_->main_size() - entry->sealed_off) {
-      throw PmError("TensorMirror::mirror_in: corrupt tensor offset in PM");
-    }
+    const Entry& entry = entry_for(entries, b, "TensorMirror::mirror_in");
+    rom_->device().charge_read(entry.sealed_len);
+    if (enclave_->model().real_sgx) enclave_->copy_into_enclave(entry.sealed_len);
+    scratch_.resize(entry.sealed_len);
+    std::memcpy(scratch_.data(), rom_->main_base() + entry.sealed_off, entry.sealed_len);
 
-    rom_->device().charge_read(entry->sealed_len);
-    if (enclave_->model().real_sgx) enclave_->copy_into_enclave(entry->sealed_len);
-    scratch_.resize(entry->sealed_len);
-    std::memcpy(scratch_.data(), rom_->main_base() + entry->sealed_off,
-                entry->sealed_len);
-
-    enclave_->charge_crypto(entry->sealed_len);
+    enclave_->charge_crypto(entry.sealed_len);
     if (!crypto::open_into(gcm_, scratch_,
                            MutableByteSpan(b.bytes.data(), b.bytes.size()))) {
       throw CryptoError("TensorMirror::mirror_in: authentication failed for tensor " +
                         b.name);
     }
-    enclave_->charge_plain_copy(entry->plain_len);
+    enclave_->charge_plain_copy(entry.plain_len);
   }
   return hdr.version;
 }

@@ -94,8 +94,15 @@ class TensorMirror {
   };
   static constexpr std::uint64_t kMagic = 0x504C54454E534F52ULL;  // "PLTENSOR"
 
+  /// Reads the header, bounding its count by the table extent (PmError).
   [[nodiscard]] Header header() const;
+  /// Reads the entry table, checking each name, sealed length and sealed
+  /// extent (PmError), so callers index PM only through validated entries.
   [[nodiscard]] std::vector<Entry> table(const Header& hdr) const;
+  /// The entry named like `blob`; MlError (naming `ctx`) when it is unknown
+  /// or its size differs.
+  [[nodiscard]] static const Entry& entry_for(std::span<const Entry> entries,
+                                              const NamedBlob& blob, const char* ctx);
 
   romulus::Romulus* rom_;
   sgx::EnclaveRuntime* enclave_;

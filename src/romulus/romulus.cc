@@ -72,6 +72,15 @@ const std::uint8_t* Romulus::main_base() const noexcept {
   return dev_->data() + main_offset();
 }
 
+void Romulus::throw_extent(std::uint64_t offset, std::uint64_t len,
+                           const char* ctx) const {
+  // Out-of-range extents almost always mean a corrupt persistent offset or
+  // length; name the numbers so fault-sweep triage can locate the bad field.
+  throw PmError(std::string(ctx) + ": extent [" + std::to_string(offset) + ", +" +
+                std::to_string(len) + ") exceeds main size " +
+                std::to_string(main_size_) + " (corrupt persistent offset?)");
+}
+
 std::size_t Romulus::offset_of(const void* p) const {
   const auto* bytes = static_cast<const std::uint8_t*>(p);
   const std::uint8_t* base = main_base();
@@ -219,10 +228,7 @@ void Romulus::close_tx_span() {
 
 void Romulus::tx_store(std::size_t offset, const void* src, std::size_t len) {
   expects(in_transaction(), "Romulus::tx_store outside a transaction");
-  // Two-sided check: `offset + len` would wrap for len near SIZE_MAX.
-  if (offset > main_size_ || len > main_size_ - offset) {
-    throw PmError("Romulus::tx_store out of range");
-  }
+  check_extent(offset, len, "Romulus::tx_store");
   dev_->store(main_offset() + offset, src, len);
   pwb(main_offset() + offset, len);
   charge_log_append();
@@ -231,9 +237,7 @@ void Romulus::tx_store(std::size_t offset, const void* src, std::size_t len) {
 
 void Romulus::tx_record(std::size_t offset, std::size_t len) {
   expects(in_transaction(), "Romulus::tx_record outside a transaction");
-  if (offset > main_size_ || len > main_size_ - offset) {
-    throw PmError("Romulus::tx_record out of range");
-  }
+  check_extent(offset, len, "Romulus::tx_record");
   dev_->record_store(main_offset() + offset, len);
   pwb(main_offset() + offset, len);
   charge_log_append();

@@ -133,15 +133,28 @@ class Romulus {
     tx_store(offset, &value, sizeof(T));
   }
 
+  /// The one PM range check. Throws PmError naming `ctx`, the extent and the
+  /// main size unless [offset, offset + len) lies inside the main region.
+  /// Overflow-safe (offset + len is never formed), so any offset/length pair
+  /// read from untrusted PM can be checked before it is dereferenced.
+  void check_extent(std::uint64_t offset, std::uint64_t len, const char* ctx) const {
+    if (offset > main_size_ || len > main_size_ - offset) throw_extent(offset, len, ctx);
+  }
+
+  /// check_extent over an array of `count` elements of `elem_size` bytes.
+  /// The byte length saturates instead of wrapping, so a corrupt persistent
+  /// count fails the check rather than landing back in range.
+  void check_extent(std::uint64_t offset, std::uint64_t count, std::uint64_t elem_size,
+                    const char* ctx) const {
+    check_extent(offset,
+                 elem_size != 0 && count > UINT64_MAX / elem_size ? UINT64_MAX
+                                                                  : count * elem_size,
+                 ctx);
+  }
+
   template <typename T>
-  [[nodiscard]] T read(std::size_t offset) const {
-    if (offset > main_size_ || sizeof(T) > main_size_ - offset) {
-      // Out-of-range reads almost always mean a corrupt persistent offset;
-      // name the numbers so fault-sweep triage can locate the bad pointer.
-      throw PmError("Romulus::read out of range: offset " + std::to_string(offset) +
-                    " + " + std::to_string(sizeof(T)) + " bytes exceeds main size " +
-                    std::to_string(main_size_) + " (corrupt persistent offset?)");
-    }
+  [[nodiscard]] T read(std::size_t offset, const char* ctx = "Romulus::read") const {
+    check_extent(offset, sizeof(T), ctx);
     T out;
     std::memcpy(&out, main_base() + offset, sizeof(T));
     return out;
@@ -250,6 +263,8 @@ class Romulus {
   static constexpr std::size_t kAllocMetaBytes = 24;  // bump, free_head, in_use
   static constexpr std::size_t kHeapStart = kRootBytes + kAllocMetaBytes + 8;
 
+  [[noreturn]] void throw_extent(std::uint64_t offset, std::uint64_t len,
+                                 const char* ctx) const;
   void format_region();
   void charge_log_append();
   void set_state(State s);

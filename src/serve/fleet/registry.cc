@@ -34,7 +34,17 @@ bool ModelRegistry::exists() const {
 
 ModelRegistry::Header ModelRegistry::header() const {
   if (!exists()) throw PmError("ModelRegistry: no registry in this region");
-  return rom_->read<Header>(rom_->root(kRootSlot));
+  const Header hdr = rom_->read<Header>(rom_->root(kRootSlot));
+  // count and capacity are untrusted PM data that size every table walk:
+  // bound them by the entry table's extent before any caller loops or
+  // allocates over them.
+  if (hdr.count > hdr.capacity) {
+    throw PmError("ModelRegistry: corrupt record count " + std::to_string(hdr.count) +
+                  " exceeds capacity " + std::to_string(hdr.capacity));
+  }
+  rom_->check_extent(hdr.entries_off, hdr.capacity, sizeof(Entry),
+                     "ModelRegistry: corrupt entry table");
+  return hdr;
 }
 
 ModelRegistry::Entry ModelRegistry::entry_at(std::size_t index) const {
@@ -157,9 +167,9 @@ std::uint64_t ModelRegistry::serving_version() const {
 
 Bytes ModelRegistry::load_blob(std::uint64_t version) {
   const Entry e = entry_at(find(version));
-  if (e.sealed_off > rom_->main_size() ||
-      e.sealed_len > rom_->main_size() - e.sealed_off) {
-    throw PmError("ModelRegistry: corrupt sealed extent for version " +
+  rom_->check_extent(e.sealed_off, e.sealed_len, "ModelRegistry: corrupt sealed extent");
+  if (e.plain_len > e.sealed_len || crypto::sealed_size(e.plain_len) != e.sealed_len) {
+    throw PmError("ModelRegistry: corrupt sealed length for version " +
                   std::to_string(version));
   }
   enclave_->charge_ecall();

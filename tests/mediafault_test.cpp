@@ -1,11 +1,15 @@
 // Media-fault model and tiered repair: device primitives (bit rot, torn
 // lines, poison), the seeded MediaFaultInjector, Romulus twin-copy repair
 // helpers, mirror A/B replication + scrubbing, the arena scrubber, the
-// PM-data corruption policy, and the persistent RecoveryLog.
+// PM-data corruption policy, the persistent logs, and fail-closed decoding of
+// corrupt PM layouts (mirror layer list, dataset header, log headers).
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "ml/config.h"
@@ -497,6 +501,40 @@ TEST_F(MirrorMediaTest, PlaintextStoreScrubsClean) {
   EXPECT_TRUE(data.scrub_records().empty());
 }
 
+TEST_F(MirrorMediaTest, DataStoreCorruptLayoutFailsClosed) {
+  PmDataStore data(rom_, platform_.enclave(), test_gcm());
+  data.load(tiny_dataset());
+  std::vector<float> x(8 * data.x_cols()), y(8 * data.y_cols());
+
+  // Header words (plinius/pm_data.h): magic, rows, x_cols, y_cols,
+  // record_len, encrypted, records_off.
+  const std::uint64_t hdr = rom_.root(PmDataStore::kRootSlot);
+  const struct {
+    const char* name;
+    std::uint64_t off;
+    std::uint64_t value;
+  } corruptions[] = {
+      {"record_len", hdr + 4 * 8, data.record_bytes() + 1},
+      {"rows", hdr + 1 * 8, std::uint64_t{1} << 40},
+      {"records_off", hdr + 6 * 8, rom_.main_size() - 64},
+  };
+  for (const auto& c : corruptions) {
+    const auto good = rom_.read<std::uint64_t>(c.off);
+    rom_.run_transaction([&] { rom_.tx_assign(c.off, c.value); });
+
+    Rng rng(5);
+    EXPECT_THROW(data.sample_batch(8, rng, x.data(), y.data()), PmError) << c.name;
+    EXPECT_THROW(data.read_record(0, x.data(), y.data()), PmError) << c.name;
+    ScrubOptions opts;
+    opts.scan_dataset = true;
+    const ScrubReport report = scrub_arena(rom_, nullptr, nullptr, &data, opts);
+    EXPECT_FALSE(report.dataset_layout_ok) << c.name;
+
+    rom_.run_transaction([&] { rom_.tx_assign(c.off, good); });
+    data.sample_batch(8, rng, x.data(), y.data());  // the repaired layout reads again
+  }
+}
+
 // --- RecoveryLog --------------------------------------------------------------
 
 TEST_F(MirrorMediaTest, RecoveryLogPersistsAndCompacts) {
@@ -522,6 +560,34 @@ TEST_F(MirrorMediaTest, RecoveryLogPersistsAndCompacts) {
   RecoveryLog reread(again, platform_.enclave());
   EXPECT_TRUE(reread.exists());
   EXPECT_EQ(reread.all().back().resume_iteration, 50u);
+}
+
+TEST_F(MirrorMediaTest, RecordLogsBoundFlippedCountWithPmError) {
+  MetricsLog metrics(rom_, platform_.enclave());
+  RecoveryLog recovery(rom_, platform_.enclave());
+  ServeLog serve(rom_, platform_.enclave());
+  metrics.create(8);
+  recovery.create(8);
+  serve.create(8);
+  metrics.append({1, 0.5f, 0.1f});
+  recovery.append({2, 1, 0, 0, 0});
+  serve.append({0, 10, 10, 0, 1, 1.0f, 2.0f, 3.0f});
+
+  // Media fault in the high bits of each log's record count (the third
+  // header word): the count must be bounded before anything is read or
+  // allocated over it.
+  for (const int slot :
+       {MetricsLog::kRootSlot, RecoveryLog::kRootSlot, ServeLog::kRootSlot}) {
+    const std::uint64_t count_off = rom_.root(slot) + 2 * sizeof(std::uint64_t);
+    platform_.pm().flip_bit(rom_.main_region_offset() + count_off + 7, 6);
+  }
+  EXPECT_THROW((void)metrics.all(), PmError);
+  EXPECT_THROW((void)metrics.size(), PmError);
+  EXPECT_THROW(metrics.truncate_after(0), PmError);
+  EXPECT_THROW((void)recovery.all(), PmError);
+  EXPECT_THROW(recovery.append({2, 1, 0, 0, 0}), PmError);
+  EXPECT_THROW((void)serve.all(), PmError);
+  EXPECT_THROW((void)serve.next_window(), PmError);
 }
 
 // --- attempt/completion accounting and root-slot validation -------------------
@@ -587,6 +653,137 @@ TEST_F(MirrorMediaTest, CorruptRootSlotOffsetSurfacesPmErrorNotOob) {
   });
   EXPECT_THROW((void)mirror.exists(), PmError);
   EXPECT_THROW((void)mirror.iteration(), PmError);
+}
+
+// On-PM layout of the mirror header and layer nodes (plinius/mirror.h),
+// decoded here so a test can corrupt one field at a time.
+struct PmMirrorHeader {
+  std::uint64_t magic, iteration, num_layers, head, replicated;
+};
+struct PmMirrorNode {
+  std::uint64_t next;
+  std::uint64_t num_buffers;
+  std::uint64_t buf_off[MirrorModel::kMaxBuffersPerLayer];
+  std::uint64_t buf_sealed_len[MirrorModel::kMaxBuffersPerLayer];
+  std::uint64_t buf_replica_off[MirrorModel::kMaxBuffersPerLayer];
+};
+
+TEST_F(MirrorMediaTest, CorruptLayerListFailsClosedAtEveryEntryPoint) {
+  // Each corruption runs against every entry point that walks the layer
+  // list, on a fresh region. Entry points that take a net compare the list
+  // against it (MlError on a count mismatch); the others bound it by the
+  // region (PmError). Only verify_integrity and scrub reject a list longer
+  // than the model. Anything else — a generic Error, a foreign exception, a
+  // hang — fails the test.
+  struct Corruption {
+    const char* name;
+    // Stores the corrupt value through a transaction (both twins agree, so
+    // nothing downstream can repair it from the back copy).
+    std::function<void(romulus::Romulus&, std::uint64_t hdr,
+                       const std::vector<std::uint64_t>& nodes)>
+        apply;
+    const char* with_net;
+    const char* without_net;
+    const char* list_length_check;  // verify_integrity and scrub
+  };
+  const auto assign = [](romulus::Romulus& rom, std::uint64_t off, std::uint64_t value) {
+    rom.run_transaction([&] { rom.tx_assign(off, value); });
+  };
+  const std::vector<Corruption> corruptions = {
+      {"last next points to itself",
+       [&](auto& rom, auto, const auto& nodes) {
+         assign(rom, nodes.back() + offsetof(PmMirrorNode, next), nodes.back());
+       },
+       "ok", "ok", "PmError"},
+      {"mid-list next is 0",
+       [&](auto& rom, auto, const auto& nodes) {
+         assign(rom, nodes[1] + offsetof(PmMirrorNode, next), 0);
+       },
+       "PmError", "PmError", "PmError"},
+      {"next out of range",
+       [&](auto& rom, auto, const auto& nodes) {
+         assign(rom, nodes[0] + offsetof(PmMirrorNode, next), rom.main_size() + 4096);
+       },
+       "PmError", "PmError", "PmError"},
+      {"num_buffers = 9",
+       [&](auto& rom, auto, const auto& nodes) {
+         assign(rom, nodes[0] + offsetof(PmMirrorNode, num_buffers), 9);
+       },
+       "MlError", "PmError", "MlError"},
+      {"buffer extent past the end",
+       [&](auto& rom, auto, const auto& nodes) {
+         assign(rom, nodes[0] + offsetof(PmMirrorNode, buf_off), rom.main_size() - 8);
+       },
+       "PmError", "PmError", "PmError"},
+      {"num_layers = 2^40",
+       [&](auto& rom, auto hdr, const auto&) {
+         assign(rom, hdr + offsetof(PmMirrorHeader, num_layers), std::uint64_t{1} << 40);
+       },
+       "MlError", "PmError", "MlError"},
+  };
+
+  struct EntryPoint {
+    const char* name;
+    bool takes_net;
+    bool checks_list_length;
+    std::function<void(MirrorModel&)> run;
+  };
+  const std::vector<EntryPoint> entry_points = {
+      {"mirror_out", true, false, [&](MirrorModel& m) { m.mirror_out(net_, 3); }},
+      {"mirror_in", true, false, [&](MirrorModel& m) { (void)m.mirror_in(net_); }},
+      {"mirror_in_snapshot", true, false,
+       [&](MirrorModel& m) { (void)m.mirror_in_snapshot(net_); }},
+      {"begin_async_save", true, false,
+       [&](MirrorModel& m) {
+         sgx::ChargeStream stream = platform_.enclave().open_stream(1);
+         m.begin_async_save(net_, 3, stream);
+         m.abandon_async_save();
+       }},
+      {"verify_integrity", true, true,
+       [&](MirrorModel& m) { (void)m.verify_integrity(net_); }},
+      {"scrub", true, true, [&](MirrorModel& m) { (void)m.scrub(net_); }},
+      {"dispose", false, false, [](MirrorModel& m) { m.dispose(); }},
+      {"sealed_extents", false, false, [](MirrorModel& m) { (void)m.sealed_extents(); }},
+      {"encryption_metadata_bytes", false, false,
+       [](MirrorModel& m) { (void)m.encryption_metadata_bytes(); }},
+  };
+
+  // A small region past the fixture's, reformatted for every case.
+  const std::size_t region_off = romulus::Romulus::region_bytes(rom_.main_size());
+  ASSERT_GT(net_.num_layers(), 2u);
+  for (const Corruption& c : corruptions) {
+    for (const EntryPoint& ep : entry_points) {
+      romulus::Romulus rom(platform_.pm(), region_off, 1024 * 1024,
+                           romulus::PwbPolicy::clflushopt_sfence(), /*format=*/true);
+      MirrorModel mirror(rom, platform_.enclave(), test_gcm(), MirrorOptions{true});
+      mirror.alloc(net_);
+      mirror.mirror_out(net_, 2);
+
+      const std::uint64_t hdr = rom.root(MirrorModel::kRootSlot);
+      std::vector<std::uint64_t> nodes;
+      for (std::uint64_t off = rom.read<PmMirrorHeader>(hdr).head; off != 0;
+           off = rom.read<PmMirrorNode>(off).next) {
+        nodes.push_back(off);
+      }
+      ASSERT_EQ(nodes.size(), net_.num_layers());
+      c.apply(rom, hdr, nodes);
+
+      std::string got = "ok";
+      try {
+        ep.run(mirror);
+      } catch (const PmError&) {
+        got = "PmError";
+      } catch (const MlError&) {
+        got = "MlError";
+      } catch (const std::exception& e) {
+        got = std::string("unexpected exception: ") + e.what();
+      }
+      const char* want = ep.checks_list_length ? c.list_length_check
+                         : ep.takes_net        ? c.with_net
+                                               : c.without_net;
+      EXPECT_EQ(got, want) << c.name << " / " << ep.name;
+    }
+  }
 }
 
 TEST_F(MirrorMediaTest, CheckpointRestoreFailureLeavesAttemptAheadOfCompletion) {

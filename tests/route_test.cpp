@@ -388,6 +388,24 @@ TEST_F(RegistryTest, CapacityAndUnknownVersionsThrow) {
   EXPECT_THROW(registry_.create(4), PmError);  // already exists
 }
 
+TEST_F(RegistryTest, FlippedCountFailsClosedWithPmError) {
+  registry_.create(4);
+  ml::Network net = make_net(1);
+  const std::uint64_t v = registry_.publish(net);
+  // Media fault in the high bits of the persistent record count (the third
+  // header word): it must be bounded by the capacity before anything is
+  // allocated or walked over it.
+  const std::uint64_t count_off =
+      rom_.root(ModelRegistry::kRootSlot) + 2 * sizeof(std::uint64_t);
+  platform_.pm().flip_bit(rom_.main_region_offset() + count_off + 7, 6);
+
+  EXPECT_THROW((void)registry_.records(), PmError);
+  EXPECT_THROW((void)registry_.size(), PmError);
+  EXPECT_THROW((void)registry_.serving_version(), PmError);
+  EXPECT_THROW((void)registry_.sealed_bytes(), PmError);
+  EXPECT_THROW((void)registry_.load_blob(v), PmError);
+}
+
 TEST(RegistryRestart, ReattachFindsSealedRecords) {
   constexpr std::size_t kPmBytes = 48u << 20;
   Platform platform(MachineProfile::emlsgx_pm(), kPmBytes, 0x400);

@@ -150,6 +150,25 @@ TEST_F(TensorMirrorTest, TamperDetected) {
   EXPECT_THROW((void)mirror_.mirror_in(restored), Error);
 }
 
+TEST_F(TensorMirrorTest, FlippedCountFailsClosedWithPmError) {
+  auto tensors = tensor_set();
+  mirror_.alloc(tensors);
+  mirror_.mirror_out(tensors, 1);
+  // Media fault in the high bits of the persistent entry count (the third
+  // header word): it must be bounded by the table extent before anything is
+  // allocated or walked over it.
+  const std::uint64_t count_off =
+      rom_.root(TensorMirror::kRootSlot) + 2 * sizeof(std::uint64_t);
+  platform_.pm().flip_bit(rom_.main_region_offset() + count_off + 7, 6);
+
+  EXPECT_THROW((void)mirror_.blob_sizes(), PmError);
+  EXPECT_THROW((void)mirror_.sealed_bytes(), PmError);
+  EXPECT_THROW((void)mirror_.tensor_count(), PmError);
+  auto restored = tensor_set();
+  EXPECT_THROW((void)mirror_.mirror_in(restored), PmError);
+  EXPECT_THROW(mirror_.mirror_out(tensors, 2), PmError);
+}
+
 // --- secure inference -----------------------------------------------------------
 
 class InferenceTest : public ::testing::Test {
