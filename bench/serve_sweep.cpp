@@ -101,7 +101,7 @@ SweepResult sweep_platform(const MachineProfile& profile,
   (void)trainer.train(20);
   crypto::AesGcm gcm(trainer.data_key());
 
-  ServeLog serve_log(trainer.romulus(), platform.enclave());
+  ServeLog serve_log(trainer.romulus());
   serve_log.create(256);
 
   auto run_point = [&](double rate, std::size_t batch, std::size_t workers,

@@ -58,7 +58,7 @@ int main() {
   crypto::AesGcm gcm(trainer.data_key());
   crypto::IvSequence client_iv(4242);
 
-  ServeLog serve_log(trainer.romulus(), cloud.enclave());
+  ServeLog serve_log(trainer.romulus());
   serve_log.create(64);
 
   ServerOptions sopt;

@@ -1,10 +1,10 @@
 #include "plinius/tensor_mirror.h"
 
+#include <algorithm>
 #include <cstring>
 #include <unordered_set>
 
 #include "common/error.h"
-#include "crypto/envelope.h"
 
 namespace plinius {
 
@@ -30,8 +30,7 @@ TensorMirror::TensorMirror(romulus::Romulus& rom, sgx::EnclaveRuntime& enclave,
                            crypto::AesGcm gcm, int root_slot)
     : rom_(&rom),
       enclave_(&enclave),
-      gcm_(std::move(gcm)),
-      iv_seq_(crypto::IvSequence::salted(enclave.rng())),
+      blobs_(rom, enclave, std::move(gcm)),
       root_slot_(root_slot) {}
 
 bool TensorMirror::exists() const {
@@ -54,26 +53,47 @@ std::vector<TensorMirror::Entry> TensorMirror::table(const Header& hdr) const {
   for (std::uint64_t i = 0; i < hdr.count; ++i) {
     Entry& e = entries[i];
     e = rom_->read<Entry>(hdr.table_off + i * sizeof(Entry));
-    if (std::memchr(e.name, '\0', sizeof(e.name)) == nullptr ||
-        e.plain_len > e.sealed_len || crypto::sealed_size(e.plain_len) != e.sealed_len) {
+    if (std::memchr(e.name, '\0', sizeof(e.name)) == nullptr) {
       throw PmError("TensorMirror: corrupt table entry " + std::to_string(i));
     }
-    rom_->check_extent(e.sealed_off, e.sealed_len, "TensorMirror: corrupt sealed extent");
+    blobs_.check(e.blob, "TensorMirror: corrupt sealed blob");
   }
   return entries;
 }
 
-const TensorMirror::Entry& TensorMirror::entry_for(std::span<const Entry> entries,
-                                                   const NamedBlob& blob,
-                                                   const char* ctx) {
-  for (const Entry& e : entries) {
-    if (blob.name != e.name) continue;
-    if (e.plain_len != blob.bytes.size()) {
-      throw MlError(std::string(ctx) + ": size mismatch for " + blob.name);
+void TensorMirror::check_names(std::span<const NamedBlob> blobs, const char* ctx) {
+  std::unordered_set<std::string> names;
+  for (const auto& b : blobs) {
+    if (b.name.size() > kMaxNameLen) {
+      throw MlError(std::string(ctx) + ": tensor name too long: " + b.name);
     }
-    return e;
+    if (!names.insert(b.name).second) {
+      throw MlError(std::string(ctx) + ": duplicate tensor name: " + b.name);
+    }
   }
-  throw MlError(std::string(ctx) + ": unknown tensor " + blob.name);
+}
+
+std::vector<SealedRef> TensorMirror::refs_for(std::span<const NamedBlob> blobs,
+                                              const Header& hdr, const char* ctx) const {
+  check_names(blobs, ctx);
+  if (hdr.count != blobs.size()) {
+    throw MlError(std::string(ctx) + ": tensor count mismatch");
+  }
+  const auto entries = table(hdr);
+  std::vector<SealedRef> refs;
+  refs.reserve(blobs.size());
+  for (const auto& b : blobs) {
+    const auto it = std::find_if(entries.begin(), entries.end(),
+                                 [&](const Entry& e) { return b.name == e.name; });
+    if (it == entries.end()) {
+      throw MlError(std::string(ctx) + ": unknown tensor " + b.name);
+    }
+    if (it->blob.plain_len != b.bytes.size()) {
+      throw MlError(std::string(ctx) + ": size mismatch for " + b.name);
+    }
+    refs.push_back(it->blob);
+  }
+  return refs;
 }
 
 std::uint64_t TensorMirror::version() const { return header().version; }
@@ -84,7 +104,7 @@ std::vector<std::pair<std::string, std::size_t>> TensorMirror::blob_sizes() cons
   std::vector<std::pair<std::string, std::size_t>> out;
   out.reserve(hdr.count);
   for (const auto& e : table(hdr)) {
-    out.emplace_back(e.name, static_cast<std::size_t>(e.plain_len));
+    out.emplace_back(e.name, static_cast<std::size_t>(e.blob.plain_len));
   }
   return out;
 }
@@ -92,23 +112,14 @@ std::vector<std::pair<std::string, std::size_t>> TensorMirror::blob_sizes() cons
 std::size_t TensorMirror::sealed_bytes() const {
   const Header hdr = header();
   std::size_t total = 0;
-  for (const auto& e : table(hdr)) total += e.sealed_len;
+  for (const auto& e : table(hdr)) total += e.blob.sealed_len;
   return total;
 }
 
 void TensorMirror::alloc_blobs(std::span<const NamedBlob> blobs) {
   if (exists()) throw PmError("TensorMirror::alloc: tensor mirror already exists");
   expects(!blobs.empty(), "TensorMirror::alloc: empty tensor set");
-
-  std::unordered_set<std::string> names;
-  for (const auto& b : blobs) {
-    if (b.name.size() > kMaxNameLen) {
-      throw MlError("TensorMirror: tensor name too long: " + b.name);
-    }
-    if (!names.insert(b.name).second) {
-      throw MlError("TensorMirror: duplicate tensor name: " + b.name);
-    }
-  }
+  check_names(blobs, "TensorMirror::alloc");
 
   enclave_->charge_ecall();
   rom_->run_transaction([&] {
@@ -117,9 +128,7 @@ void TensorMirror::alloc_blobs(std::span<const NamedBlob> blobs) {
     for (std::size_t i = 0; i < blobs.size(); ++i) {
       Entry e{};
       std::snprintf(e.name, sizeof(e.name), "%s", blobs[i].name.c_str());
-      e.plain_len = blobs[i].bytes.size();
-      e.sealed_len = crypto::sealed_size(e.plain_len);
-      e.sealed_off = rom_->pmalloc(e.sealed_len);
+      e.blob = blobs_.alloc(blobs[i].bytes.size());
       rom_->tx_store(hdr.table_off + i * sizeof(Entry), &e, sizeof(e));
     }
     const std::size_t hdr_off = rom_->pmalloc(sizeof(Header));
@@ -130,49 +139,28 @@ void TensorMirror::alloc_blobs(std::span<const NamedBlob> blobs) {
 
 void TensorMirror::mirror_out_blobs(std::span<const NamedBlob> blobs,
                                     std::uint64_t version) {
-  const Header hdr = header();
-  if (hdr.count != blobs.size()) {
-    throw MlError("TensorMirror::mirror_out: tensor count mismatch");
-  }
-  const auto entries = table(hdr);
-
+  const auto refs = refs_for(blobs, header(), "TensorMirror::mirror_out");
   enclave_->charge_ecall();
   rom_->run_transaction([&] {
     rom_->tx_assign(rom_->root(root_slot_) + offsetof(Header, version), version);
-    for (const auto& b : blobs) {
-      const Entry& entry = entry_for(entries, b, "TensorMirror::mirror_out");
-      enclave_->touch_enclave(entry.plain_len);
-      enclave_->charge_crypto(entry.plain_len);
-      scratch_.resize(entry.sealed_len);
-      crypto::seal_into(gcm_, iv_seq_, ByteSpan(b.bytes.data(), b.bytes.size()),
-                        MutableByteSpan(scratch_.data(), scratch_.size()));
-      rom_->tx_store(entry.sealed_off, scratch_.data(), scratch_.size());
+    for (std::size_t i = 0; i < blobs.size(); ++i) {
+      enclave_->touch_enclave(refs[i].plain_len);
+      enclave_->charge_crypto(refs[i].plain_len);
+      blobs_.seal(refs[i], blobs[i].bytes);
     }
   });
 }
 
 std::uint64_t TensorMirror::mirror_in_blobs(std::span<const NamedBlob> blobs) {
   const Header hdr = header();
-  if (hdr.count != blobs.size()) {
-    throw MlError("TensorMirror::mirror_in: tensor count mismatch");
-  }
-  const auto entries = table(hdr);
+  const auto refs = refs_for(blobs, hdr, "TensorMirror::mirror_in");
   enclave_->charge_ecall();
-
-  for (const auto& b : blobs) {
-    const Entry& entry = entry_for(entries, b, "TensorMirror::mirror_in");
-    rom_->device().charge_read(entry.sealed_len);
-    if (enclave_->model().real_sgx) enclave_->copy_into_enclave(entry.sealed_len);
-    scratch_.resize(entry.sealed_len);
-    std::memcpy(scratch_.data(), rom_->main_base() + entry.sealed_off, entry.sealed_len);
-
-    enclave_->charge_crypto(entry.sealed_len);
-    if (!crypto::open_into(gcm_, scratch_,
-                           MutableByteSpan(b.bytes.data(), b.bytes.size()))) {
+  for (std::size_t i = 0; i < blobs.size(); ++i) {
+    if (!blobs_.open(refs[i], blobs[i].bytes)) {
       throw CryptoError("TensorMirror::mirror_in: authentication failed for tensor " +
-                        b.name);
+                        blobs[i].name);
     }
-    enclave_->charge_plain_copy(entry.plain_len);
+    enclave_->charge_plain_copy(refs[i].plain_len);
   }
   return hdr.version;
 }

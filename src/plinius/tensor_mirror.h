@@ -21,9 +21,9 @@
 #include <utility>
 #include <vector>
 
-#include "crypto/envelope.h"
 #include "crypto/gcm.h"
 #include "pm/root_slots.h"
+#include "plinius/sealed_blob.h"
 #include "romulus/romulus.h"
 #include "sgx/enclave.h"
 
@@ -53,15 +53,17 @@ class TensorMirror {
   [[nodiscard]] bool exists() const;
 
   /// Allocates PM mirrors for the blob set (one durable transaction).
-  /// Names must be unique and fit kMaxNameLen.
+  /// Names must be unique and fit kMaxNameLen (MlError).
   void alloc_blobs(std::span<const NamedBlob> blobs);
 
   /// Atomically seals every blob into its PM mirror and records `version`.
-  /// The set must match alloc_blobs()'s (same names, same sizes, any order).
+  /// The set must match alloc_blobs()'s (same names, same sizes, any order,
+  /// no name twice); MlError otherwise, before anything is sealed.
   void mirror_out_blobs(std::span<const NamedBlob> blobs, std::uint64_t version);
 
   /// Restores every blob (matched by name) from PM; returns the version.
-  /// Throws CryptoError on authentication failure, MlError on mismatch.
+  /// Throws CryptoError on authentication failure, MlError on a set that
+  /// does not match the table (as for mirror_out_blobs).
   std::uint64_t mirror_in_blobs(std::span<const NamedBlob> blobs);
 
   /// Float-tensor convenience wrappers over the blob API.
@@ -88,28 +90,28 @@ class TensorMirror {
   };
   struct Entry {
     char name[kMaxNameLen + 1];
-    std::uint64_t plain_len;   // bytes
-    std::uint64_t sealed_off;  // offset of IV||CT||MAC in main
-    std::uint64_t sealed_len;
+    SealedRef blob;
   };
   static constexpr std::uint64_t kMagic = 0x504C54454E534F52ULL;  // "PLTENSOR"
 
   /// Reads the header, bounding its count by the table extent (PmError).
   [[nodiscard]] Header header() const;
-  /// Reads the entry table, checking each name, sealed length and sealed
-  /// extent (PmError), so callers index PM only through validated entries.
+  /// Reads the entry table, checking each name and sealed blob (PmError),
+  /// so callers index PM only through validated entries.
   [[nodiscard]] std::vector<Entry> table(const Header& hdr) const;
-  /// The entry named like `blob`; MlError (naming `ctx`) when it is unknown
-  /// or its size differs.
-  [[nodiscard]] static const Entry& entry_for(std::span<const Entry> entries,
-                                              const NamedBlob& blob, const char* ctx);
+  /// MlError (naming `ctx`) unless every name fits kMaxNameLen and none
+  /// repeats.
+  static void check_names(std::span<const NamedBlob> blobs, const char* ctx);
+  /// The validated sealed blob of each of `blobs`, in their order. MlError
+  /// (naming `ctx`), before anything is charged, unless `blobs` names every
+  /// table entry exactly once with its size.
+  [[nodiscard]] std::vector<SealedRef> refs_for(std::span<const NamedBlob> blobs,
+                                                const Header& hdr, const char* ctx) const;
 
   romulus::Romulus* rom_;
   sgx::EnclaveRuntime* enclave_;
-  crypto::AesGcm gcm_;
-  crypto::IvSequence iv_seq_;
+  SealedBlobs blobs_;
   int root_slot_;
-  Bytes scratch_;
 };
 
 }  // namespace plinius

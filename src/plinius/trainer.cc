@@ -93,10 +93,10 @@ void Trainer::attach_region(bool format) {
                                           MirrorOptions{options_.replicate_mirror});
   if (options_.backend == CheckpointBackend::kPmMirror) {
     if (options_.metrics_capacity > 0) {
-      metrics_ = std::make_unique<MetricsLog>(*rom_, enclave);
+      metrics_ = std::make_unique<MetricsLog>(*rom_);
     }
     if (options_.recovery_log_capacity > 0) {
-      recovery_log_ = std::make_unique<RecoveryLog>(*rom_, enclave);
+      recovery_log_ = std::make_unique<RecoveryLog>(*rom_);
     }
   }
   ckpt_ = std::make_unique<SsdCheckpointer>(platform_->ssd(), enclave, gcm);

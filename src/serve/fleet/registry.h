@@ -28,11 +28,12 @@
 #include <utility>
 #include <vector>
 
-#include "crypto/envelope.h"
 #include "crypto/gcm.h"
 #include "ml/network.h"
 #include "ml/quant.h"
 #include "ml/serialize.h"
+#include "plinius/metrics_log.h"
+#include "plinius/sealed_blob.h"
 #include "pm/root_slots.h"
 #include "romulus/romulus.h"
 #include "sgx/enclave.h"
@@ -60,6 +61,17 @@ struct VersionRecord {
   std::size_t sealed_len = 0;
 };
 
+/// One registry record as laid out in PM: the ModelRegistry's PmRecordLog
+/// record. Version v lives at index v - 1; the stored version is kept as a
+/// fault check.
+struct RegistryEntry {
+  std::uint64_t version;
+  std::uint64_t dtype;
+  std::uint64_t state;
+  std::uint64_t iterations;
+  SealedRef blob;
+};
+
 /// Snapshot for obs publishing (stats_bridge maps this onto registry.*).
 struct RegistryStats {
   std::uint64_t versions = 0;
@@ -70,18 +82,20 @@ struct RegistryStats {
   std::size_t sealed_bytes = 0;
 };
 
-class ModelRegistry {
+/// A fixed-capacity PmRecordLog of RegistryEntry records that never
+/// compacts: create() sizes it once (PmError if it already exists), and a
+/// full registry rejects publish().
+class ModelRegistry : private PmRecordLog<RegistryEntry> {
  public:
   static constexpr int kRootSlot = pm::kModelRegistryRootSlot;
 
   ModelRegistry(romulus::Romulus& rom, sgx::EnclaveRuntime& enclave,
                 crypto::AesGcm gcm);
 
-  [[nodiscard]] bool exists() const;
-
-  /// Creates the registry with a fixed record capacity (one durable
-  /// transaction). Throws PmError if it already exists.
-  void create(std::size_t capacity);
+  using PmRecordLog::capacity;
+  using PmRecordLog::create;
+  using PmRecordLog::exists;
+  using PmRecordLog::size;
 
   /// Seals a float32 model into a new kStaged record. Returns its version
   /// (monotonically increasing from 1, never reused). Throws PmError when
@@ -95,8 +109,6 @@ class ModelRegistry {
 
   [[nodiscard]] VersionRecord record(std::uint64_t version) const;
   [[nodiscard]] std::vector<VersionRecord> records() const;
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t capacity() const;
   /// The record currently in kServing state (0 when none). At most one
   /// record is kServing at a time — promotion retires the predecessor in
   /// the same transaction.
@@ -125,35 +137,14 @@ class ModelRegistry {
   [[nodiscard]] RegistryStats stats() const;
 
  private:
-  struct Header {
-    std::uint64_t magic;
-    std::uint64_t capacity;
-    std::uint64_t count;
-    std::uint64_t entries_off;
-    std::uint64_t next_version;
-  };
-  struct Entry {
-    std::uint64_t version;
-    std::uint64_t dtype;
-    std::uint64_t state;
-    std::uint64_t iterations;
-    std::uint64_t plain_len;
-    std::uint64_t sealed_off;  // offset of IV||CT||MAC in main
-    std::uint64_t sealed_len;
-  };
-  static constexpr std::uint64_t kMagic = 0x504C4D4F44524547ULL;  // "PLMODREG"
-
-  [[nodiscard]] Header header() const;
-  [[nodiscard]] Entry entry_at(std::size_t index) const;
-  /// Index of `version` in the entry table; throws PmError when absent.
-  [[nodiscard]] std::size_t find(std::uint64_t version) const;
+  /// The record of `version`. Throws PmError when the version is out of
+  /// range or its record does not carry it.
+  [[nodiscard]] RegistryEntry entry(const Header& hdr, std::uint64_t version) const;
   std::uint64_t publish_blob(ByteSpan blob, std::uint64_t dtype,
                              std::uint64_t iterations);
 
-  romulus::Romulus* rom_;
   sgx::EnclaveRuntime* enclave_;
-  crypto::AesGcm gcm_;
-  crypto::IvSequence iv_seq_;
+  SealedBlobs blobs_;
   std::uint64_t publishes_ = 0;
   std::uint64_t loads_ = 0;
   std::uint64_t load_failures_ = 0;

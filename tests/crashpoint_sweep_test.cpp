@@ -14,11 +14,14 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "ml/config.h"
+#include "ml/serialize.h"
 #include "pm/device.h"
 #include "pm/faultpoint.h"
 #include "plinius/mirror.h"
 #include "plinius/platform.h"
+#include "plinius/tensor_mirror.h"
 #include "romulus/romulus.h"
+#include "serve/fleet/registry.h"
 
 namespace plinius {
 namespace {
@@ -29,6 +32,8 @@ using pm::FaultInjector;
 using pm::FaultOp;
 using romulus::PwbPolicy;
 using romulus::Romulus;
+using serve::fleet::ModelRegistry;
+using serve::fleet::VersionState;
 
 constexpr std::size_t kMain = 64 * 1024;
 
@@ -446,6 +451,135 @@ TEST_F(MirrorSweepTest, SweepOptionsStrideAndCap) {
   EXPECT_FALSE(report.exhaustive());
   EXPECT_EQ(report.points, 4u);
   EXPECT_EQ(report.crashes, 4u);
+}
+
+// --- Sealed-blob store sweeps (root slots 8 and 2) ---------------------------
+
+// The two other sealed-blob formats over the same store: the serving fleet's
+// ModelRegistry and the named-blob TensorMirror. Same fixture as the model
+// mirror sweeps.
+class SealedStoreSweepTest : public MirrorSweepTest {};
+
+TEST_F(SealedStoreSweepTest, RegistryPublishAndSetStateKeepOldOrNewRecords) {
+  ml::Network first = net();
+  Rng rng(6);
+  ml::Network second = ml::build_network(ml::make_cnn_config(2, 4, 8), rng);
+  const Bytes blobs[] = {ml::serialize_weights(first), ml::serialize_weights(second)};
+  ASSERT_NE(blobs[0], blobs[1]);
+
+  // Committed baseline: one staged record. The workload publishes a second
+  // record, then promotes the first — two transactions, so a crash between
+  // them leaves the new record with the old state.
+  std::size_t baseline_bytes = 0;
+  {
+    Romulus rom(platform_.pm(), 0, kMirrorMain, PwbPolicy::clflushopt_sfence());
+    ModelRegistry registry(rom, platform_.enclave(), gcm());
+    registry.create(4);
+    ASSERT_EQ(registry.publish(first), 1u);
+    baseline_bytes = rom.allocated_bytes();
+  }
+  const auto workload = [&] {
+    Romulus rom(platform_.pm(), 0, kMirrorMain, PwbPolicy::clflushopt_sfence());
+    ModelRegistry registry(rom, platform_.enclave(), gcm());
+    registry.publish(second);
+    registry.set_state(1, VersionState::kServing);
+  };
+
+  // Heap size once the workload has committed, measured on a throwaway run.
+  const Bytes baseline = platform_.pm().snapshot_persistent();
+  workload();
+  std::size_t published_bytes = 0;
+  {
+    Romulus rom(platform_.pm(), 0, kMirrorMain, PwbPolicy::clflushopt_sfence());
+    published_bytes = rom.allocated_bytes();
+  }
+  platform_.pm().restore_persistent(baseline);
+  ASSERT_GT(published_bytes, baseline_bytes);
+
+  const auto verify = [&] {
+    Romulus rom(platform_.pm(), 0, kMirrorMain, PwbPolicy::clflushopt_sfence());
+    EXPECT_EQ(rom.header_state(), Romulus::State::kIdle);
+    rom.validate_allocator();
+    ModelRegistry registry(rom, platform_.enclave(), gcm());
+    ASSERT_TRUE(registry.exists());
+    const std::size_t count = registry.size();
+    ASSERT_TRUE(count == 1 || count == 2) << "recovered with " << count << " records";
+    // A sealed block is allocated exactly when its record committed.
+    EXPECT_EQ(rom.allocated_bytes(), count == 1 ? baseline_bytes : published_bytes);
+
+    const auto records = registry.records();
+    ASSERT_EQ(records.size(), count);
+    for (std::size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(records[i].version, i + 1);
+      EXPECT_EQ(registry.load_blob(i + 1), blobs[i]) << "version " << i + 1;
+    }
+    // The promotion commits only after the publish did.
+    const VersionState state = records[0].state;
+    EXPECT_TRUE(state == VersionState::kStaged ||
+                (state == VersionState::kServing && count == 2))
+        << "version 1 recovered as " << serve::fleet::to_string(state);
+    if (count == 2) {
+      EXPECT_EQ(records[1].state, VersionState::kStaged);
+    }
+  };
+
+  const CrashSweepReport report =
+      pm::sweep_crash_points(platform_.pm(), workload, verify);
+  EXPECT_TRUE(report.exhaustive());
+  EXPECT_GT(report.workload_ops.stores, 0u);
+  EXPECT_GT(report.workload_ops.fences, 0u);
+  EXPECT_EQ(report.crashes, report.points);
+  EXPECT_EQ(report.points, 2 * report.workload_ops.total());
+}
+
+TEST_F(SealedStoreSweepTest, TensorMirrorOutAuthenticatesAtPreOrPostVersion) {
+  std::vector<float> weights(700), biases(40);
+  Rng rng(8);
+  for (auto& v : weights) v = rng.normal();
+  for (auto& v : biases) v = rng.normal();
+  const std::vector<float> old_w = weights, old_b = biases;
+  std::vector<float> new_w = weights, new_b = biases;
+  for (auto& v : new_w) v += 1.0f;
+  for (auto& v : new_b) v -= 1.0f;
+
+  {
+    // Committed baseline: both tensors sealed at version 1.
+    Romulus rom(platform_.pm(), 0, kMirrorMain, PwbPolicy::clflushopt_sfence());
+    TensorMirror mirror(rom, platform_.enclave(), gcm());
+    std::vector<NamedTensor> tensors = {{"w", weights}, {"b", biases}};
+    mirror.alloc(tensors);
+    mirror.mirror_out(tensors, 1);
+  }
+
+  const auto workload = [&] {
+    Romulus rom(platform_.pm(), 0, kMirrorMain, PwbPolicy::clflushopt_sfence());
+    TensorMirror mirror(rom, platform_.enclave(), gcm());
+    std::vector<NamedTensor> tensors = {{"w", new_w}, {"b", new_b}};
+    mirror.mirror_out(tensors, 2);
+  };
+  const auto verify = [&] {
+    Romulus rom(platform_.pm(), 0, kMirrorMain, PwbPolicy::clflushopt_sfence());
+    EXPECT_EQ(rom.header_state(), Romulus::State::kIdle);
+    rom.validate_allocator();
+    TensorMirror mirror(rom, platform_.enclave(), gcm());
+    ASSERT_TRUE(mirror.exists());
+    std::fill(weights.begin(), weights.end(), 0.0f);
+    std::fill(biases.begin(), biases.end(), 0.0f);
+    std::vector<NamedTensor> tensors = {{"w", weights}, {"b", biases}};
+    // Every blob authenticates, and all of them at the recovered version.
+    const std::uint64_t version = mirror.mirror_in(tensors);
+    ASSERT_TRUE(version == 1 || version == 2) << "recovered at version " << version;
+    EXPECT_EQ(weights, version == 1 ? old_w : new_w);
+    EXPECT_EQ(biases, version == 1 ? old_b : new_b);
+  };
+
+  const CrashSweepReport report =
+      pm::sweep_crash_points(platform_.pm(), workload, verify);
+  EXPECT_TRUE(report.exhaustive());
+  EXPECT_GT(report.workload_ops.stores, 0u);
+  EXPECT_GT(report.workload_ops.fences, 0u);
+  EXPECT_EQ(report.crashes, report.points);
+  EXPECT_EQ(report.points, 2 * report.workload_ops.total());
 }
 
 }  // namespace

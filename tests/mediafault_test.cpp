@@ -538,7 +538,7 @@ TEST_F(MirrorMediaTest, DataStoreCorruptLayoutFailsClosed) {
 // --- RecoveryLog --------------------------------------------------------------
 
 TEST_F(MirrorMediaTest, RecoveryLogPersistsAndCompacts) {
-  RecoveryLog log(rom_, platform_.enclave());
+  RecoveryLog log(rom_);
   EXPECT_FALSE(log.exists());
   log.create(4);
   EXPECT_TRUE(log.exists());
@@ -557,15 +557,15 @@ TEST_F(MirrorMediaTest, RecoveryLogPersistsAndCompacts) {
   // Survives re-attach through a second Romulus handle.
   romulus::Romulus again(platform_.pm(), 0, 14 * 1024 * 1024,
                          romulus::PwbPolicy::clflushopt_sfence(), false);
-  RecoveryLog reread(again, platform_.enclave());
+  RecoveryLog reread(again);
   EXPECT_TRUE(reread.exists());
   EXPECT_EQ(reread.all().back().resume_iteration, 50u);
 }
 
 TEST_F(MirrorMediaTest, RecordLogsBoundFlippedCountWithPmError) {
-  MetricsLog metrics(rom_, platform_.enclave());
-  RecoveryLog recovery(rom_, platform_.enclave());
-  ServeLog serve(rom_, platform_.enclave());
+  MetricsLog metrics(rom_);
+  RecoveryLog recovery(rom_);
+  ServeLog serve(rom_);
   metrics.create(8);
   recovery.create(8);
   serve.create(8);

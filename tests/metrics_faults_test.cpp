@@ -22,7 +22,7 @@ class MetricsLogTest : public ::testing::Test {
       : platform_(MachineProfile::emlsgx_pm(), 8 * 1024 * 1024),
         rom_(platform_.pm(), 0, 3 * 1024 * 1024,
              romulus::PwbPolicy::clflushopt_sfence(), true),
-        log_(rom_, platform_.enclave()) {}
+        log_(rom_) {}
 
   Platform platform_;
   romulus::Romulus rom_;
@@ -76,7 +76,7 @@ TEST_F(MetricsLogTest, EntriesSurviveCrash) {
 
   romulus::Romulus recovered(platform_.pm(), 0, 3 * 1024 * 1024,
                              romulus::PwbPolicy::clflushopt_sfence());
-  MetricsLog log2(recovered, platform_.enclave());
+  MetricsLog log2(recovered);
   ASSERT_TRUE(log2.exists());
   EXPECT_EQ(log2.size(), 2u);
   EXPECT_FLOAT_EQ(log2.at(0).loss, 3.5f);
@@ -94,7 +94,7 @@ TEST_F(MetricsLogTest, AppendIsAtomicUnderCrash) {
 
   romulus::Romulus recovered(platform_.pm(), 0, 3 * 1024 * 1024,
                              romulus::PwbPolicy::clflushopt_sfence());
-  MetricsLog log2(recovered, platform_.enclave());
+  MetricsLog log2(recovered);
   EXPECT_EQ(log2.size(), 1u);  // the torn append is invisible
 }
 

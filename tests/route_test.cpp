@@ -267,6 +267,11 @@ crypto::AesGcm test_gcm() {
 
 ml::ModelConfig tiny_config() { return ml::make_cnn_config(1, 4, 32); }
 
+// A registry record keeps the layout it had before it became a PmRecordLog
+// record: seven words, the sealed blob's descriptor last.
+static_assert(sizeof(RegistryEntry) == 7 * sizeof(std::uint64_t) &&
+              offsetof(RegistryEntry, blob) == 4 * sizeof(std::uint64_t));
+
 class RegistryTest : public ::testing::Test {
  protected:
   static constexpr std::size_t kPmBytes = 48u << 20;

@@ -430,7 +430,7 @@ TEST_F(ServeTest, AuthFailedQueriesGetSealedErrorReplies) {
 }
 
 TEST_F(ServeTest, ServeLogPersistsWindowRecords) {
-  ServeLog log(trainer_->romulus(), platform_.enclave());
+  ServeLog log(trainer_->romulus());
   EXPECT_FALSE(log.exists());
   log.create(8);
   ASSERT_TRUE(log.exists());

@@ -98,8 +98,8 @@ TEST_F(TensorMirrorTest, RejectsBadSets) {
                                       {"conv1/biases", biases_},
                                       {"wrong/name", bn_stats_}};
   EXPECT_THROW(mirror_.mirror_out(unknown, 1), MlError);
-  // The failed mirror_out aborted mid-transaction: the version bump and the
-  // partially sealed tensors must have been rolled back, not left torn.
+  // The failed mirror_out must leave the version and every sealed tensor as
+  // they were, not torn.
   EXPECT_EQ(mirror_.version(), 0u);
   EXPECT_THROW((void)mirror_.mirror_in(unknown), MlError);
 
@@ -121,6 +121,31 @@ TEST_F(TensorMirrorTest, RejectsDuplicateAndLongNames) {
   EXPECT_THROW(mirror_.alloc(long_name), MlError);
   std::vector<NamedTensor> empty;
   EXPECT_THROW(mirror_.alloc(empty), Error);
+}
+
+TEST_F(TensorMirrorTest, DuplicateNamesRejectedOnSaveAndRestore) {
+  std::vector<NamedTensor> pair = {{"a", weights_}, {"b", biases_}};
+  mirror_.alloc(pair);
+  mirror_.mirror_out(pair, 1);
+  const auto saved_w = weights_;
+  const auto saved_b = biases_;
+
+  // {a, a} has the right count but names one blob twice: "b" would keep
+  // version 1's bytes under version 2's header.
+  std::vector<float> other(weights_.size(), 3.0f);
+  std::vector<NamedTensor> dup_out = {{"a", other}, {"a", other}};
+  EXPECT_THROW(mirror_.mirror_out(dup_out, 2), MlError);
+  EXPECT_EQ(mirror_.version(), 1u);
+
+  std::fill(weights_.begin(), weights_.end(), 0.0f);
+  std::fill(biases_.begin(), biases_.end(), 0.0f);
+  std::vector<NamedTensor> dup_in = {{"a", weights_}, {"a", weights_}};
+  EXPECT_THROW((void)mirror_.mirror_in(dup_in), MlError);
+
+  // The stored bytes are still version 1's, for both blobs.
+  EXPECT_EQ(mirror_.mirror_in(pair), 1u);
+  EXPECT_EQ(weights_, saved_w);
+  EXPECT_EQ(biases_, saved_b);
 }
 
 TEST_F(TensorMirrorTest, SurvivesCrash) {
