@@ -3,8 +3,9 @@
 //
 // For each profile (emlSGX-PM and sgx-emlPM) the sweep records one leakage
 // trace per secret under three secret models:
-//   * input   — N secret query inputs through a fixed served model (the
-//               trace includes the enclave charge sites and serve marks);
+//   * input   — N secret query inputs, each sealed and served as one
+//               request by serve::InferenceServer over a fixed model (the
+//               trace includes the serve marks and the model's page runs);
 //   * weights — N weight initializations, one fixed input;
 //   * shuffle — N dataset shuffle seeds (the Fisher-Yates swap sequence IS
 //               the permutation).
@@ -19,6 +20,7 @@
 // Usage: leak_sweep [--json <metrics path>] [--report <report path>] [--smoke]
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -38,8 +40,8 @@
 #include "obs/export.h"
 #include "obs/leakage.h"
 #include "obs/registry.h"
-#include "plinius/inference.h"
 #include "plinius/platform.h"
+#include "serve/server.h"
 
 using namespace plinius;
 using ml::ObliviousOptions;
@@ -147,7 +149,8 @@ int main(int argc, char** argv) {
     ml::Network net = make_net(/*seed=*/21);
     const Bytes key(16, 0);
     crypto::AesGcm gcm(key);
-    InferenceService service(platform, net, gcm);
+    serve::InferenceServer server(platform, net, gcm, serve::ServerOptions{});
+    crypto::IvSequence client_iv(7);
 
     std::vector<std::vector<float>> inputs;
     for (std::size_t i = 0; i < secrets; ++i) {
@@ -164,8 +167,17 @@ int main(int argc, char** argv) {
                         run_panel(
                             secrets,
                             [&](std::size_t i) {
-                              (void)service.classify(std::span<const float>(
-                                  inputs[i].data(), inputs[i].size()));
+                              serve::Request req;
+                              req.arrival_ns = platform.clock().now();
+                              req.sealed_query = crypto::seal(
+                                  gcm, client_iv, float_bytes(std::span<const float>(
+                                                      inputs[i].data(), inputs[i].size())));
+                              const auto done = server.run(
+                                  std::span<const serve::Request>(&req, 1));
+                              if (done.size() != 1 || !done[0].served()) {
+                                std::fprintf(stderr, "FAIL: input-panel query not served\n");
+                                std::abort();
+                              }
                             },
                             oblivious)});
 

@@ -118,14 +118,6 @@ void publish(Registry& reg, const ClusterStats& s, const Labels& labels) {
   reg.set_counter("cluster.peer_provision_failures", s.peer_provision_failures,
                   labels);
   reg.set_counter("cluster.peer_backoff_capped", s.peer_backoff_capped, labels);
-  // Gauge mirrors of the peer-channel counters so CI can assert their
-  // presence with validate_obs.py --require-gauge (which checks gauges only).
-  reg.set_gauge("cluster.peer_provisions",
-                static_cast<double>(s.peer_provisions), labels);
-  reg.set_gauge("cluster.peer_retries", static_cast<double>(s.peer_retries),
-                labels);
-  reg.set_gauge("cluster.peer_provision_failures",
-                static_cast<double>(s.peer_provision_failures), labels);
 }
 
 void publish(Registry& reg, const fleet::FleetReport& s, const Labels& labels) {
@@ -145,8 +137,6 @@ void publish(Registry& reg, const fleet::FleetReport& s, const Labels& labels) {
   reg.set_counter("fleet.revives", s.revives, labels);
   reg.set_counter("fleet.executed_iterations", s.executed_iterations, labels);
   reg.set_counter("fleet.redone_iterations", s.redone_iterations, labels);
-  reg.set_gauge("fleet.redone_iterations",
-                static_cast<double>(s.redone_iterations), labels);
   for (std::size_t t = 0; t < s.recoveries_by_tier.size(); ++t) {
     Labels tiered = labels;
     tiered.emplace_back("tier", kTierNames[t]);
@@ -213,9 +203,6 @@ void publish(Registry& reg, const serve::fleet::RegistryStats& s, const Labels& 
   reg.set_counter("registry.publishes", s.publishes, labels);
   reg.set_counter("registry.loads", s.loads, labels);
   reg.set_counter("registry.load_failures", s.load_failures, labels);
-  // Gauge mirror so CI can pin the failure series with --require-gauge.
-  reg.set_gauge("registry.load_failures", static_cast<double>(s.load_failures),
-                labels);
 }
 
 void publish(Registry& reg, const serve::fleet::FleetServeStats& s, const Labels& labels) {
@@ -234,9 +221,6 @@ void publish(Registry& reg, const serve::fleet::FleetServeStats& s, const Labels
   reg.set_counter("router.scale_downs", s.scale_downs, labels);
   reg.set_counter("router.provisions", s.provisions, labels);
   reg.set_counter("router.transfer_drops", s.transfer_drops, labels);
-  // Gauge mirrors of the rollout outcomes for --require-gauge pins.
-  reg.set_gauge("router.rollbacks", static_cast<double>(s.rollbacks), labels);
-  reg.set_gauge("router.promotions", static_cast<double>(s.promotions), labels);
 }
 
 }  // namespace plinius::obs

@@ -222,7 +222,7 @@ class ElasticTrainer {
 
   /// Publishes the fleet report into `reg` under canonical names
   /// (obs/stats_bridge): fleet.live_workers gauge, fleet.redone_iterations
-  /// counter, per-tier recovery counters/histogram, cluster.* peer gauges.
+  /// counter, per-tier recovery counters/histogram, cluster.* peer counters.
   void publish(obs::Registry& reg, const obs::Labels& labels = {}) const;
 
  private:

@@ -56,6 +56,11 @@ OpenedReply open_reply(const crypto::AesGcm& gcm, ByteSpan sealed_reply) {
                       std::to_string(kReplyPlainSize) + " bytes, got " +
                       std::to_string(plain.size()) + ")");
   }
+  if (plain[0] > static_cast<std::uint8_t>(ReplyStatus::kAuthFailed)) {
+    throw CryptoError("serve::open_reply: bad status byte " + std::to_string(plain[0]) +
+                      " (expected 0.." +
+                      std::to_string(static_cast<int>(ReplyStatus::kAuthFailed)) + ")");
+  }
   OpenedReply reply{static_cast<ReplyStatus>(plain[0]), 0};
   for (int i = 0; i < 8; ++i) {
     reply.value |= static_cast<std::uint64_t>(plain[1 + i]) << (8 * i);

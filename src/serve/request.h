@@ -91,7 +91,8 @@ inline constexpr std::size_t kReplySealedSize =
                                ReplyStatus status, std::uint64_t value);
 
 /// Client side: opens a sealed reply. Throws CryptoError on truncation,
-/// tamper, or a malformed payload (message names expected vs got sizes).
+/// tamper, or a malformed payload (message names expected vs got sizes) —
+/// including an authentic reply whose status byte is not a ReplyStatus.
 struct OpenedReply {
   ReplyStatus status;
   std::uint64_t value;

@@ -1,5 +1,5 @@
-// Secure inference server: the one-shot InferenceService turned into a
-// loaded, batched, multi-worker service on the simulated clock.
+// Secure inference server (paper §VI, "Secure inference"): the one inference
+// path, a loaded, batched, multi-worker service on the simulated clock.
 //
 // The server is a discrete-event simulation driven by an arrival schedule
 // (serve/loadgen.h generates open-loop Poisson traffic). Per request:

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "common/clock.h"
@@ -17,6 +20,7 @@
 #include "ml/serialize.h"
 #include "pm/device.h"
 #include "pm/faultpoint.h"
+#include "plinius/metrics_log.h"
 #include "plinius/mirror.h"
 #include "plinius/platform.h"
 #include "plinius/tensor_mirror.h"
@@ -580,6 +584,132 @@ TEST_F(SealedStoreSweepTest, TensorMirrorOutAuthenticatesAtPreOrPostVersion) {
   EXPECT_GT(report.workload_ops.fences, 0u);
   EXPECT_EQ(report.crashes, report.points);
   EXPECT_EQ(report.points, 2 * report.workload_ops.total());
+}
+
+// --- PmRecordLog sweeps (root slots 3, 4 and 5) ------------------------------
+
+// The value-bearing fields of each log's record type (padding excluded).
+auto fields(MetricsEntry& e) { return std::tie(e.iteration, e.loss, e.learning_rate); }
+auto fields(RecoveryRecord& r) {
+  return std::tie(r.tier, r.resume_iteration, r.replica_repairs, r.rungs_failed, r.flags);
+}
+auto fields(ServeWindowRecord& r) {
+  return std::tie(r.window, r.arrived, r.completed, r.shed, r.model_version, r.p50_us,
+                  r.p95_us, r.p99_us);
+}
+
+// One typed harness over the three plain PmRecordLogs. MetricsLog throws when
+// full; RecoveryLog and ServeLog compact to their newest half first.
+template <typename Log>
+class PmRecordLogSweepTest : public CrashSweepTest {
+ protected:
+  using Record = typename decltype(std::declval<const Log&>().all())::value_type;
+  static constexpr bool kCompacts = !std::is_same_v<Log, MetricsLog>;
+
+  // Record `i`: every field differs from every other record's fields.
+  static Record record(std::uint64_t i) {
+    Record r{};
+    std::uint64_t k = 0;
+    std::apply(
+        [&](auto&... f) {
+          ((f = static_cast<std::remove_reference_t<decltype(f)>>(16 * i + ++k)), ...);
+        },
+        fields(r));
+    return r;
+  }
+
+  // Commits the baseline the sweep snapshots: records 0..n-1 in a new log.
+  void fill(std::size_t capacity, std::size_t n) {
+    Romulus rom(dev_, 0, kMain, PwbPolicy::clflushopt_sfence());
+    Log log(rom);
+    log.create(capacity);
+    for (std::size_t i = 0; i < n; ++i) log.append(record(i));
+  }
+
+  // Re-attaches (running recovery) and checks the log holds exactly the
+  // records `before` or exactly `after` (told apart by count), in order and
+  // at its original capacity.
+  void expect_old_or_new(const std::vector<std::uint64_t>& before,
+                         const std::vector<std::uint64_t>& after, std::size_t capacity) {
+    with_recovered([&](Romulus& rom) {
+      Log log(rom);
+      ASSERT_TRUE(log.exists());
+      EXPECT_EQ(log.capacity(), capacity);
+      auto got = log.all();
+      const auto& ids = got.size() == before.size() ? before : after;
+      ASSERT_EQ(got.size(), ids.size()) << "recovered " << got.size() << " records";
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        Record want = record(ids[i]);
+        EXPECT_TRUE(fields(got[i]) == fields(want)) << "record " << i;
+      }
+    });
+  }
+
+  static void expect_exhaustive(const CrashSweepReport& report) {
+    EXPECT_TRUE(report.exhaustive());
+    EXPECT_GT(report.workload_ops.stores, 0u);
+    EXPECT_GT(report.workload_ops.fences, 0u);
+    EXPECT_EQ(report.crashes, report.points);
+    EXPECT_EQ(report.points, 2 * report.workload_ops.total());
+  }
+
+  // Runs `fn` on a freshly attached log.
+  template <typename Fn>
+  void with_log(Fn&& fn) {
+    Romulus rom(dev_, 0, kMain, PwbPolicy::clflushopt_sfence());
+    Log log(rom);
+    fn(log);
+  }
+};
+
+using RecordLogs = ::testing::Types<MetricsLog, RecoveryLog, ServeLog>;
+struct RecordLogName {
+  template <typename Log>
+  static std::string GetName(int) {
+    if constexpr (std::is_same_v<Log, MetricsLog>) return "MetricsLog";
+    if constexpr (std::is_same_v<Log, RecoveryLog>) return "RecoveryLog";
+    return "ServeLog";
+  }
+};
+TYPED_TEST_SUITE(PmRecordLogSweepTest, RecordLogs, RecordLogName);
+
+TYPED_TEST(PmRecordLogSweepTest, AppendKeepsOldOrNewRecords) {
+  this->fill(8, 3);
+  const auto report = pm::sweep_crash_points(
+      this->dev_,
+      [&] { this->with_log([&](TypeParam& log) { log.append(this->record(3)); }); },
+      [&] { this->expect_old_or_new({0, 1, 2}, {0, 1, 2, 3}, 8); });
+  this->expect_exhaustive(report);
+}
+
+TYPED_TEST(PmRecordLogSweepTest, AppendOnFullLogKeepsOldOrCompactedRecords) {
+  this->fill(4, 4);
+  if constexpr (TestFixture::kCompacts) {
+    // Compaction keeps the newest half, then appends, in one transaction.
+    const auto report = pm::sweep_crash_points(
+        this->dev_,
+        [&] { this->with_log([&](TypeParam& log) { log.append(this->record(4)); }); },
+        [&] { this->expect_old_or_new({0, 1, 2, 3}, {2, 3, 4}, 4); });
+    this->expect_exhaustive(report);
+  } else {
+    // A full MetricsLog refuses the append and stays as it was.
+    this->with_log(
+        [&](TypeParam& log) { EXPECT_THROW(log.append(this->record(4)), PmError); });
+    this->expect_old_or_new({0, 1, 2, 3}, {0, 1, 2, 3}, 4);
+  }
+}
+
+using MetricsLogSweepTest = PmRecordLogSweepTest<MetricsLog>;
+
+TEST_F(MetricsLogSweepTest, TruncateAfterKeepsOldOrNewCount) {
+  fill(8, 5);
+  // Records 3 and 4 carry later iterations than record 2, so truncating
+  // after record 2's iteration drops exactly those two.
+  const std::uint64_t last_kept = record(2).iteration;
+  const auto report = pm::sweep_crash_points(
+      dev_, [&] { with_log([&](MetricsLog& log) { log.truncate_after(last_kept); }); },
+      [&] { expect_old_or_new({0, 1, 2, 3, 4}, {0, 1, 2}, 8); });
+  expect_exhaustive(report);
 }
 
 }  // namespace

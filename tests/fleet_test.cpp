@@ -589,7 +589,7 @@ TEST(Fleet, PublishesCanonicalTelemetry) {
             rep.workers[1].kills);
   // The per-round histogram carries one sample per round.
   EXPECT_EQ(reg.histogram("fleet.round_ns").count(), rep.rounds.size());
-  // Canonical cluster gauges ride along for validate_obs --require-gauge.
+  // Canonical cluster counters ride along for validate_obs --require-counter.
   const std::string snap = reg.snapshot_json();
   EXPECT_NE(snap.find("cluster.peer_provisions"), std::string::npos);
   EXPECT_NE(snap.find("fleet.recovery_tier"), std::string::npos);

@@ -1,6 +1,6 @@
 // End-to-end integration: the complete paper workflow in one test binary —
 // attestation-provisioned keys, encrypted data in PM, mirrored training,
-// crashes at device level, resume, secure inference — plus fuzz sweeps over
+// crashes at device level, resume, evaluation — plus fuzz sweeps over
 // the externally-facing parsers and the sealed-envelope format.
 #include <gtest/gtest.h>
 
@@ -9,9 +9,9 @@
 #include "common/error.h"
 #include "crypto/envelope.h"
 #include "ml/config.h"
+#include "ml/metrics.h"
 #include "ml/serialize.h"
 #include "ml/synth_digits.h"
-#include "plinius/inference.h"
 #include "plinius/platform.h"
 #include "plinius/trainer.h"
 #include "sgx/attestation.h"
@@ -64,13 +64,12 @@ TEST(Integration, FullPaperWorkflow) {
   }
   EXPECT_EQ(reached, 60u);
 
-  // Secure inference on the restored model.
+  // In-enclave evaluation of the restored model.
   Trainer final_trainer(cloud, config, TrainerOptions{});
   final_trainer.load_dataset(digits.train);
   EXPECT_EQ(final_trainer.resume_or_init(), 60u);
-  const crypto::AesGcm gcm{final_trainer.data_key()};
-  InferenceService service(cloud, final_trainer.network(), gcm);
-  const double acc = service.evaluate(digits.test);
+  const double acc =
+      ml::evaluate_confusion(final_trainer.network(), digits.test).accuracy();
   EXPECT_GT(acc, 0.5);
 
   // The persistent metrics log tells the whole story.

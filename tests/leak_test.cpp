@@ -25,8 +25,8 @@
 #include "ml/oblivious.h"
 #include "ml/softmax_layer.h"
 #include "obs/leakage.h"
-#include "plinius/inference.h"
 #include "plinius/platform.h"
+#include "serve/server.h"
 
 namespace plinius {
 namespace {
@@ -494,23 +494,32 @@ TEST(LeakObservatory, ServePathEmitsMarksAndEnclavePageEvents) {
   ml::Network net = make_leak_net(91);
   const Bytes key(16, 0);
   crypto::AesGcm gcm(key);
-  InferenceService service(platform, net, gcm);
+  serve::InferenceServer server(platform, net, gcm, serve::ServerOptions{});
   const auto input = make_secret_inputs(1, net.input_shape().size(), 9)[0];
+  crypto::IvSequence client_iv(3);
+  serve::Request req;
+  req.arrival_ns = platform.clock().now();
+  req.sealed_query = crypto::seal(gcm, client_iv, float_bytes(input));
 
-  const LeakTrace t = obs::record_leak_trace([&] {
-    (void)service.classify(std::span<const float>(input.data(), input.size()));
-  });
-  bool saw_request = false, saw_enclave_pages = false;
+  std::vector<serve::Completion> done;
+  const LeakTrace t = obs::record_leak_trace(
+      [&] { done = server.run(std::span<const serve::Request>(&req, 1)); });
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_TRUE(done[0].served());
+  // The server prices the model touch with touch_task_ns (no sgx.touch
+  // event); the page events come from the model's own layers.
+  bool saw_batch = false, saw_model_pages = false;
   for (const LeakEvent& ev : t) {
-    if (ev.kind == LeakKind::kMark && std::strcmp(ev.site, "serve.request") == 0) {
-      saw_request = true;
+    if (ev.kind == LeakKind::kMark && std::strcmp(ev.site, "serve.batch") == 0) {
+      saw_batch = true;
     }
-    if (ev.kind == LeakKind::kPage && std::strcmp(ev.site, "sgx.touch") == 0) {
-      saw_enclave_pages = true;
+    if (ev.kind == LeakKind::kPage && (std::strcmp(ev.site, "conv.weights") == 0 ||
+                                       std::strcmp(ev.site, "fc.weights") == 0)) {
+      saw_model_pages = true;
     }
   }
-  EXPECT_TRUE(saw_request);
-  EXPECT_TRUE(saw_enclave_pages);
+  EXPECT_TRUE(saw_batch);
+  EXPECT_TRUE(saw_model_pages);
 }
 
 }  // namespace

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
+#include <memory>
+#include <set>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -133,7 +138,42 @@ TEST(Reply, RoundTripAndTamper) {
   Bytes tampered = sealed;
   tampered[tampered.size() / 2] ^= 0x10;
   EXPECT_THROW((void)open_reply(gcm, tampered), CryptoError);
+  Bytes mac_corrupt = sealed;
+  mac_corrupt.back() ^= 0x01;  // last MAC byte
+  EXPECT_THROW((void)open_reply(gcm, mac_corrupt), CryptoError);
   EXPECT_THROW((void)open_reply(gcm, ByteSpan(sealed.data(), 5)), CryptoError);
+  EXPECT_THROW((void)open_reply(gcm, ByteSpan(sealed.data(), sealed.size() - 1)),
+               CryptoError);
+
+  // An authentic envelope of the wrong payload size names expected vs got.
+  const std::uint8_t short_plain[3] = {0, 1, 2};
+  const Bytes short_reply = crypto::seal(gcm, ivs, ByteSpan(short_plain, 3));
+  try {
+    (void)open_reply(gcm, short_reply);
+    FAIL() << "wrong-size reply must throw";
+  } catch (const CryptoError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("expected " + std::to_string(kReplySealedSize)), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("got " + std::to_string(short_reply.size())), std::string::npos)
+        << msg;
+  }
+
+  // Every client holds the data key, so an authentic reply can still carry a
+  // status byte outside ReplyStatus: it must fail closed, naming the byte.
+  std::uint8_t rogue_plain[kReplyPlainSize] = {0x7F};
+  const Bytes rogue_status = crypto::seal(gcm, ivs, ByteSpan(rogue_plain, kReplyPlainSize));
+  ASSERT_EQ(rogue_status.size(), kReplySealedSize);
+  try {
+    (void)open_reply(gcm, rogue_status);
+    FAIL() << "out-of-range status must throw";
+  } catch (const CryptoError& e) {
+    EXPECT_NE(std::string(e.what()).find("127"), std::string::npos) << e.what();
+  }
+  rogue_plain[0] = static_cast<std::uint8_t>(ReplyStatus::kAuthFailed);
+  EXPECT_EQ(open_reply(gcm, crypto::seal(gcm, ivs, ByteSpan(rogue_plain, kReplyPlainSize)))
+                .status,
+            ReplyStatus::kAuthFailed);
 }
 
 // --- full server -----------------------------------------------------------------
@@ -197,7 +237,16 @@ TEST_F(ServeTest, EveryRequestRepliedAndStagesAccountExactly) {
     EXPECT_TRUE(by_id.emplace(c.id, &c).second) << "duplicate reply id " << c.id;
     const OpenedReply opened = open_reply(*gcm_, c.sealed_reply);
     EXPECT_EQ(opened.status, c.status);
-    if (c.served()) EXPECT_EQ(opened.value, c.prediction);
+    if (c.served()) {
+      // The reply carries the model's prediction on the client's plaintext.
+      EXPECT_EQ(opened.value, c.prediction);
+      const Bytes plain = crypto::open(*gcm_, reqs[c.id].sealed_query);
+      std::vector<float> x(plain.size() / sizeof(float));
+      std::memcpy(x.data(), plain.data(), plain.size());
+      std::size_t expected = 0;
+      trainer_->network().predict(x.data(), 1, &expected);
+      EXPECT_EQ(c.prediction, expected) << "request " << c.id;
+    }
 
     // The per-stage accounting invariant.
     EXPECT_NEAR(c.stages.total(), c.done_ns - c.arrival_ns,
@@ -408,6 +457,16 @@ TEST_F(ServeTest, AuthFailedQueriesGetSealedErrorReplies) {
   auto reqs = workload(10000.0, 16);
   reqs[5].sealed_query[reqs[5].sealed_query.size() / 2] ^= 0xFF;  // tamper
   reqs[9].sealed_query.resize(10);                                // truncate
+  // A client sealing under a rogue key, and an authentic envelope one float
+  // short of the model input.
+  crypto::IvSequence iv(77);
+  const crypto::AesGcm rogue(Bytes(16, 0x66));
+  const float* row = digits_.test.x.row(0);
+  reqs[11].sealed_query =
+      crypto::seal(rogue, iv, float_bytes(std::span<const float>(row, ml::kDigitPixels)));
+  reqs[13].sealed_query =
+      crypto::seal(*gcm_, iv, float_bytes(std::span<const float>(row, ml::kDigitPixels - 1)));
+  const std::set<std::uint64_t> rejected = {5, 9, 11, 13};
 
   InferenceServer server(platform_, trainer_->network(), *gcm_,
                          ServerOptions{.workers = 1,
@@ -417,7 +476,7 @@ TEST_F(ServeTest, AuthFailedQueriesGetSealedErrorReplies) {
   ASSERT_EQ(done.size(), reqs.size());
   std::size_t auth_failed = 0;
   for (const auto& c : done) {
-    if (c.id == 5 || c.id == 9) {
+    if (rejected.count(c.id)) {
       EXPECT_EQ(c.status, ReplyStatus::kAuthFailed);
       EXPECT_EQ(open_reply(*gcm_, c.sealed_reply).status, ReplyStatus::kAuthFailed);
       ++auth_failed;
@@ -425,8 +484,8 @@ TEST_F(ServeTest, AuthFailedQueriesGetSealedErrorReplies) {
       EXPECT_EQ(c.status, ReplyStatus::kOk);
     }
   }
-  EXPECT_EQ(auth_failed, 2u);
-  EXPECT_EQ(server.stats().auth_failed, 2u);
+  EXPECT_EQ(auth_failed, rejected.size());
+  EXPECT_EQ(server.stats().auth_failed, rejected.size());
 }
 
 TEST_F(ServeTest, ServeLogPersistsWindowRecords) {
@@ -474,6 +533,164 @@ TEST_F(ServeTest, SloReportAddsUpAndScoresAccuracy) {
   EXPECT_LE(rep.p99_ns, rep.max_ns);
   EXPECT_GT(rep.accuracy, 0.3);  // briefly-trained model still beats chance
   EXPECT_FALSE(to_string(rep).empty());
+}
+
+// --- one-shot sealed queries ------------------------------------------------------
+
+// A client sealing single queries against a trained model and opening each
+// sealed reply: the secure-inference round trip of the paper, served by the
+// default-configured InferenceServer one request per run.
+class InferenceTest : public ::testing::Test {
+ protected:
+  InferenceTest() : platform_(MachineProfile::emlsgx_pm(), 64 * 1024 * 1024) {
+    ml::SynthDigitsOptions opt;
+    opt.train_count = 2048;
+    opt.test_count = 512;
+    digits_ = ml::make_synth_digits(opt);
+  }
+
+  void train(const ml::ModelConfig& cfg, std::size_t iterations) {
+    trainer_ = std::make_unique<Trainer>(platform_, cfg, TrainerOptions{});
+    trainer_->load_dataset(digits_.train);
+    (void)trainer_->train(iterations);
+    gcm_ = std::make_unique<crypto::AesGcm>(trainer_->data_key());
+    server_ = std::make_unique<InferenceServer>(platform_, trainer_->network(), *gcm_,
+                                                ServerOptions{});
+  }
+
+  Bytes seal_query(const crypto::AesGcm& gcm, crypto::IvSequence& iv, std::size_t row,
+                   std::size_t floats = ml::kDigitPixels) const {
+    return crypto::seal(gcm, iv,
+                        float_bytes(std::span<const float>(digits_.test.x.row(row), floats)));
+  }
+
+  Completion serve_one(Bytes sealed_query) {
+    Request req;
+    req.arrival_ns = platform_.clock().now();
+    req.sealed_query = std::move(sealed_query);
+    const auto done = server_->run(std::span<const Request>(&req, 1));
+    EXPECT_EQ(done.size(), 1u);
+    return done.empty() ? Completion{} : done.front();
+  }
+
+  Platform platform_;
+  ml::SynthDigits digits_;
+  std::unique_ptr<Trainer> trainer_;
+  std::unique_ptr<crypto::AesGcm> gcm_;
+  std::unique_ptr<InferenceServer> server_;
+};
+
+TEST_F(InferenceTest, SealedQueryRoundTrip) {
+  train(ml::make_cnn_config(3, 8, 64), 80);
+
+  crypto::IvSequence client_iv(77);
+  int correct = 0;
+  const int n = 64;
+  for (int i = 0; i < n; ++i) {
+    const Completion c = serve_one(seal_query(*gcm_, client_iv, i));
+    ASSERT_TRUE(c.served()) << "query " << i;
+    const OpenedReply reply = open_reply(*gcm_, c.sealed_reply);
+    EXPECT_EQ(reply.status, ReplyStatus::kOk);
+    EXPECT_EQ(reply.value, c.prediction);
+
+    const float* truth = digits_.test.y.row(i);
+    std::size_t label = 0;
+    for (std::size_t k = 1; k < ml::kDigitClasses; ++k) {
+      if (truth[k] > truth[label]) label = k;
+    }
+    correct += reply.value == label;
+  }
+  EXPECT_GT(correct, n * 3 / 4);  // trained model classifies well
+  EXPECT_EQ(server_->stats().completed, static_cast<std::uint64_t>(n));
+  EXPECT_GT(server_->stats().busy_ns, 0.0);
+}
+
+TEST_F(InferenceTest, TamperedQueryRejected) {
+  train(ml::make_cnn_config(2, 4, 32), 2);
+
+  crypto::IvSequence iv(1);
+  Bytes query = seal_query(*gcm_, iv, 0);
+  query[40] ^= 0xFF;
+  const Completion tampered = serve_one(query);
+  EXPECT_EQ(tampered.status, ReplyStatus::kAuthFailed);
+  EXPECT_EQ(open_reply(*gcm_, tampered.sealed_reply).status, ReplyStatus::kAuthFailed);
+  const Completion truncated = serve_one(Bytes(query.begin(), query.begin() + 10));
+  EXPECT_EQ(truncated.status, ReplyStatus::kAuthFailed);
+  EXPECT_EQ(server_->stats().auth_failed, 2u);
+  EXPECT_EQ(server_->stats().completed, 0u);
+}
+
+TEST_F(InferenceTest, WrongKeyClientRejected) {
+  train(ml::make_cnn_config(2, 4, 32), 2);
+
+  const crypto::AesGcm rogue(Bytes(16, 0x66));
+  crypto::IvSequence iv(1);
+  const Completion c = serve_one(seal_query(rogue, iv, 0));
+  EXPECT_EQ(c.status, ReplyStatus::kAuthFailed);
+  // The rejection is sealed under the provisioned key; the rogue client
+  // cannot even open it.
+  EXPECT_EQ(open_reply(*gcm_, c.sealed_reply).status, ReplyStatus::kAuthFailed);
+  EXPECT_THROW((void)open_reply(rogue, c.sealed_reply), CryptoError);
+}
+
+TEST_F(InferenceTest, WrongSizeQueryNamesExpectedVsGot) {
+  train(ml::make_cnn_config(2, 4, 32), 2);
+
+  // An authentic query one float short of the model input is rejected with a
+  // sealed reply of the usual size, so the channel cannot tell it apart.
+  crypto::IvSequence iv(3);
+  const Bytes query = seal_query(*gcm_, iv, 0, ml::kDigitPixels - 1);
+  const Completion c = serve_one(query);
+  EXPECT_EQ(c.status, ReplyStatus::kAuthFailed);
+  EXPECT_EQ(c.sealed_reply.size(), kReplySealedSize);
+
+  // The server answers every request instead of throwing, so the size check
+  // that names expected vs got is the client decoder's: an authentic
+  // envelope of the wrong size never opens as a reply.
+  try {
+    (void)open_reply(*gcm_, query);
+    FAIL() << "wrong-size envelope must throw";
+  } catch (const CryptoError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("expected " + std::to_string(kReplySealedSize)), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("got " + std::to_string(query.size())), std::string::npos) << msg;
+  }
+}
+
+TEST_F(InferenceTest, OpenPredictionRejectsTruncationTamperAndBadPayload) {
+  train(ml::make_cnn_config(2, 4, 32), 2);
+
+  crypto::IvSequence iv(5);
+  const Bytes reply = serve_one(seal_query(*gcm_, iv, 0)).sealed_reply;
+
+  // Truncated below the envelope overhead, truncated mid-ciphertext, and
+  // MAC-corrupted replies must all fail as CryptoError.
+  EXPECT_THROW((void)open_reply(*gcm_, ByteSpan(reply.data(), 4)), CryptoError);
+  EXPECT_THROW((void)open_reply(*gcm_, ByteSpan(reply.data(), reply.size() - 1)),
+               CryptoError);
+  Bytes mac_corrupt = reply;
+  mac_corrupt.back() ^= 0x01;  // last MAC byte
+  EXPECT_THROW((void)open_reply(*gcm_, mac_corrupt), CryptoError);
+
+  // An authentic envelope of the wrong payload size names expected vs got.
+  crypto::IvSequence iv2(6);
+  const Bytes bad_payload = crypto::seal(*gcm_, iv2, ByteSpan(reply.data(), 3));
+  try {
+    (void)open_reply(*gcm_, bad_payload);
+    FAIL() << "bad payload size must throw";
+  } catch (const CryptoError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("expected " + std::to_string(kReplySealedSize)), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("got " + std::to_string(bad_payload.size())), std::string::npos)
+        << msg;
+  }
+
+  // The untampered reply still opens fine afterwards.
+  const OpenedReply opened = open_reply(*gcm_, reply);
+  EXPECT_EQ(opened.status, ReplyStatus::kOk);
+  EXPECT_LT(opened.value, ml::kDigitClasses);
 }
 
 }  // namespace

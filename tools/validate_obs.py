@@ -135,15 +135,16 @@ def validate_metrics(path, errors):
         errors.append(f"{path}: snapshot has no series at all")
     print(f"{path}: {n} metric series")
 
-    # Feed the cross-file presence checks (--require-gauge / --require-label).
-    gauge_names = {s.get("name") for s in doc.get("gauges", [])
-                   if isinstance(s, dict) and isinstance(s.get("name"), str)}
+    # Feed the cross-file presence checks (--require-gauge/-counter/-label).
+    def names(kind):
+        return {s.get("name") for s in doc.get(kind, [])
+                if isinstance(s, dict) and isinstance(s.get("name"), str)}
     labels = set()
     for kind in ("counters", "gauges", "histograms"):
         for s in doc.get(kind, []):
             if isinstance(s, dict) and isinstance(s.get("labels"), dict):
                 labels.update(f"{k}={v}" for k, v in s["labels"].items())
-    return gauge_names, labels
+    return names("gauges"), names("counters"), labels
 
 
 LEAK_KERNELS = {"baseline", "oblivious"}
@@ -223,6 +224,9 @@ def main():
     ap.add_argument("--require-gauge", action="append", default=[],
                     help="fail unless some --metrics file has a gauge whose "
                          "name starts with this prefix (repeatable)")
+    ap.add_argument("--require-counter", action="append", default=[],
+                    help="fail unless some --metrics file has a counter whose "
+                         "name starts with this prefix (repeatable)")
     ap.add_argument("--require-label", action="append", default=[],
                     help="fail unless some --metrics file has a series with "
                          "this key=value label (repeatable)")
@@ -236,13 +240,14 @@ def main():
             validate_trace(path, errors)
         except (OSError, json.JSONDecodeError) as e:
             errors.append(f"{path}: {e}")
-    seen_gauges, seen_labels = set(), set()
+    seen_gauges, seen_counters, seen_labels = set(), set(), set()
     for path in args.metrics:
         try:
             result = validate_metrics(path, errors)
             if result is not None:
                 seen_gauges |= result[0]
-                seen_labels |= result[1]
+                seen_counters |= result[1]
+                seen_labels |= result[2]
         except (OSError, json.JSONDecodeError) as e:
             errors.append(f"{path}: {e}")
     for path in args.leak_report:
@@ -255,10 +260,12 @@ def main():
     # values (e.g. model=int8) so a bench silently dropping a series fails
     # loudly instead of shipping an empty artifact. Satisfied by any one of
     # the --metrics files.
-    for prefix in args.require_gauge:
-        if not any(name.startswith(prefix) for name in seen_gauges):
-            errors.append(
-                f"no '{prefix}*' gauge in any --metrics file (--require-gauge)")
+    for kind, prefixes, seen in (("gauge", args.require_gauge, seen_gauges),
+                                 ("counter", args.require_counter, seen_counters)):
+        for prefix in prefixes:
+            if not any(name.startswith(prefix) for name in seen):
+                errors.append(f"no '{prefix}*' {kind} in any --metrics file "
+                              f"(--require-{kind})")
     for pair in args.require_label:
         if pair not in seen_labels:
             errors.append(
