@@ -169,6 +169,7 @@ Aes::Aes(ByteSpan key) {
   }
 
   use_aesni_ = detail::aesni_supported();
+  use_vaes512_ = detail::vaes512_supported();
 }
 
 Aes::~Aes() { secure_zero(enc_round_keys_.data(), enc_round_keys_.size()); }
@@ -214,6 +215,11 @@ void Aes::decrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
 void Aes::ctr_xcrypt(const std::uint8_t counter[16], ByteSpan in,
                      MutableByteSpan out) const {
   if (out.size() < in.size()) throw CryptoError("ctr_xcrypt: output too small");
+  if (use_vaes512_) {
+    detail::vaes512_ctr_xcrypt(enc_round_keys_.data(), rounds_, counter, in.data(),
+                               out.data(), in.size());
+    return;
+  }
   if (use_aesni_) {
     detail::aesni_ctr_xcrypt(enc_round_keys_.data(), rounds_, counter, in.data(),
                              out.data(), in.size());

@@ -9,9 +9,7 @@
 
 #if defined(__AES__) && defined(__PCLMUL__)
 #define PLINIUS_AESNI_COMPILED 1
-#include <wmmintrin.h>
-#include <emmintrin.h>
-#include <smmintrin.h>
+#include "crypto/ghash_x86.h"
 #else
 #define PLINIUS_AESNI_COMPILED 0
 #endif
@@ -40,20 +38,6 @@ bool clmul_supported() noexcept {
 
 namespace {
 
-inline __m128i loadu(const std::uint8_t* p) {
-  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-}
-
-inline void storeu(std::uint8_t* p, __m128i v) {
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
-}
-
-// Reverses the 16 bytes. GCM counters are big-endian and GHASH field
-// elements bit-reflected; reversed, both become plain lane arithmetic.
-inline __m128i bswap(__m128i v) {
-  return _mm_shuffle_epi8(v, _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15));
-}
-
 inline void load_round_keys(const std::uint8_t* rk, int rounds, __m128i rks[15]) {
   for (int r = 0; r <= rounds; ++r) rks[r] = loadu(rk + 16 * r);
 }
@@ -75,51 +59,6 @@ inline void keystream(const __m128i* rks, int rounds, __m128i ctr, __m128i ks[8]
     for (int i = 0; i < n; ++i) ks[i] = _mm_aesenc_si128(ks[i], rks[r]);
   }
   for (int i = 0; i < n; ++i) ks[i] = _mm_aesenclast_si128(ks[i], rks[rounds]);
-}
-
-// Unreduced carry-less product lo + mid*x^64 + hi*x^128 of byte-reversed
-// field elements.
-struct Product {
-  __m128i lo = _mm_setzero_si128();
-  __m128i mid = _mm_setzero_si128();
-  __m128i hi = _mm_setzero_si128();
-};
-
-// acc += a*b, schoolbook with 4 clmuls and no reduction.
-inline void clmul_acc(Product& acc, __m128i a, __m128i b) {
-  acc.lo = _mm_xor_si128(acc.lo, _mm_clmulepi64_si128(a, b, 0x00));
-  acc.hi = _mm_xor_si128(acc.hi, _mm_clmulepi64_si128(a, b, 0x11));
-  acc.mid = _mm_xor_si128(acc.mid, _mm_xor_si128(_mm_clmulepi64_si128(a, b, 0x10),
-                                                 _mm_clmulepi64_si128(a, b, 0x01)));
-}
-
-// Bit-reflect shift and reduction modulo x^128 + x^7 + x^2 + x + 1. Both are
-// linear over XOR, so reducing a sum of products once equals summing the
-// individually reduced products.
-inline __m128i reduce(const Product& p) {
-  const __m128i t0 = _mm_xor_si128(p.lo, _mm_slli_si128(p.mid, 8));
-  const __m128i t3 = _mm_xor_si128(p.hi, _mm_srli_si128(p.mid, 8));
-
-  // Bit-reflect adjustment: shift the 256-bit product left by one.
-  __m128i lo_carry = _mm_srli_epi64(t0, 63);
-  __m128i hi_carry = _mm_srli_epi64(t3, 63);
-  __m128i lo = _mm_or_si128(_mm_slli_epi64(t0, 1), _mm_slli_si128(lo_carry, 8));
-  __m128i cross = _mm_srli_si128(lo_carry, 8);
-  __m128i hi = _mm_or_si128(_mm_slli_epi64(t3, 1), _mm_slli_si128(hi_carry, 8));
-  hi = _mm_or_si128(hi, cross);
-
-  // Reduction modulo x^128 + x^7 + x^2 + x + 1.
-  __m128i v = lo;
-  __m128i r = _mm_xor_si128(_mm_xor_si128(_mm_slli_epi64(v, 63), _mm_slli_epi64(v, 62)),
-                            _mm_slli_epi64(v, 57));
-  v = _mm_xor_si128(v, _mm_slli_si128(r, 8));
-  __m128i w = _mm_xor_si128(
-      _mm_xor_si128(_mm_srli_epi64(v, 1), _mm_srli_epi64(v, 2)), _mm_srli_epi64(v, 7));
-  // Bits shifted across the 64-bit lane boundary.
-  __m128i carry = _mm_xor_si128(
-      _mm_xor_si128(_mm_slli_epi64(v, 63), _mm_slli_epi64(v, 62)), _mm_slli_epi64(v, 57));
-  w = _mm_xor_si128(w, _mm_srli_si128(carry, 8));
-  return _mm_xor_si128(hi, _mm_xor_si128(v, w));
 }
 
 inline void load_powers(const std::uint8_t* h_powers, __m128i hp[8]) {

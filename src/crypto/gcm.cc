@@ -44,17 +44,32 @@ bool clmul_verified() {
   return ok;
 }
 
-/// Fills H^1..H^8 for the aggregated PCLMUL kernel; bit-serial needs only H.
-void derive_h_powers(const std::uint8_t h[16], bool clmul, std::uint8_t powers[16 * 8]) {
+GcmKernel pick_kernel() {
+  static const GcmKernel kernel = [] {
+    if (!clmul_verified()) return GcmKernel::kPortable;
+    return detail::vaes512_supported() ? GcmKernel::kVaes512 : GcmKernel::kClmul8;
+  }();
+  return kernel;
+}
+
+/// Fills H^1..H^16 for the aggregated kernels; bit-serial needs only H.
+void derive_h_powers(const std::uint8_t h[16], GcmKernel kernel,
+                     std::uint8_t powers[16 * 16]) {
   std::memcpy(powers, h, 16);
-  if (!clmul) return;
-  for (int k = 1; k < 8; ++k) detail::clmul_gf128_mul(powers + 16 * (k - 1), h, powers + 16 * k);
+  if (kernel == GcmKernel::kPortable) return;
+  for (int k = 1; k < 16; ++k) {
+    detail::clmul_gf128_mul(powers + 16 * (k - 1), h, powers + 16 * k);
+  }
 }
 
 /// Absorbs `nblocks` whole blocks into the GHASH state `y`.
-void ghash_blocks(const std::uint8_t* h_powers, bool clmul, std::uint8_t y[16],
+void ghash_blocks(const std::uint8_t* h_powers, GcmKernel kernel, std::uint8_t y[16],
                   const std::uint8_t* in, std::size_t nblocks) {
-  if (clmul) {
+  if (kernel == GcmKernel::kVaes512) {
+    detail::vaes512_ghash(h_powers, y, in, nblocks);
+    return;
+  }
+  if (kernel == GcmKernel::kClmul8) {
     detail::clmul_ghash(h_powers, y, in, nblocks);
     return;
   }
@@ -67,24 +82,24 @@ void ghash_blocks(const std::uint8_t* h_powers, bool clmul, std::uint8_t y[16],
 }
 
 /// Absorbs `data` zero-padded to a whole number of blocks.
-void ghash_padded(const std::uint8_t* h_powers, bool clmul, std::uint8_t y[16],
+void ghash_padded(const std::uint8_t* h_powers, GcmKernel kernel, std::uint8_t y[16],
                   ByteSpan data) {
   const std::size_t whole = data.size() / 16;
-  ghash_blocks(h_powers, clmul, y, data.data(), whole);
+  ghash_blocks(h_powers, kernel, y, data.data(), whole);
   if (const std::size_t rest = data.size() % 16; rest > 0) {
     std::uint8_t last[16] = {};
     std::memcpy(last, data.data() + 16 * whole, rest);
-    ghash_blocks(h_powers, clmul, y, last, 1);
+    ghash_blocks(h_powers, kernel, y, last, 1);
   }
 }
 
 /// Absorbs the final [len(A)]64 || [len(C)]64 block (lengths in bits).
-void ghash_lengths(const std::uint8_t* h_powers, bool clmul, std::uint8_t y[16],
+void ghash_lengths(const std::uint8_t* h_powers, GcmKernel kernel, std::uint8_t y[16],
                    std::uint64_t aad_bytes, std::uint64_t ct_bytes) {
   std::uint8_t block[16];
   put_be64(block, aad_bytes * 8);
   put_be64(block + 8, ct_bytes * 8);
-  ghash_blocks(h_powers, clmul, y, block, 1);
+  ghash_blocks(h_powers, kernel, y, block, 1);
 }
 
 void check_length(std::size_t n, const char* what) {
@@ -123,8 +138,8 @@ void gf128_mul(const std::uint8_t x[16], const std::uint8_t h[16], std::uint8_t 
   for (int i = 0; i < 8; ++i) out[8 + i] = static_cast<std::uint8_t>(z_lo >> (56 - 8 * i));
 }
 
-Ghash::Ghash(const std::uint8_t h[16]) : use_clmul_(clmul_verified()) {
-  derive_h_powers(h, use_clmul_, h_.data());
+Ghash::Ghash(const std::uint8_t h[16]) : kernel_(pick_kernel()) {
+  derive_h_powers(h, kernel_, h_.data());
 }
 
 Ghash::~Ghash() { secure_zero(h_.data(), h_.size()); }
@@ -138,12 +153,12 @@ void Ghash::update(ByteSpan data) {
     partial_len_ += take;
     off += take;
     if (partial_len_ == 16) {
-      ghash_blocks(h_.data(), use_clmul_, y_.data(), partial_.data(), 1);
+      ghash_blocks(h_.data(), kernel_, y_.data(), partial_.data(), 1);
       partial_len_ = 0;
     }
   }
   const std::size_t whole = (data.size() - off) / 16;
-  ghash_blocks(h_.data(), use_clmul_, y_.data(), data.data() + off, whole);
+  ghash_blocks(h_.data(), kernel_, y_.data(), data.data() + off, whole);
   off += 16 * whole;
   if (off < data.size()) {
     std::memcpy(partial_.data(), data.data() + off, data.size() - off);
@@ -155,23 +170,23 @@ void Ghash::update_padded(ByteSpan data) {
   update(data);
   if (partial_len_ > 0) {
     std::memset(partial_.data() + partial_len_, 0, 16 - partial_len_);
-    ghash_blocks(h_.data(), use_clmul_, y_.data(), partial_.data(), 1);
+    ghash_blocks(h_.data(), kernel_, y_.data(), partial_.data(), 1);
     partial_len_ = 0;
   }
 }
 
 void Ghash::finish_lengths(std::uint64_t aad_bytes, std::uint64_t ct_bytes) {
   expects(partial_len_ == 0, "Ghash::finish_lengths: unpadded partial block");
-  ghash_lengths(h_.data(), use_clmul_, y_.data(), aad_bytes, ct_bytes);
+  ghash_lengths(h_.data(), kernel_, y_.data(), aad_bytes, ct_bytes);
 }
 
 void Ghash::digest(std::uint8_t out[16]) const { std::memcpy(out, y_.data(), 16); }
 
-AesGcm::AesGcm(ByteSpan key) : aes_(key), use_clmul_(clmul_verified()) {
+AesGcm::AesGcm(ByteSpan key) : aes_(key), kernel_(pick_kernel()) {
   const std::uint8_t zero[16] = {};
   std::uint8_t h[16];
   aes_.encrypt_block(zero, h);
-  derive_h_powers(h, use_clmul_, h_powers_.data());
+  derive_h_powers(h, kernel_, h_powers_.data());
   secure_zero(h, sizeof(h));
 }
 
@@ -186,16 +201,16 @@ void AesGcm::derive_j0(ByteSpan iv, std::uint8_t j0[16]) const {
   }
   // General-length IV: J0 = GHASH(IV || pad || [0]64 || [len(IV) bits]64).
   std::memset(j0, 0, 16);
-  ghash_padded(h_powers_.data(), use_clmul_, j0, iv);
+  ghash_padded(h_powers_.data(), kernel_, j0, iv);
   std::uint8_t block[16] = {};
   put_be64(block + 8, static_cast<std::uint64_t>(iv.size()) * 8);
-  ghash_blocks(h_powers_.data(), use_clmul_, j0, block, 1);
+  ghash_blocks(h_powers_.data(), kernel_, j0, block, 1);
 }
 
 void AesGcm::finish_tag(const std::uint8_t j0[16], std::uint8_t y[16],
                         std::uint64_t aad_bytes, std::uint64_t ct_bytes,
                         std::uint8_t tag[kGcmTagSize]) const {
-  ghash_lengths(h_powers_.data(), use_clmul_, y, aad_bytes, ct_bytes);
+  ghash_lengths(h_powers_.data(), kernel_, y, aad_bytes, ct_bytes);
   std::uint8_t ekj0[16];
   aes_.encrypt_block(j0, ekj0);
   for (int i = 0; i < 16; ++i) tag[i] = y[i] ^ ekj0[i];
@@ -213,13 +228,16 @@ void AesGcm::encrypt(ByteSpan iv, ByteSpan aad, ByteSpan plain, MutableByteSpan 
   big_endian_inc32(ctr);
 
   std::uint8_t y[16] = {};
-  ghash_padded(h_powers_.data(), use_clmul_, y, aad);
-  if (use_clmul_ && aes_.use_aesni_) {
-    detail::aesni_ctr_xcrypt(aes_.enc_round_keys_.data(), aes_.rounds_, ctr, plain.data(),
+  ghash_padded(h_powers_.data(), kernel_, y, aad);
+  if (kernel_ == GcmKernel::kVaes512) {
+    detail::vaes512_ctr_xcrypt(aes_.round_keys(), aes_.rounds(), ctr, plain.data(),
+                               cipher.data(), plain.size(), h_powers_.data(), y);
+  } else if (kernel_ == GcmKernel::kClmul8 && detail::aesni_supported()) {
+    detail::aesni_ctr_xcrypt(aes_.round_keys(), aes_.rounds(), ctr, plain.data(),
                              cipher.data(), plain.size(), h_powers_.data(), y);
   } else {
     aes_.ctr_xcrypt(ctr, plain, cipher);
-    ghash_padded(h_powers_.data(), use_clmul_, y, ByteSpan(cipher.data(), plain.size()));
+    ghash_padded(h_powers_.data(), kernel_, y, ByteSpan(cipher.data(), plain.size()));
   }
   finish_tag(j0, y, aad.size(), plain.size(), tag);
 }
@@ -233,8 +251,8 @@ bool AesGcm::decrypt(ByteSpan iv, ByteSpan aad, ByteSpan cipher, MutableByteSpan
   derive_j0(iv, j0);
 
   std::uint8_t y[16] = {};
-  ghash_padded(h_powers_.data(), use_clmul_, y, aad);
-  ghash_padded(h_powers_.data(), use_clmul_, y, cipher);
+  ghash_padded(h_powers_.data(), kernel_, y, aad);
+  ghash_padded(h_powers_.data(), kernel_, y, cipher);
   std::uint8_t expected[16];
   finish_tag(j0, y, aad.size(), cipher.size(), expected);
 

@@ -10,7 +10,9 @@
 //
 // With AES-NI and a verified PCLMULQDQ, encrypt runs one stitched kernel:
 // eight CTR blocks in flight, then GHASH over that ciphertext with H^1..H^8
-// precomputed per key and one field reduction per 128 bytes. decrypt
+// precomputed per key and one field reduction per 128 bytes. On CPUs with
+// VAES and VPCLMULQDQ (AVX-512) the same kernel runs sixteen blocks per
+// iteration with H^1..H^16 and one reduction per 256 bytes. decrypt
 // authenticates the whole ciphertext first and runs CTR only on a tag match.
 // Without either extension a portable bit-serial path gives identical bytes.
 #pragma once
@@ -32,9 +34,19 @@ inline constexpr std::size_t kSealOverhead = kGcmIvSize + kGcmTagSize;
 /// bits). Past it the 32-bit block counter would wrap into J0.
 inline constexpr std::uint64_t kGcmMaxPlaintext = (std::uint64_t{1} << 36) - 32;
 
-/// GHASH accumulator over GF(2^128). Uses PCLMULQDQ when available (verified
-/// against the portable implementation at startup), absorbing whole-block
-/// runs eight blocks per reduction; bit-serial otherwise.
+/// The GHASH kernel (for AesGcm, also the stitched CTR kernel) a process
+/// runs, picked once from the CPU's features. kVaes512 needs VAES,
+/// VPCLMULQDQ, AVX-512F/BW, AES-NI and PCLMULQDQ; kClmul8 needs PCLMULQDQ.
+/// Both are used only after PCLMULQDQ matched the portable multiply at
+/// startup. All three produce identical bytes.
+enum class GcmKernel {
+  kPortable,  // bit-serial GHASH, byte-oriented AES
+  kClmul8,    // eight blocks per GHASH reduction (aesni.cc)
+  kVaes512,   // sixteen blocks per GHASH reduction (gcm_kernel_vaes512.cc)
+};
+
+/// GHASH accumulator over GF(2^128), absorbing whole-block runs with the
+/// process's GcmKernel.
 class Ghash {
  public:
   explicit Ghash(const std::uint8_t h[16]);
@@ -55,11 +67,11 @@ class Ghash {
   void digest(std::uint8_t out[16]) const;
 
  private:
-  std::array<std::uint8_t, 16 * 8> h_{};  // H^1..H^8 (H^1 only when bit-serial)
+  std::array<std::uint8_t, 16 * 16> h_{};  // H^1..H^16 (H^1 only when bit-serial)
   std::array<std::uint8_t, 16> y_{};
   std::array<std::uint8_t, 16> partial_{};
   std::size_t partial_len_ = 0;
-  bool use_clmul_ = false;
+  GcmKernel kernel_ = GcmKernel::kPortable;
 };
 
 /// Portable carry-less multiply in the GHASH field; exposed for tests.
@@ -87,6 +99,8 @@ class AesGcm {
                              MutableByteSpan plain,
                              const std::uint8_t tag[kGcmTagSize]) const;
 
+  [[nodiscard]] GcmKernel kernel() const noexcept { return kernel_; }
+
  private:
   void derive_j0(ByteSpan iv, std::uint8_t j0[16]) const;
   /// Absorbs the length block into `y` and masks it with E_K(J0).
@@ -94,10 +108,10 @@ class AesGcm {
                   std::uint64_t ct_bytes, std::uint8_t tag[kGcmTagSize]) const;
 
   Aes aes_;
-  /// Powers H^1..H^8 of the hash subkey H = E_K(0^128); H^1 only when
+  /// Powers H^1..H^16 of the hash subkey H = E_K(0^128); H^1 only when
   /// PCLMUL is unavailable.
-  std::array<std::uint8_t, 16 * 8> h_powers_{};
-  bool use_clmul_ = false;
+  std::array<std::uint8_t, 16 * 16> h_powers_{};
+  GcmKernel kernel_ = GcmKernel::kPortable;
 };
 
 }  // namespace plinius::crypto

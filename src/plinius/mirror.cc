@@ -156,19 +156,24 @@ MirrorModel::SealPlan MirrorModel::build_seal_plan(ml::Network& net, const char*
   return plan;
 }
 
-void MirrorModel::commit_seal(const SealPlan& plan, ByteSpan sealed,
-                              std::uint64_t iteration) {
+void MirrorModel::commit_seal(
+    const SealPlan& plan, std::uint64_t iteration,
+    const std::function<void(const SealTask&, MutableByteSpan)>& seal) {
   // Commit. Romulus transactions are single-writer, so the sealed buffers
   // and the iteration counter go to PM serially, atomically. The PM stores,
   // PWBs, fences and the twin-copy commit are the "write" share of Table Ia.
+  // Each buffer is sealed straight into its PM slot and the replica copied
+  // from there: the device sees exactly the stores of copying a sealed
+  // staging buffer, without the staging copy.
   sim::Stopwatch write_sw(enclave_->clock());
   rom_->run_transaction([&] {
     rom_->tx_assign(rom_->root(kRootSlot) + offsetof(Header, iteration), iteration);
     for (const SealTask& task : plan.tasks) {
-      rom_->tx_store(task.pm_off, sealed.data() + task.scratch_off, task.sealed_len);
+      rom_->tx_fill(task.pm_off, task.sealed_len, [&](std::uint8_t* dst) {
+        seal(task, MutableByteSpan(dst, task.sealed_len));
+      });
       if (task.replica_off != 0) {
-        rom_->tx_store(task.replica_off, sealed.data() + task.scratch_off,
-                       task.sealed_len);
+        rom_->tx_store(task.replica_off, rom_->main_base() + task.pm_off, task.sealed_len);
       }
     }
   });
@@ -186,16 +191,6 @@ void MirrorModel::mirror_out(ml::Network& net, std::uint64_t iteration) {
   // Phase 1 (serial): validate + plan.
   const SealPlan plan = build_seal_plan(net, "MirrorModel::mirror_out");
 
-  // Phase 2: seal every buffer concurrently into disjoint scratch slices.
-  scratch_.resize(plan.scratch_bytes);
-  par::parallel_for(plan.tasks.size(), [&](par::Range r) {
-    for (std::size_t t = r.begin; t < r.end; ++t) {
-      const SealTask& task = plan.tasks[t];
-      crypto::seal_into_iv(gcm_, task.iv, task.plain,
-                           MutableByteSpan(scratch_.data() + task.scratch_off,
-                                           task.sealed_len));
-    }
-  });
   // Simulated encryption time: critical path over the enclave's TCS lanes.
   const sim::Nanos seal_t0 = enclave_->clock().now();
   const sim::Nanos enc_ns = enclave_->charge_parallel(plan.costs);
@@ -212,8 +207,10 @@ void MirrorModel::mirror_out(ml::Network& net, std::uint64_t iteration) {
                         seal_t0 + paging_ns, seal_t0 + enc_ns);
   }
 
-  // Phase 3: durable commit.
-  commit_seal(plan, scratch_, iteration);
+  // Phase 2: seal each buffer into PM inside the durable commit.
+  commit_seal(plan, iteration, [&](const SealTask& task, MutableByteSpan dst) {
+    crypto::seal_into_iv(gcm_, task.iv, task.plain, dst);
+  });
   ++stats_.saves;
 }
 
@@ -310,7 +307,10 @@ bool MirrorModel::complete_async_save(sgx::ChargeStream& stream) {
   }
   obs::Span span(enclave_->clock(), obs::Category::kMirrorSave, "mirror.save.commit");
   span.attr("iteration", static_cast<double>(pending->iteration));
-  commit_seal(pending->plan, pending->sealed, pending->iteration);
+  commit_seal(pending->plan, pending->iteration,
+              [&](const SealTask& task, MutableByteSpan dst) {
+                std::memcpy(dst.data(), pending->sealed.data() + task.scratch_off, dst.size());
+              });
   ++stats_.saves;
   ++stats_.async_saves;
   return true;
@@ -513,7 +513,7 @@ MirrorScrubReport MirrorModel::scrub(ml::Network& net, bool repair) {
   // corrupt rather than wedging the scrubber).
   const auto copy_ok = [&](std::uint64_t off, std::size_t sealed_len,
                            std::size_t plain_len) {
-    rom_->device().scrub_range(rom_->main_region_offset() + off, sealed_len);
+    (void)rom_->device().scrub_range(rom_->main_region_offset() + off, sealed_len);
     sealed_scratch.resize(sealed_len);
     std::memcpy(sealed_scratch.data(), rom_->main_base() + off, sealed_len);
     plain_scratch.resize(plain_len);

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -271,9 +272,11 @@ class MirrorModel {
   /// naming `ctx`.
   [[nodiscard]] Walk walk(ml::Network* net, const char* ctx) const;
   [[nodiscard]] SealPlan build_seal_plan(ml::Network& net, const char* ctx);
-  /// Durably commits a sealed plan (buffers from `sealed` + the iteration
-  /// counter) in one Romulus transaction, accumulating write_ns.
-  void commit_seal(const SealPlan& plan, ByteSpan sealed, std::uint64_t iteration);
+  /// Durably commits a planned save (every buffer, its replica and the
+  /// iteration counter) in one Romulus transaction, accumulating write_ns.
+  /// `seal(task, dst)` writes the task's sealed bytes straight into main.
+  void commit_seal(const SealPlan& plan, std::uint64_t iteration,
+                   const std::function<void(const SealTask&, MutableByteSpan)>& seal);
   /// Shared mirror_in / mirror_in_snapshot implementation; `snapshot`
   /// selects staged-then-install semantics over decrypt-in-place.
   std::uint64_t restore_model(ml::Network& net, bool snapshot);

@@ -246,7 +246,7 @@ std::vector<std::size_t> PmDataStore::scrub_records() {
       reinterpret_cast<std::uint8_t*>(plain_scratch_.data()), plain_len);
   for (std::size_t r = 0; r < hdr.rows; ++r) {
     const std::size_t off = hdr.records_off + r * hdr.record_len;
-    rom_->device().scrub_range(rom_->main_region_offset() + off, hdr.record_len);
+    (void)rom_->device().scrub_range(rom_->main_region_offset() + off, hdr.record_len);
     std::memcpy(scratch_.data(), rom_->main_base() + off, hdr.record_len);
     enclave_->charge_crypto(hdr.record_len);
     if (!crypto::open_into(gcm_, scratch_, plain_bytes)) {

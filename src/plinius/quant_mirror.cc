@@ -30,8 +30,16 @@ struct MetaLayer {
   float pad0;
 };
 
-std::string weight_name(std::size_t i) { return "l" + std::to_string(i) + ".w"; }
-std::string bias_name(std::size_t i) { return "l" + std::to_string(i) + ".b"; }
+// Appends rather than `"l" + std::to_string(i)`: GCC 12 misreads that
+// operator+'s insert as an overlapping memcpy (-Wrestrict).
+std::string param_name(std::size_t i, const char* suffix) {
+  std::string name = "l";
+  name += std::to_string(i);
+  name += suffix;
+  return name;
+}
+std::string weight_name(std::size_t i) { return param_name(i, ".w"); }
+std::string bias_name(std::size_t i) { return param_name(i, ".b"); }
 
 Bytes build_meta(const ml::QuantizedNetwork& qnet) {
   Bytes meta(sizeof(MetaHeader) + qnet.num_layers() * sizeof(MetaLayer));

@@ -1,14 +1,70 @@
 #include "pm/device.h"
 
 #include <array>
+#include <bit>
 #include <cstring>
 #include <fstream>
+#include <utility>
 
 #include "common/error.h"
 #include "obs/trace.h"
 #include "pm/faultpoint.h"
 
 namespace plinius::pm {
+
+namespace {
+
+constexpr std::uint64_t kAllLines = ~std::uint64_t{0};
+
+// Calls f(w, mask) for each bitmap word w overlapping lines [first, last];
+// `mask` selects the word's lines inside the range.
+template <class F>
+void for_each_word(std::size_t first, std::size_t last, F&& f) {
+  const std::size_t wf = first / 64;
+  const std::size_t wl = last / 64;
+  for (std::size_t w = wf; w <= wl; ++w) {
+    const std::uint64_t lo = w == wf ? kAllLines << (first % 64) : kAllLines;
+    const std::uint64_t hi = w == wl ? kAllLines >> (63 - last % 64) : kAllLines;
+    f(w, lo & hi);
+  }
+}
+
+// Calls f(line) for each set bit of `bits`, lowest first; bit i is line base+i.
+template <class F>
+void for_each_bit(std::uint64_t bits, std::size_t base, F&& f) {
+  for (; bits != 0; bits &= bits - 1) {
+    f(base + static_cast<std::size_t>(std::countr_zero(bits)));
+  }
+}
+
+// Walks lines [first, last] word by word: take(w, mask) returns the lines of
+// word w to act on (and may update the bitmaps), and emit(first, count) gets
+// each maximal run of taken lines, ascending, merged across word edges.
+template <class Take, class Emit>
+void for_each_run(std::size_t first, std::size_t last, Take&& take, Emit&& emit) {
+  std::size_t run = 0;
+  std::size_t count = 0;
+  for_each_word(first, last, [&](std::size_t w, std::uint64_t mask) {
+    std::uint64_t bits = take(w, mask);
+    while (bits != 0) {
+      const int lo = std::countr_zero(bits);
+      const int n = std::countr_one(bits >> lo);
+      const std::size_t line = w * 64 + static_cast<std::size_t>(lo);
+      if (count > 0 && run + count == line) {
+        count += static_cast<std::size_t>(n);
+      } else {
+        if (count > 0) emit(run, count);
+        run = line;
+        count = static_cast<std::size_t>(n);
+      }
+      if (lo + n == 64) break;
+      bits &= kAllLines << (lo + n);
+    }
+  });
+  if (count > 0) emit(run, count);
+}
+
+}  // namespace
 
 PmDevice::PmDevice(sim::Clock& clock, std::size_t size, PmLatencyModel model,
                    std::uint64_t crash_seed)
@@ -58,21 +114,19 @@ void PmDevice::record_store(std::size_t offset, std::size_t len) {
   if (len == 0) return;
   check_range(offset, len);
   if (injector_ != nullptr) injector_->on_op(FaultOp::kStore, offset, len);
-  const std::size_t first = offset / kCacheLine;
-  const std::size_t last = (offset + len - 1) / kCacheLine;
-  for (std::size_t line = first; line <= last; ++line) {
-    if (test_bit(pending_bits_, line) && !pending_snapshots_.contains(line)) {
+  for_each_word(offset / kCacheLine, (offset + len - 1) / kCacheLine,
+                [&](std::size_t w, std::uint64_t mask) {
+    for_each_bit(pending_bits_[w] & mask, w * 64, [&](std::size_t line) {
+      if (pending_snapshots_.contains(line)) return;
       // Copy-on-write: the flushed-but-unfenced content must be preserved —
       // it, not the new store, is what the fence will persist.
       std::array<std::uint8_t, kCacheLine> snap;
       std::memcpy(snap.data(), volatile_.get() + line * kCacheLine, kCacheLine);
       pending_snapshots_.emplace(line, snap);
-    }
-    if (!test_bit(dirty_bits_, line)) {
-      set_bit(dirty_bits_, line);
-      ++dirty_count_;
-    }
-  }
+    });
+    dirty_count_ += static_cast<std::size_t>(std::popcount(mask & ~dirty_bits_[w]));
+    dirty_bits_[w] |= mask;
+  });
   ++stats_.stores;
   stats_.bytes_stored += len;
   const sim::Nanos t0 = clock_->now();
@@ -122,48 +176,102 @@ void PmDevice::commit_line(std::size_t line, const std::uint8_t* snapshot) {
   }
 }
 
+void PmDevice::commit_run(std::size_t first, std::size_t count) {
+  std::memcpy(persistent_.get() + first * kCacheLine, volatile_.get() + first * kCacheLine,
+              count * kCacheLine);
+  if (poisoned_count_ == 0) return;
+  for_each_word(first, first + count - 1, [&](std::size_t w, std::uint64_t mask) {
+    const auto cleared = static_cast<std::size_t>(std::popcount(poison_bits_[w] & mask));
+    poison_bits_[w] &= ~mask;
+    poisoned_count_ -= cleared;
+    stats_.poison_cleared += cleared;
+  });
+}
+
+void PmDevice::append_pending_run(std::size_t first, std::size_t count) {
+  if (!pending_runs_.empty() &&
+      pending_runs_.back().first + pending_runs_.back().count == first) {
+    pending_runs_.back().count += count;
+  } else {
+    pending_runs_.push_back({first, count});
+  }
+}
+
+void PmDevice::commit_pending() {
+  for (const LineRun& run : pending_runs_) {
+    for_each_run(run.first, run.first + run.count - 1,
+                 [&](std::size_t w, std::uint64_t mask) {
+                   // Lines already committed by clflush have a clear bit.
+                   const std::uint64_t bits = pending_bits_[w] & mask;
+                   pending_bits_[w] &= ~bits;
+                   pending_count_ -= static_cast<std::size_t>(std::popcount(bits));
+                   return bits;
+                 },
+                 [&](std::size_t first, std::size_t count) { commit_run(first, count); });
+  }
+  // Store-after-flush lines persist their flushed content, not the newer
+  // volatile bytes the bulk copy wrote.
+  for (const auto& [line, snap] : pending_snapshots_) commit_line(line, snap.data());
+  pending_runs_.clear();
+  pending_snapshots_.clear();
+}
+
 void PmDevice::flush(std::size_t offset, std::size_t len, FlushKind kind) {
   if (len == 0) return;
   check_range(offset, len);
   if (injector_ != nullptr) injector_->on_op(FaultOp::kFlush, offset, len);
   ++stats_.flushes;
 
+  // Dirty or pending lines act; clean lines are no-ops. Every acting line
+  // leaves the dirty set.
+  std::size_t acted = 0;
+  const auto act = [&](std::size_t w, std::uint64_t mask) {
+    const std::uint64_t dirty = dirty_bits_[w] & mask;
+    const std::uint64_t pend = pending_bits_[w] & mask;
+    acted += static_cast<std::size_t>(std::popcount(dirty | pend));
+    dirty_bits_[w] &= ~dirty;
+    dirty_count_ -= static_cast<std::size_t>(std::popcount(dirty));
+    return std::pair{dirty, pend};
+  };
   const std::size_t first = offset / kCacheLine;
   const std::size_t last = (offset + len - 1) / kCacheLine;
-  std::size_t acted = 0;
-  for (std::size_t line = first; line <= last; ++line) {
-    const bool was_pending = test_bit(pending_bits_, line);
-    if (!test_bit(dirty_bits_, line) && !was_pending) continue;  // clean line: no-op
-    ++acted;
-    if (kind == FlushKind::kClflush) {
-      // Strongly ordered: the line is persistent when the instruction
-      // retires, no fence needed (Romulus' clflush+nop combination).
-      commit_line(line, nullptr);
-      if (test_bit(dirty_bits_, line)) {
-        clear_bit(dirty_bits_, line);
-        --dirty_count_;
-      }
-      if (was_pending) {
-        clear_bit(pending_bits_, line);
-        --pending_count_;
-        pending_snapshots_.erase(line);
-      }
-    } else {
-      if (was_pending) {
-        // Re-flush of a pending line: the newest content wins.
-        if (auto it = pending_snapshots_.find(line); it != pending_snapshots_.end()) {
-          std::memcpy(it->second.data(), volatile_.get() + line * kCacheLine, kCacheLine);
-        }
-      } else {
-        set_bit(pending_bits_, line);
-        ++pending_count_;
-        pending_list_.push_back(line);
-      }
-      if (test_bit(dirty_bits_, line)) {
-        clear_bit(dirty_bits_, line);
-        --dirty_count_;
-      }
-    }
+  if (kind == FlushKind::kClflush) {
+    // Strongly ordered: the line is persistent when the instruction
+    // retires, no fence needed (Romulus' clflush+nop combination). A pending
+    // line leaves the pending set; its run entry stays and is skipped.
+    for_each_run(first, last,
+                 [&](std::size_t w, std::uint64_t mask) {
+                   const auto [dirty, pend] = act(w, mask);
+                   pending_bits_[w] &= ~pend;
+                   pending_count_ -= static_cast<std::size_t>(std::popcount(pend));
+                   if (!pending_snapshots_.empty()) {
+                     for_each_bit(pend, w * 64, [&](std::size_t line) {
+                       pending_snapshots_.erase(line);
+                     });
+                   }
+                   return dirty | pend;
+                 },
+                 [&](std::size_t run, std::size_t count) { commit_run(run, count); });
+  } else {
+    for_each_run(first, last,
+                 [&](std::size_t w, std::uint64_t mask) {
+                   const auto [dirty, pend] = act(w, mask);
+                   if (!pending_snapshots_.empty()) {
+                     // Re-flush of a pending line: the newest content wins.
+                     for_each_bit(pend, w * 64, [&](std::size_t line) {
+                       if (auto it = pending_snapshots_.find(line);
+                           it != pending_snapshots_.end()) {
+                         std::memcpy(it->second.data(),
+                                     volatile_.get() + line * kCacheLine, kCacheLine);
+                       }
+                     });
+                   }
+                   const std::uint64_t fresh = dirty & ~pend;
+                   pending_bits_[w] |= fresh;
+                   pending_count_ += static_cast<std::size_t>(std::popcount(fresh));
+                   return fresh;
+                 },
+                 [&](std::size_t run, std::size_t count) { append_pending_run(run, count); });
   }
 
   stats_.lines_flushed += acted;
@@ -188,41 +296,54 @@ void PmDevice::fence(FenceKind kind) {
   clock_->advance(model_.sfence_ns);
   obs::trace_complete(*clock_, obs::Category::kPmFence, "pm.fence", t0,
                       clock_->now());
-  for (const std::size_t line : pending_list_) {
-    if (!test_bit(pending_bits_, line)) continue;  // already committed by clflush
-    const auto it = pending_snapshots_.find(line);
-    commit_line(line, it != pending_snapshots_.end() ? it->second.data() : nullptr);
-    clear_bit(pending_bits_, line);
-    --pending_count_;
-  }
-  pending_list_.clear();
-  pending_snapshots_.clear();
+  commit_pending();
 }
 
 void PmDevice::crash(CrashOutcome outcome) {
   ++stats_.crashes;
   // Weakly-ordered flushes that were not fenced may or may not have reached
   // the ADR-protected write-pending queue: commit each with probability 1/2
-  // (or deterministically, when a sweep pins the coin flip).
-  for (const std::size_t line : pending_list_) {
-    if (!test_bit(pending_bits_, line)) continue;
-    const bool persists = outcome == CrashOutcome::kPersistAll ||
-                          (outcome == CrashOutcome::kSeededRandom &&
-                           (crash_rng_.next() & 1));
-    if (persists) {
-      const auto it = pending_snapshots_.find(line);
-      commit_line(line, it != pending_snapshots_.end() ? it->second.data() : nullptr);
+  // (or deterministically, when a sweep pins the coin flip). Coins are drawn
+  // in pending-list order, one per line still pending at its first entry.
+  if (outcome == CrashOutcome::kPersistAll) {
+    commit_pending();
+  } else {
+    for (const LineRun& run : pending_runs_) {
+      for_each_word(run.first, run.first + run.count - 1,
+                    [&](std::size_t w, std::uint64_t mask) {
+        const std::uint64_t bits = pending_bits_[w] & mask;
+        pending_bits_[w] &= ~bits;
+        if (outcome != CrashOutcome::kSeededRandom) return;
+        for_each_bit(bits, w * 64, [&](std::size_t line) {
+          ++stats_.crash_coin_flips;
+          if ((crash_rng_.next() & 1) == 0) return;
+          const auto it = pending_snapshots_.find(line);
+          commit_line(line, it != pending_snapshots_.end() ? it->second.data() : nullptr);
+        });
+      });
     }
-    clear_bit(pending_bits_, line);
+    pending_runs_.clear();
+    pending_snapshots_.clear();
   }
   pending_count_ = 0;
-  pending_list_.clear();
-  pending_snapshots_.clear();
 
   // Dirty-unflushed lines never left the cache: lost.
   std::memcpy(volatile_.get(), persistent_.get(), size_);
   std::fill(dirty_bits_.begin(), dirty_bits_.end(), 0);
   dirty_count_ = 0;
+}
+
+void PmDevice::reset_to_persistent() {
+  std::memcpy(volatile_.get(), persistent_.get(), size_);
+  std::fill(dirty_bits_.begin(), dirty_bits_.end(), 0);
+  std::fill(pending_bits_.begin(), pending_bits_.end(), 0);
+  dirty_count_ = 0;
+  pending_count_ = 0;
+  pending_runs_.clear();
+  pending_snapshots_.clear();
+  // Rewinding to a known-good image models replaced/repaired media too.
+  std::fill(poison_bits_.begin(), poison_bits_.end(), 0);
+  poisoned_count_ = 0;
 }
 
 void PmDevice::save_image(const std::string& path) const {
@@ -250,16 +371,7 @@ void PmDevice::load_image(const std::string& path) {
   if (in.gcount() != static_cast<std::streamsize>(size_)) {
     throw PmError("PmDevice::load_image: short read from " + path);
   }
-  std::memcpy(volatile_.get(), persistent_.get(), size_);
-  std::fill(dirty_bits_.begin(), dirty_bits_.end(), 0);
-  std::fill(pending_bits_.begin(), pending_bits_.end(), 0);
-  dirty_count_ = 0;
-  pending_count_ = 0;
-  pending_list_.clear();
-  pending_snapshots_.clear();
-  // Rewinding to a known-good image models replaced/repaired media too.
-  std::fill(poison_bits_.begin(), poison_bits_.end(), 0);
-  poisoned_count_ = 0;
+  reset_to_persistent();
 }
 
 // --- media faults --------------------------------------------------------------
@@ -325,11 +437,12 @@ std::vector<std::size_t> PmDevice::scrub_range(std::size_t offset, std::size_t l
   const obs::Attr a[] = {{"bytes", static_cast<double>(len)}};
   obs::trace_complete(*clock_, obs::Category::kPmRead, "pm.scrub_read", t0,
                       clock_->now(), a, 1);
-  const std::size_t first = offset / kCacheLine;
-  const std::size_t last = (offset + len - 1) / kCacheLine;
-  for (std::size_t line = first; line <= last; ++line) {
-    if (test_bit(poison_bits_, line)) poisoned.push_back(line);
-  }
+  if (poisoned_count_ == 0) return poisoned;
+  for_each_word(offset / kCacheLine, (offset + len - 1) / kCacheLine,
+                [&](std::size_t w, std::uint64_t mask) {
+    for_each_bit(poison_bits_[w] & mask, w * 64,
+                 [&](std::size_t line) { poisoned.push_back(line); });
+  });
   return poisoned;
 }
 
@@ -344,16 +457,7 @@ void PmDevice::restore_persistent(ByteSpan image) {
                   std::to_string(size_));
   }
   std::memcpy(persistent_.get(), image.data(), size_);
-  std::memcpy(volatile_.get(), persistent_.get(), size_);
-  std::fill(dirty_bits_.begin(), dirty_bits_.end(), 0);
-  std::fill(pending_bits_.begin(), pending_bits_.end(), 0);
-  dirty_count_ = 0;
-  pending_count_ = 0;
-  pending_list_.clear();
-  pending_snapshots_.clear();
-  // Rewinding to a known-good image models replaced/repaired media too.
-  std::fill(poison_bits_.begin(), poison_bits_.end(), 0);
-  poisoned_count_ = 0;
+  reset_to_persistent();
 }
 
 }  // namespace plinius::pm

@@ -13,6 +13,14 @@
 // ADR-protected write-pending queue), dirty-unflushed lines are lost, and
 // the volatile image is replaced by the persistent one.
 //
+// Line state lives in 64-line bitmap words, and store/flush/fence act on a
+// whole word at a time: counts are popcounts and runs of contiguous lines
+// commit with one memcpy each. Lines enter the pending set in flush order;
+// the device keeps that order as a list of runs of newly pended lines, and
+// a seeded crash draws one coin per still-pending line in list order (a line
+// draws at its first entry), so outcomes depend only on the seed and the
+// op sequence.
+//
 // This reproduces exactly the failure modes the Romulus twin-copy protocol
 // and the Plinius mirroring protocol exist to mask, so crash-consistency
 // tests are meaningful rather than vacuous.
@@ -45,6 +53,8 @@ struct PmStats {
   std::uint64_t fences = 0;
   std::uint64_t bytes_read = 0;
   std::uint64_t crashes = 0;
+  /// Coins a kSeededRandom crash drew, one per still-pending line.
+  std::uint64_t crash_coin_flips = 0;
   // Media-fault accounting (see the media-fault section below).
   std::uint64_t media_bit_flips = 0;
   std::uint64_t media_torn_lines = 0;
@@ -165,7 +175,21 @@ class PmDevice {
                                                      std::size_t len);
 
  private:
+  /// Lines [first, first+count) pended by one flush, in list order.
+  struct LineRun {
+    std::size_t first;
+    std::size_t count;
+  };
+
   void commit_line(std::size_t line, const std::uint8_t* snapshot);
+  /// Writes back `count` lines from the volatile image in one copy.
+  void commit_run(std::size_t first, std::size_t count);
+  /// Commits every pending line (snapshots win) and empties the pending set.
+  void commit_pending();
+  void append_pending_run(std::size_t first, std::size_t count);
+  /// Volatile image := persistent image, with no dirty, pending or
+  /// poisoned lines (image load and restore).
+  void reset_to_persistent();
   void check_range(std::size_t offset, std::size_t len) const;
   static bool test_bit(const std::vector<std::uint64_t>& bits, std::size_t line) noexcept;
   static void set_bit(std::vector<std::uint64_t>& bits, std::size_t line) noexcept;
@@ -181,7 +205,10 @@ class PmDevice {
   // per entry; a 100 MB mirror write touches ~1.6 M lines).
   std::vector<std::uint64_t> dirty_bits_;
   std::vector<std::uint64_t> pending_bits_;
-  std::vector<std::size_t> pending_list_;
+  // Every line that became pending since the last fence or crash, as runs in
+  // flush order. A line clflushed out of the pending set keeps its entry; a
+  // fence or crash skips lines whose pending bit is already clear.
+  std::vector<LineRun> pending_runs_;
   // Copy-on-write snapshots for the rare store-after-flush-before-fence case.
   std::unordered_map<std::size_t, std::array<std::uint8_t, kCacheLine>> pending_snapshots_;
   std::size_t dirty_count_ = 0;

@@ -1,5 +1,6 @@
 #include "romulus/romulus.h"
 
+#include <bit>
 #include <cstring>
 #include <string>
 #include <unordered_set>
@@ -226,22 +227,30 @@ void Romulus::close_tx_span() {
   tx_span_id_ = 0;
 }
 
-void Romulus::tx_store(std::size_t offset, const void* src, std::size_t len) {
-  expects(in_transaction(), "Romulus::tx_store outside a transaction");
-  check_extent(offset, len, "Romulus::tx_store");
-  dev_->store(main_offset() + offset, src, len);
+std::uint8_t* Romulus::tx_begin_store(std::size_t offset, std::size_t len,
+                                       const char* ctx) {
+  if (!in_transaction()) {
+    throw Error(std::string("precondition violated: ") + ctx + " outside a transaction");
+  }
+  check_extent(offset, len, ctx);
+  dev_->record_store(main_offset() + offset, len);
+  return main_base() + offset;
+}
+
+void Romulus::tx_end_store(std::size_t offset, std::size_t len) {
   pwb(main_offset() + offset, len);
   charge_log_append();
   log_.push_back({offset, len});
 }
 
+void Romulus::tx_store(std::size_t offset, const void* src, std::size_t len) {
+  std::memcpy(tx_begin_store(offset, len, "Romulus::tx_store"), src, len);
+  tx_end_store(offset, len);
+}
+
 void Romulus::tx_record(std::size_t offset, std::size_t len) {
-  expects(in_transaction(), "Romulus::tx_record outside a transaction");
-  check_extent(offset, len, "Romulus::tx_record");
-  dev_->record_store(main_offset() + offset, len);
-  pwb(main_offset() + offset, len);
-  charge_log_append();
-  log_.push_back({offset, len});
+  (void)tx_begin_store(offset, len, "Romulus::tx_record");
+  tx_end_store(offset, len);
 }
 
 // --- recovery --------------------------------------------------------------------
@@ -316,11 +325,23 @@ void Romulus::rewrite_back_from_main() {
 }
 
 std::size_t Romulus::twin_divergence() const {
+  // Word at a time (main_size_ is a cache-line multiple); bytes are counted
+  // only inside unequal words, where OR-folding each byte's bits into its
+  // low bit leaves one set bit per differing byte.
+  constexpr std::uint64_t kByteLowBits = 0x0101010101010101ULL;
   const std::uint8_t* main = main_base();
   const std::uint8_t* back = dev_->data() + back_offset();
   std::size_t divergent = 0;
-  for (std::size_t i = 0; i < main_size_; ++i) {
-    if (main[i] != back[i]) ++divergent;
+  for (std::size_t i = 0; i < main_size_; i += 8) {
+    std::uint64_t a = 0, b = 0;
+    std::memcpy(&a, main + i, 8);
+    std::memcpy(&b, back + i, 8);
+    std::uint64_t x = a ^ b;
+    if (x == 0) continue;
+    x |= x >> 4;
+    x |= x >> 2;
+    x |= x >> 1;
+    divergent += static_cast<std::size_t>(std::popcount(x & kByteLowBits));
   }
   return divergent;
 }

@@ -124,6 +124,16 @@ class Romulus {
   /// Transactional store: writes into main and logs+PWBs the range.
   void tx_store(std::size_t offset, const void* src, std::size_t len);
 
+  /// tx_store whose bytes are produced in place: `fill(dst)` writes all
+  /// `len` bytes at dst = main_base() + offset where tx_store would copy
+  /// them — after the store is recorded, before the PWB. The device sees
+  /// the same ops, charges and bytes; the caller skips a staging copy.
+  template <typename Fill>
+  void tx_fill(std::size_t offset, std::size_t len, Fill&& fill) {
+    fill(tx_begin_store(offset, len, "Romulus::tx_fill"));
+    tx_end_store(offset, len);
+  }
+
   /// Registers an in-place mutation performed directly through main_base().
   void tx_record(std::size_t offset, std::size_t len);
 
@@ -274,6 +284,11 @@ class Romulus {
   void close_tx_span();
   void copy_main_to_back_full();
   void copy_back_to_main_full();
+  /// The two halves of every transactional store: check the extent and
+  /// record the store (returning the destination in main), then PWB and log
+  /// the range once its bytes are in place.
+  std::uint8_t* tx_begin_store(std::size_t offset, std::size_t len, const char* ctx);
+  void tx_end_store(std::size_t offset, std::size_t len);
 
   [[nodiscard]] std::size_t main_offset() const noexcept {
     return region_offset_ + kHeaderBytes;

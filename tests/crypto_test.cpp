@@ -4,6 +4,7 @@
 #include <cstring>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/error.h"
@@ -616,10 +617,10 @@ TEST(Ghash, EveryHPowerMatchesRepeatedGf128Mul) {
   Rng rng(38);
   std::uint8_t h[16];
   rng.fill(h, 16);
-  std::uint8_t powers[9][16] = {};
+  std::uint8_t powers[17][16] = {};
   std::memcpy(powers[1], h, 16);
-  for (int k = 2; k <= 8; ++k) gf128_mul(powers[k - 1], h, powers[k]);
-  for (int n = 1; n <= 8; ++n) {
+  for (int k = 2; k <= 16; ++k) gf128_mul(powers[k - 1], h, powers[k]);
+  for (int n = 1; n <= 16; ++n) {
     for (int j = 0; j < n; ++j) {
       Bytes run(16 * static_cast<std::size_t>(n), 0);
       run[16 * static_cast<std::size_t>(j)] = 0x80;
@@ -631,6 +632,215 @@ TEST(Ghash, EveryHPowerMatchesRepeatedGf128Mul) {
                                                    << "-block run";
     }
   }
+}
+
+// --- GCM kernels, cross-checked at the detail entry points ------------------
+//
+// Each kernel this CPU runs seals (CTR, then GHASH of the zero-padded output
+// into y) and hashes (GHASH of whole blocks). The portable path — one
+// encrypt_block per counter and one bit-serial gf128_mul per block — runs
+// everywhere and is the reference.
+
+const char* kernel_name(GcmKernel k) {
+  return k == GcmKernel::kPortable ? "portable" : k == GcmKernel::kClmul8 ? "clmul8" : "vaes512";
+}
+
+std::vector<GcmKernel> runnable_kernels() {
+  std::vector<GcmKernel> kernels = {GcmKernel::kPortable};
+  if (detail::aesni_supported() && detail::clmul_supported()) kernels.push_back(GcmKernel::kClmul8);
+  if (detail::vaes512_supported()) kernels.push_back(GcmKernel::kVaes512);
+  return kernels;
+}
+
+struct KernelKey {
+  explicit KernelKey(ByteSpan key) : aes(key) {
+    const std::uint8_t zero[16] = {};
+    aes.encrypt_block(zero, powers);
+    for (int k = 1; k < 16; ++k) gf128_mul(powers + 16 * (k - 1), powers, powers + 16 * k);
+  }
+  Aes aes;
+  std::uint8_t powers[16 * 16];  // H^1..H^16
+};
+
+void portable_ghash(const std::uint8_t* h, std::uint8_t y[16], const std::uint8_t* in,
+                    std::size_t len) {
+  for (std::size_t off = 0; off < len; off += 16) {
+    for (std::size_t i = 0; i < 16 && off + i < len; ++i) y[i] ^= in[off + i];
+    std::uint8_t t[16];
+    gf128_mul(y, h, t);
+    std::memcpy(y, t, 16);
+  }
+}
+
+// CTR from `counter` over `len` bytes; with a non-null `y`, also GHASH of
+// the output. In-place (in == out) is allowed.
+void kernel_seal(GcmKernel kernel, const KernelKey& k, const std::uint8_t counter[16],
+                 const std::uint8_t* in, std::uint8_t* out, std::size_t len,
+                 std::uint8_t* y) {
+  switch (kernel) {
+    case GcmKernel::kPortable: {
+      std::uint8_t ctr[16], ks[16];
+      std::memcpy(ctr, counter, 16);
+      for (std::size_t off = 0; off < len; off += 16) {
+        k.aes.encrypt_block(ctr, ks);
+        for (std::size_t i = 0; i < 16 && off + i < len; ++i) out[off + i] = in[off + i] ^ ks[i];
+        oracle_inc32(ctr);
+      }
+      if (y != nullptr) portable_ghash(k.powers, y, out, len);
+      return;
+    }
+    case GcmKernel::kClmul8:
+      detail::aesni_ctr_xcrypt(k.aes.round_keys(), k.aes.rounds(), counter, in, out, len,
+                               k.powers, y);
+      return;
+    case GcmKernel::kVaes512:
+      detail::vaes512_ctr_xcrypt(k.aes.round_keys(), k.aes.rounds(), counter, in, out, len,
+                                 k.powers, y);
+      return;
+  }
+}
+
+void kernel_ghash(GcmKernel kernel, const KernelKey& k, std::uint8_t y[16],
+                  const std::uint8_t* in, std::size_t nblocks) {
+  switch (kernel) {
+    case GcmKernel::kPortable: portable_ghash(k.powers, y, in, 16 * nblocks); return;
+    case GcmKernel::kClmul8: detail::clmul_ghash(k.powers, y, in, nblocks); return;
+    case GcmKernel::kVaes512: detail::vaes512_ghash(k.powers, y, in, nblocks); return;
+  }
+}
+
+// Seals and hashes `plain` with each of `kernels`, input at byte `in_off`
+// and output at `out_off` of their buffers (the same buffer when
+// `in_place`), and expects each to match the first, the reference, bitwise:
+// the CTR output with and without GHASH, the stitched y, and the GHASH-only y.
+void expect_kernels_agree(const KernelKey& k, const std::uint8_t counter[16],
+                          const std::uint8_t y0[16], ByteSpan plain, std::size_t in_off = 0,
+                          std::size_t out_off = 0, bool in_place = false,
+                          const std::vector<GcmKernel>& kernels = runnable_kernels()) {
+  const GcmKernel reference = kernels.front();
+  const std::size_t len = plain.size();
+  Bytes want(len);
+  std::uint8_t want_y[16], want_hash[16];
+  std::memcpy(want_y, y0, 16);
+  std::memcpy(want_hash, y0, 16);
+  kernel_seal(reference, k, counter, plain.data(), want.data(), len, want_y);
+  kernel_ghash(reference, k, want_hash, plain.data(), len / 16);
+
+  for (const GcmKernel kernel : kernels) {
+    if (kernel == reference) continue;
+    SCOPED_TRACE(testing::Message() << kernel_name(kernel) << ", len " << len << ", in_off "
+                                    << in_off << ", out_off " << out_off
+                                    << (in_place ? ", in place" : ""));
+    for (const bool hash : {true, false}) {
+      Bytes in_buf(len + 16), out_buf(len + 16);
+      std::uint8_t* in = in_buf.data() + in_off;
+      std::uint8_t* out = in_place ? in : out_buf.data() + out_off;
+      std::copy(plain.begin(), plain.end(), in);
+      std::uint8_t y[16];
+      std::memcpy(y, y0, 16);
+      kernel_seal(kernel, k, counter, in, out, len, hash ? y : nullptr);
+      ASSERT_TRUE(std::equal(want.begin(), want.end(), out)) << "ciphertext";
+      if (hash) {
+        ASSERT_EQ(0, std::memcmp(y, want_y, 16)) << "stitched GHASH";
+      }
+    }
+    Bytes in_buf(len + 16);
+    std::copy(plain.begin(), plain.end(), in_buf.begin() + static_cast<std::ptrdiff_t>(in_off));
+    std::uint8_t y[16];
+    std::memcpy(y, y0, 16);
+    kernel_ghash(kernel, k, y, in_buf.data() + in_off, len / 16);
+    ASSERT_EQ(0, std::memcmp(y, want_hash, 16)) << "GHASH-only";
+  }
+}
+
+TEST(GcmKernels, EveryLengthTo1100MatchesAcrossKernels) {
+  Rng rng(40);
+  for (const std::size_t key_size : {16u, 32u}) {
+    Bytes key(key_size), data(1100);
+    rng.fill(key.data(), key.size());
+    rng.fill(data.data(), data.size());
+    const KernelKey k(key);
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      std::uint8_t counter[16], y0[16];
+      rng.fill(counter, 16);
+      rng.fill(y0, 16);
+      expect_kernels_agree(k, counter, y0, ByteSpan(data.data(), len));
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(GcmKernels, UnalignedAndInPlaceBuffersMatchAcrossKernels) {
+  Rng rng(41);
+  Bytes key(16), data(1100);
+  rng.fill(key.data(), key.size());
+  rng.fill(data.data(), data.size());
+  const KernelKey k(key);
+  for (const std::size_t len : {1u, 15u, 16u, 17u, 127u, 128u, 129u, 255u, 256u, 257u, 300u,
+                                511u, 512u, 513u, 1023u, 1100u}) {
+    std::uint8_t counter[16], y0[16];
+    rng.fill(counter, 16);
+    rng.fill(y0, 16);
+    for (std::size_t in_off = 0; in_off <= 15; ++in_off) {
+      expect_kernels_agree(k, counter, y0, ByteSpan(data.data(), len), in_off,
+                           (16 - in_off) % 16);
+      expect_kernels_agree(k, counter, y0, ByteSpan(data.data(), len), in_off, 0,
+                           /*in_place=*/true);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(GcmKernels, FortyMegabyteBufferMatchesAcrossKernels) {
+  // A mirror-sized seal: 163840 full 256-byte chunks plus a 33-byte tail.
+  // The eight-block kernel is the reference where it runs (the tests above
+  // pin it to the portable one); bit-serial GHASH over 40 MB takes seconds.
+  std::vector<GcmKernel> kernels = runnable_kernels();
+  if (kernels.size() > 1) kernels.erase(kernels.begin());
+  Rng rng(42);
+  Bytes key(16), plain((std::size_t{40} << 20) + 33);
+  rng.fill(key.data(), key.size());
+  rng.fill(plain.data(), plain.size());
+  std::uint8_t counter[16], y0[16];
+  rng.fill(counter, 16);
+  rng.fill(y0, 16);
+  expect_kernels_agree(KernelKey(key), counter, y0, plain, 3, 5, /*in_place=*/false,
+                       kernels);
+}
+
+TEST(GcmKernels, CounterLowWordWrapsModulo2To32) {
+  Rng rng(43);
+  Bytes key(16), data(4099);
+  rng.fill(key.data(), key.size());
+  rng.fill(data.data(), data.size());
+  const KernelKey k(key);
+  for (const std::size_t len : {16u * 16, 16u * 40 + 5, 1100u, 4099u}) {
+    std::uint8_t counter[16], y0[16];
+    rng.fill(counter, 16);
+    rng.fill(y0, 16);
+    counter[12] = counter[13] = counter[14] = 0xFF;
+    counter[15] = 0xF0;  // the low word wraps after 16 blocks, inside a chunk
+    expect_kernels_agree(k, counter, y0, ByteSpan(data.data(), len));
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(GcmKernels, AesGcmPicksTheKernelForThisCpu) {
+  bool pclmul = false;
+  bool vaes512 = false;
+#if defined(__x86_64__) || defined(__i386__)
+  pclmul = __builtin_cpu_supports("pclmul");
+  vaes512 = pclmul && __builtin_cpu_supports("aes") && __builtin_cpu_supports("vaes") &&
+            __builtin_cpu_supports("vpclmulqdq") && __builtin_cpu_supports("avx512f") &&
+            __builtin_cpu_supports("avx512bw");
+#endif
+  const GcmKernel want = vaes512 ? GcmKernel::kVaes512
+                         : pclmul ? GcmKernel::kClmul8
+                                  : GcmKernel::kPortable;
+  const Bytes key(16, 0x5A);
+  const AesGcm gcm(key);
+  EXPECT_EQ(gcm.kernel(), want) << "vaes512 " << vaes512 << ", pclmul " << pclmul;
+  RecordProperty("gcm_kernel", static_cast<int>(gcm.kernel()));
 }
 
 // --- Envelope (IV || CT || MAC, the paper's 28-byte overhead) ---------------

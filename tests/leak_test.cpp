@@ -449,7 +449,9 @@ std::vector<float> train_and_collect_weights(bool traced, std::uint64_t seed) {
       weights.insert(weights.end(), p.values.begin(), p.values.end());
     }
   }
-  if (traced) EXPECT_GT(rec.size(), 0u);
+  if (traced) {
+    EXPECT_GT(rec.size(), 0u);
+  }
   return weights;
 }
 

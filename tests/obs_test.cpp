@@ -68,7 +68,9 @@ TEST(Tracer, CompleteNestsUnderInnermostOpenSpan) {
       t.complete(obs::Category::kGcm, "explicit", 41, 42, /*parent=*/a);
   t.close(c, 50);
   for (const auto& s : t.spans()) {
-    if (s.id == leaf2) EXPECT_EQ(s.parent, a);
+    if (s.id == leaf2) {
+      EXPECT_EQ(s.parent, a);
+    }
   }
 }
 

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <optional>
+#include <unordered_map>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/error.h"
@@ -379,6 +383,418 @@ TEST_P(PmRandomizedTest, CrashNeverYieldsTornState) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PmRandomizedTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12));
+
+// --- differential check against the per-line reference --------------------
+//
+// RefPmDevice is the device's line tracking written one cache line at a
+// time: a line index list for the pending set, a loop over every line of a
+// range, one 64-byte copy per committed line. PmDevice works on whole bitmap
+// words and merged runs instead; seeded op sequences drive both and every
+// observable must stay bitwise equal.
+
+class RefPmDevice {
+ public:
+  RefPmDevice(std::size_t size, PmLatencyModel model, std::uint64_t crash_seed)
+      : model_(model),
+        volatile_(size, 0),
+        persistent_(size, 0),
+        dirty_(size / kCacheLine, false),
+        pending_(size / kCacheLine, false),
+        poison_(size / kCacheLine, false),
+        crash_rng_(crash_seed) {}
+
+  // Situations the op sequences must reach for the check to mean anything.
+  struct Coverage {
+    std::size_t cow_snapshots = 0;
+    std::size_t reflushed_snapshots = 0;
+    std::size_t clflushed_pending = 0;
+    std::size_t out_of_order_pends = 0;
+    std::size_t crashes_with_pending[3] = {};
+    std::size_t poison_cleared_by_commit = 0;
+  };
+
+  std::uint8_t* data() { return volatile_.data(); }
+  const std::uint8_t* persistent_image() const { return persistent_.data(); }
+  const PmStats& stats() const { return stats_; }
+  const sim::Clock& clock() const { return clock_; }
+  const Coverage& coverage() const { return coverage_; }
+  bool quiescent() const { return dirty_count_ == 0 && pending_count_ == 0; }
+  std::size_t poisoned_line_count() const { return poisoned_count_; }
+
+  void store(std::size_t offset, const void* src, std::size_t len) {
+    record_store(offset, len);
+    std::memcpy(volatile_.data() + offset, src, len);
+  }
+
+  void record_store(std::size_t offset, std::size_t len) {
+    if (len == 0) return;
+    for (std::size_t line = offset / kCacheLine; line <= (offset + len - 1) / kCacheLine;
+         ++line) {
+      if (pending_[line] && !snapshots_.contains(line)) {
+        std::array<std::uint8_t, kCacheLine> snap;
+        std::memcpy(snap.data(), volatile_.data() + line * kCacheLine, kCacheLine);
+        snapshots_.emplace(line, snap);
+        ++coverage_.cow_snapshots;
+      }
+      if (!dirty_[line]) {
+        dirty_[line] = true;
+        ++dirty_count_;
+      }
+    }
+    ++stats_.stores;
+    stats_.bytes_stored += len;
+    clock_.advance(sim::bandwidth_ns(static_cast<double>(len), model_.store_gib_s));
+  }
+
+  // Returns false where the device throws (a poisoned line in range).
+  bool load(std::size_t offset, void* dst, std::size_t len) {
+    if (len > 0) {
+      for (std::size_t line = offset / kCacheLine; line <= (offset + len - 1) / kCacheLine;
+           ++line) {
+        if (poison_[line]) return false;
+      }
+    }
+    charge_read(len);
+    std::memcpy(dst, volatile_.data() + offset, len);
+    return true;
+  }
+
+  void charge_read(std::size_t len) {
+    stats_.bytes_read += len;
+    clock_.advance(model_.read_latency_ns +
+                   sim::bandwidth_ns(static_cast<double>(len), model_.read_gib_s));
+  }
+
+  void flush(std::size_t offset, std::size_t len, FlushKind kind) {
+    if (len == 0) return;
+    ++stats_.flushes;
+    std::size_t acted = 0;
+    for (std::size_t line = offset / kCacheLine; line <= (offset + len - 1) / kCacheLine;
+         ++line) {
+      const bool was_pending = pending_[line];
+      if (!dirty_[line] && !was_pending) continue;
+      ++acted;
+      if (kind == FlushKind::kClflush) {
+        commit_line(line, nullptr);
+        if (was_pending) {
+          pending_[line] = false;
+          --pending_count_;
+          snapshots_.erase(line);
+          ++coverage_.clflushed_pending;
+        }
+      } else if (was_pending) {
+        if (auto it = snapshots_.find(line); it != snapshots_.end()) {
+          std::memcpy(it->second.data(), volatile_.data() + line * kCacheLine, kCacheLine);
+          ++coverage_.reflushed_snapshots;
+        }
+      } else {
+        if (!pending_list_.empty() && line < pending_list_.back()) {
+          ++coverage_.out_of_order_pends;
+        }
+        pending_[line] = true;
+        ++pending_count_;
+        pending_list_.push_back(line);
+      }
+      if (dirty_[line]) {
+        dirty_[line] = false;
+        --dirty_count_;
+      }
+    }
+    stats_.lines_flushed += acted;
+    const double issue_ns = kind == FlushKind::kClflush       ? model_.clflush_ns
+                            : kind == FlushKind::kClflushOpt ? model_.clflushopt_issue_ns
+                                                             : model_.clwb_issue_ns;
+    clock_.advance(static_cast<double>(acted) *
+                   (issue_ns + sim::bandwidth_ns(kCacheLine, model_.flush_drain_gib_s)));
+  }
+
+  void fence(FenceKind kind) {
+    ++stats_.fences;
+    if (kind == FenceKind::kNop) return;
+    clock_.advance(model_.sfence_ns);
+    for (const std::size_t line : pending_list_) {
+      if (!pending_[line]) continue;
+      const auto it = snapshots_.find(line);
+      commit_line(line, it != snapshots_.end() ? it->second.data() : nullptr);
+      pending_[line] = false;
+      --pending_count_;
+    }
+    pending_list_.clear();
+    snapshots_.clear();
+  }
+
+  void crash(PmDevice::CrashOutcome outcome) {
+    ++stats_.crashes;
+    if (pending_count_ > 0) ++coverage_.crashes_with_pending[static_cast<int>(outcome)];
+    for (const std::size_t line : pending_list_) {
+      if (!pending_[line]) continue;
+      bool persists = outcome == PmDevice::CrashOutcome::kPersistAll;
+      if (outcome == PmDevice::CrashOutcome::kSeededRandom) {
+        ++stats_.crash_coin_flips;
+        persists = (crash_rng_.next() & 1) != 0;
+      }
+      if (persists) {
+        const auto it = snapshots_.find(line);
+        commit_line(line, it != snapshots_.end() ? it->second.data() : nullptr);
+      }
+      pending_[line] = false;
+    }
+    pending_count_ = 0;
+    pending_list_.clear();
+    snapshots_.clear();
+    volatile_ = persistent_;
+    std::fill(dirty_.begin(), dirty_.end(), false);
+    dirty_count_ = 0;
+  }
+
+  void flip_bit(std::size_t offset, unsigned bit) {
+    const auto mask = static_cast<std::uint8_t>(1u << (bit % 8));
+    persistent_[offset] ^= mask;
+    const std::size_t line = offset / kCacheLine;
+    if (!dirty_[line] && !pending_[line]) volatile_[offset] ^= mask;
+    ++stats_.media_bit_flips;
+  }
+
+  void tear_line(std::size_t line, std::uint64_t seed) {
+    garbage(persistent_.data() + line * kCacheLine + kCacheLine / 2, kCacheLine / 2, seed);
+    refresh_clean_line(line);
+    ++stats_.media_torn_lines;
+  }
+
+  void poison_line(std::size_t line, std::uint64_t seed) {
+    garbage(persistent_.data() + line * kCacheLine, kCacheLine, seed);
+    refresh_clean_line(line);
+    if (!poison_[line]) {
+      poison_[line] = true;
+      ++poisoned_count_;
+    }
+    ++stats_.media_poisoned_lines;
+  }
+
+  std::vector<std::size_t> scrub_range(std::size_t offset, std::size_t len) {
+    std::vector<std::size_t> poisoned;
+    if (len == 0) return poisoned;
+    stats_.scrub_bytes += len;
+    clock_.advance(model_.read_latency_ns +
+                   sim::bandwidth_ns(static_cast<double>(len), model_.read_gib_s));
+    for (std::size_t line = offset / kCacheLine; line <= (offset + len - 1) / kCacheLine;
+         ++line) {
+      if (poison_[line]) poisoned.push_back(line);
+    }
+    return poisoned;
+  }
+
+  void restore_persistent(const Bytes& image) {
+    persistent_ = image;
+    volatile_ = image;
+    std::fill(dirty_.begin(), dirty_.end(), false);
+    std::fill(pending_.begin(), pending_.end(), false);
+    std::fill(poison_.begin(), poison_.end(), false);
+    dirty_count_ = pending_count_ = poisoned_count_ = 0;
+    pending_list_.clear();
+    snapshots_.clear();
+  }
+
+ private:
+  void commit_line(std::size_t line, const std::uint8_t* snapshot) {
+    const std::uint8_t* src =
+        snapshot != nullptr ? snapshot : volatile_.data() + line * kCacheLine;
+    std::memcpy(persistent_.data() + line * kCacheLine, src, kCacheLine);
+    if (poison_[line]) {
+      poison_[line] = false;
+      --poisoned_count_;
+      ++stats_.poison_cleared;
+      ++coverage_.poison_cleared_by_commit;
+    }
+  }
+
+  void refresh_clean_line(std::size_t line) {
+    if (!dirty_[line] && !pending_[line]) {
+      std::memcpy(volatile_.data() + line * kCacheLine,
+                  persistent_.data() + line * kCacheLine, kCacheLine);
+    }
+  }
+
+  static void garbage(std::uint8_t* dst, std::size_t len, std::uint64_t seed) {
+    SplitMix64 sm(seed);
+    for (std::size_t i = 0; i < len; ++i) dst[i] = static_cast<std::uint8_t>(sm.next());
+  }
+
+  PmLatencyModel model_;
+  sim::Clock clock_;
+  Bytes volatile_;
+  Bytes persistent_;
+  std::vector<bool> dirty_, pending_, poison_;
+  std::vector<std::size_t> pending_list_;
+  std::unordered_map<std::size_t, std::array<std::uint8_t, kCacheLine>> snapshots_;
+  std::size_t dirty_count_ = 0, pending_count_ = 0, poisoned_count_ = 0;
+  Rng crash_rng_;
+  PmStats stats_;
+  Coverage coverage_;
+};
+
+void expect_same_stats(const PmStats& a, const PmStats& b, const std::string& where) {
+  EXPECT_EQ(a.stores, b.stores) << where;
+  EXPECT_EQ(a.bytes_stored, b.bytes_stored) << where;
+  EXPECT_EQ(a.flushes, b.flushes) << where;
+  EXPECT_EQ(a.lines_flushed, b.lines_flushed) << where;
+  EXPECT_EQ(a.fences, b.fences) << where;
+  EXPECT_EQ(a.bytes_read, b.bytes_read) << where;
+  EXPECT_EQ(a.crashes, b.crashes) << where;
+  EXPECT_EQ(a.crash_coin_flips, b.crash_coin_flips) << where;
+  EXPECT_EQ(a.media_bit_flips, b.media_bit_flips) << where;
+  EXPECT_EQ(a.media_torn_lines, b.media_torn_lines) << where;
+  EXPECT_EQ(a.media_poisoned_lines, b.media_poisoned_lines) << where;
+  EXPECT_EQ(a.poison_cleared, b.poison_cleared) << where;
+  EXPECT_EQ(a.scrub_bytes, b.scrub_bytes) << where;
+}
+
+class PmDifferentialTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+// 300 lines: four full bitmap words and a partial fifth, so ranges cross
+// word edges and the last word's unused high bits are live in the masks.
+TEST_P(PmDifferentialTest, WordParallelDeviceMatchesPerLineReference) {
+  constexpr std::size_t kLines = 300;
+  constexpr std::size_t kSize = kLines * kCacheLine;
+  const std::uint64_t seed = GetParam();
+  sim::Clock clock;
+  PmDevice dev(clock, kSize, PmLatencyModel::optane(), seed);
+  RefPmDevice ref(kSize, PmLatencyModel::optane(), seed);
+  Rng rng(seed * 7919 + 3);
+  std::optional<Bytes> saved;
+
+  // Offsets cluster near word edges (multiples of 64 lines) and inside a
+  // small hot window, so re-stores, re-flushes and clflushes of pending
+  // lines are common rather than lucky.
+  const auto pick_offset = [&] {
+    switch (rng.below(3)) {
+      case 0: {
+        const std::size_t edge = 64 * (1 + rng.below(kLines / 64));
+        const std::size_t line = std::min(kLines - 1, edge - 2 + rng.below(4));
+        return line * kCacheLine + rng.below(kCacheLine);
+      }
+      case 1: return 100 * kCacheLine + rng.below(6 * kCacheLine);
+      default: return rng.below(kSize);
+    }
+  };
+  const auto pick_len = [&](std::size_t offset) {
+    const std::size_t max = kSize - offset;
+    const std::size_t want = rng.below(4) == 0 ? 1 + rng.below(140 * kCacheLine)
+                                               : 1 + rng.below(3 * kCacheLine);
+    return std::min(want, max);
+  };
+  const auto flush_kind = [&] {
+    return static_cast<FlushKind>(rng.below(3));
+  };
+
+  for (int op = 0; op < 4000; ++op) {
+    const std::string where = "seed " + std::to_string(seed) + " op " + std::to_string(op);
+    const std::uint64_t pick = rng.below(100);
+    if (pick < 22) {
+      const std::size_t off = pick_offset();
+      Bytes data(pick_len(off));
+      rng.fill(data.data(), data.size());
+      dev.store(off, data.data(), data.size());
+      ref.store(off, data.data(), data.size());
+    } else if (pick < 34) {
+      // In-place mutation through data(), then record_store.
+      const std::size_t off = pick_offset();
+      const std::size_t len = pick_len(off);
+      Bytes data(len);
+      rng.fill(data.data(), data.size());
+      std::memcpy(dev.data() + off, data.data(), len);
+      std::memcpy(ref.data() + off, data.data(), len);
+      dev.record_store(off, len);
+      ref.record_store(off, len);
+    } else if (pick < 66) {
+      const std::size_t off = pick_offset();
+      const std::size_t len = pick_len(off);
+      const FlushKind kind = flush_kind();
+      dev.flush(off, len, kind);
+      ref.flush(off, len, kind);
+    } else if (pick < 78) {
+      const FenceKind kind = rng.below(4) == 0 ? FenceKind::kNop : FenceKind::kSfence;
+      dev.fence(kind);
+      ref.fence(kind);
+    } else if (pick < 82) {
+      const auto outcome = static_cast<PmDevice::CrashOutcome>(rng.below(3));
+      const std::uint64_t dev_coins = dev.stats().crash_coin_flips;
+      const std::uint64_t ref_coins = ref.stats().crash_coin_flips;
+      dev.crash(outcome);
+      ref.crash(outcome);
+      EXPECT_EQ(dev.stats().crash_coin_flips - dev_coins,
+                ref.stats().crash_coin_flips - ref_coins)
+          << "coin flips consumed by the crash, " << where;
+    } else if (pick < 84) {
+      const std::size_t off = rng.below(kSize);
+      const auto bit = static_cast<unsigned>(rng.below(8));
+      dev.flip_bit(off, bit);
+      ref.flip_bit(off, bit);
+    } else if (pick < 86) {
+      const std::size_t line = rng.below(kLines);
+      const std::uint64_t s = rng.next();
+      dev.tear_line(line, s);
+      ref.tear_line(line, s);
+    } else if (pick < 88) {
+      const std::size_t line = rng.below(kLines);
+      const std::uint64_t s = rng.next();
+      dev.poison_line(line, s);
+      ref.poison_line(line, s);
+    } else if (pick < 91) {
+      const std::size_t off = pick_offset();
+      const std::size_t len = rng.below(3) == 0 ? 0 : pick_len(off);
+      EXPECT_EQ(dev.scrub_range(off, len), ref.scrub_range(off, len)) << where;
+    } else if (pick < 94) {
+      const std::size_t off = pick_offset();
+      const std::size_t len = pick_len(off);
+      Bytes a(len), b(len);
+      const bool ref_ok = ref.load(off, b.data(), len);
+      bool dev_ok = true;
+      try {
+        dev.load(off, a.data(), len);
+      } catch (const PmError&) {
+        dev_ok = false;
+      }
+      ASSERT_EQ(dev_ok, ref_ok) << "load of a poisoned range, " << where;
+      if (dev_ok) {
+        EXPECT_EQ(a, b) << where;
+      }
+    } else if (pick < 96) {
+      const std::size_t len = rng.below(4096);
+      dev.charge_read(len);
+      ref.charge_read(len);
+    } else if (pick < 98) {
+      saved = dev.snapshot_persistent();
+      ASSERT_EQ(0, std::memcmp(saved->data(), ref.persistent_image(), kSize)) << where;
+    } else if (saved.has_value()) {
+      dev.restore_persistent(*saved);
+      ref.restore_persistent(*saved);
+    }
+
+    ASSERT_EQ(0, std::memcmp(dev.data(), ref.data(), kSize)) << "volatile image, " << where;
+    ASSERT_EQ(0, std::memcmp(dev.persistent_image(), ref.persistent_image(), kSize))
+        << "persistent image, " << where;
+    expect_same_stats(dev.stats(), ref.stats(), where);
+    ASSERT_EQ(dev.quiescent(), ref.quiescent()) << where;
+    ASSERT_EQ(dev.poisoned_line_count(), ref.poisoned_line_count()) << where;
+    ASSERT_EQ(clock.now(), ref.clock().now()) << "sim clock, " << where;
+    if (HasFailure()) return;
+  }
+
+  const RefPmDevice::Coverage& c = ref.coverage();
+  EXPECT_GT(c.cow_snapshots, 0u);
+  EXPECT_GT(c.reflushed_snapshots, 0u);
+  EXPECT_GT(c.clflushed_pending, 0u);
+  EXPECT_GT(c.out_of_order_pends, 0u);
+  EXPECT_GT(c.poison_cleared_by_commit, 0u);
+  for (int outcome = 0; outcome < 3; ++outcome) {
+    EXPECT_GT(c.crashes_with_pending[outcome], 0u) << "crash outcome " << outcome;
+  }
+  EXPECT_GT(dev.stats().crash_coin_flips, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PmDifferentialTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 }  // namespace
 }  // namespace plinius::pm

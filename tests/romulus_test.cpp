@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 
 #include "common/clock.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "pm/device.h"
+#include "pm/faultpoint.h"
 #include "romulus/persist.h"
 #include "romulus/romulus.h"
 #include "romulus/sps.h"
@@ -118,6 +120,97 @@ TEST_F(RomulusTest, FourFencesPerTransaction) {
   // "Romulus uses at most four persistence fences ... regardless of
   // transaction size."
   EXPECT_EQ(dev_.stats().fences, 4u);
+}
+
+TEST(RomulusTxFill, MatchesTxStoreAtEveryCrashPoint) {
+  // The same transaction, once copying from a staging buffer and once
+  // writing the bytes in place, crashed before each of its PM ops in turn
+  // (every pending line persisting) and once run to the end: both devices
+  // must agree on every image, counter and charge.
+  Rng rng(11);
+  Bytes payload(3 * 4096 + 77);
+  rng.fill(payload.data(), payload.size());
+  struct Side {
+    sim::Clock clock;
+    pm::PmDevice dev{clock, Romulus::region_bytes(kMain), pm::PmLatencyModel::optane(), 5};
+    Romulus rom{dev, 0, kMain, PwbPolicy::clflushopt_sfence(), /*format=*/true};
+    pm::FaultInjector injector{dev};
+  };
+  const auto run = [&](bool fill, std::uint64_t crash_at) {
+    auto side = std::make_unique<Side>();
+    side->injector.reset();
+    if (crash_at > 0) side->injector.arm(crash_at);
+    try {
+      side->rom.run_transaction([&] {
+        side->rom.tx_assign(4096 + 8, std::uint64_t{42});
+        // Shares a cache line with the word above, which is flushed but not
+        // yet fenced: the copy-on-write snapshot must see the same bytes.
+        if (fill) {
+          side->rom.tx_fill(4096 + 40, payload.size(), [&](std::uint8_t* dst) {
+            std::memcpy(dst, payload.data(), payload.size());
+          });
+        } else {
+          side->rom.tx_store(4096 + 40, payload.data(), payload.size());
+        }
+      });
+    } catch (const SimulatedCrash&) {
+      side->rom.abandon_transaction();
+      side->dev.crash(pm::PmDevice::CrashOutcome::kPersistAll);
+    }
+    return side;
+  };
+  const std::uint64_t ops = run(false, 0)->injector.ops();
+  ASSERT_GT(ops, 4u);
+  for (std::uint64_t crash_at = 0; crash_at <= ops; ++crash_at) {
+    const auto a = run(false, crash_at);
+    const auto b = run(true, crash_at);
+    const pm::PmDevice& da = a->dev;
+    const pm::PmDevice& db = b->dev;
+    ASSERT_EQ(0, std::memcmp(da.persistent_image(), db.persistent_image(), da.size()))
+        << "crash before op " << crash_at;
+    ASSERT_EQ(0, std::memcmp(da.data(), db.data(), da.size()))
+        << "crash before op " << crash_at;
+    EXPECT_EQ(da.stats().stores, db.stats().stores);
+    EXPECT_EQ(da.stats().bytes_stored, db.stats().bytes_stored);
+    EXPECT_EQ(da.stats().lines_flushed, db.stats().lines_flushed);
+    EXPECT_EQ(da.stats().fences, db.stats().fences);
+    EXPECT_EQ(a->clock.now(), b->clock.now());
+  }
+}
+
+TEST_F(RomulusTest, TwinDivergenceCountsBytesAtWordEdges) {
+  EXPECT_EQ(rom_.twin_divergence(), 0u);
+  // {main-relative offset, XOR mask, which twin}: single high/low/middle
+  // bits on both sides of 8-byte word edges, a fully differing word, the
+  // first and the last byte of the region, and damage in either twin.
+  struct Flip {
+    std::size_t off;
+    std::uint8_t mask;
+    bool in_back;
+  };
+  const Flip flips[] = {{0, 0xFF, true},   {7, 0x80, true},   {8, 0x01, true},
+                        {15, 0x10, false}, {16, 0xFF, true},  {17, 0x02, true},
+                        {18, 0x04, true},  {19, 0x08, true},  {20, 0x20, true},
+                        {21, 0x40, true},  {22, 0x80, true},  {23, 0x01, false},
+                        {63, 0x80, false}, {64, 0x01, true},  {kMain - 1, 0x80, true}};
+  for (const Flip& f : flips) {
+    const std::size_t base =
+        f.in_back ? rom_.back_region_offset() : rom_.main_region_offset();
+    dev_.data()[base + f.off] ^= f.mask;
+  }
+  std::size_t want = 0;
+  const std::uint8_t* main = dev_.data() + rom_.main_region_offset();
+  const std::uint8_t* back = dev_.data() + rom_.back_region_offset();
+  for (std::size_t i = 0; i < kMain; ++i) want += main[i] != back[i] ? 1 : 0;
+  ASSERT_EQ(want, std::size(flips));
+  EXPECT_EQ(rom_.twin_divergence(), want);
+
+  for (const Flip& f : flips) {
+    const std::size_t base =
+        f.in_back ? rom_.back_region_offset() : rom_.main_region_offset();
+    dev_.data()[base + f.off] ^= f.mask;
+  }
+  EXPECT_EQ(rom_.twin_divergence(), 0u);
 }
 
 TEST_F(RomulusTest, RootSlotsPersist) {
