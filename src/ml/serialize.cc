@@ -34,6 +34,7 @@ void append_f32(Bytes& out, float v) {
 }
 
 void append_bytes(Bytes& out, const void* src, std::size_t n) {
+  if (n == 0) return;  // src may be null (an empty buffer); memcpy forbids it
   const std::size_t off = out.size();
   out.resize(off + n);
   std::memcpy(out.data() + off, src, n);
@@ -67,6 +68,7 @@ class Reader {
     if (off_ + bytes > data_.size()) {
       throw MlError(std::string("weights blob: truncated ") + what);
     }
+    if (bytes == 0) return;  // dst may be null (an empty buffer)
     std::memcpy(dst, data_.data() + off_, bytes);
     off_ += bytes;
   }

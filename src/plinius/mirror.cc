@@ -15,8 +15,7 @@ MirrorModel::MirrorModel(romulus::Romulus& rom, sgx::EnclaveRuntime& enclave,
                          crypto::AesGcm gcm, MirrorOptions options)
     : rom_(&rom),
       enclave_(&enclave),
-      gcm_(std::move(gcm)),
-      iv_seq_(crypto::IvSequence::salted(enclave.rng())),
+      blobs_(rom, enclave, std::move(gcm)),
       options_(options) {}
 
 MirrorModel::~MirrorModel() = default;
@@ -72,12 +71,11 @@ MirrorModel::Walk MirrorModel::walk(ml::Network* net, const char* ctx) const {
       if (net != nullptr && len != crypto::sealed_size(buffers[b].values.size_bytes())) {
         throw MlError(std::string(ctx) + ": buffer size mismatch");
       }
-      rom_->check_extent(node.buf_off[b], len, ctx);
-      if (node.buf_replica_off[b] != 0) {
-        rom_->check_extent(node.buf_replica_off[b], len, ctx);
-      }
-      w.extents.push_back({static_cast<std::size_t>(i), b, node.buf_off[b],
-                           node.buf_replica_off[b], len});
+      const SealedExtent e{static_cast<std::size_t>(i), b, node.buf_off[b],
+                           node.buf_replica_off[b], len};
+      blobs_.check(blob(e, e.primary_off), ctx);
+      if (e.replica_off != 0) blobs_.check(blob(e, e.replica_off), ctx);
+      w.extents.push_back(e);
     }
     for (auto& p : buffers) w.params.push_back(std::move(p));
     w.nodes.push_back(node_off);
@@ -104,10 +102,12 @@ void MirrorModel::alloc(ml::Network& net) {
       LayerNode node{};
       node.num_buffers = buffers.size();
       for (std::size_t b = 0; b < buffers.size(); ++b) {
-        const std::size_t sealed = crypto::sealed_size(buffers[b].values.size_bytes());
-        node.buf_off[b] = rom_->pmalloc(sealed);
-        node.buf_sealed_len[b] = sealed;
-        if (options_.replicate) node.buf_replica_off[b] = rom_->pmalloc(sealed);
+        const SealedRef primary = blobs_.alloc(buffers[b].values.size_bytes());
+        node.buf_off[b] = primary.sealed_off;
+        node.buf_sealed_len[b] = primary.sealed_len;
+        if (options_.replicate) {
+          node.buf_replica_off[b] = blobs_.alloc(primary.plain_len).sealed_off;
+        }
       }
       const std::size_t node_off = rom_->pmalloc(sizeof(LayerNode));
       rom_->tx_store(node_off, &node, sizeof(node));
@@ -126,24 +126,15 @@ void MirrorModel::alloc(ml::Network& net) {
   });
 }
 
-MirrorModel::SealPlan MirrorModel::build_seal_plan(ml::Network& net, const char* ctx) {
-  // Build the seal task list from the validated walk. IVs are drawn from the
-  // key's sequence here, in list order, so the counter stays strictly
-  // monotonic no matter how the sealing tasks are scheduled afterwards.
+MirrorModel::SealPlan MirrorModel::build_seal_plan(ml::Network& net,
+                                                   const char* ctx) const {
   const Walk w = walk(&net, ctx);
   SealPlan plan;
   for (std::size_t t = 0; t < w.extents.size(); ++t) {
     const SealedExtent& e = w.extents[t];
     const ByteSpan plain = float_bytes(w.params[t].values);
-    SealTask task{plain,
-                  e.primary_off,
-                  e.replica_off,
-                  e.sealed_len,
-                  plan.scratch_bytes,
-                  plan.plain_bytes,
-                  {}};
-    iv_seq_.next(task.iv);
-    plan.scratch_bytes += task.sealed_len;
+    plan.tasks.push_back({plain, blob(e, e.primary_off), e.replica_off});
+    plan.sealed_bytes += e.sealed_len;
     plan.plain_bytes += plain.size();
     // Encrypt cost: touch the (EPC-resident) weights + one GCM pass.
     const sim::Nanos touch_ns = enclave_->touch_task_ns(plain.size());
@@ -151,29 +142,30 @@ MirrorModel::SealPlan MirrorModel::build_seal_plan(ml::Network& net, const char*
     plan.touch_sum += touch_ns;
     plan.crypto_sum += crypto_ns;
     plan.costs.push_back(touch_ns + crypto_ns);
-    plan.tasks.push_back(task);
   }
   return plan;
 }
 
-void MirrorModel::commit_seal(
-    const SealPlan& plan, std::uint64_t iteration,
-    const std::function<void(const SealTask&, MutableByteSpan)>& seal) {
+void MirrorModel::commit_seal(const SealPlan& plan, std::uint64_t iteration,
+                              const std::uint8_t* sealed) {
   // Commit. Romulus transactions are single-writer, so the sealed buffers
   // and the iteration counter go to PM serially, atomically. The PM stores,
   // PWBs, fences and the twin-copy commit are the "write" share of Table Ia.
-  // Each buffer is sealed straight into its PM slot and the replica copied
-  // from there: the device sees exactly the stores of copying a sealed
-  // staging buffer, without the staging copy.
+  // Each replica is copied from its freshly written primary.
   sim::Stopwatch write_sw(enclave_->clock());
   rom_->run_transaction([&] {
     rom_->tx_assign(rom_->root(kRootSlot) + offsetof(Header, iteration), iteration);
     for (const SealTask& task : plan.tasks) {
-      rom_->tx_fill(task.pm_off, task.sealed_len, [&](std::uint8_t* dst) {
-        seal(task, MutableByteSpan(dst, task.sealed_len));
-      });
+      const SealedRef& ref = task.ref;
+      if (sealed == nullptr) {
+        blobs_.seal(ref, task.plain);
+      } else {
+        rom_->tx_store(ref.sealed_off, sealed, ref.sealed_len);
+        sealed += ref.sealed_len;
+      }
       if (task.replica_off != 0) {
-        rom_->tx_store(task.replica_off, rom_->main_base() + task.pm_off, task.sealed_len);
+        rom_->tx_store(task.replica_off, rom_->main_base() + ref.sealed_off,
+                       ref.sealed_len);
       }
     }
   });
@@ -208,9 +200,7 @@ void MirrorModel::mirror_out(ml::Network& net, std::uint64_t iteration) {
   }
 
   // Phase 2: seal each buffer into PM inside the durable commit.
-  commit_seal(plan, iteration, [&](const SealTask& task, MutableByteSpan dst) {
-    crypto::seal_into_iv(gcm_, task.iv, task.plain, dst);
-  });
+  commit_seal(plan, iteration);
   ++stats_.saves;
 }
 
@@ -241,29 +231,22 @@ void MirrorModel::begin_async_save(ml::Network& net, std::uint64_t iteration,
   // Double buffer: gather the live weights into the enclave staging snapshot.
   // This copy is the only weight-touching cost left on the foreground; the
   // moment it is done, training may mutate the live buffers again.
-  async->snapshot.resize(async->plan.plain_bytes);
-  for (const SealTask& task : async->plan.tasks) {
-    std::memcpy(async->snapshot.data() + task.plain_off, task.plain.data(),
-                task.plain.size());
+  const SealPlan& plan = async->plan;
+  async->snapshot.resize(plan.plain_bytes);
+  std::vector<ByteSpan> plains;
+  std::uint8_t* at = async->snapshot.data();
+  for (const SealTask& task : plan.tasks) {
+    std::memcpy(at, task.plain.data(), task.plain.size());
+    plains.emplace_back(at, task.plain.size());
+    at += task.plain.size();
   }
-  enclave_->charge_plain_copy(async->plan.plain_bytes);
+  enclave_->charge_plain_copy(plan.plain_bytes);
 
   // Seal the snapshot now — the sealed bytes must be bitwise identical to
   // the serial path's — but book the simulated cost on the background
   // stream's lanes instead of the foreground clock.
-  async->sealed.resize(async->plan.scratch_bytes);
-  const SealPlan& plan = async->plan;
-  Bytes& snapshot = async->snapshot;
-  Bytes& sealed = async->sealed;
-  par::parallel_for(plan.tasks.size(), [&](par::Range r) {
-    for (std::size_t t = r.begin; t < r.end; ++t) {
-      const SealTask& task = plan.tasks[t];
-      crypto::seal_into_iv(
-          gcm_, task.iv,
-          ByteSpan(snapshot.data() + task.plain_off, task.plain.size()),
-          MutableByteSpan(sealed.data() + task.scratch_off, task.sealed_len));
-    }
-  });
+  async->sealed.resize(plan.sealed_bytes);
+  blobs_.seal_batch(plains, async->sealed);
   const sgx::ChargeStream::Window window = stream.submit(plan.costs);
   stats_.encrypt_ns += window.duration();
 
@@ -307,10 +290,7 @@ bool MirrorModel::complete_async_save(sgx::ChargeStream& stream) {
   }
   obs::Span span(enclave_->clock(), obs::Category::kMirrorSave, "mirror.save.commit");
   span.attr("iteration", static_cast<double>(pending->iteration));
-  commit_seal(pending->plan, pending->iteration,
-              [&](const SealTask& task, MutableByteSpan dst) {
-                std::memcpy(dst.data(), pending->sealed.data() + task.scratch_off, dst.size());
-              });
+  commit_seal(pending->plan, pending->iteration, pending->sealed.data());
   ++stats_.saves;
   ++stats_.async_saves;
   return true;
@@ -379,20 +359,14 @@ std::uint64_t MirrorModel::restore_model(ml::Network& net, bool snapshot) {
                     : values;
   };
   const auto sealed_span = [&](std::size_t t) {
-    return ByteSpan(scratch_.data() + scratch_off[t], w.extents[t].sealed_len);
+    return MutableByteSpan(scratch_.data() + scratch_off[t], w.extents[t].sealed_len);
   };
 
   sim::Stopwatch rd(enclave_->clock());
   scratch_.resize(scratch_bytes);
   // Stage PM -> enclave scratch. The walk validated every extent.
   for (std::size_t t = 0; t < n; ++t) {
-    const SealedExtent& e = w.extents[t];
-    rom_->device().charge_read(e.sealed_len);
-    if (enclave_->model().real_sgx) {
-      enclave_->copy_into_enclave(e.sealed_len);
-    }
-    std::memcpy(scratch_.data() + scratch_off[t], rom_->main_base() + e.primary_off,
-                e.sealed_len);
+    blobs_.stage(blob(w.extents[t], w.extents[t].primary_off), sealed_span(t));
   }
   stats_.read_ns += rd.elapsed();
 
@@ -401,8 +375,7 @@ std::uint64_t MirrorModel::restore_model(ml::Network& net, bool snapshot) {
   std::vector<std::uint8_t> auth_ok(n, 0);
   par::parallel_for(n, [&](par::Range r) {
     for (std::size_t t = r.begin; t < r.end; ++t) {
-      auth_ok[t] =
-          crypto::open_into(gcm_, sealed_span(t), float_bytes_mut(dest_span(t))) ? 1 : 0;
+      auth_ok[t] = blobs_.open(sealed_span(t), float_bytes_mut(dest_span(t))) ? 1 : 0;
     }
   });
   const sim::Nanos open_t0 = enclave_->clock().now();
@@ -426,12 +399,9 @@ std::uint64_t MirrorModel::restore_model(ml::Network& net, bool snapshot) {
     if (auth_ok[t]) continue;
     const SealedExtent& e = w.extents[t];
     if (e.replica_off != 0) {
-      rom_->device().charge_read(e.sealed_len);
-      if (enclave_->model().real_sgx) enclave_->copy_into_enclave(e.sealed_len);
-      std::memcpy(scratch_.data() + scratch_off[t], rom_->main_base() + e.replica_off,
-                  e.sealed_len);
+      blobs_.stage(blob(e, e.replica_off), sealed_span(t));
       stats_.decrypt_ns += enclave_->crypto_task_ns(e.sealed_len);
-      if (crypto::open_into(gcm_, sealed_span(t), float_bytes_mut(dest_span(t)))) {
+      if (blobs_.open(sealed_span(t), float_bytes_mut(dest_span(t)))) {
         repairs.push_back(t);
         ++stats_.replica_repairs;
         continue;
@@ -469,14 +439,10 @@ std::uint64_t MirrorModel::restore_model(ml::Network& net, bool snapshot) {
 
 std::uint64_t MirrorModel::verify_integrity(ml::Network& net) {
   const Walk w = walk(&net, "MirrorModel::verify_integrity");
-  Bytes plain_scratch;
+  Bytes sealed;
   for (std::size_t t = 0; t < w.extents.size(); ++t) {
     const SealedExtent& e = w.extents[t];
-    scratch_.resize(e.sealed_len);
-    std::memcpy(scratch_.data(), rom_->main_base() + e.primary_off, e.sealed_len);
-    plain_scratch.resize(w.params[t].values.size_bytes());
-    if (!crypto::open_into(gcm_, scratch_,
-                           MutableByteSpan(plain_scratch.data(), plain_scratch.size()))) {
+    if (!blobs_.authenticate(blob(e, e.primary_off), sealed)) {
       throw CryptoError(
           "MirrorModel::verify_integrity: authentication failed for layer " +
           std::to_string(e.layer) + " buffer " + w.params[t].name);
@@ -504,30 +470,23 @@ MirrorScrubReport MirrorModel::scrub(ml::Network& net, bool repair) {
     Bytes sealed;  // the authenticated sibling's bytes
   };
   std::vector<Repair> repairs;
-  Bytes sealed_scratch;
-  Bytes plain_scratch;
+  Bytes primary;
+  Bytes replica;
 
-  // Authenticates the sealed copy at main-relative `off`, charging scrub read
-  // traffic (PmDevice::scrub_range also surfaces poisoned lines; poisoned
-  // content is scrambled, so authentication fails and the copy reads as
-  // corrupt rather than wedging the scrubber).
-  const auto copy_ok = [&](std::uint64_t off, std::size_t sealed_len,
-                           std::size_t plain_len) {
-    (void)rom_->device().scrub_range(rom_->main_region_offset() + off, sealed_len);
-    sealed_scratch.resize(sealed_len);
-    std::memcpy(sealed_scratch.data(), rom_->main_base() + off, sealed_len);
-    plain_scratch.resize(plain_len);
-    stats_.decrypt_ns += enclave_->crypto_task_ns(sealed_len);
-    return crypto::open_into(gcm_, sealed_scratch,
-                             MutableByteSpan(plain_scratch.data(), plain_len));
+  // Authenticates `e`'s copy at main-relative `off` into `sealed`, charging
+  // scrub read traffic (PmDevice::scrub_range also surfaces poisoned lines;
+  // poisoned content is scrambled, so authentication fails and the copy
+  // reads as corrupt rather than wedging the scrubber).
+  const auto copy_ok = [&](const SealedExtent& e, std::uint64_t off, Bytes& sealed) {
+    (void)rom_->device().scrub_range(rom_->main_region_offset() + off, e.sealed_len);
+    stats_.decrypt_ns += enclave_->crypto_task_ns(e.sealed_len);
+    return blobs_.authenticate(blob(e, off), sealed);
   };
 
-  for (std::size_t t = 0; t < w.extents.size(); ++t) {
-    const SealedExtent& e = w.extents[t];
-    const std::size_t plain_len = w.params[t].values.size_bytes();
+  for (const SealedExtent& e : w.extents) {
     ++report.buffers_checked;
 
-    const bool primary_ok = copy_ok(e.primary_off, e.sealed_len, plain_len);
+    const bool primary_ok = copy_ok(e, e.primary_off, primary);
     if (e.replica_off == 0) {
       if (!primary_ok) {
         ++report.auth_failures;
@@ -535,10 +494,7 @@ MirrorScrubReport MirrorModel::scrub(ml::Network& net, bool repair) {
       }
       continue;
     }
-    // copy_ok leaves the authenticated bytes in sealed_scratch; grab the
-    // primary's before the replica check overwrites them.
-    Bytes primary_bytes = primary_ok ? sealed_scratch : Bytes{};
-    const bool replica_ok = copy_ok(e.replica_off, e.sealed_len, plain_len);
+    const bool replica_ok = copy_ok(e, e.replica_off, replica);
     if (!primary_ok) ++report.auth_failures;
     if (!replica_ok) ++report.auth_failures;
     if (primary_ok && replica_ok) continue;
@@ -548,9 +504,9 @@ MirrorScrubReport MirrorModel::scrub(ml::Network& net, bool repair) {
     }
     if (repair) {
       if (primary_ok) {
-        repairs.push_back({e.replica_off, std::move(primary_bytes)});
+        repairs.push_back({e.replica_off, std::move(primary)});
       } else {
-        repairs.push_back({e.primary_off, sealed_scratch});
+        repairs.push_back({e.primary_off, std::move(replica)});
       }
       ++report.repaired;
       ++stats_.replica_repairs;

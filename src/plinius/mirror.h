@@ -10,20 +10,23 @@
 //   * mirror-in (restore): read each sealed buffer from PM into the enclave
 //     and decrypt it into the model's layer arrays.
 //
+// Every sealed buffer is a blob of the shared SealedBlobs store
+// (plinius/sealed_blob.h), which owns the key, the IV order and the moves of
+// sealed bytes between PM and the enclave. MirrorModel keeps what only it
+// needs: the layer-list layout, A/B replicas, the pipelined save and scrub.
+//
 // Per-buffer encryption metadata is IV (12 B) + MAC (16 B) = 28 B; a
 // batch-normalized convolutional layer has 5 buffers, hence the paper's
 // 140 B/layer accounting, exposed via encryption_metadata_bytes().
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/clock.h"
-#include "crypto/envelope.h"
-#include "crypto/gcm.h"
 #include "ml/network.h"
+#include "plinius/sealed_blob.h"
 #include "pm/root_slots.h"
 #include "romulus/romulus.h"
 #include "sgx/enclave.h"
@@ -81,7 +84,8 @@ struct MirrorScrubReport {
 ///   * num_buffers: equal to the layer's buffer count with a net (MlError),
 ///     never above kMaxBuffersPerLayer (PmError);
 ///   * sealed_len == sealed_size(plain) with a net (MlError);
-///   * every primary and replica extent inside main (PmError).
+///   * every primary and replica through SealedBlobs::check: a sealed_len
+///     below the envelope overhead, or an extent outside main (PmError).
 /// Only verify_integrity and scrub also reject a list longer than the model
 /// (the last node's next must be 0); every other entry point reads exactly
 /// num_layers nodes and ignores what follows.
@@ -105,13 +109,11 @@ class MirrorModel {
   /// Algorithm 3, mirror_out: encrypts the enclave model's parameters into
   /// the PM mirror and records `iteration`, atomically.
   ///
-  /// Sealing is parallel: per-buffer IVs are drawn from the key's
-  /// IvSequence serially (counter stays strictly monotonic — no IV reuse
-  /// across tasks), the AES-GCM passes run concurrently into disjoint
-  /// scratch slices via par::parallel_for, and the Romulus transaction then
-  /// commits the sealed buffers serially (transactions stay single-writer).
-  /// Simulated encryption time is the critical path over the enclave's TCS
-  /// lanes (EnclaveRuntime::charge_parallel).
+  /// Inside one Romulus transaction each buffer is sealed with the store's
+  /// next IV, in list order, straight into its PM slot (SealedBlobs::seal),
+  /// and its replica copied from there. Simulated encryption time is the
+  /// critical path of the per-buffer seal costs over the enclave's TCS lanes
+  /// (EnclaveRuntime::charge_parallel).
   void mirror_out(ml::Network& net, std::uint64_t iteration);
 
   // --- pipelined (double-buffered) save ------------------------------------
@@ -119,9 +121,10 @@ class MirrorModel {
   // background ChargeStream while the trainer's next iteration computes:
   //
   //   begin_async_save: snapshot the live weights into an enclave staging
-  //     buffer (so compute may mutate them immediately), seal the snapshot,
-  //     and book the seal costs on `stream` — the foreground only pays the
-  //     ecall + the snapshot copy;
+  //     buffer (so compute may mutate them immediately), seal the snapshot
+  //     (SealedBlobs::seal_batch: IVs in list order, GCM passes in
+  //     parallel), and book the seal costs on `stream` — the foreground only
+  //     pays the ecall + the snapshot copy;
   //   complete_async_save: join the stream (the stall, if any, is the
   //     unhidden remainder of the seal) and commit the sealed buffers + the
   //     iteration counter in one durable Romulus transaction.
@@ -231,17 +234,12 @@ class MirrorModel {
   };
   static constexpr std::uint64_t kMagic = 0x504C4D4952524F52ULL;  // "PLMIRROR"
 
-  /// One sealed buffer of a planned save. `plain` views the live weight
-  /// buffer; `plain_off` is the byte offset of its copy in a gathered
-  /// snapshot (async path).
+  /// One sealed buffer of a planned save: the live weight buffer, its
+  /// primary blob and its replica offset (0 = unreplicated).
   struct SealTask {
     ByteSpan plain;
-    std::uint64_t pm_off;
-    std::uint64_t replica_off;  // 0 = unreplicated
-    std::size_t sealed_len;
-    std::size_t scratch_off;
-    std::size_t plain_off;
-    std::uint8_t iv[crypto::kGcmIvSize];
+    SealedRef ref;
+    std::uint64_t replica_off;
   };
   /// The layer list as walk() validated it: node offsets and every sealed
   /// buffer's extent in list order, plus — when walked against a net — the
@@ -261,7 +259,7 @@ class MirrorModel {
     std::vector<sim::Nanos> costs;
     sim::Nanos touch_sum = 0;   // EPC paging share of the seal costs
     sim::Nanos crypto_sum = 0;  // GCM share
-    std::size_t scratch_bytes = 0;
+    std::size_t sealed_bytes = 0;
     std::size_t plain_bytes = 0;
   };
   struct AsyncSeal;  // pending pipelined save (defined in mirror.cc)
@@ -271,20 +269,24 @@ class MirrorModel {
   /// its table (contract in the class comment). Throws PmError/MlError
   /// naming `ctx`.
   [[nodiscard]] Walk walk(ml::Network* net, const char* ctx) const;
-  [[nodiscard]] SealPlan build_seal_plan(ml::Network& net, const char* ctx);
+  [[nodiscard]] SealPlan build_seal_plan(ml::Network& net, const char* ctx) const;
   /// Durably commits a planned save (every buffer, its replica and the
   /// iteration counter) in one Romulus transaction, accumulating write_ns.
-  /// `seal(task, dst)` writes the task's sealed bytes straight into main.
+  /// Seals each buffer from its live weights, or copies its envelope from
+  /// `sealed` (the plan's envelopes, consecutive in task order) when given.
   void commit_seal(const SealPlan& plan, std::uint64_t iteration,
-                   const std::function<void(const SealTask&, MutableByteSpan)>& seal);
+                   const std::uint8_t* sealed = nullptr);
+  /// The blob of `e`'s copy at `off` (its primary or its replica).
+  [[nodiscard]] static SealedRef blob(const SealedExtent& e, std::uint64_t off) {
+    return {e.sealed_len - crypto::kSealOverhead, off, e.sealed_len};
+  }
   /// Shared mirror_in / mirror_in_snapshot implementation; `snapshot`
   /// selects staged-then-install semantics over decrypt-in-place.
   std::uint64_t restore_model(ml::Network& net, bool snapshot);
 
   romulus::Romulus* rom_;
   sgx::EnclaveRuntime* enclave_;
-  crypto::AesGcm gcm_;
-  crypto::IvSequence iv_seq_;
+  SealedBlobs blobs_;
   MirrorOptions options_;
   MirrorStats stats_;
   Bytes scratch_;

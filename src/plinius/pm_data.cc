@@ -15,8 +15,7 @@ PmDataStore::PmDataStore(romulus::Romulus& rom, sgx::EnclaveRuntime& enclave,
                          crypto::AesGcm gcm, bool encrypted)
     : rom_(&rom),
       enclave_(&enclave),
-      gcm_(std::move(gcm)),
-      iv_seq_(crypto::IvSequence::salted(enclave.rng())),
+      blobs_(rom, enclave, std::move(gcm)),
       encrypted_(encrypted) {}
 
 bool PmDataStore::exists() const {
@@ -65,7 +64,6 @@ void PmDataStore::load(const ml::Dataset& data) {
   enclave_->charge_ecall();
   enclave_->charge_ocall_io(data.size() * record_len, /*into_enclave=*/true);
 
-  Bytes record(record_len);
   std::vector<float> plain((data.x.cols + data.y.cols));
 
   rom_->run_transaction([&] {
@@ -83,12 +81,10 @@ void PmDataStore::load(const ml::Dataset& data) {
         // Records are sealed under the provisioned data key (the data owner
         // ships them encrypted; re-sealing here is equivalent and keeps the
         // demo self-contained).
-        crypto::seal_into(gcm_, iv_seq_, plain_bytes,
-                          MutableByteSpan(record.data(), record.size()));
+        blobs_.seal(record_blob(hdr, r), plain_bytes);
       } else {
-        std::memcpy(record.data(), plain_bytes.data(), plain_len);
+        rom_->tx_store(hdr.records_off + r * record_len, plain_bytes.data(), plain_len);
       }
-      rom_->tx_store(hdr.records_off + r * record_len, record.data(), record.size());
     }
     const std::size_t hdr_off = rom_->pmalloc(sizeof(Header));
     rom_->tx_store(hdr_off, &hdr, sizeof(hdr));
@@ -96,31 +92,27 @@ void PmDataStore::load(const ml::Dataset& data) {
   });
 }
 
+void PmDataStore::stage_plain(std::uint64_t off, MutableByteSpan dst) {
+  rom_->device().charge_read(dst.size());
+  if (enclave_->model().real_sgx) enclave_->copy_into_enclave(dst.size());
+  std::memcpy(dst.data(), rom_->main_base() + off, dst.size());
+}
+
 void PmDataStore::read_record(std::size_t index, float* x_out, float* y_out) {
   const Header hdr = header();
   if (index >= hdr.rows) throw PmError("PmDataStore::read_record: index out of range");
-  const std::size_t off = hdr.records_off + index * hdr.record_len;
   const std::size_t plain_len = (hdr.x_cols + hdr.y_cols) * sizeof(float);
-
-  rom_->device().charge_read(hdr.record_len);
-  if (enclave_->model().real_sgx) {
-    enclave_->copy_into_enclave(hdr.record_len);
-  }
-
   plain_scratch_.resize(hdr.x_cols + hdr.y_cols);
   auto plain_bytes = MutableByteSpan(
       reinterpret_cast<std::uint8_t*>(plain_scratch_.data()), plain_len);
 
   if (hdr.encrypted != 0) {
-    scratch_.resize(hdr.record_len);
-    std::memcpy(scratch_.data(), rom_->main_base() + off, hdr.record_len);
-    enclave_->charge_crypto(hdr.record_len);
-    if (!crypto::open_into(gcm_, scratch_, plain_bytes)) {
+    if (!blobs_.open(record_blob(hdr, index), plain_bytes)) {
       throw CryptoError("PmDataStore: record " + std::to_string(index) +
                         " failed authentication");
     }
   } else {
-    std::memcpy(plain_bytes.data(), rom_->main_base() + off, plain_len);
+    stage_plain(hdr.records_off + index * hdr.record_len, plain_bytes);
     enclave_->charge_plain_copy(plain_len);
   }
 
@@ -151,14 +143,14 @@ void PmDataStore::sample_batch(std::size_t batch, Rng& rng, float* x_out,
     // The PM offsets read here are the sampled record indices — exactly what
     // a controlled-channel observer of the data region sees.
     obs::touch_pages("pm.data", off, hdr.record_len);
-    rom_->device().charge_read(hdr.record_len);
-    if (enclave_->model().real_sgx) {
-      enclave_->copy_into_enclave(hdr.record_len);
+    const MutableByteSpan staged(scratch_.data() + b * hdr.record_len, hdr.record_len);
+    if (hdr.encrypted != 0) {
+      blobs_.stage(record_blob(hdr, indices[b]), staged);
+      costs[b] = enclave_->crypto_task_ns(hdr.record_len);
+    } else {
+      stage_plain(off, staged);
+      costs[b] = enclave_->plain_copy_ns(plain_len);
     }
-    std::memcpy(scratch_.data() + b * hdr.record_len, rom_->main_base() + off,
-                hdr.record_len);
-    costs[b] = hdr.encrypted != 0 ? enclave_->crypto_task_ns(hdr.record_len)
-                                  : enclave_->plain_copy_ns(plain_len);
   }
 
   // Phase 2: authenticate + decrypt every record concurrently into its
@@ -172,7 +164,7 @@ void PmDataStore::sample_batch(std::size_t batch, Rng& rng, float* x_out,
           MutableByteSpan(reinterpret_cast<std::uint8_t*>(record), plain_len);
       if (hdr.encrypted != 0) {
         const ByteSpan sealed(scratch_.data() + b * hdr.record_len, hdr.record_len);
-        auth_ok[b] = crypto::open_into(gcm_, sealed, plain_bytes) ? 1 : 0;
+        auth_ok[b] = blobs_.open(sealed, plain_bytes) ? 1 : 0;
         if (!auth_ok[b]) continue;
       } else {
         std::memcpy(plain_bytes.data(), scratch_.data() + b * hdr.record_len,
@@ -239,17 +231,12 @@ std::vector<std::size_t> PmDataStore::scrub_records() {
   std::vector<std::size_t> corrupt;
   if (hdr.encrypted == 0) return corrupt;  // no MAC to check
 
-  const std::size_t plain_len = (hdr.x_cols + hdr.y_cols) * sizeof(float);
-  scratch_.resize(hdr.record_len);
-  plain_scratch_.resize(hdr.x_cols + hdr.y_cols);
-  auto plain_bytes = MutableByteSpan(
-      reinterpret_cast<std::uint8_t*>(plain_scratch_.data()), plain_len);
   for (std::size_t r = 0; r < hdr.rows; ++r) {
-    const std::size_t off = hdr.records_off + r * hdr.record_len;
-    (void)rom_->device().scrub_range(rom_->main_region_offset() + off, hdr.record_len);
-    std::memcpy(scratch_.data(), rom_->main_base() + off, hdr.record_len);
-    enclave_->charge_crypto(hdr.record_len);
-    if (!crypto::open_into(gcm_, scratch_, plain_bytes)) {
+    const SealedRef record = record_blob(hdr, r);
+    (void)rom_->device().scrub_range(rom_->main_region_offset() + record.sealed_off,
+                                     record.sealed_len);
+    enclave_->charge_crypto(record.sealed_len);
+    if (!blobs_.authenticate(record, scratch_)) {
       corrupt.push_back(r);
       ++stats_.corrupt_records;
     }

@@ -6,17 +6,18 @@
 // (Algorithm 2, line 15: decrypt_pm_data(batch_size)). After a crash the
 // data is instantly available again — no re-reading from secondary storage.
 //
-// An unencrypted mode stores plaintext records, used as the comparison
-// baseline of Fig. 8 (overhead of batched data decryption).
+// Each sealed record is a blob of the shared SealedBlobs store
+// (plinius/sealed_blob.h). An unencrypted mode stores plaintext records with
+// its own copy path, used as the comparison baseline of Fig. 8 (overhead of
+// batched data decryption).
 #pragma once
 
 #include <cstdint>
 
 #include "common/clock.h"
 #include "common/rng.h"
-#include "crypto/envelope.h"
-#include "crypto/gcm.h"
 #include "ml/data.h"
+#include "plinius/sealed_blob.h"
 #include "pm/root_slots.h"
 #include "romulus/romulus.h"
 #include "sgx/enclave.h"
@@ -100,11 +101,17 @@ class PmDataStore {
   static constexpr std::uint64_t kMagic = 0x504C44415441504DULL;  // "PLDATAPM"
 
   [[nodiscard]] Header header() const;
+  /// Record `index` of a sealed store as a blob (header() checked the extent).
+  [[nodiscard]] static SealedRef record_blob(const Header& hdr, std::uint64_t index) {
+    return {hdr.record_len - crypto::kSealOverhead,
+            hdr.records_off + index * hdr.record_len, hdr.record_len};
+  }
+  /// The plaintext mode's own copy path: PM read, real-SGX copy-in, copy.
+  void stage_plain(std::uint64_t off, MutableByteSpan dst);
 
   romulus::Romulus* rom_;
   sgx::EnclaveRuntime* enclave_;
-  crypto::AesGcm gcm_;
-  crypto::IvSequence iv_seq_;
+  SealedBlobs blobs_;  // unused by a plaintext store
   bool encrypted_;
   CorruptRecordPolicy policy_ = CorruptRecordPolicy::kThrow;
   PmDataStats stats_;

@@ -172,10 +172,12 @@ std::uint64_t QuantMirror::load(ml::QuantizedNetwork& qnet) {
       throw MlError("QuantMirror::load: layer blob size mismatch at layer " +
                     std::to_string(i));
     }
+    // A layer without parameters has empty buffers, whose data() may be
+    // null, which memcpy forbids even for zero bytes.
     l.weights.resize(m.weight_count);
-    std::memcpy(l.weights.data(), wbuf->data(), wbuf->size());
+    if (!wbuf->empty()) std::memcpy(l.weights.data(), wbuf->data(), wbuf->size());
     l.biases.resize(m.bias_count);
-    std::memcpy(l.biases.data(), bbuf->data(), bbuf->size());
+    if (!bbuf->empty()) std::memcpy(l.biases.data(), bbuf->data(), bbuf->size());
     fresh.layers().push_back(std::move(l));
   }
 

@@ -1,14 +1,21 @@
-// The one sealed-blob store under TensorMirror (and through it QuantMirror)
-// and the serving fleet's ModelRegistry. Each blob is an AES-GCM envelope
-// (crypto/envelope.h: IV || CT || MAC) in the Romulus main region, described
-// on PM by one SealedRef. SealedBlobs owns the key, a salted IV sequence and
-// a staging buffer, so each format keeps only its own index layout. Callers
-// charge a seal's ecall, enclave touch and GCM work themselves, because the
-// formats order those charges differently; open() books the staging charges
-// (PM read, real-SGX copy-in, GCM), which every format shares.
+// The one sealed-blob store under every PM model format: MirrorModel's layer
+// list, PmDataStore's encrypted records, TensorMirror (and through it
+// QuantMirror) and the serving fleet's ModelRegistry. Each blob is an AES-GCM
+// envelope (crypto/envelope.h: IV || CT || MAC) in the Romulus main region,
+// described on PM by one SealedRef. SealedBlobs owns the key and a salted IV
+// sequence, and is the one place that knows the envelope format, the order in
+// which IVs are drawn, and how sealed bytes move between PM and the enclave;
+// each format keeps only its own index layout.
+//
+// Charges stay with the callers, because the formats order them differently:
+// seal, seal_batch, authenticate and open(sealed, out) charge nothing. Only
+// the two primitives that stage sealed bytes into the enclave book traffic:
+// stage charges the PM read and the real-SGX copy-in, and open(ref, out) adds
+// the GCM pass on top of stage.
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "common/bytes.h"
 #include "crypto/envelope.h"
@@ -36,24 +43,46 @@ class SealedBlobs {
   [[nodiscard]] SealedRef alloc(std::size_t plain_len);
 
   /// Throws PmError naming `ctx` unless `ref`'s lengths agree with the
-  /// envelope format and its extent lies in main.
+  /// envelope format (a sealed_len below the envelope overhead included) and
+  /// its extent lies in main.
   void check(const SealedRef& ref, const char* ctx) const;
 
-  /// Seals `plain` (exactly ref.plain_len bytes) with the next IV and
-  /// tx_stores the envelope at ref.sealed_off. Call inside a transaction.
+  /// Seals `plain` (exactly ref.plain_len bytes) with the next IV straight
+  /// into the PM slot at ref.sealed_off (Romulus::tx_fill: the device sees the
+  /// ops of tx_store, without a staging copy). Call inside a transaction.
   void seal(const SealedRef& ref, ByteSpan plain);
 
-  /// Copies the envelope into the enclave and authenticates it into `out`
-  /// (exactly ref.plain_len bytes). Returns false, with `out` zeroed, when
-  /// the MAC does not verify. `ref` must have passed check().
+  /// Seals every `plains[i]` into consecutive envelopes of `out` (exactly the
+  /// sum of their sealed sizes). The IVs are drawn in order first, so the
+  /// counter stays strictly monotonic; the GCM passes then run in parallel.
+  void seal_batch(std::span<const ByteSpan> plains, MutableByteSpan out);
+
+  /// Copies the envelope at `ref` into enclave memory `dst` (exactly
+  /// ref.sealed_len bytes), charging the PM read and, on real SGX, the
+  /// copy-in. `ref` must have passed check().
+  void stage(const SealedRef& ref, MutableByteSpan dst);
+
+  /// Stages the envelope, charges its GCM pass and authenticates it into
+  /// `out` (exactly ref.plain_len bytes). Returns false, with `out` zeroed,
+  /// when the MAC does not verify. `ref` must have passed check().
   [[nodiscard]] bool open(const SealedRef& ref, MutableByteSpan out);
+
+  /// Authenticates and decrypts an envelope already in the enclave. Charges
+  /// nothing, and is safe to call from several threads at once.
+  [[nodiscard]] bool open(ByteSpan sealed, MutableByteSpan out) const;
+
+  /// Copies the envelope at `ref` into `sealed` and checks its MAC, charging
+  /// nothing (scrubbers book their own read traffic). `ref` must have passed
+  /// check().
+  [[nodiscard]] bool authenticate(const SealedRef& ref, Bytes& sealed);
 
  private:
   romulus::Romulus* rom_;
   sgx::EnclaveRuntime* enclave_;
   crypto::AesGcm gcm_;
   crypto::IvSequence iv_seq_;
-  Bytes scratch_;
+  Bytes scratch_;  // open(ref, out)'s staged envelope
+  Bytes plain_;    // authenticate's discarded plaintext
 };
 
 }  // namespace plinius

@@ -20,9 +20,12 @@
 #include "ml/serialize.h"
 #include "pm/device.h"
 #include "pm/faultpoint.h"
+#include "ml/quant.h"
 #include "plinius/metrics_log.h"
 #include "plinius/mirror.h"
 #include "plinius/platform.h"
+#include "plinius/pm_data.h"
+#include "plinius/quant_mirror.h"
 #include "plinius/tensor_mirror.h"
 #include "romulus/romulus.h"
 #include "serve/fleet/registry.h"
@@ -457,11 +460,11 @@ TEST_F(MirrorSweepTest, SweepOptionsStrideAndCap) {
   EXPECT_EQ(report.crashes, 4u);
 }
 
-// --- Sealed-blob store sweeps (root slots 8 and 2) ---------------------------
+// --- Sealed-blob store sweeps (root slots 8, 2, 1 and 6) ---------------------
 
-// The two other sealed-blob formats over the same store: the serving fleet's
-// ModelRegistry and the named-blob TensorMirror. Same fixture as the model
-// mirror sweeps.
+// The other sealed-blob formats over the same store: the serving fleet's
+// ModelRegistry, the named-blob TensorMirror, PmDataStore's sealed records
+// and the int8 QuantMirror. Same fixture as the model mirror sweeps.
 class SealedStoreSweepTest : public MirrorSweepTest {};
 
 TEST_F(SealedStoreSweepTest, RegistryPublishAndSetStateKeepOldOrNewRecords) {
@@ -584,6 +587,106 @@ TEST_F(SealedStoreSweepTest, TensorMirrorOutAuthenticatesAtPreOrPostVersion) {
   EXPECT_GT(report.workload_ops.fences, 0u);
   EXPECT_EQ(report.crashes, report.points);
   EXPECT_EQ(report.points, 2 * report.workload_ops.total());
+}
+
+TEST_F(SealedStoreSweepTest, PmDataLoadLeavesNoDatasetOrEveryRecordIntact) {
+  ml::Dataset data;
+  data.x = ml::Matrix(12, 16);
+  data.y = ml::Matrix(12, 4);
+  Rng rng(9);
+  for (auto& v : data.x.values) v = rng.normal();
+  for (std::size_t r = 0; r < data.y.rows; ++r) data.y.row(r)[r % data.y.cols] = 1.0f;
+
+  const auto workload = [&] {
+    Romulus rom(platform_.pm(), 0, kMirrorMain, PwbPolicy::clflushopt_sfence());
+    PmDataStore store(rom, platform_.enclave(), gcm());
+    store.load(data);
+  };
+  std::size_t recovered[2] = {0, 0};  // crash points recovering no dataset / all of it
+  const auto verify = [&] {
+    Romulus rom(platform_.pm(), 0, kMirrorMain, PwbPolicy::clflushopt_sfence());
+    EXPECT_EQ(rom.header_state(), Romulus::State::kIdle);
+    rom.validate_allocator();
+    PmDataStore store(rom, platform_.enclave(), gcm());
+    ++recovered[store.exists() ? 1 : 0];
+    if (!store.exists()) {
+      EXPECT_EQ(rom.allocated_bytes(), 0u);
+      return;
+    }
+    // The load committed as a whole: every sealed record authenticates and
+    // equals its source row.
+    ASSERT_TRUE(store.encrypted());
+    ASSERT_EQ(store.rows(), data.size());
+    EXPECT_TRUE(store.scrub_records().empty());
+    std::vector<float> x(data.x.cols), y(data.y.cols);
+    for (std::size_t r = 0; r < data.size(); ++r) {
+      store.read_record(r, x.data(), y.data());
+      EXPECT_EQ(x, std::vector<float>(data.x.row(r), data.x.row(r) + data.x.cols)) << r;
+      EXPECT_EQ(y, std::vector<float>(data.y.row(r), data.y.row(r) + data.y.cols)) << r;
+    }
+  };
+
+  const CrashSweepReport report =
+      pm::sweep_crash_points(platform_.pm(), workload, verify);
+  EXPECT_TRUE(report.exhaustive());
+  EXPECT_GT(report.workload_ops.stores, 0u);
+  EXPECT_GT(report.workload_ops.fences, 0u);
+  EXPECT_EQ(report.crashes, report.points);
+  EXPECT_EQ(report.points, 2 * report.workload_ops.total());
+  EXPECT_GT(recovered[0], 0u);
+  EXPECT_GT(recovered[1], 0u);
+}
+
+TEST_F(SealedStoreSweepTest, QuantMirrorSaveLoadsOldOrNewSnapshot) {
+  ml::Network first = net();
+  Rng rng(6);
+  ml::Network second = ml::build_network(ml::make_cnn_config(2, 4, 8), rng);
+  std::vector<float> calib(4 * first.input_shape().size());
+  Rng calib_rng(10);
+  for (auto& v : calib) v = calib_rng.uniform();
+  ml::QuantizedNetwork old_q = ml::quantize_network(first, calib.data(), 4);
+  ml::QuantizedNetwork new_q = ml::quantize_network(second, calib.data(), 4);
+  old_q.set_iterations(1);
+  new_q.set_iterations(2);
+  const Bytes snapshots[] = {ml::serialize_quantized(old_q),
+                             ml::serialize_quantized(new_q)};
+  ASSERT_NE(snapshots[0], snapshots[1]);
+
+  {
+    // Committed baseline: the mirror allocated and sealed at version 1.
+    Romulus rom(platform_.pm(), 0, kMirrorMain, PwbPolicy::clflushopt_sfence());
+    QuantMirror mirror(rom, platform_.enclave(), gcm());
+    mirror.save(old_q, 1);
+  }
+
+  const auto workload = [&] {
+    Romulus rom(platform_.pm(), 0, kMirrorMain, PwbPolicy::clflushopt_sfence());
+    QuantMirror mirror(rom, platform_.enclave(), gcm());
+    mirror.save(new_q, 2);
+  };
+  std::size_t recovered[2] = {0, 0};  // crash points recovering version 1 / 2
+  const auto verify = [&] {
+    Romulus rom(platform_.pm(), 0, kMirrorMain, PwbPolicy::clflushopt_sfence());
+    EXPECT_EQ(rom.header_state(), Romulus::State::kIdle);
+    rom.validate_allocator();
+    QuantMirror mirror(rom, platform_.enclave(), gcm());
+    ASSERT_TRUE(mirror.exists());
+    const std::uint64_t version = mirror.version();
+    ASSERT_TRUE(version == 1 || version == 2) << "recovered at version " << version;
+    // Every blob authenticates, bitwise equal to the snapshot of its version.
+    EXPECT_EQ(ml::serialize_quantized(mirror.load_snapshot()), snapshots[version - 1]);
+    ++recovered[version - 1];
+  };
+
+  const CrashSweepReport report =
+      pm::sweep_crash_points(platform_.pm(), workload, verify);
+  EXPECT_TRUE(report.exhaustive());
+  EXPECT_GT(report.workload_ops.stores, 0u);
+  EXPECT_GT(report.workload_ops.fences, 0u);
+  EXPECT_EQ(report.crashes, report.points);
+  EXPECT_EQ(report.points, 2 * report.workload_ops.total());
+  EXPECT_GT(recovered[0], 0u);
+  EXPECT_GT(recovered[1], 0u);
 }
 
 // --- PmRecordLog sweeps (root slots 3, 4 and 5) ------------------------------

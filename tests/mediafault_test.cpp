@@ -715,6 +715,11 @@ TEST_F(MirrorMediaTest, CorruptLayerListFailsClosedAtEveryEntryPoint) {
          assign(rom, nodes[0] + offsetof(PmMirrorNode, buf_off), rom.main_size() - 8);
        },
        "PmError", "PmError", "PmError"},
+      {"sealed_len below the envelope overhead",
+       [&](auto& rom, auto, const auto& nodes) {
+         assign(rom, nodes[0] + offsetof(PmMirrorNode, buf_sealed_len), 5);
+       },
+       "MlError", "PmError", "MlError"},
       {"num_layers = 2^40",
        [&](auto& rom, auto hdr, const auto&) {
          assign(rom, hdr + offsetof(PmMirrorHeader, num_layers), std::uint64_t{1} << 40);

@@ -242,15 +242,23 @@ TEST(ParallelSealing, IvCountersStrictlyMonotonicAcrossThreadedSaves) {
                        romulus::PwbPolicy::clflushopt_sfence(), true);
   Bytes key(16);
   Rng(77).fill(key.data(), key.size());
-  MirrorModel mirror(rom, platform.enclave(), crypto::AesGcm(key));
+  MirrorModel mirror(rom, platform.enclave(), crypto::AesGcm(key), MirrorOptions{true});
 
   Rng rng(1);
   ml::Network net = ml::build_network(ml::make_cnn_config(2, 4, 8), rng);
   mirror.alloc(net);
+  sgx::ChargeStream stream = platform.enclave().open_stream(2);
 
+  // Synchronous saves seal in the commit; pipelined saves seal a snapshot on
+  // the pool first and commit later. Both draw from the same IV sequence.
   std::vector<std::uint64_t> all;
-  for (std::uint64_t iter = 1; iter <= 3; ++iter) {
-    mirror.mirror_out(net, iter);
+  for (std::uint64_t iter = 1; iter <= 6; ++iter) {
+    if (iter % 2 == 0) {
+      mirror.begin_async_save(net, iter, stream);
+      ASSERT_TRUE(mirror.complete_async_save(stream));
+    } else {
+      mirror.mirror_out(net, iter);
+    }
     const auto counters = iv_counters(rom);
     ASSERT_FALSE(counters.empty());
     // Within one save, IVs are assigned in buffer list order and each save
@@ -258,7 +266,15 @@ TEST(ParallelSealing, IvCountersStrictlyMonotonicAcrossThreadedSaves) {
     // increasing iff no IV was ever reused or reordered by the parallel
     // sealing pass.
     all.insert(all.end(), counters.begin(), counters.end());
+    for (const auto& e : mirror.sealed_extents()) {
+      ASSERT_NE(e.replica_off, 0u);
+      EXPECT_EQ(0, std::memcmp(rom.main_base() + e.primary_off,
+                               rom.main_base() + e.replica_off, e.sealed_len))
+          << "replica differs from its primary: save " << iter << ", layer " << e.layer
+          << " buffer " << e.buffer;
+    }
   }
+  EXPECT_EQ(mirror.stats().async_saves, 3u);
   for (std::size_t i = 1; i < all.size(); ++i) {
     ASSERT_GT(all[i], all[i - 1]) << "IV counter not strictly monotonic at " << i;
   }
@@ -268,7 +284,7 @@ TEST(ParallelSealing, IvCountersStrictlyMonotonicAcrossThreadedSaves) {
   // And the parallel-sealed mirror still authenticates and restores.
   Rng rng2(2);
   ml::Network net2 = ml::build_network(ml::make_cnn_config(2, 4, 8), rng2);
-  EXPECT_EQ(mirror.mirror_in(net2), 3u);
+  EXPECT_EQ(mirror.mirror_in(net2), 6u);
 }
 
 // --- end-to-end determinism --------------------------------------------------

@@ -3,6 +3,7 @@
 #include "common/error.h"
 #include "crypto/envelope.h"
 #include "plinius/platform.h"
+#include "plinius/sealed_blob.h"
 #include "plinius/tensor_mirror.h"
 #include "romulus/romulus.h"
 
@@ -184,6 +185,143 @@ TEST_F(TensorMirrorTest, FlippedCountFailsClosedWithPmError) {
   auto restored = tensor_set();
   EXPECT_THROW((void)mirror_.mirror_in(restored), PmError);
   EXPECT_THROW(mirror_.mirror_out(tensors, 2), PmError);
+}
+
+// --- SealedBlobs: the one sealed-blob store under every PM format ------------
+
+class SealedBlobsTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kMain = 1024 * 1024;
+
+  static Bytes random_bytes(std::size_t n, std::uint64_t seed) {
+    Bytes out(n);
+    Rng(seed).fill(out.data(), out.size());
+    return out;
+  }
+
+  // Allocates a blob for `plain` and seals it, in one transaction.
+  static SealedRef put(romulus::Romulus& rom, SealedBlobs& blobs, ByteSpan plain) {
+    SealedRef ref{};
+    rom.run_transaction([&] {
+      ref = blobs.alloc(plain.size());
+      blobs.seal(ref, plain);
+    });
+    return ref;
+  }
+
+  static Bytes pm_bytes(romulus::Romulus& rom, const SealedRef& ref) {
+    const std::uint8_t* at = rom.main_base() + ref.sealed_off;
+    return Bytes(at, at + ref.sealed_len);
+  }
+};
+
+TEST_F(SealedBlobsTest, SealBatchMatchesSequentialSeals) {
+  // Two platforms with the same seed: their enclave RNGs, and so the two
+  // stores' IV salts, start from the same state.
+  Platform batch_platform(MachineProfile::sgx_emlpm(), 4u << 20);
+  Platform seq_platform(MachineProfile::sgx_emlpm(), 4u << 20);
+  romulus::Romulus batch_rom(batch_platform.pm(), 0, kMain,
+                             romulus::PwbPolicy::clflushopt_sfence(), true);
+  romulus::Romulus seq_rom(seq_platform.pm(), 0, kMain,
+                           romulus::PwbPolicy::clflushopt_sfence(), true);
+  SealedBlobs batch(batch_rom, batch_platform.enclave(), test_gcm());
+  SealedBlobs seq(seq_rom, seq_platform.enclave(), test_gcm());
+
+  std::vector<Bytes> plains;
+  for (const std::size_t n : {0u, 1u, 33u, 4096u, 70001u, 17u}) {
+    plains.push_back(random_bytes(n, 100 + n));
+  }
+  std::vector<ByteSpan> spans(plains.begin(), plains.end());
+  std::size_t total = 0;
+  for (const Bytes& p : plains) total += crypto::sealed_size(p.size());
+  Bytes out(total);
+  batch.seal_batch(spans, out);
+
+  std::size_t off = 0;
+  for (std::size_t i = 0; i < plains.size(); ++i) {
+    const SealedRef ref = put(seq_rom, seq, plains[i]);
+    const Bytes envelope(out.begin() + off, out.begin() + off + ref.sealed_len);
+    EXPECT_EQ(envelope, pm_bytes(seq_rom, ref)) << "envelope " << i;
+    Bytes plain(ref.plain_len);
+    EXPECT_TRUE(batch.open(envelope, plain)) << "envelope " << i;
+    EXPECT_EQ(plain, plains[i]) << "envelope " << i;
+    off += ref.sealed_len;
+  }
+  EXPECT_EQ(off, out.size());
+
+  // The batch drew its IVs in order and no more: the next seal of each store
+  // still agrees.
+  const Bytes next = random_bytes(64, 7);
+  const SealedRef batch_ref = put(batch_rom, batch, next);
+  const SealedRef seq_ref = put(seq_rom, seq, next);
+  EXPECT_EQ(pm_bytes(batch_rom, batch_ref), pm_bytes(seq_rom, seq_ref));
+  EXPECT_THROW(batch.seal_batch(spans, MutableByteSpan(out).first(total - 1)), Error);
+}
+
+TEST_F(SealedBlobsTest, StageChargesExactlyThePmReadPlusTheSgxCopyIn) {
+  for (const auto& [profile, copies_in] :
+       {std::pair{MachineProfile::sgx_emlpm(), true},
+        std::pair{MachineProfile::emlsgx_pm(), false}}) {
+    Platform platform(profile, 4u << 20);
+    romulus::Romulus rom(platform.pm(), 0, kMain, romulus::PwbPolicy::clflushopt_sfence(),
+                         true);
+    SealedBlobs blobs(rom, platform.enclave(), test_gcm());
+    const SealedRef ref = put(rom, blobs, random_bytes(5000, 3));
+    ASSERT_EQ(platform.enclave().model().real_sgx, copies_in) << profile.name;
+
+    const sim::Nanos t0 = platform.clock().now();
+    const std::uint64_t read0 = platform.pm().stats().bytes_read;
+    const std::uint64_t copied0 = platform.enclave().stats().bytes_copied_in;
+    Bytes staged(ref.sealed_len);
+    blobs.stage(ref, staged);
+    EXPECT_EQ(staged, pm_bytes(rom, ref)) << profile.name;
+    EXPECT_EQ(platform.pm().stats().bytes_read - read0, ref.sealed_len) << profile.name;
+    EXPECT_EQ(platform.enclave().stats().bytes_copied_in - copied0,
+              copies_in ? ref.sealed_len : 0u)
+        << profile.name;
+
+    // The clock advances by the PM read, then (real SGX only) the copy-in,
+    // summed in the order the device and the enclave charge them.
+    const pm::PmLatencyModel& pm = platform.pm().model();
+    sim::Nanos want = t0;
+    want += pm.read_latency_ns +
+            sim::bandwidth_ns(static_cast<double>(ref.sealed_len), pm.read_gib_s);
+    if (copies_in) want += platform.enclave().copy_in_task_ns(ref.sealed_len);
+    EXPECT_EQ(platform.clock().now(), want) << profile.name;
+    EXPECT_GT(platform.clock().now(), t0) << profile.name;
+  }
+}
+
+TEST_F(SealedBlobsTest, AuthenticateChargesNothingAndRejectsOneFlippedByte) {
+  Platform platform(MachineProfile::sgx_emlpm(), 4u << 20);
+  romulus::Romulus rom(platform.pm(), 0, kMain, romulus::PwbPolicy::clflushopt_sfence(),
+                       true);
+  SealedBlobs blobs(rom, platform.enclave(), test_gcm());
+  const SealedRef ref = put(rom, blobs, random_bytes(3000, 4));
+
+  const sim::Nanos t0 = platform.clock().now();
+  const pm::PmStats pm0 = platform.pm().stats();
+  const sgx::EnclaveStats enclave0 = platform.enclave().stats();
+  Bytes sealed;
+  EXPECT_TRUE(blobs.authenticate(ref, sealed));
+  EXPECT_EQ(sealed, pm_bytes(rom, ref));
+
+  // One flipped byte in the IV, the ciphertext or the MAC fails the check.
+  const std::uint64_t flips[] = {0, ref.sealed_len / 2, ref.sealed_len - 1};
+  for (const std::uint64_t at : flips) {
+    const std::size_t byte_off = rom.main_region_offset() + ref.sealed_off + at;
+    platform.pm().flip_bit(byte_off, 3);
+    EXPECT_FALSE(blobs.authenticate(ref, sealed)) << "flipped byte " << at;
+    EXPECT_EQ(sealed, pm_bytes(rom, ref)) << "flipped byte " << at;
+    platform.pm().flip_bit(byte_off, 3);
+  }
+  EXPECT_TRUE(blobs.authenticate(ref, sealed));
+
+  EXPECT_EQ(platform.clock().now(), t0);
+  EXPECT_EQ(platform.pm().stats().bytes_read, pm0.bytes_read);
+  EXPECT_EQ(platform.enclave().stats().bytes_copied_in, enclave0.bytes_copied_in);
+  EXPECT_EQ(platform.enclave().stats().crypto_bytes, enclave0.crypto_bytes);
+  EXPECT_EQ(platform.enclave().stats().epc_faults, enclave0.epc_faults);
 }
 
 }  // namespace
