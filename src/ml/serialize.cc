@@ -64,8 +64,19 @@ class Reader {
     raw(dst, count * sizeof(float), "floats");
   }
 
+  /// Reads an element count and bounds it by the bytes left (overflow-safe),
+  /// so a hostile count fails before anything is allocated for it.
+  std::size_t count(std::size_t elem_bytes, const char* what, const std::string& where) {
+    const std::uint64_t n = u64();
+    if (n > (data_.size() - off_) / elem_bytes) {
+      throw MlError(std::string("weights blob: ") + what + " count " + std::to_string(n) +
+                    where + " exceeds the remaining bytes");
+    }
+    return static_cast<std::size_t>(n);
+  }
+
   void raw(void* dst, std::size_t bytes, const char* what) {
-    if (off_ + bytes > data_.size()) {
+    if (bytes > data_.size() - off_) {
       throw MlError(std::string("weights blob: truncated ") + what);
     }
     if (bytes == 0) return;  // dst may be null (an empty buffer)
@@ -201,11 +212,11 @@ QuantizedNetwork deserialize_quantized(ByteSpan blob) {
   q.set_input_scale(in.f32());
   const std::uint64_t num_layers = in.u64();
   for (std::uint64_t i = 0; i < num_layers; ++i) {
+    const std::string at = " at layer " + std::to_string(i);
     QuantLayer l;
     const std::uint64_t kind = in.u64();
     if (kind > static_cast<std::uint64_t>(QLayerKind::kSoftmax)) {
-      throw MlError("weights blob: bad quantized layer kind " + std::to_string(kind) +
-                    " at layer " + std::to_string(i));
+      throw MlError("weights blob: bad quantized layer kind " + std::to_string(kind) + at);
     }
     l.kind = static_cast<QLayerKind>(kind);
     l.in = Shape{in.u64(), in.u64(), in.u64()};
@@ -213,13 +224,17 @@ QuantizedNetwork deserialize_quantized(ByteSpan blob) {
     l.ksize = in.u64();
     l.stride = in.u64();
     l.pad = in.u64();
-    l.activation = static_cast<Activation>(in.u64());
+    const std::uint64_t activation = in.u64();
+    if (activation > static_cast<std::uint64_t>(Activation::kTanh)) {
+      throw MlError("weights blob: bad activation " + std::to_string(activation) + at);
+    }
+    l.activation = static_cast<Activation>(activation);
     l.weight_scale = in.f32();
     l.in_scale = in.f32();
     l.out_scale = in.f32();
-    l.weights.resize(in.u64());
+    l.weights.resize(in.count(sizeof(std::int8_t), "int8 weight", at));
     in.raw(l.weights.data(), l.weights.size() * sizeof(std::int8_t), "int8 weights");
-    l.biases.resize(in.u64());
+    l.biases.resize(in.count(sizeof(std::int32_t), "int32 bias", at));
     in.raw(l.biases.data(), l.biases.size() * sizeof(std::int32_t), "int32 biases");
     q.layers().push_back(std::move(l));
   }

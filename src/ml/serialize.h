@@ -1,6 +1,7 @@
 // Model weight (de)serialization — the equivalent of Darknet's
-// save_weights/load_weights, used by the SSD checkpointing baseline and the
-// quantized serving snapshot format.
+// save_weights/load_weights, used by the SSD checkpointing baseline, the
+// serving fleet's model registry and, for int8 models, the quantized PM
+// mirror (plinius/quant_mirror.h), whose sealed blob is this format.
 //
 // Format v2 (little-endian):
 //   u64 magic "PLNWEI2\0" | u64 version (=2) | u64 dtype | u64 iterations
@@ -43,6 +44,9 @@ void deserialize_weights(Network& net, ByteSpan blob);
 
 /// Reconstructs a quantized model from a v2/int8 blob; throws MlError with
 /// an expected-vs-got message on version/dtype mismatch or malformed layout.
+/// The one int8 decoder, and it fails closed: every weight/bias count is
+/// bounded by the bytes left before anything is allocated, and an unknown
+/// layer kind or activation is rejected (MlError naming the layer).
 [[nodiscard]] QuantizedNetwork deserialize_quantized(ByteSpan blob);
 
 }  // namespace plinius::ml

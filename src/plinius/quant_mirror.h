@@ -1,14 +1,14 @@
 // Quantized model mirror: the int8 serving snapshot in PM.
 //
-// Reuses the TensorMirror blob machinery (per-blob AES-GCM sealing, atomic
+// Reuses the TensorMirror blob machinery (AES-GCM sealing, atomic
 // Romulus-transactional versioned updates, authenticate-before-install
-// restore) on its own root slot. Each layer contributes two sealed blobs —
-// "l<i>.w" (int8 weights) and "l<i>.b" (int32 biases) — plus one fixed-size
-// "meta" blob carrying geometry and scales, so a server can reconstruct the
-// QuantizedNetwork from PM alone. Because weights dominate and shrink from
-// 4-byte floats to 1 byte, a quantized snapshot seals ~4x fewer PM bytes
-// than the float MirrorModel of the same architecture — which is exactly
-// what moves the EPC paging cliff in bench/fig6_sps' crossover panel.
+// restore) on its own root slot. The snapshot is one sealed blob, "model",
+// whose bytes are the v2 int8 weight format (ml::serialize_quantized), so
+// the PM mirror and the model registry share one int8 format and one
+// decoder (ml::deserialize_quantized). Because weights dominate and shrink
+// from 4-byte floats to 1 byte, a quantized snapshot seals ~4x fewer PM
+// bytes than the float MirrorModel of the same architecture — which is
+// exactly what moves the EPC paging cliff in bench/fig6_sps' crossover panel.
 #pragma once
 
 #include <cstdint>
@@ -29,12 +29,13 @@ class QuantMirror {
 
   /// Atomically seals the quantized model into PM at `version`, allocating
   /// the mirror on first save. Subsequent saves must keep the architecture
-  /// (blob names and sizes) unchanged.
+  /// (and so the serialized size) unchanged.
   void save(ml::QuantizedNetwork& qnet, std::uint64_t version);
 
   /// Reconstructs the quantized model from PM; returns the mirror version.
-  /// All blobs are authenticated into staging buffers before `qnet` is
-  /// touched, so a tampered snapshot leaves `qnet` unchanged.
+  /// The blob is authenticated into a staging buffer and decoded before
+  /// `qnet` is touched, so a tampered or malformed snapshot leaves `qnet`
+  /// unchanged (CryptoError / MlError).
   std::uint64_t load(ml::QuantizedNetwork& qnet);
 
   /// load() into a fresh network (serving hot-reload).

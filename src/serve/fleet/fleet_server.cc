@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <string>
 
 #include "common/error.h"
@@ -299,35 +300,25 @@ FleetWindowReport ServingFleet::serve_window(std::span<Request> workload) {
     ++cohort.replicas;
     if (per[r].empty()) continue;
 
-    ServerOptions opt = options_.server;
-    std::vector<Completion> done;
+    std::optional<InferenceServer> server;
     if (rep.dtype == ml::kDtypeFloat32) {
       expects(rep.net != nullptr, "ServingFleet: replica has no float model");
-      InferenceServer server(*rep.platform, *rep.net, gcm, opt,
-                             rep.mirror->exists() ? rep.mirror.get() : nullptr);
-      done = server.run(per[r]);
-      const ServerStats& st = server.stats();
-      cohort.arrived += st.arrived;
-      cohort.served += st.completed;
-      cohort.shed += st.shed_total();
-      cohort.expired += st.expired;
-      cohort.auth_failed += st.auth_failed;
-      busy_sum += st.busy_ns;
-      (rep.canary ? canary_hists : baseline_hists).push_back(st.total_hist);
+      server.emplace(*rep.platform, *rep.net, gcm, options_.server,
+                     rep.mirror->exists() ? rep.mirror.get() : nullptr);
     } else {
       expects(rep.qnet != nullptr, "ServingFleet: replica has no int8 model");
-      InferenceServer server(*rep.platform, *rep.qnet, gcm, opt,
-                             rep.qmirror->exists() ? rep.qmirror.get() : nullptr);
-      done = server.run(per[r]);
-      const ServerStats& st = server.stats();
-      cohort.arrived += st.arrived;
-      cohort.served += st.completed;
-      cohort.shed += st.shed_total();
-      cohort.expired += st.expired;
-      cohort.auth_failed += st.auth_failed;
-      busy_sum += st.busy_ns;
-      (rep.canary ? canary_hists : baseline_hists).push_back(st.total_hist);
+      server.emplace(*rep.platform, *rep.qnet, gcm, options_.server,
+                     rep.qmirror->exists() ? rep.qmirror.get() : nullptr);
     }
+    std::vector<Completion> done = server->run(per[r]);
+    const ServerStats& st = server->stats();
+    cohort.arrived += st.arrived;
+    cohort.served += st.completed;
+    cohort.shed += st.shed_total();
+    cohort.expired += st.expired;
+    cohort.auth_failed += st.auth_failed;
+    busy_sum += st.busy_ns;
+    (rep.canary ? canary_hists : baseline_hists).push_back(st.total_hist);
     for (Completion& c : done) {
       last_done = std::max(last_done, c.done_ns);
       window.completions.push_back(std::move(c));

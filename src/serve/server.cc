@@ -11,6 +11,11 @@
 
 namespace plinius::serve {
 
+namespace {
+// EWMA weight of the newest batch in the admission service estimate.
+constexpr double kEstimateAlpha = 0.25;
+}  // namespace
+
 InferenceServer::InferenceServer(Platform& platform, ml::Network& net,
                                  crypto::AesGcm gcm, ServerOptions options,
                                  MirrorModel* mirror, ServeLog* serve_log)
@@ -75,13 +80,12 @@ std::size_t InferenceServer::lanes_per_worker() const noexcept {
 }
 
 void InferenceServer::maybe_reload() {
-  if (!options_.hot_reload) return;
   if (quantized()) {
     if (qmirror_ == nullptr || !qmirror_->exists()) return;
     if (qmirror_->version() == served_version_) return;
-    // QuantMirror::load authenticates every blob into staging before
-    // touching the serving model — the same torn-write guarantee as the
-    // float snapshot restore below.
+    // QuantMirror::load authenticates the sealed v2 model blob into staging
+    // and decodes it before touching the serving model — the same torn-write
+    // guarantee as the float snapshot restore below.
     sim::Stopwatch qsw(platform_->clock());
     try {
       served_version_ = qmirror_->load(*qnet_);
@@ -378,8 +382,8 @@ std::vector<Completion> InferenceServer::run(std::span<const Request> workload) 
     service_ewma_ns_ =
         service_ewma_ns_ == 0
             ? per_request
-            : options_.estimate_alpha * per_request +
-                  (1.0 - options_.estimate_alpha) * service_ewma_ns_;
+            : kEstimateAlpha * per_request +
+                  (1.0 - kEstimateAlpha) * service_ewma_ns_;
     queue_.set_service_estimate_ns(service_ewma_ns_);
   }
 

@@ -51,10 +51,6 @@ struct ServerOptions {
   std::size_t workers = 1;
   BatchPolicy batch;
   AdmissionOptions admission;
-  /// Poll the mirror before each batch and hot-reload on a new iteration.
-  bool hot_reload = true;
-  /// EWMA weight of the newest batch in the admission service estimate.
-  double estimate_alpha = 0.25;
 };
 
 struct ServerStats {

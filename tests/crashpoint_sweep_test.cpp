@@ -11,6 +11,7 @@
 #include <string>
 #include <tuple>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -20,6 +21,7 @@
 #include "ml/serialize.h"
 #include "pm/device.h"
 #include "pm/faultpoint.h"
+#include "pm/root_slots.h"
 #include "ml/quant.h"
 #include "plinius/metrics_log.h"
 #include "plinius/mirror.h"
@@ -28,6 +30,7 @@
 #include "plinius/quant_mirror.h"
 #include "plinius/tensor_mirror.h"
 #include "romulus/romulus.h"
+#include "romulus/sps.h"
 #include "serve/fleet/registry.h"
 
 namespace plinius {
@@ -813,6 +816,69 @@ TEST_F(MetricsLogSweepTest, TruncateAfterKeepsOldOrNewCount) {
       dev_, [&] { with_log([&](MetricsLog& log) { log.truncate_after(last_kept); }); },
       [&] { expect_old_or_new({0, 1, 2, 3, 4}, {0, 1, 2}, 8); });
   expect_exhaustive(report);
+}
+
+// --- SPS array sweep (root slot 7) -------------------------------------------
+
+class SpsArraySweepTest : public CrashSweepTest {};
+
+TEST_F(SpsArraySweepTest, RunSpsLeavesNoArrayOrWholeTransactions) {
+  romulus::SpsConfig cfg;
+  cfg.array_bytes = 32 * sizeof(std::uint64_t);
+  cfg.swaps_per_tx = 2;
+  cfg.total_swaps = 6;  // 3 transactions
+  cfg.seed = 9;
+  constexpr std::size_t kElems = 32;
+  constexpr std::size_t kTxns = 3;
+
+  // The array after exactly k whole transactions, replayed on the host from
+  // the same Rng(seed) swap sequence run_sps draws.
+  std::vector<std::vector<std::uint64_t>> states(kTxns + 1);
+  states[0].resize(kElems);
+  for (std::size_t i = 0; i < kElems; ++i) states[0][i] = i;
+  Rng rng(cfg.seed);
+  for (std::size_t t = 0; t < kTxns; ++t) {
+    states[t + 1] = states[t];
+    for (std::size_t s = 0; s < cfg.swaps_per_tx; ++s) {
+      const std::size_t i = rng.below(kElems);
+      const std::size_t j = rng.below(kElems);
+      std::swap(states[t + 1][i], states[t + 1][j]);
+    }
+  }
+  for (std::size_t t = 0; t < kTxns; ++t) ASSERT_NE(states[t], states[t + 1]);
+
+  const auto workload = [&] {
+    Romulus rom(dev_, 0, kMain, PwbPolicy::clflushopt_sfence());
+    EXPECT_EQ(romulus::run_sps(rom, cfg).transactions, kTxns);
+  };
+  std::size_t no_array = 0;
+  std::vector<std::size_t> recovered(kTxns + 1, 0);  // crash points per k
+  const auto verify = [&] {
+    with_recovered([&](Romulus& rom) {
+      const std::uint64_t off = rom.root(pm::kSpsArrayRootSlot);
+      if (off == 0) {
+        ++no_array;
+        return;
+      }
+      std::vector<std::uint64_t> got(kElems);
+      std::memcpy(got.data(), rom.main_base() + off, kElems * sizeof(std::uint64_t));
+      std::size_t k = 0;
+      while (k <= kTxns && got != states[k]) ++k;
+      ASSERT_LE(k, kTxns) << "array matches no whole-transaction state";
+      ++recovered[k];
+    });
+  };
+
+  const CrashSweepReport report = pm::sweep_crash_points(dev_, workload, verify);
+  EXPECT_TRUE(report.exhaustive());
+  EXPECT_GT(report.workload_ops.stores, 0u);
+  EXPECT_GT(report.workload_ops.fences, 0u);
+  EXPECT_EQ(report.crashes, report.points);
+  EXPECT_EQ(report.points, 2 * report.workload_ops.total());
+  std::size_t distinct_k = 0;
+  for (const std::size_t n : recovered) distinct_k += n > 0 ? 1 : 0;
+  EXPECT_GE(distinct_k, 2u);
+  EXPECT_GT(no_array, 0u);
 }
 
 }  // namespace

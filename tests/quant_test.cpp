@@ -345,6 +345,69 @@ TEST(QuantSerializeTest, QuantizedRoundTrip) {
   expect_quant_equal(qnet, back);
 }
 
+// A hand-built two-layer int8 model (a connected layer, then a softmax with
+// no parameters): every field of the format appears, and the blob is small
+// enough to try every truncation of it.
+ml::QuantizedNetwork tiny_quantized() {
+  ml::QuantizedNetwork q;
+  q.set_iterations(7);
+  q.set_input_shape(ml::Shape{1, 1, 3});
+  q.set_input_scale(0.5f);
+  ml::QuantLayer fc;
+  fc.kind = ml::QLayerKind::kConnected;
+  fc.in = ml::Shape{1, 1, 3};
+  fc.out = ml::Shape{1, 1, 2};
+  fc.activation = Activation::kLeakyRelu;
+  fc.weights = {1, -2, 3, -4, 5, -6};
+  fc.biases = {100, -100};
+  fc.weight_scale = 0.25f;
+  fc.in_scale = 0.5f;
+  fc.out_scale = 0.125f;
+  ml::QuantLayer softmax;
+  softmax.in = softmax.out = fc.out;
+  q.layers().push_back(std::move(fc));
+  q.layers().push_back(std::move(softmax));
+  return q;
+}
+
+TEST(QuantSerializeTest, HostileCountsActivationsAndTruncationsThrowMlError) {
+  // v2 int8 layout (ml/serialize.h): 68 header bytes, then per layer the
+  // activation at +80, the weight count at +100, the weights, the bias
+  // count, the biases.
+  constexpr std::size_t kLayer0 = 68;
+  constexpr std::size_t kActivation = kLayer0 + 80;
+  constexpr std::size_t kWeightCount = kLayer0 + 100;
+  constexpr std::size_t kBiasCount = kWeightCount + 8 + 6;
+  const Bytes blob = ml::serialize_quantized(tiny_quantized());
+  ASSERT_EQ(blob.size(), kLayer0 + (108 + 6 + 8 + 2 * 4) + (108 + 8));
+  expect_quant_equal(ml::deserialize_quantized(blob), tiny_quantized());
+
+  struct Patch {
+    const char* what;
+    std::size_t offset;
+    std::uint64_t value;
+    const char* message;  // must appear in the MlError
+  };
+  const Patch patches[] = {
+      {"2^62 weights", kWeightCount, std::uint64_t{1} << 62, "int8 weight count"},
+      {"2^62 biases", kBiasCount, std::uint64_t{1} << 62, "int32 bias count"},
+      {"activation 99", kActivation, 99, "bad activation 99"},
+  };
+  for (const Patch& p : patches) {
+    Bytes bad = blob;
+    std::memcpy(bad.data() + p.offset, &p.value, sizeof(p.value));
+    // error_message catches MlError only: any other exception fails the test.
+    const std::string msg = error_message([&] { (void)ml::deserialize_quantized(bad); });
+    EXPECT_NE(msg.find(p.message), std::string::npos) << p.what << ": " << msg;
+    EXPECT_NE(msg.find("at layer 0"), std::string::npos) << p.what << ": " << msg;
+  }
+
+  for (std::size_t len = 0; len < blob.size(); ++len) {
+    EXPECT_THROW((void)ml::deserialize_quantized(ByteSpan(blob.data(), len)), MlError)
+        << "truncated to " << len << " bytes";
+  }
+}
+
 // --- quantized PM mirror -----------------------------------------------------------
 
 crypto::AesGcm test_gcm() {
@@ -426,6 +489,36 @@ TEST_F(QuantMirrorTest, TamperedSnapshotLeavesTargetUnchanged) {
   ml::QuantizedNetwork target = qnet;  // staged install: must stay intact
   EXPECT_THROW((void)qmirror_.load(target), CryptoError);
   expect_quant_equal(target, qnet);
+}
+
+TEST_F(QuantMirrorTest, SnapshotThatIsNotOneModelBlobFailsClosed) {
+  // Slot-6 snapshots written straight through TensorMirror: the retired
+  // per-layer layout, one blob under another name, and a "model" blob that
+  // authenticates but is not a valid int8 model.
+  Bytes bad_model = ml::serialize_quantized(tiny_quantized());
+  const std::uint64_t bad_activation = 99;
+  std::memcpy(bad_model.data() + 68 + 80, &bad_activation, sizeof(bad_activation));
+  Bytes meta(64, 0x11), weights(24, 0x22);
+  const std::vector<std::vector<NamedBlob>> snapshots = {
+      {{"meta", MutableByteSpan(meta)}, {"l0.w", MutableByteSpan(weights)}},
+      {{"weights", MutableByteSpan(bad_model)}},
+      {{"model", MutableByteSpan(bad_model)}},
+  };
+  const ml::QuantizedNetwork qnet = quantize_trained();
+  for (std::size_t i = 0; i < snapshots.size(); ++i) {
+    Platform platform(MachineProfile::sgx_emlpm(), 16u << 20);
+    romulus::Romulus rom(platform.pm(), 0, 4u << 20,
+                         romulus::PwbPolicy::clflushopt_sfence(), true);
+    TensorMirror raw(rom, platform.enclave(), test_gcm(), QuantMirror::kRootSlot);
+    raw.alloc_blobs(snapshots[i]);
+    raw.mirror_out_blobs(snapshots[i], 3);
+
+    QuantMirror qmirror(rom, platform.enclave(), test_gcm());
+    ASSERT_TRUE(qmirror.exists());
+    ml::QuantizedNetwork target = qnet;
+    EXPECT_THROW((void)qmirror.load(target), MlError) << "snapshot " << i;
+    expect_quant_equal(target, qnet);
+  }
 }
 
 // --- int8 serving ------------------------------------------------------------------
