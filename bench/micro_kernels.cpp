@@ -1,10 +1,12 @@
 // Real wall-clock micro-benchmarks (google-benchmark) for the kernels the
 // simulation's cost models abstract: AES-GCM sealing, SHA-256, GEMM,
-// im2col, PM-device store/flush bookkeeping, and a full Romulus
+// im2col/col2im, PM-device store/flush bookkeeping, and a full Romulus
 // transaction. These measure the *host* machine, not the simulated one —
 // useful for validating that the framework's real compute (which does run)
 // is not a bottleneck for the experiment harnesses.
 #include <benchmark/benchmark.h>
+
+#include <array>
 
 #include "common/clock.h"
 #include "common/parallel.h"
@@ -190,17 +192,59 @@ BENCHMARK(BM_GemmS8NNThreads)
     ->Args({256, 4})
     ->Args({256, 8});
 
+// The conv shapes the benchmarks train and serve, all 3x3 with pad 1, as
+// {channels, height, width, stride}: paper_5layer.cfg's five layers, then the
+// serving CNN's second (make_cnn_config(2, 4, .); its first is the paper's).
+void conv_shapes(benchmark::internal::Benchmark* b) {
+  for (const auto& [c, h, w, s] : {std::array<std::int64_t, 4>{1, 28, 28, 2},
+                                   {8, 14, 14, 2},
+                                   {16, 7, 7, 1},
+                                   {16, 7, 7, 2},
+                                   {32, 4, 4, 1},
+                                   {4, 14, 14, 2}}) {
+    b->Args({c, h, w, s});
+  }
+  b->ArgNames({"c", "h", "w", "stride"});
+}
+
+ml::LoweringPlan plan_for(const benchmark::State& state) {
+  return ml::LoweringPlan(ml::ConvShape{static_cast<std::size_t>(state.range(0)),
+                                        static_cast<std::size_t>(state.range(1)),
+                                        static_cast<std::size_t>(state.range(2)), 3,
+                                        static_cast<std::size_t>(state.range(3)), 1});
+}
+
 void BM_Im2col(benchmark::State& state) {
-  const std::size_t c = 16, h = 28, w = 28, k = 3;
-  std::vector<float> im(c * h * w), col(c * k * k * h * w);
+  const ml::LoweringPlan plan = plan_for(state);
+  const ml::ConvShape& s = plan.shape();
+  std::vector<float> im(s.channels * s.height * s.width), scratch(plan.scratch_size()),
+      col(plan.col_size());
   Rng rng(5);
   for (auto& v : im) v = rng.normal();
   for (auto _ : state) {
-    ml::im2col(im.data(), c, h, w, k, 1, 1, col.data());
+    plan.im2col(im.data(), scratch.data(), col.data());
     benchmark::DoNotOptimize(col.data());
+    benchmark::ClobberMemory();
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * col.size()));
 }
-BENCHMARK(BM_Im2col);
+BENCHMARK(BM_Im2col)->Apply(conv_shapes);
+
+void BM_Col2im(benchmark::State& state) {
+  const ml::LoweringPlan plan = plan_for(state);
+  const ml::ConvShape& s = plan.shape();
+  std::vector<float> im(s.channels * s.height * s.width), scratch(plan.scratch_size()),
+      col(plan.col_size());
+  Rng rng(5);
+  for (auto& v : col) v = rng.normal();
+  for (auto _ : state) {
+    plan.col2im(col.data(), scratch.data(), im.data());
+    benchmark::DoNotOptimize(im.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * col.size()));
+}
+BENCHMARK(BM_Col2im)->Apply(conv_shapes);
 
 void BM_PmStoreFlushFence(benchmark::State& state) {
   sim::Clock clock;

@@ -1,10 +1,8 @@
 #include "ml/conv_layer.h"
 
 #include <cmath>
-#include <cstring>
 
 #include "ml/gemm.h"
-#include "ml/im2col.h"
 #include "ml/oblivious.h"
 #include "obs/leakage.h"
 
@@ -13,21 +11,18 @@ namespace plinius::ml {
 namespace {
 constexpr float kBnEps = 1e-5f;
 constexpr float kRollingMomentum = 0.99f;
-
-Shape conv_output_shape(Shape in, const ConvConfig& c) {
-  if (in.h + 2 * c.pad < c.ksize || in.w + 2 * c.pad < c.ksize) {
-    throw MlError("ConvLayer: kernel larger than padded input");
-  }
-  return Shape{c.filters, conv_out_dim(in.h, c.ksize, c.stride, c.pad),
-               conv_out_dim(in.w, c.ksize, c.stride, c.pad)};
-}
 }  // namespace
 
-ConvLayer::ConvLayer(Shape in, const ConvConfig& config, Rng& init_rng)
-    : Layer(in, conv_output_shape(in, config)), config_(config) {
+// The plan rejects a kernel larger than the padded input before the output
+// shape is used.
+ConvLayer::ConvLayer(Shape in, const ConvConfig& c, Rng& init_rng)
+    : Layer(in, Shape{c.filters, conv_out_dim(in.h, c.ksize, c.stride, c.pad),
+                      conv_out_dim(in.w, c.ksize, c.stride, c.pad)}),
+      config_(c),
+      plan_(ConvShape{in.c, in.h, in.w, c.ksize, c.stride, c.pad}),
+      workspace_(plan_.col_size()),
+      scratch_(plan_.scratch_size()) {
   expects(in.size() > 0, "ConvLayer: empty input shape");
-  expects(config.ksize > 0 && config.stride > 0, "ConvLayer: bad kernel/stride");
-  expects(out_shape_.h > 0 && out_shape_.w > 0, "ConvLayer: kernel larger than input");
 
   const std::size_t n = config_.filters;
   const std::size_t wsize = n * in.c * config_.ksize * config_.ksize;
@@ -62,9 +57,7 @@ std::size_t ConvLayer::forward_macs() const {
 void ConvLayer::forward(const float* input, std::size_t batch, bool train) {
   const std::size_t k = in_shape_.c * config_.ksize * config_.ksize;
   const std::size_t n_spatial = spatial();
-  workspace_.resize(k * n_spatial);
   std::fill(output_.begin(), output_.end(), 0.0f);
-  const bool fixed_cols = oblivious_options().fixed_im2col;
   obs::touch_pages("conv.weights", 0, weights_.size() * sizeof(float));
 
   for (std::size_t b = 0; b < batch; ++b) {
@@ -72,19 +65,7 @@ void ConvLayer::forward(const float* input, std::size_t batch, bool train) {
     float* out = output_.data() + b * out_shape_.size();
     obs::touch_pages("conv.in", b * in_shape_.size() * sizeof(float),
                      in_shape_.size() * sizeof(float));
-    if (config_.ksize == 1 && config_.stride == 1 && config_.pad == 0) {
-      gemm_nn(config_.filters, n_spatial, k, 1.0f, weights_.data(), im, out);
-    } else {
-      if (fixed_cols) {
-        im2col_fixed(im, in_shape_.c, in_shape_.h, in_shape_.w, config_.ksize,
-                     config_.stride, config_.pad, workspace_.data());
-      } else {
-        im2col(im, in_shape_.c, in_shape_.h, in_shape_.w, config_.ksize,
-               config_.stride, config_.pad, workspace_.data());
-      }
-      gemm_nn(config_.filters, n_spatial, k, 1.0f, weights_.data(), workspace_.data(),
-              out);
-    }
+    gemm_nn(config_.filters, n_spatial, k, 1.0f, weights_.data(), columns(im), out);
   }
 
   if (config_.batch_normalize) {
@@ -92,6 +73,15 @@ void ConvLayer::forward(const float* input, std::size_t batch, bool train) {
   }
   add_bias(batch);
   activate(config_.activation, output_.data(), output_.size());
+}
+
+const float* ConvLayer::columns(const float* im) {
+  if (oblivious_options().fixed_im2col) {
+    im2col_fixed(plan_, im, scratch_.data(), workspace_.data());
+  } else {
+    plan_.im2col(im, scratch_.data(), workspace_.data());
+  }
+  return workspace_.data();
 }
 
 void ConvLayer::add_bias(std::size_t batch) {
@@ -229,7 +219,6 @@ void ConvLayer::backward(const float* input, float* input_delta, std::size_t bat
     backward_batchnorm(batch);
   }
 
-  workspace_.resize(k * n_spatial);
   if (input_delta != nullptr) {
     // W^T once per call; every sample's input gradient reuses it.
     weights_t_.resize(weights_.size());
@@ -242,31 +231,15 @@ void ConvLayer::backward(const float* input, float* input_delta, std::size_t bat
     const float* d = delta_.data() + b * out_shape_.size();
 
     // Weight gradients: dW += delta_b x cols(im)^T.
-    const float* cols = im;
-    if (!(config_.ksize == 1 && config_.stride == 1 && config_.pad == 0)) {
-      if (oblivious_options().fixed_im2col) {
-        im2col_fixed(im, in_shape_.c, in_shape_.h, in_shape_.w, config_.ksize,
-                     config_.stride, config_.pad, workspace_.data());
-      } else {
-        im2col(im, in_shape_.c, in_shape_.h, in_shape_.w, config_.ksize,
-               config_.stride, config_.pad, workspace_.data());
-      }
-      cols = workspace_.data();
-    }
-    gemm_nt(config_.filters, k, n_spatial, 1.0f, d, cols, weight_updates_.data());
+    gemm_nt(config_.filters, k, n_spatial, 1.0f, d, columns(im), weight_updates_.data());
 
     // Input gradients: cols_delta = W^T x delta_b, scattered back by col2im.
     if (input_delta != nullptr) {
       std::fill(col_delta_.begin(), col_delta_.end(), 0.0f);
       gemm_nn(k, n_spatial, config_.filters, 1.0f, weights_t_.data(), d,
               col_delta_.data());
-      float* id = input_delta + b * in_shape_.size();
-      if (config_.ksize == 1 && config_.stride == 1 && config_.pad == 0) {
-        for (std::size_t i = 0; i < in_shape_.size(); ++i) id[i] += col_delta_[i];
-      } else {
-        col2im(col_delta_.data(), in_shape_.c, in_shape_.h, in_shape_.w, config_.ksize,
-               config_.stride, config_.pad, id);
-      }
+      plan_.col2im(col_delta_.data(), scratch_.data(),
+                   input_delta + b * in_shape_.size());
     }
   }
 }

@@ -11,6 +11,7 @@
 #include <cstdint>
 
 #include "common/rng.h"
+#include "ml/im2col.h"
 #include "ml/layer.h"
 
 namespace plinius::ml {
@@ -44,6 +45,8 @@ class ConvLayer final : public Layer {
   void forward_batchnorm(std::size_t batch, bool train);
   void backward_batchnorm(std::size_t batch);
   void add_bias(std::size_t batch);
+  /// Lowers one sample into workspace_ and returns it.
+  const float* columns(const float* im);
 
   [[nodiscard]] std::size_t spatial() const noexcept {
     return out_shape_.h * out_shape_.w;
@@ -59,7 +62,9 @@ class ConvLayer final : public Layer {
   std::vector<float> mean_, variance_, mean_delta_, variance_delta_;
   std::vector<float> x_, x_norm_;  // pre-BN and normalized activations
 
+  LoweringPlan plan_;             // this layer's one im2col/col2im plan
   std::vector<float> workspace_;  // im2col scratch
+  std::vector<float> scratch_;    // the plan's staged image
   std::vector<float> weights_t_;  // backward: W^T [k x filters]
   std::vector<float> col_delta_;  // backward: one sample's column gradient
 };

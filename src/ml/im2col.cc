@@ -1,69 +1,109 @@
 #include "ml/im2col.h"
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
+#include <algorithm>
+#include <limits>
+#include <type_traits>
+
+#include "common/error.h"
 #include "obs/leakage.h"
 
 namespace plinius::ml {
 
-void im2col(const float* data_im, std::size_t channels, std::size_t height,
-            std::size_t width, std::size_t ksize, std::size_t stride, std::size_t pad,
-            float* data_col) {
+#if defined(__x86_64__)
+namespace {
+
+// col[i] = src[index[i]] eight floats per AVX2 gather, over the longest
+// prefix of whole groups of eight; returns its length. A gather moves bits,
+// so it and the scalar loop write identical columns.
+__attribute__((target("avx2"))) std::size_t gather_avx2(const std::uint32_t* index,
+                                                        std::size_t n, const float* src,
+                                                        float* col) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i lanes = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(index + i));
+    _mm256_storeu_ps(col + i, _mm256_i32gather_ps(src, lanes, 4));
+  }
+  return i;
+}
+
+}  // namespace
+#endif
+
+LoweringPlan::LoweringPlan(const ConvShape& shape)
+    : shape_(shape), image_size_(shape.channels * shape.height * shape.width) {
+  const auto [channels, height, width, ksize, stride, pad] = shape;
+  expects(ksize > 0 && stride > 0, "LoweringPlan: bad kernel/stride");
+  if (height + 2 * pad < ksize || width + 2 * pad < ksize) {
+    throw MlError("LoweringPlan: kernel larger than padded input");
+  }
+  expects(image_size_ < std::numeric_limits<std::int32_t>::max(),
+          "LoweringPlan: image exceeds 31-bit gather indexing");
   const std::size_t out_h = conv_out_dim(height, ksize, stride, pad);
   const std::size_t out_w = conv_out_dim(width, ksize, stride, pad);
-  const std::size_t channels_col = channels * ksize * ksize;
 
-  for (std::size_t c = 0; c < channels_col; ++c) {
+  // The one index walk. Column row (c, h) reads padded row h*stride +
+  // h_offset of channel c_im, column w padded column w*stride + w_offset.
+  for (std::size_t c = 0; c < channels * ksize * ksize; ++c) {
     const std::size_t w_offset = c % ksize;
     const std::size_t h_offset = (c / ksize) % ksize;
     const std::size_t c_im = c / ksize / ksize;
     for (std::size_t h = 0; h < out_h; ++h) {
-      // im_row = h*stride + h_offset - pad, computed in signed space.
-      const long im_row =
-          static_cast<long>(h * stride + h_offset) - static_cast<long>(pad);
-      float* out_row = data_col + (c * out_h + h) * out_w;
-      const bool pad_row = im_row < 0 || im_row >= static_cast<long>(height);
-      obs::branch_event("im2col.pad_row", pad_row);
-      if (pad_row) {
-        for (std::size_t w = 0; w < out_w; ++w) out_row[w] = 0;
-        continue;
-      }
-      const float* im_base = data_im + (c_im * height + im_row) * width;
+      const std::size_t row = h * stride + h_offset;
+      const bool pad_row = row < pad || row >= height + pad;
+      pad_rows_.push_back(pad_row);
       for (std::size_t w = 0; w < out_w; ++w) {
-        const long im_col =
-            static_cast<long>(w * stride + w_offset) - static_cast<long>(pad);
-        out_row[w] = (im_col < 0 || im_col >= static_cast<long>(width))
-                         ? 0
-                         : im_base[im_col];
+        const std::size_t col = w * stride + w_offset;
+        const bool inside = !pad_row && col >= pad && col < width + pad;
+        index_.push_back(static_cast<std::uint32_t>(
+            inside ? (c_im * height + row - pad) * width + col - pad : image_size_));
       }
     }
   }
 }
 
-void col2im(const float* data_col, std::size_t channels, std::size_t height,
-            std::size_t width, std::size_t ksize, std::size_t stride, std::size_t pad,
-            float* data_im) {
-  const std::size_t out_h = conv_out_dim(height, ksize, stride, pad);
-  const std::size_t out_w = conv_out_dim(width, ksize, stride, pad);
-  const std::size_t channels_col = channels * ksize * ksize;
-
-  for (std::size_t c = 0; c < channels_col; ++c) {
-    const std::size_t w_offset = c % ksize;
-    const std::size_t h_offset = (c / ksize) % ksize;
-    const std::size_t c_im = c / ksize / ksize;
-    for (std::size_t h = 0; h < out_h; ++h) {
-      const long im_row =
-          static_cast<long>(h * stride + h_offset) - static_cast<long>(pad);
-      if (im_row < 0 || im_row >= static_cast<long>(height)) continue;
-      const float* col_row = data_col + (c * out_h + h) * out_w;
-      float* im_base = data_im + (c_im * height + im_row) * width;
-      for (std::size_t w = 0; w < out_w; ++w) {
-        const long im_col =
-            static_cast<long>(w * stride + w_offset) - static_cast<long>(pad);
-        if (im_col >= 0 && im_col < static_cast<long>(width)) {
-          im_base[im_col] += col_row[w];
-        }
-      }
-    }
+template <class T>
+void LoweringPlan::gather(const T* im, T* scratch, T* col) const {
+  const T* src = shape_.pad > 0 ? scratch : im;
+  if (src != im) {
+    std::copy_n(im, image_size_, scratch);
+    scratch[image_size_] = T{0};
   }
+  const std::uint32_t* index = index_.data();
+  const std::size_t n = index_.size();
+  std::size_t i = 0;
+#if defined(__x86_64__)
+  if constexpr (std::is_same_v<T, float>) {
+    static const bool avx2 = __builtin_cpu_supports("avx2");
+    if (avx2) i = gather_avx2(index, n, src, col);
+  }
+#endif
+  for (; i < n; ++i) col[i] = src[index[i]];
+}
+
+template void LoweringPlan::gather(const float*, float*, float*) const;
+template void LoweringPlan::gather(const std::int8_t*, std::int8_t*, std::int8_t*) const;
+
+void LoweringPlan::im2col(const float* im, float* scratch, float* col) const {
+  // The attacker-visible branch of a row-by-row walk: one event per column
+  // row, in row order, emitted only when someone is recording.
+  if (obs::PageTraceRecorder* rec = obs::page_trace_recorder()) {
+    for (const std::uint8_t pad_row : pad_rows_) rec->branch("im2col.pad_row", pad_row);
+  }
+  gather(im, scratch, col);
+}
+
+void LoweringPlan::col2im(const float* col, float* scratch, float* im) const {
+  // With padding the adds land in a staged copy whose extra element takes
+  // every padding tap, and only the image part is copied back.
+  float* dst = shape_.pad > 0 ? scratch : im;
+  if (dst != im) std::copy_n(im, image_size_, dst);
+  const std::uint32_t* index = index_.data();
+  for (std::size_t i = 0, n = index_.size(); i < n; ++i) dst[index[i]] += col[i];
+  if (dst != im) std::copy_n(dst, image_size_, im);
 }
 
 }  // namespace plinius::ml

@@ -1,26 +1,66 @@
-// im2col / col2im transforms (Darknet's convolution lowering).
+// Darknet's convolution lowering (im2col / col2im) through one immutable
+// plan per conv shape, built once by the layer that owns the shape. Per
+// column-matrix element the plan holds the index of the image element it
+// reads (padding taps read one staged zero past the image), per column row a
+// vertical-padding flag. im2col and im2col_fixed (ml/oblivious.h) are the
+// same float gather under different trace hooks, the int8 conv (ml/quant.h)
+// gathers int8, and col2im scatter-adds in ascending column-element order.
+// Host work only: nothing here charges the simulated clock.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 namespace plinius::ml {
-
-/// Unrolls an image [channels x height x width] into a column matrix
-/// [channels*ksize*ksize x out_h*out_w] for GEMM-based convolution.
-void im2col(const float* data_im, std::size_t channels, std::size_t height,
-            std::size_t width, std::size_t ksize, std::size_t stride, std::size_t pad,
-            float* data_col);
-
-/// Inverse accumulation: scatters a column matrix back into the image,
-/// adding overlapping contributions (used for input gradients).
-void col2im(const float* data_col, std::size_t channels, std::size_t height,
-            std::size_t width, std::size_t ksize, std::size_t stride, std::size_t pad,
-            float* data_im);
 
 /// Output spatial extent of a convolution/pooling dimension.
 [[nodiscard]] constexpr std::size_t conv_out_dim(std::size_t in, std::size_t ksize,
                                                  std::size_t stride, std::size_t pad) {
   return (in + 2 * pad - ksize) / stride + 1;
 }
+
+/// An image [channels x height x width] under a ksize x ksize kernel at
+/// `stride` with `pad` zeros on every side.
+struct ConvShape {
+  std::size_t channels = 0, height = 0, width = 0;
+  std::size_t ksize = 1, stride = 1, pad = 0;
+
+  [[nodiscard]] bool operator==(const ConvShape&) const = default;
+};
+
+class LoweringPlan {
+ public:
+  /// Throws MlError unless the kernel fits the padded image.
+  explicit LoweringPlan(const ConvShape& shape);
+
+  [[nodiscard]] const ConvShape& shape() const noexcept { return shape_; }
+  [[nodiscard]] std::size_t col_size() const noexcept { return index_.size(); }
+  /// Elements of the staging scratch the lowerings take: the image plus its
+  /// zero, or none when pad == 0.
+  [[nodiscard]] std::size_t scratch_size() const noexcept {
+    return shape_.pad == 0 ? 0 : image_size_ + 1;
+  }
+
+  /// col[i] = the image element column element i reads, or 0.
+  template <class T>
+  void gather(const T* im, T* scratch, T* col) const;
+
+  /// The float gather for GEMM-based convolution, reporting the padded rows
+  /// to an attached leakage recorder.
+  void im2col(const float* im, float* scratch, float* col) const;
+
+  /// Inverse accumulation (input gradients): im[e] += col[i] for every
+  /// column element i that reads image element e, i ascending, so each image
+  /// element gets the same adds in the same order whatever it held. Padding
+  /// taps are dropped.
+  void col2im(const float* col, float* scratch, float* im) const;
+
+ private:
+  ConvShape shape_;
+  std::size_t image_size_;
+  std::vector<std::uint32_t> index_;
+  std::vector<std::uint8_t> pad_rows_;  // per column row: all vertical padding
+};
 
 }  // namespace plinius::ml

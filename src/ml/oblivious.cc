@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "ml/im2col.h"
 #include "obs/leakage.h"
 
 namespace plinius::ml {
@@ -56,37 +55,10 @@ void oblivious_activation_gradient(Activation a, const float* y, float* delta,
   }
 }
 
-void im2col_fixed(const float* data_im, std::size_t channels, std::size_t height,
-                  std::size_t width, std::size_t ksize, std::size_t stride,
-                  std::size_t pad, float* data_col) {
-  const std::size_t out_h = conv_out_dim(height, ksize, stride, pad);
-  const std::size_t out_w = conv_out_dim(width, ksize, stride, pad);
-  const std::size_t channels_col = channels * ksize * ksize;
+void im2col_fixed(const LoweringPlan& plan, const float* im, float* scratch,
+                  float* col) {
   obs::leak_mark("im2col.fixed");
-
-  for (std::size_t c = 0; c < channels_col; ++c) {
-    const std::size_t w_offset = c % ksize;
-    const std::size_t h_offset = (c / ksize) % ksize;
-    const std::size_t c_im = c / ksize / ksize;
-    for (std::size_t h = 0; h < out_h; ++h) {
-      const long im_row =
-          static_cast<long>(h * stride + h_offset) - static_cast<long>(pad);
-      const bool row_ok = im_row >= 0 && im_row < static_cast<long>(height);
-      const std::size_t safe_row = static_cast<std::size_t>(
-          std::clamp<long>(im_row, 0, static_cast<long>(height) - 1));
-      const float* im_base = data_im + (c_im * height + safe_row) * width;
-      float* out_row = data_col + (c * out_h + h) * out_w;
-      for (std::size_t w = 0; w < out_w; ++w) {
-        const long im_col =
-            static_cast<long>(w * stride + w_offset) - static_cast<long>(pad);
-        const bool col_ok = im_col >= 0 && im_col < static_cast<long>(width);
-        const std::size_t safe_col = static_cast<std::size_t>(
-            std::clamp<long>(im_col, 0, static_cast<long>(width) - 1));
-        // Always load; the pad zero is selected, never branched to.
-        out_row[w] = select_float(row_ok && col_ok, im_base[safe_col], 0.0f);
-      }
-    }
-  }
+  plan.gather(im, scratch, col);
 }
 
 namespace {

@@ -9,7 +9,8 @@
 //
 //   * branchless (leaky-)ReLU and gradient — bitmask arithmetic select,
 //   * branchless maxpool compare-exchange — masked select of value and index,
-//   * fixed-shape im2col — always-read with clamped index + masked select,
+//   * fixed-shape im2col — the lowering plan's gather under its own trace
+//     mark (ml/im2col.h),
 //   * oblivious dataset shuffle — bitonic sorting network over random keys
 //     with masked row swaps (access schedule depends only on the row count).
 //
@@ -25,6 +26,7 @@
 
 #include "ml/activation.h"
 #include "ml/data.h"
+#include "ml/im2col.h"
 
 namespace plinius::ml {
 
@@ -35,10 +37,6 @@ struct ObliviousOptions {
   bool fixed_im2col = false;
   bool oblivious_shuffle = false;
 
-  [[nodiscard]] bool any() const noexcept {
-    return branchless_activation || branchless_maxpool || fixed_im2col ||
-           oblivious_shuffle;
-  }
   [[nodiscard]] static ObliviousOptions all() noexcept {
     return ObliviousOptions{true, true, true, true};
   }
@@ -76,12 +74,6 @@ class ScopedObliviousOptions {
   return (a & mask) | (b & ~mask);
 }
 
-[[nodiscard]] inline std::uint64_t select_u64(bool cond, std::uint64_t a,
-                                              std::uint64_t b) noexcept {
-  const std::uint64_t mask = -static_cast<std::uint64_t>(cond);
-  return (a & mask) | (b & ~mask);
-}
-
 /// Branchless activations — bitwise-equal to activate()/gradient() for
 /// kRelu/kLeakyRelu; other activations fall through to the baseline (they
 /// are already fixed-schedule elementwise math).
@@ -89,13 +81,13 @@ void oblivious_activate(Activation a, float* x, std::size_t n);
 void oblivious_activation_gradient(Activation a, const float* y, float* delta,
                                    std::size_t n);
 
-/// Fixed-shape im2col: identical output to im2col(), but every (c, h, w)
-/// cell performs the same loads — out-of-bounds taps read a clamped safe
-/// index and the pad zero is selected by mask, so the access schedule is a
-/// pure function of the shape.
-void im2col_fixed(const float* data_im, std::size_t channels, std::size_t height,
-                  std::size_t width, std::size_t ksize, std::size_t stride,
-                  std::size_t pad, float* data_col);
+/// Fixed-shape im2col: the same gather as LoweringPlan::im2col(), which is
+/// already oblivious (every column element is one load at an address fixed
+/// by the plan's shape; padding taps all read one staged zero). It differs
+/// only in its trace: one `im2col.fixed` mark instead of a branch event per
+/// padded row.
+void im2col_fixed(const LoweringPlan& plan, const float* im, float* scratch,
+                  float* col);
 
 /// Oblivious in-place shuffle: sorts rows by per-row random keys drawn from
 /// `seed` through a bitonic network with masked compare-exchange swaps. The

@@ -10,7 +10,6 @@
 #include "ml/conv_layer.h"
 #include "ml/dropout_layer.h"
 #include "ml/gemm_s8.h"
-#include "ml/im2col.h"
 #include "ml/maxpool_layer.h"
 #include "ml/softmax_layer.h"
 
@@ -33,39 +32,6 @@ std::int8_t saturate_round(float v) {
 
 float scale_for(double max_abs) {
   return std::max(static_cast<float>(max_abs) / 127.0f, kScaleFloor);
-}
-
-// int8 twin of ml/im2col.cc: identical index walk, zero padding (exact — a
-// real 0 quantizes to 0 under a symmetric scheme).
-void im2col_s8(const std::int8_t* data_im, std::size_t channels, std::size_t height,
-               std::size_t width, std::size_t ksize, std::size_t stride,
-               std::size_t pad, std::int8_t* data_col) {
-  const std::size_t out_h = conv_out_dim(height, ksize, stride, pad);
-  const std::size_t out_w = conv_out_dim(width, ksize, stride, pad);
-  const std::size_t channels_col = channels * ksize * ksize;
-
-  for (std::size_t c = 0; c < channels_col; ++c) {
-    const std::size_t w_offset = c % ksize;
-    const std::size_t h_offset = (c / ksize) % ksize;
-    const std::size_t c_im = c / ksize / ksize;
-    for (std::size_t h = 0; h < out_h; ++h) {
-      const long im_row =
-          static_cast<long>(h * stride + h_offset) - static_cast<long>(pad);
-      std::int8_t* out_row = data_col + (c * out_h + h) * out_w;
-      if (im_row < 0 || im_row >= static_cast<long>(height)) {
-        for (std::size_t w = 0; w < out_w; ++w) out_row[w] = 0;
-        continue;
-      }
-      const std::int8_t* im_base = data_im + (c_im * height + im_row) * width;
-      for (std::size_t w = 0; w < out_w; ++w) {
-        const long im_col =
-            static_cast<long>(w * stride + w_offset) - static_cast<long>(pad);
-        out_row[w] = (im_col < 0 || im_col >= static_cast<long>(width))
-                         ? std::int8_t{0}
-                         : im_base[im_col];
-      }
-    }
-  }
 }
 
 Activation check_quantizable(Activation act, const char* layer_type) {
@@ -137,6 +103,15 @@ std::size_t QuantizedNetwork::forward_macs() const {
   return n;
 }
 
+const LoweringPlan& QuantizedNetwork::lowering_plan(std::size_t li) {
+  const QuantLayer& l = layers_[li];
+  const ConvShape shape{l.in.c, l.in.h, l.in.w, l.ksize, l.stride, l.pad};
+  plans_.resize(layers_.size());
+  // Built on the layer's first forward; rebuilt only if layers() edited it.
+  if (!plans_[li] || plans_[li]->shape() != shape) plans_[li].emplace(shape);
+  return *plans_[li];
+}
+
 void QuantizedNetwork::forward(const float* x, std::size_t batch) {
   expects(!layers_.empty(), "QuantizedNetwork: no layers");
   std::size_t max_act = input_shape_.size();
@@ -153,13 +128,15 @@ void QuantizedNetwork::forward(const float* x, std::size_t batch) {
   std::int8_t* cur = act_a_.data();
   std::int8_t* next = act_b_.data();
 
-  for (const auto& l : layers_) {
+  for (std::size_t li = 0; li < layers_.size(); ++li) {
+    const QuantLayer& l = layers_[li];
     switch (l.kind) {
       case QLayerKind::kConv: {
         const std::size_t k = l.in.c * l.ksize * l.ksize;
         const std::size_t spatial = l.out.h * l.out.w;
-        const bool direct = l.ksize == 1 && l.stride == 1 && l.pad == 0;
-        if (!direct) cols_.resize(k * spatial);
+        const LoweringPlan& plan = lowering_plan(li);
+        cols_.resize(plan.col_size());
+        scratch_.resize(plan.scratch_size());
         acc_.resize(l.out.size());
         const float mult = l.in_scale * l.weight_scale / l.out_scale;
         for (std::size_t b = 0; b < batch; ++b) {
@@ -167,13 +144,10 @@ void QuantizedNetwork::forward(const float* x, std::size_t batch) {
           for (std::size_t f = 0; f < l.out.c; ++f) {
             std::fill_n(acc_.data() + f * spatial, spatial, l.biases[f]);
           }
-          const std::int8_t* panel = im;
-          if (!direct) {
-            im2col_s8(im, l.in.c, l.in.h, l.in.w, l.ksize, l.stride, l.pad,
-                      cols_.data());
-            panel = cols_.data();
-          }
-          gemm_s8_nn(l.out.c, spatial, k, l.weights.data(), panel, acc_.data());
+          // The float layer's gather over int8: a real 0 quantizes to 0, so
+          // the zero padding is exact.
+          plan.gather(im, scratch_.data(), cols_.data());
+          gemm_s8_nn(l.out.c, spatial, k, l.weights.data(), cols_.data(), acc_.data());
           std::int8_t* out = next + b * l.out.size();
           for (std::size_t i = 0; i < l.out.size(); ++i) {
             out[i] = requantize(acc_[i], mult, l.activation);

@@ -29,8 +29,10 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "ml/im2col.h"
 #include "ml/layer.h"
 #include "ml/network.h"
 
@@ -118,8 +120,14 @@ class QuantizedNetwork {
   std::uint64_t iterations_ = 0;
   std::vector<QuantLayer> layers_;
 
-  // Scratch: int8 activation ping-pong, im2col panel, int32 accumulators.
-  std::vector<std::int8_t> act_a_, act_b_, cols_;
+  /// Conv layer `li`'s lowering plan, built once per layer geometry.
+  const LoweringPlan& lowering_plan(std::size_t li);
+
+  // One lowering plan per conv layer (empty for every other kind).
+  std::vector<std::optional<LoweringPlan>> plans_;
+  // Scratch: int8 activation ping-pong, im2col panel, the plan's staged
+  // image, int32 accumulators.
+  std::vector<std::int8_t> act_a_, act_b_, cols_, scratch_;
   std::vector<std::int32_t> acc_;
   std::vector<float> output_;
 };

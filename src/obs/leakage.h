@@ -11,8 +11,8 @@
 //   * PageTraceRecorder — an append-only, run-length-coalesced log of the
 //     attacker's view: 4 KiB-granularity page-access ranges, secret-dependent
 //     branch outcomes, and structural marks (request/batch boundaries).
-//     Hooks (`touch_pages`, `branch_event`, `leak_mark`) are sprinkled
-//     through the EnclaveRuntime charge sites, the ml layer forward passes
+//     Hooks (`touch_pages`, `leak_mark`, page_trace_recorder()->branch) are
+//     sprinkled through the EnclaveRuntime charge sites, the ml layer forward passes
 //     and the serve path; they are a single relaxed atomic load when no
 //     recorder is installed, and never touch model numerics either way
 //     (tests/leak_test.cpp asserts bitwise-identical results).
@@ -134,12 +134,6 @@ inline void touch_pages(const char* site, std::size_t offset, std::size_t len) {
   const std::uint64_t first = offset / 4096;
   const std::uint64_t last = (offset + len - 1) / 4096;
   rec->page_range(site, first, last - first + 1);
-}
-
-/// Hook: a secret-dependent branch at `site` resolved to `taken`.
-inline void branch_event(const char* site, bool taken) {
-  PageTraceRecorder* rec = page_trace_recorder();
-  if (rec != nullptr) rec->branch(site, taken);
 }
 
 /// Hook: structural marker (request boundary, batch dispatch, ...).

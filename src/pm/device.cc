@@ -4,7 +4,10 @@
 #include <bit>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <utility>
+
+#include <sys/mman.h>
 
 #include "common/error.h"
 #include "obs/trace.h"
@@ -71,14 +74,25 @@ PmDevice::PmDevice(sim::Clock& clock, std::size_t size, PmLatencyModel model,
     : clock_(&clock),
       size_(align_up(size, kCacheLine)),
       model_(model),
-      volatile_(std::make_unique<std::uint8_t[]>(size_)),
-      persistent_(std::make_unique<std::uint8_t[]>(size_)),
+      volatile_(map_zeroed(size_)),
+      persistent_(map_zeroed(size_)),
       crash_rng_(crash_seed) {
-  expects(size > 0, "PmDevice: size must be positive");
   const std::size_t lines = size_ / kCacheLine;
   dirty_bits_.assign((lines + 63) / 64, 0);
   pending_bits_.assign((lines + 63) / 64, 0);
   poison_bits_.assign((lines + 63) / 64, 0);
+}
+
+PmDevice::Image PmDevice::map_zeroed(std::size_t size) {
+  expects(size > 0, "PmDevice: size must be positive");
+  void* image = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
+  if (image == MAP_FAILED) throw std::bad_alloc();
+  return Image(static_cast<std::uint8_t*>(image), Unmap{size});
+}
+
+void PmDevice::Unmap::operator()(std::uint8_t* image) const noexcept {
+  ::munmap(image, size);
 }
 
 void PmDevice::check_range(std::size_t offset, std::size_t len) const {
@@ -113,7 +127,6 @@ void PmDevice::attach_fault_injector(FaultInjector* injector) {
 void PmDevice::record_store(std::size_t offset, std::size_t len) {
   if (len == 0) return;
   check_range(offset, len);
-  if (injector_ != nullptr) injector_->on_op(FaultOp::kStore, offset, len);
   for_each_word(offset / kCacheLine, (offset + len - 1) / kCacheLine,
                 [&](std::size_t w, std::uint64_t mask) {
     for_each_bit(pending_bits_[w] & mask, w * 64, [&](std::size_t line) {
@@ -127,6 +140,10 @@ void PmDevice::record_store(std::size_t offset, std::size_t len) {
     dirty_count_ += static_cast<std::size_t>(std::popcount(mask & ~dirty_bits_[w]));
     dirty_bits_[w] |= mask;
   });
+  // The lines are dirty before the injector may crash the device here, so
+  // crash() restores them even when the caller wrote them through data()
+  // ahead of this call (persist<T>, pm_make).
+  if (injector_ != nullptr) injector_->on_op(FaultOp::kStore, offset, len);
   ++stats_.stores;
   stats_.bytes_stored += len;
   const sim::Nanos t0 = clock_->now();
@@ -301,6 +318,11 @@ void PmDevice::fence(FenceKind kind) {
 
 void PmDevice::crash(CrashOutcome outcome) {
   ++stats_.crashes;
+  // Only dirty or pending lines can differ between the two images (a media
+  // fault on a clean line hits both). Fold pending into dirty before the
+  // coins clear it; those runs, and only those, are restored below.
+  for (std::size_t w = 0; w < dirty_bits_.size(); ++w) dirty_bits_[w] |= pending_bits_[w];
+
   // Weakly-ordered flushes that were not fenced may or may not have reached
   // the ADR-protected write-pending queue: commit each with probability 1/2
   // (or deterministically, when a sweep pins the coin flip). Coins are drawn
@@ -328,8 +350,14 @@ void PmDevice::crash(CrashOutcome outcome) {
   pending_count_ = 0;
 
   // Dirty-unflushed lines never left the cache: lost.
-  std::memcpy(volatile_.get(), persistent_.get(), size_);
-  std::fill(dirty_bits_.begin(), dirty_bits_.end(), 0);
+  for_each_run(0, size_ / kCacheLine - 1,
+               [&](std::size_t w, std::uint64_t mask) {
+                 return std::exchange(dirty_bits_[w], 0) & mask;
+               },
+               [&](std::size_t first, std::size_t count) {
+                 std::memcpy(volatile_.get() + first * kCacheLine,
+                             persistent_.get() + first * kCacheLine, count * kCacheLine);
+               });
   dirty_count_ = 0;
 }
 

@@ -138,7 +138,6 @@ class PmDevice {
   /// counter every store/flush/fence reports to. Owned by the caller;
   /// see pm/faultpoint.h.
   void attach_fault_injector(FaultInjector* injector);
-  [[nodiscard]] FaultInjector* fault_injector() const noexcept { return injector_; }
 
   // --- media faults -----------------------------------------------------------
   //
@@ -195,11 +194,21 @@ class PmDevice {
   static void set_bit(std::vector<std::uint64_t>& bits, std::size_t line) noexcept;
   static void clear_bit(std::vector<std::uint64_t>& bits, std::size_t line) noexcept;
 
+  struct Unmap {
+    std::size_t size;
+    void operator()(std::uint8_t* image) const noexcept;
+  };
+  using Image = std::unique_ptr<std::uint8_t[], Unmap>;
+  /// Zero-filled and resident in full from construction (the kernel zeroes
+  /// the pages once, with no per-page faults and no second zeroing pass),
+  /// so a run's resident set does not depend on which lines it touches.
+  static Image map_zeroed(std::size_t size);
+
   sim::Clock* clock_;
   std::size_t size_;
   PmLatencyModel model_;
-  std::unique_ptr<std::uint8_t[]> volatile_;
-  std::unique_ptr<std::uint8_t[]> persistent_;
+  Image volatile_;
+  Image persistent_;
 
   // Cache-line state as bitmaps (a set of line indices would cost ~50 bytes
   // per entry; a 100 MB mirror write touches ~1.6 M lines).

@@ -28,6 +28,8 @@
 #include "plinius/platform.h"
 #include "serve/server.h"
 
+#include "im2col_reference.h"
+
 namespace plinius {
 namespace {
 
@@ -109,7 +111,6 @@ TEST(LeakRecorder, ScopedRecorderInstallsAndRestores) {
   EXPECT_EQ(obs::page_trace_recorder(), nullptr);
   // Hooks are no-ops (not crashes) with no recorder installed.
   obs::touch_pages("x", 0, 123);
-  obs::branch_event("x", true);
   obs::leak_mark("x");
 }
 
@@ -269,18 +270,60 @@ TEST(ObliviousKernels, FixedIm2colBitwiseEqualAcrossShapes) {
         if (h + 2 * pad < ksize || w + 2 * pad < ksize) continue;
         std::vector<float> im(c * h * w);
         for (auto& v : im) v = rng.normal();
-        const std::size_t out_h = ml::conv_out_dim(h, ksize, stride, pad);
-        const std::size_t out_w = ml::conv_out_dim(w, ksize, stride, pad);
-        const std::size_t n = c * ksize * ksize * out_h * out_w;
+        const ml::LoweringPlan plan(ml::ConvShape{c, h, w, ksize, stride, pad});
+        const std::size_t n = plan.col_size();
+        std::vector<float> scratch(plan.scratch_size());
         std::vector<float> col_base(n, -1.0f), col_fixed(n, -2.0f);
-        ml::im2col(im.data(), c, h, w, ksize, stride, pad, col_base.data());
-        ml::im2col_fixed(im.data(), c, h, w, ksize, stride, pad, col_fixed.data());
+        plan.im2col(im.data(), scratch.data(), col_base.data());
+        ml::im2col_fixed(plan, im.data(), scratch.data(), col_fixed.data());
         EXPECT_EQ(std::memcmp(col_base.data(), col_fixed.data(), n * sizeof(float)),
                   0)
             << "k=" << ksize << " s=" << stride << " p=" << pad;
       }
     }
   }
+}
+
+// With a recorder attached, the plan's im2col emits exactly the per-row
+// `im2col.pad_row` branch sequence of the per-element reference walk, and
+// im2col_fixed exactly one `im2col.fixed` mark, on every shape of the grid
+// (channels 1-3, height and width 1-9, ksize 1-5, stride 1-3, pad 0-2).
+TEST(ObliviousKernels, Im2colPadRowTraceMatchesReferenceWalkOnShapeGrid) {
+  const LeakTrace fixed_mark = {LeakEvent{LeakKind::kMark, "im2col.fixed", 0, 1}};
+  std::size_t shapes = 0;
+  for (std::size_t c = 1; c <= 3; ++c) {
+    for (std::size_t h = 1; h <= 9; ++h) {
+      for (std::size_t w = 1; w <= 9; ++w) {
+        for (std::size_t k = 1; k <= 5; ++k) {
+          for (std::size_t stride = 1; stride <= 3; ++stride) {
+            for (std::size_t pad = 0; pad <= 2; ++pad) {
+              if (h + 2 * pad < k || w + 2 * pad < k) continue;
+              const ml::ConvShape shape{c, h, w, k, stride, pad};
+              const ml::LoweringPlan plan(shape);
+              const std::vector<float> im(c * h * w, 1.0f);
+              std::vector<float> scratch(plan.scratch_size()), col(plan.col_size());
+              std::vector<bool> pad_rows;
+              ml::reference::im2col(im.data(), shape, col.data(), &pad_rows);
+
+              obs::PageTraceRecorder walk;
+              for (const bool p : pad_rows) walk.branch("im2col.pad_row", p);
+              const LeakTrace want = walk.events();
+              const LeakTrace got = obs::record_leak_trace(
+                  [&] { plan.im2col(im.data(), scratch.data(), col.data()); });
+              const LeakTrace fixed = obs::record_leak_trace(
+                  [&] { ml::im2col_fixed(plan, im.data(), scratch.data(), col.data()); });
+              const std::string at = ml::reference::describe(shape);
+              ASSERT_FALSE(want.empty()) << at;
+              ASSERT_EQ(got, want) << at;
+              ASSERT_EQ(fixed, fixed_mark) << at;
+              ++shapes;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(shapes, 9000u);
 }
 
 ml::Dataset make_dataset(std::size_t rows, std::size_t x_cols, std::size_t y_cols,

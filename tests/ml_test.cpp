@@ -18,9 +18,12 @@
 #include "ml/im2col.h"
 #include "ml/maxpool_layer.h"
 #include "ml/network.h"
+#include "ml/oblivious.h"
 #include "ml/serialize.h"
 #include "ml/softmax_layer.h"
 #include "ml/synth_digits.h"
+
+#include "im2col_reference.h"
 
 namespace plinius::ml {
 namespace {
@@ -85,8 +88,10 @@ TEST(Im2col, IdentityFor1x1) {
   Rng rng(2);
   std::vector<float> im(3 * 4 * 4);
   for (auto& v : im) v = rng.normal();
-  std::vector<float> col(im.size());
-  im2col(im.data(), 3, 4, 4, 1, 1, 0, col.data());
+  const LoweringPlan plan(ConvShape{3, 4, 4, 1, 1, 0});
+  ASSERT_EQ(plan.scratch_size(), 0u);
+  std::vector<float> col(plan.col_size());
+  plan.im2col(im.data(), nullptr, col.data());
   EXPECT_EQ(im, col);
 }
 
@@ -94,8 +99,10 @@ TEST(Im2col, KnownPatch) {
   // 1-channel 3x3 image, k=3, stride=1, pad=1: center column (output pixel
   // (1,1)) must reproduce the whole image.
   std::vector<float> im = {1, 2, 3, 4, 5, 6, 7, 8, 9};
-  std::vector<float> col(9 * 9);
-  im2col(im.data(), 1, 3, 3, 3, 1, 1, col.data());
+  const LoweringPlan plan(ConvShape{1, 3, 3, 3, 1, 1});
+  std::vector<float> scratch(plan.scratch_size()), col(9 * 9);
+  ASSERT_EQ(plan.col_size(), col.size());
+  plan.im2col(im.data(), scratch.data(), col.data());
   // out position (1,1) is column index 4; rows are kernel elements.
   for (int r = 0; r < 9; ++r) {
     EXPECT_FLOAT_EQ(col[r * 9 + 4], im[r]);
@@ -108,22 +115,86 @@ TEST(Im2col, Col2imAdjointProperty) {
   // <im2col(x), y> == <x, col2im(y)> — the transforms must be adjoint, or
   // conv backward gradients are wrong.
   Rng rng(3);
-  const std::size_t c = 2, h = 5, w = 5, k = 3, stride = 2, pad = 1;
-  const std::size_t oh = conv_out_dim(h, k, stride, pad);
-  const std::size_t ow = conv_out_dim(w, k, stride, pad);
-  std::vector<float> x(c * h * w), y(c * k * k * oh * ow);
+  const LoweringPlan plan(ConvShape{2, 5, 5, 3, 2, 1});
+  std::vector<float> x(2 * 5 * 5), y(plan.col_size()), scratch(plan.scratch_size());
   for (auto& v : x) v = rng.normal();
   for (auto& v : y) v = rng.normal();
 
   std::vector<float> colx(y.size());
-  im2col(x.data(), c, h, w, k, stride, pad, colx.data());
+  plan.im2col(x.data(), scratch.data(), colx.data());
   double lhs = std::inner_product(colx.begin(), colx.end(), y.begin(), 0.0);
 
   std::vector<float> imy(x.size(), 0.0f);
-  col2im(y.data(), c, h, w, k, stride, pad, imy.data());
+  plan.col2im(y.data(), scratch.data(), imy.data());
   double rhs = std::inner_product(imy.begin(), imy.end(), x.begin(), 0.0);
 
   EXPECT_NEAR(lhs, rhs, 1e-3);
+}
+
+template <class T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+// Every shape of the grid: channels 1-3, height and width 1-9 each
+// (non-square included), ksize 1-5, stride 1-3, pad 0-2. The plan's float
+// gather, fixed gather and int8 gather must equal the per-element reference
+// walk bit for bit, and its scatter must add the same values in the same
+// order into an image that does not start at zero.
+TEST(Im2col, PlanMatchesReferenceWalkOnShapeGrid) {
+  Rng rng(21);
+  std::size_t shapes = 0;
+  for (std::size_t c = 1; c <= 3; ++c) {
+    for (std::size_t h = 1; h <= 9; ++h) {
+      for (std::size_t w = 1; w <= 9; ++w) {
+        for (std::size_t k = 1; k <= 5; ++k) {
+          for (std::size_t stride = 1; stride <= 3; ++stride) {
+            for (std::size_t pad = 0; pad <= 2; ++pad) {
+              if (h + 2 * pad < k || w + 2 * pad < k) continue;
+              const ConvShape shape{c, h, w, k, stride, pad};
+              const LoweringPlan plan(shape);
+              const std::size_t n = plan.col_size();
+              ASSERT_EQ(n, c * k * k * conv_out_dim(h, k, stride, pad) *
+                               conv_out_dim(w, k, stride, pad));
+              std::vector<float> im(c * h * w), scratch(plan.scratch_size());
+              for (auto& v : im) v = rng.normal();
+              im[0] = -0.0f;
+
+              std::vector<float> want(n, 0.0f), got(n, 1.0f), fixed(n, 2.0f);
+              reference::im2col(im.data(), shape, want.data());
+              plan.im2col(im.data(), scratch.data(), got.data());
+              im2col_fixed(plan, im.data(), scratch.data(), fixed.data());
+
+              std::vector<std::int8_t> im8(im.size());
+              for (auto& v : im8) {
+                v = static_cast<std::int8_t>(static_cast<int>(rng.below(255)) - 127);
+              }
+              std::vector<std::int8_t> want8(n, 0), got8(n, 1);
+              std::vector<std::int8_t> scratch8(plan.scratch_size());
+              reference::im2col(im8.data(), shape, want8.data());
+              plan.gather(im8.data(), scratch8.data(), got8.data());
+
+              std::vector<float> cols(n), scattered(im.size());
+              for (auto& v : cols) v = rng.normal();
+              for (auto& v : scattered) v = rng.normal();
+              std::vector<float> scattered_want = scattered;
+              reference::col2im(cols.data(), shape, scattered_want.data());
+              plan.col2im(cols.data(), scratch.data(), scattered.data());
+
+              const std::string at = reference::describe(shape);
+              ASSERT_TRUE(same_bits(got, want)) << "im2col " << at;
+              ASSERT_TRUE(same_bits(fixed, want)) << "im2col_fixed " << at;
+              ASSERT_TRUE(same_bits(got8, want8)) << "int8 gather " << at;
+              ASSERT_TRUE(same_bits(scattered, scattered_want)) << "col2im " << at;
+              ++shapes;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(shapes, 9000u);
 }
 
 // --- activations -----------------------------------------------------------------
@@ -660,10 +731,11 @@ StepState ref_conv_step(Shape in, const ConvConfig& cfg,
   std::vector<float>& w = params[0];
   std::vector<float>& bias = params[1];
   std::vector<float> cols(k * sp);
+  const ConvShape shape{in.c, in.h, in.w, cfg.ksize, cfg.stride, cfg.pad};
   auto cols_of = [&](std::size_t b) {
     const float* im = x.data() + b * in.size();
     if (direct) return im;
-    im2col(im, in.c, in.h, in.w, cfg.ksize, cfg.stride, cfg.pad, cols.data());
+    reference::im2col(im, shape, cols.data());
     return static_cast<const float*>(cols.data());
   };
 
@@ -776,7 +848,7 @@ StepState ref_conv_step(Shape in, const ConvConfig& cfg,
     if (direct) {
       for (std::size_t i = 0; i < in.size(); ++i) id[i] += col_delta[i];
     } else {
-      col2im(col_delta.data(), in.c, in.h, in.w, cfg.ksize, cfg.stride, cfg.pad, id);
+      reference::col2im(col_delta.data(), shape, id);
     }
   }
 
@@ -871,13 +943,16 @@ TEST(LayerLowering, ConvMatchesDirectLoweringBitwise) {
     bool bn;
     Activation act;
   };
-  // paper_5layer.cfg's five conv layers, then a 1x1 conv (the direct path).
+  // paper_5layer.cfg's five conv layers, the serving CNN's two
+  // (make_cnn_config(2, 4, .)), then a 1x1 conv (an identity plan).
   const Case cases[] = {
       {{1, 28, 28}, 8, 3, 2, 1, true, Activation::kLeakyRelu},
       {{8, 14, 14}, 16, 3, 2, 1, true, Activation::kLeakyRelu},
       {{16, 7, 7}, 16, 3, 1, 1, true, Activation::kLeakyRelu},
       {{16, 7, 7}, 32, 3, 2, 1, true, Activation::kLeakyRelu},
       {{32, 4, 4}, 32, 3, 1, 1, true, Activation::kLeakyRelu},
+      {{1, 28, 28}, 4, 3, 2, 1, true, Activation::kLeakyRelu},
+      {{4, 14, 14}, 8, 3, 2, 1, true, Activation::kLeakyRelu},
       {{8, 5, 5}, 6, 1, 1, 0, false, Activation::kRelu},
   };
   for (const Case& c : cases) {

@@ -10,6 +10,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "pm/device.h"
+#include "pm/faultpoint.h"
 
 namespace plinius::pm {
 namespace {
@@ -137,6 +138,27 @@ TEST_F(PmDeviceTest, CrashRestoresVolatileFromPersistent) {
   std::uint32_t back = 0;
   dev_.load(64, &back, sizeof(back));
   EXPECT_EQ(back, committed);
+}
+
+// persist<T> and pm_make write through data() and then record the store.
+// When the fault injector crashes the device at that record_store, crash()
+// must still restore the lines the caller already wrote.
+TEST_F(PmDeviceTest, CrashRestoresLinesWrittenAheadOfAnInterruptedStore) {
+  const std::uint32_t committed = 0xAAAAAAAA;
+  dev_.store(200, &committed, sizeof(committed));
+  dev_.flush(200, sizeof(committed), FlushKind::kClflush);
+
+  FaultInjector fi(dev_);
+  fi.arm(1);
+  const std::uint32_t ahead = 0xCCCCCCCC;
+  std::memcpy(dev_.data() + 200, &ahead, sizeof(ahead));
+  EXPECT_THROW(dev_.record_store(200, sizeof(ahead)), SimulatedCrash);
+  dev_.crash(PmDevice::CrashOutcome::kDropAll);
+
+  std::uint32_t back = 0;
+  dev_.load(200, &back, sizeof(back));
+  EXPECT_EQ(back, committed);
+  EXPECT_EQ(0, std::memcmp(dev_.data(), dev_.persistent_image(), dev_.size()));
 }
 
 TEST_F(PmDeviceTest, QuiescentTracksCleanliness) {
@@ -401,6 +423,7 @@ class RefPmDevice {
         dirty_(size / kCacheLine, false),
         pending_(size / kCacheLine, false),
         poison_(size / kCacheLine, false),
+        faulted_dirty_(size / kCacheLine, false),
         crash_rng_(crash_seed) {}
 
   // Situations the op sequences must reach for the check to mean anything.
@@ -410,6 +433,8 @@ class RefPmDevice {
     std::size_t clflushed_pending = 0;
     std::size_t out_of_order_pends = 0;
     std::size_t crashes_with_pending[3] = {};
+    std::size_t crashes_over_snapshots = 0;
+    std::size_t crashes_over_faulted_dirty = 0;
     std::size_t poison_cleared_by_commit = 0;
   };
 
@@ -526,6 +551,14 @@ class RefPmDevice {
   void crash(PmDevice::CrashOutcome outcome) {
     ++stats_.crashes;
     if (pending_count_ > 0) ++coverage_.crashes_with_pending[static_cast<int>(outcome)];
+    if (!snapshots_.empty()) ++coverage_.crashes_over_snapshots;
+    for (std::size_t line = 0; line < faulted_dirty_.size(); ++line) {
+      if (faulted_dirty_[line] && (dirty_[line] || pending_[line])) {
+        ++coverage_.crashes_over_faulted_dirty;
+        break;
+      }
+    }
+    std::fill(faulted_dirty_.begin(), faulted_dirty_.end(), false);
     for (const std::size_t line : pending_list_) {
       if (!pending_[line]) continue;
       bool persists = outcome == PmDevice::CrashOutcome::kPersistAll;
@@ -552,18 +585,21 @@ class RefPmDevice {
     persistent_[offset] ^= mask;
     const std::size_t line = offset / kCacheLine;
     if (!dirty_[line] && !pending_[line]) volatile_[offset] ^= mask;
+    note_fault(line);
     ++stats_.media_bit_flips;
   }
 
   void tear_line(std::size_t line, std::uint64_t seed) {
     garbage(persistent_.data() + line * kCacheLine + kCacheLine / 2, kCacheLine / 2, seed);
     refresh_clean_line(line);
+    note_fault(line);
     ++stats_.media_torn_lines;
   }
 
   void poison_line(std::size_t line, std::uint64_t seed) {
     garbage(persistent_.data() + line * kCacheLine, kCacheLine, seed);
     refresh_clean_line(line);
+    note_fault(line);
     if (!poison_[line]) {
       poison_[line] = true;
       ++poisoned_count_;
@@ -593,6 +629,7 @@ class RefPmDevice {
     dirty_count_ = pending_count_ = poisoned_count_ = 0;
     pending_list_.clear();
     snapshots_.clear();
+    std::fill(faulted_dirty_.begin(), faulted_dirty_.end(), false);
   }
 
  private:
@@ -600,12 +637,19 @@ class RefPmDevice {
     const std::uint8_t* src =
         snapshot != nullptr ? snapshot : volatile_.data() + line * kCacheLine;
     std::memcpy(persistent_.data() + line * kCacheLine, src, kCacheLine);
+    faulted_dirty_[line] = false;
     if (poison_[line]) {
       poison_[line] = false;
       --poisoned_count_;
       ++stats_.poison_cleared;
       ++coverage_.poison_cleared_by_commit;
     }
+  }
+
+  // A media fault on a dirty line reaches only the persistent image, so the
+  // two images differ there until a commit or crash.
+  void note_fault(std::size_t line) {
+    if (dirty_[line]) faulted_dirty_[line] = true;
   }
 
   void refresh_clean_line(std::size_t line) {
@@ -624,7 +668,7 @@ class RefPmDevice {
   sim::Clock clock_;
   Bytes volatile_;
   Bytes persistent_;
-  std::vector<bool> dirty_, pending_, poison_;
+  std::vector<bool> dirty_, pending_, poison_, faulted_dirty_;
   std::vector<std::size_t> pending_list_;
   std::unordered_map<std::size_t, std::array<std::uint8_t, kCacheLine>> snapshots_;
   std::size_t dirty_count_ = 0, pending_count_ = 0, poisoned_count_ = 0;
@@ -787,6 +831,8 @@ TEST_P(PmDifferentialTest, WordParallelDeviceMatchesPerLineReference) {
   EXPECT_GT(c.clflushed_pending, 0u);
   EXPECT_GT(c.out_of_order_pends, 0u);
   EXPECT_GT(c.poison_cleared_by_commit, 0u);
+  EXPECT_GT(c.crashes_over_snapshots, 0u);
+  EXPECT_GT(c.crashes_over_faulted_dirty, 0u);
   for (int outcome = 0; outcome < 3; ++outcome) {
     EXPECT_GT(c.crashes_with_pending[outcome], 0u) << "crash outcome " << outcome;
   }

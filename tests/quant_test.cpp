@@ -27,6 +27,8 @@
 #include "serve/loadgen.h"
 #include "serve/server.h"
 
+#include "im2col_reference.h"
+
 namespace plinius {
 namespace {
 
@@ -214,6 +216,82 @@ TEST(QuantNetworkTest, ParameterBytesRoughlyQuartered) {
   const auto int8_bytes = static_cast<double>(qnet.parameter_bytes());
   // int32 biases and dropped BN state move the ratio off exactly 4x.
   EXPECT_LT(int8_bytes, 0.35 * float_bytes);
+}
+
+// A one-conv-layer int8 network run on several geometries, each checked
+// bitwise against the per-element reference walk plus a scalar int32 GEMM.
+// The geometry is edited in place through layers(), so the per-layer
+// lowering plan is rebuilt between cases rather than reused stale.
+TEST(QuantNetworkTest, ConvForwardMatchesReferenceWalkBitwise) {
+  struct Case {
+    ml::Shape in;
+    std::size_t filters, ksize, stride, pad;
+    Activation act;
+  };
+  const Case cases[] = {
+      {{1, 28, 28}, 4, 3, 2, 1, Activation::kLeakyRelu},  // serving CNN layer 0
+      {{4, 14, 14}, 8, 3, 2, 1, Activation::kLeakyRelu},  // serving CNN layer 1
+      {{3, 9, 7}, 5, 5, 3, 2, Activation::kRelu},
+      {{2, 6, 5}, 3, 2, 1, 0, Activation::kLinear},
+      {{3, 5, 5}, 4, 1, 1, 0, Activation::kLeakyRelu},   // 1x1: an identity plan
+  };
+  constexpr std::size_t kBatch = 3;
+  Rng rng(0xC0DE);
+  ml::QuantizedNetwork q;
+  q.set_input_scale(0.03f);
+  q.layers().resize(1);
+  for (const Case& c : cases) {
+    const ml::ConvShape shape{c.in.c, c.in.h, c.in.w, c.ksize, c.stride, c.pad};
+    const std::size_t out_h = ml::conv_out_dim(c.in.h, c.ksize, c.stride, c.pad);
+    const std::size_t out_w = ml::conv_out_dim(c.in.w, c.ksize, c.stride, c.pad);
+    ml::QuantLayer& l = q.layers()[0];
+    l.kind = ml::QLayerKind::kConv;
+    l.in = c.in;
+    l.out = ml::Shape{c.filters, out_h, out_w};
+    l.ksize = c.ksize;
+    l.stride = c.stride;
+    l.pad = c.pad;
+    l.activation = c.act;
+    l.weights.resize(c.filters * c.in.c * c.ksize * c.ksize);
+    fill_s8(l.weights, rng);
+    l.biases.resize(c.filters);
+    for (auto& b : l.biases) b = static_cast<std::int32_t>(rng.below(2001)) - 1000;
+    l.weight_scale = 0.02f;
+    l.in_scale = q.input_scale();
+    l.out_scale = 0.5f;
+    q.set_input_shape(c.in);
+
+    std::vector<float> x(kBatch * c.in.size());
+    for (auto& v : x) v = rng.normal();
+    q.forward(x.data(), kBatch);
+
+    const std::size_t k = c.in.c * c.ksize * c.ksize;
+    const std::size_t spatial = out_h * out_w;
+    const float mult = l.in_scale * l.weight_scale / l.out_scale;
+    std::vector<float> want;
+    for (std::size_t b = 0; b < kBatch; ++b) {
+      std::vector<std::int8_t> im(c.in.size()), cols(k * spatial);
+      for (std::size_t i = 0; i < im.size(); ++i) {
+        im[i] = ml::quantize_value(x[b * c.in.size() + i], q.input_scale());
+      }
+      ml::reference::im2col(im.data(), shape, cols.data());
+      for (std::size_t f = 0; f < c.filters; ++f) {
+        for (std::size_t s = 0; s < spatial; ++s) {
+          std::int32_t acc = l.biases[f];
+          for (std::size_t kk = 0; kk < k; ++kk) {
+            acc += std::int32_t{l.weights[f * k + kk]} *
+                   std::int32_t{cols[kk * spatial + s]};
+          }
+          want.push_back(static_cast<float>(ml::requantize(acc, mult, c.act)) *
+                         l.out_scale);
+        }
+      }
+    }
+    const std::string at = ml::reference::describe(shape);
+    ASSERT_EQ(q.output().size(), want.size()) << at;
+    EXPECT_EQ(std::memcmp(q.output().data(), want.data(), want.size() * sizeof(float)), 0)
+        << at;
+  }
 }
 
 // --- v2 weight format --------------------------------------------------------------
