@@ -234,24 +234,7 @@ bool ElasticTrainer::reprovision_from_peer(std::size_t w) {
     return false;
   }
 
-  ml::Network& src = trainers_[peer]->network();
-  ml::Network& dst = trainers_[w]->network();
-  for (std::size_t l = 0; l < src.num_layers(); ++l) {
-    const auto from = src.layer(l).parameters();
-    auto to = dst.layer(l).parameters();
-    expects(from.size() == to.size(), "ElasticTrainer: parameter layout divergence");
-    for (std::size_t b = 0; b < from.size(); ++b) {
-      expects(from[b].values.size() == to[b].values.size(),
-              "ElasticTrainer: parameter shape divergence");
-      std::copy(from[b].values.begin(), from[b].values.end(),
-                to[b].values.begin());
-    }
-  }
-  dst.set_iterations(best_iter);
-  if (options_.trainer.backend == CheckpointBackend::kPmMirror) {
-    trainers_[w]->mirror().mirror_out(dst, best_iter);
-  }
-  trainers_[w]->note_peer_recovery(best_iter);
+  trainers_[w]->restore_from_peer(trainers_[peer]->network());
   ++stats.peer_provisions;
   return true;
 }
@@ -322,52 +305,23 @@ void ElasticTrainer::charge_exchange(const std::vector<std::size_t>& ws) {
   }
 }
 
-void ElasticTrainer::average_plain(const std::vector<std::size_t>& ws) {
-  // Accumulate into the first participant in worker order, scale, copy back.
-  const std::size_t n = ws.size();
-  ml::Network& first_net = trainers_[ws.front()]->network();
-  const std::size_t layers = first_net.num_layers();
-  for (std::size_t l = 0; l < layers; ++l) {
-    auto first = first_net.layer(l).parameters();
-    for (std::size_t b = 0; b < first.size(); ++b) {
-      std::span<float> acc = first[b].values;
-      for (std::size_t i = 1; i < n; ++i) {
-        const auto other = trainers_[ws[i]]->network().layer(l).parameters();
-        expects(other[b].values.size() == acc.size(),
-                "ElasticTrainer: parameter shape divergence");
-        for (std::size_t j = 0; j < acc.size(); ++j) acc[j] += other[b].values[j];
-      }
-      const float inv = 1.0f / static_cast<float>(n);
-      for (auto& v : acc) v *= inv;
-      for (std::size_t i = 1; i < n; ++i) {
-        auto other = trainers_[ws[i]]->network().layer(l).parameters();
-        std::copy(acc.begin(), acc.end(), other[b].values.begin());
-      }
-    }
-  }
-}
-
-void ElasticTrainer::average_weighted(const std::vector<std::size_t>& ws) {
-  // Staleness-weighted fold: weight 1/(1+lag_rounds), so a fresh worker
-  // counts fully and a straggler's stale parameters are damped instead of
-  // dragging the averaged model backwards.
-  const std::size_t n = ws.size();
-  std::vector<float> weights(n);
+void ElasticTrainer::average(const std::vector<std::size_t>& ws,
+                             const std::vector<float>& weights) {
+  // Weighted fold in worker order, scaled by the inverse weight sum and
+  // copied back to every participant. The accumulator starts at w0*x0, so
+  // unit weights give exactly the plain sum (1.0f*x == x) and mean.
   float total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    weights[i] = 1.0f / (1.0f + static_cast<float>(lag_rounds(ws[i])));
-    total += weights[i];
-  }
+  for (const float wt : weights) total += wt;
   const float inv_total = 1.0f / total;
   ml::Network& first_net = trainers_[ws.front()]->network();
-  const std::size_t layers = first_net.num_layers();
   std::vector<float> acc;
-  for (std::size_t l = 0; l < layers; ++l) {
-    auto first = first_net.layer(l).parameters();
+  for (std::size_t l = 0; l < first_net.num_layers(); ++l) {
+    const auto first = first_net.layer(l).parameters();
     for (std::size_t b = 0; b < first.size(); ++b) {
       const std::size_t len = first[b].values.size();
-      acc.assign(len, 0.0f);
-      for (std::size_t i = 0; i < n; ++i) {
+      acc.resize(len);
+      for (std::size_t j = 0; j < len; ++j) acc[j] = weights[0] * first[b].values[j];
+      for (std::size_t i = 1; i < ws.size(); ++i) {
         const auto other = trainers_[ws[i]]->network().layer(l).parameters();
         expects(other[b].values.size() == len,
                 "ElasticTrainer: parameter shape divergence");
@@ -376,9 +330,9 @@ void ElasticTrainer::average_weighted(const std::vector<std::size_t>& ws) {
         }
       }
       for (std::size_t j = 0; j < len; ++j) acc[j] *= inv_total;
-      for (std::size_t i = 0; i < n; ++i) {
-        auto other = trainers_[ws[i]]->network().layer(l).parameters();
-        std::copy(acc.begin(), acc.end(), other[b].values.begin());
+      for (const std::size_t w : ws) {
+        auto params = trainers_[w]->network().layer(l).parameters();
+        std::copy(acc.begin(), acc.end(), params[b].values.begin());
       }
     }
   }
@@ -410,8 +364,7 @@ void ElasticTrainer::gossip_exchange(std::uint64_t round, RoundLog& log,
   run_phase_hook(round, RoundPhase::kMidExchange);
   for (const auto& [a, b] : pairs) {
     if (!alive_[a] || !alive_[b]) continue;  // killed mid-exchange: dropped
-    const std::vector<std::size_t> pair{a, b};
-    average_plain(pair);
+    average({a, b}, {1.0f, 1.0f});
     ++report_.workers[a].rounds_participated;
     ++report_.workers[b].rounds_participated;
     folded[a] = true;
@@ -434,8 +387,7 @@ void ElasticTrainer::persist_live_mirrors() {
   if (options_.trainer.backend != CheckpointBackend::kPmMirror) return;
   for (std::size_t w = 0; w < workers(); ++w) {
     if (!alive_[w]) continue;
-    trainers_[w]->mirror().mirror_out(trainers_[w]->network(),
-                                      trainers_[w]->network().iterations());
+    trainers_[w]->mirror_out();
     last_iteration_[w] = trainers_[w]->network().iterations();
   }
 }
@@ -459,11 +411,16 @@ void ElasticTrainer::sync_round(std::uint64_t round, RoundLog& log) {
       // A worker killed during the exchange contributes nothing.
       std::erase_if(participants, [&](std::size_t w) { return !alive_[w]; });
       if (participants.size() >= 2) {
-        if (options_.policy == SyncPolicy::kBarrier) {
-          average_plain(participants);
-        } else {
-          average_weighted(participants);
+        // Barrier: plain mean. Bounded staleness: weight 1/(1+lag_rounds),
+        // so a fresh worker counts fully and a straggler's stale parameters
+        // are damped instead of dragging the averaged model backwards.
+        std::vector<float> weights(participants.size(), 1.0f);
+        if (options_.policy == SyncPolicy::kBoundedStaleness) {
+          for (std::size_t i = 0; i < participants.size(); ++i) {
+            weights[i] = 1.0f / (1.0f + static_cast<float>(lag_rounds(participants[i])));
+          }
         }
+        average(participants, weights);
         ++report_.sync_rounds;
         log.averaged = true;
         log.participants = participants.size();

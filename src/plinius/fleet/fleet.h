@@ -241,8 +241,9 @@ class ElasticTrainer {
   void barrier_all();
   void align_clocks(const std::vector<std::size_t>& ws);
   void charge_exchange(const std::vector<std::size_t>& ws);
-  void average_plain(const std::vector<std::size_t>& ws);
-  void average_weighted(const std::vector<std::size_t>& ws);
+  /// Folds the participants' parameters into their weighted mean (one
+  /// weight per participant, in `ws` order) and installs it on each.
+  void average(const std::vector<std::size_t>& ws, const std::vector<float>& weights);
   void gossip_exchange(std::uint64_t round, RoundLog& log,
                        std::vector<bool>& folded);
   void persist_live_mirrors();

@@ -1,5 +1,7 @@
 #include "plinius/trainer.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "obs/trace.h"
 
@@ -205,6 +207,22 @@ void Trainer::record_recovery(const RecoveryReport& rep) {
   }
 }
 
+void Trainer::rebuild_mirror(RecoveryReport& rep, std::optional<std::uint64_t> seal_at) {
+  bool clean = false;
+  try {
+    if (mirror_->exists()) mirror_->dispose();
+    rom_->validate_header();
+    rom_->validate_allocator();
+    clean = true;
+  } catch (const Error&) {
+  }
+  if (!clean) reformat_region(rep);
+  mirror_->alloc(net_);
+  ensure_logs();
+  if (seal_at) mirror_->mirror_out(net_, *seal_at);
+  rep.mirror_rebuilt = true;
+}
+
 std::uint64_t Trainer::run_recovery_ladder(RecoveryReport& rep) {
   obs::Span span(platform_->clock(), obs::Category::kScrub, "train.recovery");
   // Rung 0: allocator metadata. A media fault here would silently poison
@@ -237,12 +255,11 @@ std::uint64_t Trainer::run_recovery_ladder(RecoveryReport& rep) {
   } catch (const Error& e) {
     rep.rungs_failed.push_back(std::string("mirror: ") + e.what());
   }
+  bool resumed = false;
   if (mirror_exists) {
     const std::uint64_t repairs_before = mirror_->stats().replica_repairs;
-    bool resumed = false;
-    std::uint64_t iter = 0;
     try {
-      iter = mirror_->mirror_in(net_);
+      rep.resume_iteration = mirror_->mirror_in(net_);
       resumed = true;
     } catch (const Error& e) {
       rep.rungs_failed.push_back(std::string("mirror: ") + e.what());
@@ -253,41 +270,29 @@ std::uint64_t Trainer::run_recovery_ladder(RecoveryReport& rep) {
         // The weights came back, but no allocation can safely land in this
         // heap again. Reformat and re-seed the region from the salvage.
         reformat_region(rep);
-        mirror_->alloc(net_);
-        ensure_logs();
-        mirror_->mirror_out(net_, iter);
-        rep.mirror_rebuilt = true;
+        rebuild_mirror(rep, rep.resume_iteration);
       }
       // Any repair on the way (A/B sibling, twin restore, or a region
       // rebuild) means the state did not come from the mirror alone.
       rep.tier = rep.replica_repairs > 0 || !rep.rungs_failed.empty()
                      ? RecoveryTier::kReplica
                      : RecoveryTier::kMirror;
-      rep.resume_iteration = iter;
-      // Drop telemetry from iterations whose mirror-out never committed.
-      if (metrics_ != nullptr && metrics_->exists()) metrics_->truncate_after(iter);
-      return iter;
-    }
-
-    // Rung 2: arena scrub — twin-copy restore for metadata, A/B rebuilds for
-    // sealed buffers — then one retry of mirror_in. Pointless on a heap the
-    // scrubber cannot walk.
-    if (allocator_ok) {
+    } else if (allocator_ok) {
+      // Rung 2: arena scrub — twin-copy restore for metadata, A/B rebuilds
+      // for sealed buffers — then one retry of mirror_in. Pointless on a
+      // heap the scrubber cannot walk.
       try {
         const ScrubReport scrubbed =
             scrub_arena(*rom_, mirror_.get(), &net_, data_.get(), ScrubOptions{});
         rep.replica_repairs += scrubbed.mirror.repaired;
         if (scrubbed.healthy() && mirror_->exists()) {
-          const std::uint64_t iter2 = mirror_->mirror_in(net_);
+          rep.resume_iteration = mirror_->mirror_in(net_);
           rep.tier = RecoveryTier::kReplica;
-          rep.resume_iteration = iter2;
-          if (metrics_ != nullptr && metrics_->exists()) {
-            metrics_->truncate_after(iter2);
-          }
-          return iter2;
+          resumed = true;
+        } else {
+          rep.rungs_failed.emplace_back(
+              "replica: arena scrub could not repair the mirror");
         }
-        rep.rungs_failed.emplace_back(
-            "replica: arena scrub could not repair the mirror");
       } catch (const Error& e) {
         rep.rungs_failed.push_back(std::string("replica: ") + e.what());
       }
@@ -299,26 +304,14 @@ std::uint64_t Trainer::run_recovery_ladder(RecoveryReport& rep) {
 
   // Rung 3: SSD checkpoint (taken by ssd_checkpoint_every or a previous
   // backend). The weights come back; the PM mirror is rebuilt around them.
-  if (ckpt_->exists()) {
+  if (!resumed && ckpt_->exists()) {
     try {
       platform_->ssd().drop_caches();  // cold after a crash
       const std::uint64_t iter = ckpt_->restore(net_);
-      bool clean = false;
-      try {
-        if (mirror_->exists()) mirror_->dispose();
-        rom_->validate_allocator();
-        clean = true;
-      } catch (const Error&) {
-      }
-      if (!clean) reformat_region(rep);
-      mirror_->alloc(net_);
-      ensure_logs();
-      mirror_->mirror_out(net_, iter);
-      if (metrics_ != nullptr && metrics_->exists()) metrics_->truncate_after(iter);
+      rebuild_mirror(rep, iter);
       rep.tier = RecoveryTier::kSsdCheckpoint;
       rep.resume_iteration = iter;
-      rep.mirror_rebuilt = true;
-      return iter;
+      resumed = true;
     } catch (const Error& e) {
       rep.rungs_failed.push_back(std::string("ssd: ") + e.what());
     }
@@ -326,28 +319,29 @@ std::uint64_t Trainer::run_recovery_ladder(RecoveryReport& rep) {
 
   // Bottom rung: fresh start. Reinitialize the enclave model from the
   // (public) config with the original seed; reuse the region if its heap
-  // still validates (keeps the dataset), reformat otherwise.
-  if (had_prior_state) {
-    rep.tier = RecoveryTier::kFreshStart;
-    bool clean = false;
-    try {
-      if (mirror_->exists()) mirror_->dispose();
-      rom_->validate_header();
-      rom_->validate_allocator();
-      clean = true;
-    } catch (const Error&) {
+  // still validates (keeps the dataset), reformat otherwise. A first run
+  // lands here too: it only allocates the mirror.
+  if (!resumed) {
+    if (had_prior_state) {
+      rep.tier = RecoveryTier::kFreshStart;
+      Rng init_rng(options_.init_seed);
+      net_ = ml::build_network(config_, init_rng);
+      net_.set_iterations(0);
     }
-    if (!clean) reformat_region(rep);
-    Rng init_rng(options_.init_seed);
-    net_ = ml::build_network(config_, init_rng);
-    net_.set_iterations(0);
-    rep.mirror_rebuilt = true;
+    rebuild_mirror(rep, std::nullopt);
+    rep.mirror_rebuilt = had_prior_state;  // a first run has nothing to rebuild
   }
-  mirror_->alloc(net_);
-  ensure_logs();
-  // Metrics from a previous life are stale once iteration counting restarts.
-  if (metrics_ != nullptr && metrics_->exists()) metrics_->truncate_after(0);
-  return 0;
+
+  // Drop telemetry the resumed model never saw: iterations whose mirror-out
+  // never committed, or a previous life's after a fresh start. A corrupt
+  // metrics log loses telemetry, never the recovery.
+  try {
+    if (metrics_ != nullptr && metrics_->exists()) {
+      metrics_->truncate_after(rep.resume_iteration);
+    }
+  } catch (const Error&) {
+  }
+  return rep.resume_iteration;
 }
 
 std::uint64_t Trainer::resume_or_init() {
@@ -404,31 +398,45 @@ void Trainer::recover_mirror_out(std::uint64_t iteration, const std::string& why
     rep.rungs_failed.push_back(std::string("replica: ") + e.what());
   }
   if (!sealed) {
-    bool clean = false;
-    try {
-      if (mirror_->exists()) mirror_->dispose();
-      rom_->validate_header();
-      rom_->validate_allocator();
-      clean = true;
-    } catch (const Error&) {
-    }
-    if (!clean) reformat_region(rep);
-    mirror_->alloc(net_);
-    ensure_logs();
-    mirror_->mirror_out(net_, iteration);
+    rebuild_mirror(rep, iteration);
     rep.tier = RecoveryTier::kMirror;
-    rep.mirror_rebuilt = true;
   }
   last_recovery_ = rep;
   record_recovery(rep);
 }
 
-void Trainer::note_peer_recovery(std::uint64_t iteration) {
-  RecoveryReport rep = last_recovery_;
-  rep.tier = RecoveryTier::kPeer;
-  rep.resume_iteration = iteration;
-  last_recovery_ = rep;
-  record_recovery(rep);
+void Trainer::mirror_out() {
+  expects(options_.backend == CheckpointBackend::kPmMirror,
+          "Trainer::mirror_out: no PM mirror under this backend");
+  const std::uint64_t iter = net_.iterations();
+  try {
+    mirror_->mirror_out(net_, iter);
+  } catch (const Error& e) {
+    // Media fault under the mirror: the enclave weights are intact, so
+    // repair (or rebuild) the PM mirror and re-seal — training goes on.
+    recover_mirror_out(iter, e.what());
+  }
+}
+
+void Trainer::restore_from_peer(ml::Network& peer) {
+  expects(peer.num_layers() == net_.num_layers(),
+          "Trainer::restore_from_peer: layer count divergence");
+  for (std::size_t l = 0; l < peer.num_layers(); ++l) {
+    const auto from = peer.layer(l).parameters();
+    auto to = net_.layer(l).parameters();
+    expects(from.size() == to.size(),
+            "Trainer::restore_from_peer: parameter layout divergence");
+    for (std::size_t b = 0; b < from.size(); ++b) {
+      expects(from[b].values.size() == to[b].values.size(),
+              "Trainer::restore_from_peer: parameter shape divergence");
+      std::copy(from[b].values.begin(), from[b].values.end(), to[b].values.begin());
+    }
+  }
+  net_.set_iterations(peer.iterations());
+  if (options_.backend == CheckpointBackend::kPmMirror) mirror_out();
+  last_recovery_.tier = RecoveryTier::kPeer;
+  last_recovery_.resume_iteration = net_.iterations();
+  record_recovery(last_recovery_);
 }
 
 void Trainer::drain_seal(sgx::ChargeStream& stream) {
@@ -502,14 +510,7 @@ float Trainer::train(std::uint64_t target_iterations,
           }
           if (last) drain_seal(*seal_stream);
         } else {
-          try {
-            mirror_->mirror_out(net_, iter);
-          } catch (const Error& e) {
-            // Media fault under the mirror: the enclave weights are intact,
-            // so repair (or rebuild) the PM mirror and re-seal — training
-            // goes on.
-            recover_mirror_out(iter, e.what());
-          }
+          mirror_out();
         }
         try {
           if (metrics_ != nullptr && metrics_->exists() &&

@@ -175,10 +175,17 @@ class Trainer {
   /// One scrub pass over this trainer's arena (see scrub_arena).
   ScrubReport scrub(const ScrubOptions& options = {});
 
-  /// Marks this trainer as recovered from a peer at `iteration` (set by
-  /// fleet::ElasticTrainer after re-provisioning parameters over the
-  /// attested channel); persists the episode in the recovery log.
-  void note_peer_recovery(std::uint64_t iteration);
+  /// The one save path of the live model (PM-mirror backend only): seals
+  /// network() at its current iteration into the PM mirror. A media fault
+  /// under the mirror is repaired (or the mirror rebuilt) and the live
+  /// weights re-sealed, as in train(); last_recovery() reports it.
+  void mirror_out();
+
+  /// The ladder's peer rung (fleet::ElasticTrainer, after the sealed transfer
+  /// over the attested channel): copies `peer`'s parameters and iteration
+  /// into this trainer's model, saves them through mirror_out() and records
+  /// the episode as RecoveryTier::kPeer. Throws if the layouts diverge.
+  void restore_from_peer(ml::Network& peer);
 
   /// Deep invariant check over the trainer's persistent state, for
   /// crash-recovery sweeps: Romulus header quiescent, allocator metadata
@@ -195,6 +202,11 @@ class Trainer {
   void reformat_region(RecoveryReport& rep);
   /// Creates missing metrics/recovery logs (post-alloc / post-reformat).
   void ensure_logs();
+  /// The one rebuild path of the PM mirror: disposes the old mirror (or
+  /// reformats the region when the dispose or the region checks fail),
+  /// allocates a new one, creates missing logs, seals net_ at `seal_at` when
+  /// given, and flags `rep.mirror_rebuilt`.
+  void rebuild_mirror(RecoveryReport& rep, std::optional<std::uint64_t> seal_at);
   std::uint64_t run_recovery_ladder(RecoveryReport& rep);
   /// In-training mirror-out failure: the live enclave weights are intact,
   /// so repair (or rebuild) the PM mirror and re-seal them.

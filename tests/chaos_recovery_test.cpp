@@ -272,6 +272,13 @@ void run_scenario(const Scenario& s) {
   EXPECT_EQ(rep.tier, expected_tier(s))
       << "ladder landed on tier '" << to_string(rep.tier) << "'" << rungs;
   EXPECT_EQ(rep.resume_iteration, resumed);
+  // The ladder reconciles the metrics log once, at its exit: no entry from an
+  // iteration past the resume point survives, whichever rung resumed.
+  if (t.metrics().exists()) {
+    for (const auto& m : t.metrics().all()) {
+      EXPECT_LE(m.iteration, resumed) << "stale metrics entry after the resume point";
+    }
+  }
   switch (s.target) {
     case Target::kMirrorPrimary:
       EXPECT_GE(rep.replica_repairs, 1u);
@@ -332,6 +339,11 @@ void run_scenario(const Scenario& s) {
   EXPECT_EQ(logged.tier, static_cast<std::uint64_t>(rep.tier));
   EXPECT_EQ(logged.resume_iteration, rep.resume_iteration);
   EXPECT_EQ(logged.flags, rep.flags());
+
+  // One step on the recovered state must leave it whole: whatever the rung
+  // rebuilt, the first save after it authenticates end to end.
+  t.train(resumed + 1);
+  t.verify_persistent_state();
 
   t.train(kPhase2Iters);
   EXPECT_EQ(t.network().iterations(), kPhase2Iters);
@@ -411,6 +423,33 @@ TEST_F(ChaosDistributed, LadderBottomPullsParametersFromPeer) {
   EXPECT_EQ(cluster.stats().peer_provision_failures, 0u);
   EXPECT_EQ(cluster.trainer(0).last_recovery().tier, RecoveryTier::kPeer);
   EXPECT_EQ(cluster.network(0).iterations(), 8u);
+}
+
+// A media fault under a live worker's mirror between the average and the
+// persist (one bit of the mirror header's num_layers): the fleet saves
+// through Trainer::mirror_out, so the save repairs the mirror from the back
+// twin, as a plain Trainer's does, and training goes on.
+TEST_F(ChaosDistributed, LiveWorkerMirrorFaultBeforePersistIsRepaired) {
+  fleet::ElasticTrainer cluster(MachineProfile::emlsgx_pm(), 48u << 20, tiny_config(),
+                                cluster_options(/*loss=*/0.0));
+  cluster.load_dataset(tiny_dataset(48));
+  bool flipped = false;
+  cluster.set_phase_hook([&](std::uint64_t, fleet::RoundPhase phase) {
+    if (flipped || phase != fleet::RoundPhase::kPostAverage) return;
+    flipped = true;
+    Trainer& t = cluster.trainer(0);
+    // Mirror header words: magic, iteration, num_layers, ...
+    const std::uint64_t num_layers_off =
+        t.romulus().root(MirrorModel::kRootSlot) + 2 * sizeof(std::uint64_t);
+    t.platform().pm().flip_bit(t.romulus().main_region_offset() + num_layers_off, 0);
+  });
+  cluster.train(8);
+
+  EXPECT_TRUE(flipped);
+  EXPECT_TRUE(cluster.report().completed);
+  EXPECT_EQ(cluster.network(0).iterations(), 8u);
+  EXPECT_EQ(cluster.trainer(0).last_recovery().tier, RecoveryTier::kReplica);
+  EXPECT_NO_THROW(cluster.trainer(0).verify_persistent_state());
 }
 
 TEST_F(ChaosDistributed, LossyChannelRetriesWithBackoff) {
