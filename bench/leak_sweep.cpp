@@ -44,8 +44,7 @@
 #include "serve/server.h"
 
 using namespace plinius;
-using ml::ObliviousOptions;
-using ml::ScopedObliviousOptions;
+using ml::ScopedObliviousKernels;
 
 namespace {
 
@@ -98,7 +97,7 @@ obs::LeakageReport run_panel(std::size_t n,
   for (std::size_t i = 0; i < n; ++i) {
     traces.push_back(obs::record_leak_trace([&] {
       if (oblivious) {
-        ScopedObliviousOptions scope(ObliviousOptions::all());
+        ScopedObliviousKernels scope;
         workload(i);
       } else {
         workload(i);
@@ -208,7 +207,7 @@ int main(int argc, char** argv) {
       for (std::size_t r = 0; r < reps; ++r) net.forward(in0.data(), 1, false);
     });
     const double fwd_obl = wall_seconds([&] {
-      ScopedObliviousOptions scope(ObliviousOptions::all());
+      ScopedObliviousKernels scope;
       for (std::size_t r = 0; r < reps; ++r) net.forward(in0.data(), 1, false);
     });
     const double shuf_base = wall_seconds([&] {
@@ -218,7 +217,7 @@ int main(int argc, char** argv) {
       }
     });
     const double shuf_obl = wall_seconds([&] {
-      ScopedObliviousOptions scope(ObliviousOptions::all());
+      ScopedObliviousKernels scope;
       for (std::size_t r = 0; r < reps; ++r) {
         ml::Dataset d = dataset;
         ml::shuffle_dataset(d, r);

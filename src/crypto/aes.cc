@@ -238,6 +238,4 @@ void Aes::ctr_xcrypt(const std::uint8_t counter[16], ByteSpan in,
   }
 }
 
-bool Aes::hw_accelerated() noexcept { return detail::aesni_supported(); }
-
 }  // namespace plinius::crypto

@@ -50,9 +50,6 @@ class Aes {
   void ctr_xcrypt(const std::uint8_t counter[kBlockSize], ByteSpan in,
                   MutableByteSpan out) const;
 
-  /// True when the AES-NI fast path is active for this process.
-  static bool hw_accelerated() noexcept;
-
  private:
   // Round keys stored byte-wise, 16 bytes per round key, rounds_+1 keys.
   std::array<std::uint8_t, kBlockSize*(kMaxRounds + 1)> enc_round_keys_{};

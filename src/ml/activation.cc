@@ -15,8 +15,7 @@ namespace {
 // branch to report — they run the branch-free select kernels.
 bool branch_free_rectifier(Activation a) {
   return (a == Activation::kLeakyRelu || a == Activation::kRelu) &&
-         (oblivious_options().branchless_activation ||
-          obs::page_trace_recorder() == nullptr);
+         (oblivious_kernels() || obs::page_trace_recorder() == nullptr);
 }
 
 }  // namespace

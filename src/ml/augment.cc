@@ -27,7 +27,6 @@ void Augmenter::shift_plane(const float* src, float* dst, long dx, long dy) cons
 }
 
 void Augmenter::apply(float* x, std::size_t batch) {
-  if (!options_.enabled) return;
   const std::size_t plane = shape_.h * shape_.w;
   scratch_.resize(plane);
 

@@ -17,7 +17,6 @@ struct AugmentOptions {
   std::size_t max_shift = 2;      // +/- pixels of random translation
   float noise_stddev = 0.03f;     // additive Gaussian noise
   float intensity_jitter = 0.1f;  // multiplicative scale in [1-j, 1+j]
-  bool enabled = true;
 };
 
 class Augmenter {

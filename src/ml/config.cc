@@ -18,6 +18,19 @@ std::string trim(const std::string& s) {
   const auto end = s.find_last_not_of(" \t\r\n");
   return s.substr(begin, end - begin + 1);
 }
+
+// A size, stride, count or pad read from section `s`: rejects values below
+// `min` (1 for every extent, 0 for a pad), so a hostile config fails here
+// instead of dividing by zero or sizing a vector from a negative number.
+std::size_t get_dim(const ConfigSection& s, const std::string& key, long fallback,
+                    long min = 1) {
+  const long v = s.get_int(key, fallback);
+  if (v < min) {
+    throw MlError("config: [" + s.name + "] option '" + key + "' must be >= " +
+                  std::to_string(min) + ", got " + std::to_string(v));
+  }
+  return static_cast<std::size_t>(v);
+}
 }  // namespace
 
 bool ConfigSection::has(const std::string& key) const { return options.contains(key); }
@@ -30,21 +43,25 @@ std::string ConfigSection::get(const std::string& key, const std::string& fallba
 long ConfigSection::get_int(const std::string& key, long fallback) const {
   const auto it = options.find(key);
   if (it == options.end()) return fallback;
+  std::size_t end = 0;
   try {
-    return std::stol(it->second);
+    const long v = std::stol(it->second, &end);
+    if (end == it->second.size()) return v;
   } catch (const std::exception&) {
-    throw MlError("config: option '" + key + "' is not an integer: " + it->second);
   }
+  throw MlError("config: option '" + key + "' is not an integer: " + it->second);
 }
 
 double ConfigSection::get_double(const std::string& key, double fallback) const {
   const auto it = options.find(key);
   if (it == options.end()) return fallback;
+  std::size_t end = 0;
   try {
-    return std::stod(it->second);
+    const double v = std::stod(it->second, &end);
+    if (end == it->second.size()) return v;
   } catch (const std::exception&) {
-    throw MlError("config: option '" + key + "' is not a number: " + it->second);
   }
+  throw MlError("config: option '" + key + "' is not a number: " + it->second);
 }
 
 ModelConfig ModelConfig::parse(const std::string& text) {
@@ -103,11 +120,7 @@ const ConfigSection& ModelConfig::net() const {
   return sections.front();
 }
 
-std::size_t ModelConfig::batch() const {
-  const long b = net().get_int("batch", 128);
-  expects(b > 0, "ModelConfig: batch must be positive");
-  return static_cast<std::size_t>(b);
-}
+std::size_t ModelConfig::batch() const { return get_dim(net(), "batch", 128); }
 
 SgdParams ModelConfig::sgd_params() const {
   SgdParams p;
@@ -118,7 +131,8 @@ SgdParams ModelConfig::sgd_params() const {
 }
 
 namespace {
-// Parses "100,200,300" into a vector using stod/stol semantics.
+// Parses "100,200,300" into a vector; `conv(item, &end)` has stoull/stof
+// semantics, and an item with trailing characters is rejected.
 template <typename T, typename Conv>
 std::vector<T> parse_list(const std::string& text, Conv conv) {
   std::vector<T> out;
@@ -127,9 +141,12 @@ std::vector<T> parse_list(const std::string& text, Conv conv) {
     const auto comma = text.find(',', pos);
     const std::string item =
         text.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
+    std::size_t end = 0;
     try {
-      out.push_back(conv(item));
+      out.push_back(conv(item, &end));
     } catch (const std::exception&) {
+    }
+    if (end != item.size() || item.empty()) {
       throw MlError("config: malformed list item: " + item);
     }
     if (comma == std::string::npos) break;
@@ -146,11 +163,13 @@ LrSchedule ModelConfig::lr_schedule() const {
   s.base_lr = static_cast<float>(n.get_double("learning_rate", 0.1));
   if (n.has("steps")) {
     s.steps = parse_list<std::uint64_t>(
-        n.get("steps", ""), [](const std::string& x) { return std::stoull(x); });
+        n.get("steps", ""),
+        [](const std::string& x, std::size_t* end) { return std::stoull(x, end); });
   }
   if (n.has("scales")) {
-    s.scales = parse_list<float>(n.get("scales", ""),
-                                 [](const std::string& x) { return std::stof(x); });
+    s.scales = parse_list<float>(
+        n.get("scales", ""),
+        [](const std::string& x, std::size_t* end) { return std::stof(x, end); });
   }
   s.gamma = static_cast<float>(n.get_double("gamma", 0.99));
   s.power = static_cast<float>(n.get_double("power", 4.0));
@@ -161,11 +180,8 @@ LrSchedule ModelConfig::lr_schedule() const {
 
 Shape ModelConfig::input_shape() const {
   const auto& n = net();
-  Shape s{static_cast<std::size_t>(n.get_int("channels", 1)),
-          static_cast<std::size_t>(n.get_int("height", 28)),
-          static_cast<std::size_t>(n.get_int("width", 28))};
-  expects(s.size() > 0, "ModelConfig: zero input shape");
-  return s;
+  return Shape{get_dim(n, "channels", 1), get_dim(n, "height", 28),
+               get_dim(n, "width", 28)};
 }
 
 Network build_network(const ModelConfig& config, Rng& init_rng) {
@@ -177,29 +193,30 @@ Network build_network(const ModelConfig& config, Rng& init_rng) {
     const Shape in = net.next_input_shape();
     if (s.name == "convolutional") {
       ConvConfig c;
-      c.filters = static_cast<std::size_t>(s.get_int("filters", 16));
-      c.ksize = static_cast<std::size_t>(s.get_int("size", 3));
-      c.stride = static_cast<std::size_t>(s.get_int("stride", 1));
-      c.pad = static_cast<std::size_t>(s.get_int("pad", 1));
+      c.filters = get_dim(s, "filters", 16);
+      c.ksize = get_dim(s, "size", 3);
+      c.stride = get_dim(s, "stride", 1);
+      c.pad = get_dim(s, "pad", 1, 0);
       c.batch_normalize = s.get_int("batch_normalize", 1) != 0;
       c.activation = activation_from_name(s.get("activation", "leaky"));
       net.add(std::make_unique<ConvLayer>(in, c, init_rng));
     } else if (s.name == "maxpool") {
       MaxPoolConfig c;
-      c.size = static_cast<std::size_t>(s.get_int("size", 2));
-      c.stride = static_cast<std::size_t>(s.get_int("stride", 2));
+      c.size = get_dim(s, "size", 2);
+      c.stride = get_dim(s, "stride", 2);
       net.add(std::make_unique<MaxPoolLayer>(in, c));
     } else if (s.name == "avgpool") {
       AvgPoolConfig c;
-      c.size = static_cast<std::size_t>(s.get_int("size", 0));
-      c.stride = static_cast<std::size_t>(s.get_int("stride", c.size));
+      // size=0 is global pooling, which has no stride.
+      c.size = get_dim(s, "size", 0, 0);
+      c.stride = get_dim(s, "stride", static_cast<long>(c.size), c.size > 0 ? 1 : 0);
       net.add(std::make_unique<AvgPoolLayer>(in, c));
     } else if (s.name == "dropout") {
       const float p = static_cast<float>(s.get_double("probability", 0.5));
       net.add(std::make_unique<DropoutLayer>(in, p, init_rng.next()));
     } else if (s.name == "connected") {
       ConnectedConfig c;
-      c.outputs = static_cast<std::size_t>(s.get_int("output", 10));
+      c.outputs = get_dim(s, "output", 10);
       c.activation = activation_from_name(s.get("activation", "linear"));
       net.add(std::make_unique<ConnectedLayer>(in, c, init_rng));
     } else if (s.name == "softmax") {

@@ -76,7 +76,7 @@ void ConvLayer::forward(const float* input, std::size_t batch, bool train) {
 }
 
 const float* ConvLayer::columns(const float* im) {
-  if (oblivious_options().fixed_im2col) {
+  if (oblivious_kernels()) {
     im2col_fixed(plan_, im, scratch_.data(), workspace_.data());
   } else {
     plan_.im2col(im, scratch_.data(), workspace_.data());

@@ -20,7 +20,7 @@ void sample_batch(const Dataset& data, std::size_t batch, Rng& rng, float* x_out
 }
 
 void shuffle_dataset(Dataset& data, std::uint64_t seed) {
-  if (oblivious_options().oblivious_shuffle) {
+  if (oblivious_kernels()) {
     oblivious_shuffle_dataset(data, seed);
     return;
   }

@@ -42,9 +42,9 @@ void sample_batch(const Dataset& data, std::size_t batch, Rng& rng, float* x_out
 
 /// Shuffles dataset rows in place from `seed` (Darknet's randomize_data).
 /// Baseline is Fisher–Yates — the swap sequence IS the permutation, so the
-/// access trace leaks the shuffle order. With
-/// ObliviousOptions::oblivious_shuffle set, dispatches to the bitonic
-/// oblivious shuffle (ml/oblivious.h) whose trace is seed-independent.
+/// access trace leaks the shuffle order. With the oblivious kernels on
+/// (ScopedObliviousKernels), dispatches to the bitonic oblivious shuffle
+/// (ml/oblivious.h) whose trace is seed-independent.
 void shuffle_dataset(Dataset& data, std::uint64_t seed);
 
 /// Serializes a matrix to bytes (little-endian header + float payload) and

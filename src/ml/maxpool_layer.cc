@@ -12,22 +12,23 @@ Shape pool_output_shape(Shape in, const MaxPoolConfig& c) {
   // Darknet pools with implicit right/bottom padding: out = ceil(in/stride)
   // when size == stride; the general formula below matches its (in + size -
   // 1)/stride + 1 variant for size != stride is overkill here — we use the
-  // common (in - size)/stride + 1 with required divisibility.
+  // common (in - size)/stride + 1 with required divisibility. Checked here,
+  // before the division: this runs in the base-class initializer.
+  if (c.size == 0 || c.stride == 0) throw MlError("MaxPoolLayer: bad size/stride");
+  if (in.h < c.size || in.w < c.size) {
+    throw MlError("MaxPoolLayer: window larger than input");
+  }
   return Shape{in.c, (in.h - c.size) / c.stride + 1, (in.w - c.size) / c.stride + 1};
 }
 }  // namespace
 
 MaxPoolLayer::MaxPoolLayer(Shape in, const MaxPoolConfig& config)
-    : Layer(in, pool_output_shape(in, config)), config_(config) {
-  expects(config.size > 0 && config.stride > 0, "MaxPoolLayer: bad size/stride");
-  expects(in.h >= config.size && in.w >= config.size,
-          "MaxPoolLayer: window larger than input");
-}
+    : Layer(in, pool_output_shape(in, config)), config_(config) {}
 
 void MaxPoolLayer::forward(const float* input, std::size_t batch, bool /*train*/) {
   argmax_.resize(batch * out_shape_.size());
   const std::size_t in_hw = in_shape_.h * in_shape_.w;
-  const bool branchless = oblivious_options().branchless_maxpool;
+  const bool branchless = oblivious_kernels();
   obs::PageTraceRecorder* rec =
       branchless ? nullptr : obs::page_trace_recorder();
   obs::touch_pages("maxpool.in", 0, batch * in_shape_.size() * sizeof(float));

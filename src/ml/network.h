@@ -64,7 +64,6 @@ class Network {
   /// iteration counter is what the PM mirror persists, so a crash-restored
   /// run continues the schedule seamlessly.
   void set_lr_schedule(LrSchedule schedule) { schedule_ = std::move(schedule); }
-  void clear_lr_schedule() { schedule_.reset(); }
   [[nodiscard]] const std::optional<LrSchedule>& lr_schedule() const noexcept {
     return schedule_;
   }

@@ -9,14 +9,16 @@
 namespace plinius::ml {
 
 namespace {
-ObliviousOptions g_oblivious_options;
+bool g_oblivious_kernels = false;
 }  // namespace
 
-const ObliviousOptions& oblivious_options() noexcept { return g_oblivious_options; }
+bool oblivious_kernels() noexcept { return g_oblivious_kernels; }
 
-void set_oblivious_options(const ObliviousOptions& opts) noexcept {
-  g_oblivious_options = opts;
+ScopedObliviousKernels::ScopedObliviousKernels() : previous_(g_oblivious_kernels) {
+  g_oblivious_kernels = true;
 }
+
+ScopedObliviousKernels::~ScopedObliviousKernels() { g_oblivious_kernels = previous_; }
 
 void oblivious_activate(Activation a, float* x, std::size_t n) {
   switch (a) {

@@ -16,8 +16,9 @@
 //
 // Every variant is bitwise-equivalent to its baseline (tests/leak_test.cpp
 // asserts it); the observatory asserts the trace collapses to
-// input-independence. Selection is a process-global ObliviousOptions so the
-// network/layer code dispatches without plumbing a flag through every call.
+// input-independence. Selection is one process-global switch — all variants
+// or none — so the network/layer code dispatches without plumbing a flag
+// through every call.
 #pragma once
 
 #include <bit>
@@ -30,34 +31,21 @@
 
 namespace plinius::ml {
 
-/// Which kernels run in their data-oblivious variant.
-struct ObliviousOptions {
-  bool branchless_activation = false;
-  bool branchless_maxpool = false;
-  bool fixed_im2col = false;
-  bool oblivious_shuffle = false;
+/// True while every kernel runs its data-oblivious variant; false (the
+/// default) runs the baselines.
+[[nodiscard]] bool oblivious_kernels() noexcept;
 
-  [[nodiscard]] static ObliviousOptions all() noexcept {
-    return ObliviousOptions{true, true, true, true};
-  }
-};
-
-[[nodiscard]] const ObliviousOptions& oblivious_options() noexcept;
-void set_oblivious_options(const ObliviousOptions& opts) noexcept;
-
-/// RAII: installs `opts` for the scope, restores the previous setting after.
-class ScopedObliviousOptions {
+/// RAII: turns the oblivious variants on for the scope and restores the
+/// previous setting after.
+class ScopedObliviousKernels {
  public:
-  explicit ScopedObliviousOptions(const ObliviousOptions& opts)
-      : previous_(oblivious_options()) {
-    set_oblivious_options(opts);
-  }
-  ~ScopedObliviousOptions() { set_oblivious_options(previous_); }
-  ScopedObliviousOptions(const ScopedObliviousOptions&) = delete;
-  ScopedObliviousOptions& operator=(const ScopedObliviousOptions&) = delete;
+  ScopedObliviousKernels();
+  ~ScopedObliviousKernels();
+  ScopedObliviousKernels(const ScopedObliviousKernels&) = delete;
+  ScopedObliviousKernels& operator=(const ScopedObliviousKernels&) = delete;
 
  private:
-  ObliviousOptions previous_;
+  bool previous_;
 };
 
 /// Constant-schedule select: returns `a` when cond, else `b`, via a bitmask

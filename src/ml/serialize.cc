@@ -5,7 +5,6 @@
 namespace plinius::ml {
 
 namespace {
-constexpr std::uint64_t kWeightsMagicV1 = 0x504C4E57454948ULL;    // "PLNWEIH"
 constexpr std::uint64_t kWeightsMagicV2 = 0x32494557454E4C50ULL;  // "PLNWEI2"
 constexpr std::uint64_t kFormatVersion = 2;
 
@@ -91,9 +90,10 @@ class Reader {
   std::size_t off_ = 0;
 };
 
-/// Consumes the v2 header after the magic; returns the dtype after checking
-/// it against `expected_dtype`.
-void read_v2_header(Reader& in, std::uint64_t expected_dtype) {
+/// Consumes the v2 header (magic, version, dtype), checking the dtype
+/// against `expected_dtype`.
+void read_header(Reader& in, std::uint64_t expected_dtype) {
+  if (in.u64() != kWeightsMagicV2) throw MlError("weights blob: bad magic");
   const std::uint64_t version = in.u64();
   if (version != kFormatVersion) {
     throw MlError("weights blob: unsupported format version (expected " +
@@ -106,26 +106,6 @@ void read_v2_header(Reader& in, std::uint64_t expected_dtype) {
                   dtype_label(expected_dtype) + ", got " + dtype_label(dtype) +
                   ")");
   }
-}
-
-void read_float_body(Network& net, Reader& in) {
-  const std::uint64_t iterations = in.u64();
-  if (in.u64() != net.num_layers()) throw MlError("weights blob: layer count mismatch");
-  for (std::size_t i = 0; i < net.num_layers(); ++i) {
-    auto buffers = net.layer(i).parameters();
-    if (in.u64() != buffers.size()) {
-      throw MlError("weights blob: buffer count mismatch at layer " + std::to_string(i));
-    }
-    for (auto& buf : buffers) {
-      if (in.u64() != buf.values.size()) {
-        throw MlError("weights blob: size mismatch in " + buf.name + " at layer " +
-                      std::to_string(i));
-      }
-      in.floats(buf.values.data(), buf.values.size());
-    }
-  }
-  if (!in.exhausted()) throw MlError("weights blob: trailing bytes");
-  net.set_iterations(iterations);
 }
 
 }  // namespace
@@ -150,15 +130,24 @@ Bytes serialize_weights(Network& net) {
 
 void deserialize_weights(Network& net, ByteSpan blob) {
   Reader in(blob);
-  const std::uint64_t magic = in.u64();
-  if (magic == kWeightsMagicV1) {
-    // Legacy v1: no version/dtype header, float body follows directly.
-    read_float_body(net, in);
-    return;
+  read_header(in, kDtypeFloat32);
+  const std::uint64_t iterations = in.u64();
+  if (in.u64() != net.num_layers()) throw MlError("weights blob: layer count mismatch");
+  for (std::size_t i = 0; i < net.num_layers(); ++i) {
+    auto buffers = net.layer(i).parameters();
+    if (in.u64() != buffers.size()) {
+      throw MlError("weights blob: buffer count mismatch at layer " + std::to_string(i));
+    }
+    for (auto& buf : buffers) {
+      if (in.u64() != buf.values.size()) {
+        throw MlError("weights blob: size mismatch in " + buf.name + " at layer " +
+                      std::to_string(i));
+      }
+      in.floats(buf.values.data(), buf.values.size());
+    }
   }
-  if (magic != kWeightsMagicV2) throw MlError("weights blob: bad magic");
-  read_v2_header(in, kDtypeFloat32);
-  read_float_body(net, in);
+  if (!in.exhausted()) throw MlError("weights blob: trailing bytes");
+  net.set_iterations(iterations);
 }
 
 Bytes serialize_quantized(const QuantizedNetwork& qnet) {
@@ -197,13 +186,7 @@ Bytes serialize_quantized(const QuantizedNetwork& qnet) {
 
 QuantizedNetwork deserialize_quantized(ByteSpan blob) {
   Reader in(blob);
-  const std::uint64_t magic = in.u64();
-  if (magic == kWeightsMagicV1) {
-    throw MlError("weights blob: dtype mismatch (expected " +
-                  dtype_label(kDtypeInt8) + ", got legacy v1 float32 blob)");
-  }
-  if (magic != kWeightsMagicV2) throw MlError("weights blob: bad magic");
-  read_v2_header(in, kDtypeInt8);
+  read_header(in, kDtypeInt8);
 
   QuantizedNetwork q;
   q.set_iterations(in.u64());

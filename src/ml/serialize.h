@@ -14,8 +14,7 @@
 //                f32 weight_scale, in_scale, out_scale
 //                u64 weight_count, int8 weights | u64 bias_count, int32 biases
 //
-// The float32 payload is byte-identical to the legacy v1 body, so v1 blobs
-// (magic "PLNWEIH", no version/dtype header) still deserialize. Every header
+// Only v2 is read; any other magic fails as "bad magic". Every header
 // mismatch reports expected-vs-got explicitly, e.g.
 //   "weights blob: dtype mismatch (expected float32 (0), got int8 (1))".
 #pragma once
@@ -33,10 +32,9 @@ inline constexpr std::uint64_t kDtypeInt8 = 1;
 /// Serializes float weights (v2 header, dtype float32).
 [[nodiscard]] Bytes serialize_weights(Network& net);
 
-/// Loads float weights into an architecturally identical network; accepts
-/// both v2/float32 and legacy v1 blobs. Throws MlError with an
-/// expected-vs-got message on any version/dtype/shape mismatch. Restores the
-/// iteration counter.
+/// Loads float weights from a v2/float32 blob into an architecturally
+/// identical network. Throws MlError with an expected-vs-got message on any
+/// version/dtype/shape mismatch. Restores the iteration counter.
 void deserialize_weights(Network& net, ByteSpan blob);
 
 /// Serializes a quantized model (v2 header, dtype int8).

@@ -4,8 +4,6 @@
 #include "plinius/fleet/fleet.h"
 #include "plinius/mirror.h"
 #include "plinius/pm_data.h"
-#include "plinius/scrub.h"
-#include "plinius/trainer.h"
 #include "pm/device.h"
 #include "serve/fleet/fleet_server.h"
 #include "serve/fleet/registry.h"
@@ -63,13 +61,6 @@ void publish(Registry& reg, const MirrorStats& s, const Labels& labels) {
   reg.set_counter("mirror.replica_repairs", s.replica_repairs, labels);
 }
 
-void publish(Registry& reg, const MirrorScrubReport& s, const Labels& labels) {
-  reg.set_counter("scrub.mirror.buffers_checked", s.buffers_checked, labels);
-  reg.set_counter("scrub.mirror.auth_failures", s.auth_failures, labels);
-  reg.set_counter("scrub.mirror.repaired", s.repaired, labels);
-  reg.set_counter("scrub.mirror.unrecoverable", s.unrecoverable, labels);
-}
-
 void publish(Registry& reg, const CheckpointStats& s, const Labels& labels) {
   reg.set_gauge("checkpoint.encrypt_ns", s.encrypt_ns, labels);
   reg.set_gauge("checkpoint.write_ns", s.write_ns, labels);
@@ -87,29 +78,6 @@ void publish(Registry& reg, const PmDataStats& s, const Labels& labels) {
   reg.set_counter("data.records", s.records, labels);
   reg.set_counter("data.corrupt_records", s.corrupt_records, labels);
   reg.set_counter("data.resampled", s.resampled, labels);
-}
-
-void publish(Registry& reg, const ScrubReport& s, const Labels& labels) {
-  reg.set_counter("scrub.header_ok", s.header_ok ? 1 : 0, labels);
-  reg.set_counter("scrub.allocator_ok", s.allocator_ok ? 1 : 0, labels);
-  reg.set_counter("scrub.mirror_layout_ok", s.mirror_layout_ok ? 1 : 0, labels);
-  reg.set_counter("scrub.twin_restored", s.twin_restored ? 1 : 0, labels);
-  reg.set_counter("scrub.twins_resynced", s.twins_resynced ? 1 : 0, labels);
-  reg.set_counter("scrub.dataset_layout_ok", s.dataset_layout_ok ? 1 : 0, labels);
-  reg.set_counter("scrub.corrupt_records", s.corrupt_records.size(), labels);
-  reg.set_counter("scrub.poisoned_lines", s.poisoned_lines, labels);
-  reg.set_counter("scrub.healthy", s.healthy() ? 1 : 0, labels);
-  if (s.mirror_present) publish(reg, s.mirror, labels);
-}
-
-void publish(Registry& reg, const RecoveryReport& s, const Labels& labels) {
-  reg.set_counter("recovery.tier", static_cast<std::uint64_t>(s.tier), labels);
-  reg.set_counter("recovery.resume_iteration", s.resume_iteration, labels);
-  reg.set_counter("recovery.replica_repairs", s.replica_repairs, labels);
-  reg.set_counter("recovery.region_reformatted", s.region_reformatted ? 1 : 0, labels);
-  reg.set_counter("recovery.mirror_rebuilt", s.mirror_rebuilt ? 1 : 0, labels);
-  reg.set_counter("recovery.dataset_lost", s.dataset_lost ? 1 : 0, labels);
-  reg.set_counter("recovery.rungs_failed", s.rungs_failed.size(), labels);
 }
 
 void publish(Registry& reg, const ClusterStats& s, const Labels& labels) {

@@ -17,11 +17,8 @@ struct PmStats;
 }
 namespace plinius {
 struct MirrorStats;
-struct MirrorScrubReport;
 struct CheckpointStats;
 struct PmDataStats;
-struct ScrubReport;
-struct RecoveryReport;
 struct ClusterStats;
 }
 namespace plinius::serve {
@@ -48,11 +45,8 @@ void publish(Registry& reg, const Tracer& t, const Labels& labels = {});
 void publish(Registry& reg, const sgx::EnclaveStats& s, const Labels& labels = {});
 void publish(Registry& reg, const pm::PmStats& s, const Labels& labels = {});
 void publish(Registry& reg, const MirrorStats& s, const Labels& labels = {});
-void publish(Registry& reg, const MirrorScrubReport& s, const Labels& labels = {});
 void publish(Registry& reg, const CheckpointStats& s, const Labels& labels = {});
 void publish(Registry& reg, const PmDataStats& s, const Labels& labels = {});
-void publish(Registry& reg, const ScrubReport& s, const Labels& labels = {});
-void publish(Registry& reg, const RecoveryReport& s, const Labels& labels = {});
 void publish(Registry& reg, const ClusterStats& s, const Labels& labels = {});
 void publish(Registry& reg, const serve::ServerStats& s, const Labels& labels = {});
 void publish(Registry& reg, const serve::fleet::RouterStats& s, const Labels& labels = {});

@@ -458,7 +458,7 @@ bool MirrorModel::replicated() const {
   return exists() && header().replicated != 0;
 }
 
-MirrorScrubReport MirrorModel::scrub(ml::Network& net, bool repair) {
+MirrorScrubReport MirrorModel::scrub(ml::Network& net) {
   expects(async_ == nullptr,
           "MirrorModel::scrub: async save in flight — drain it first");
   const Walk w = walk(&net, "MirrorModel::scrub");
@@ -502,15 +502,13 @@ MirrorScrubReport MirrorModel::scrub(ml::Network& net, bool repair) {
       ++report.unrecoverable;
       continue;
     }
-    if (repair) {
-      if (primary_ok) {
-        repairs.push_back({e.replica_off, std::move(primary)});
-      } else {
-        repairs.push_back({e.primary_off, std::move(replica)});
-      }
-      ++report.repaired;
-      ++stats_.replica_repairs;
+    if (primary_ok) {
+      repairs.push_back({e.replica_off, std::move(primary)});
+    } else {
+      repairs.push_back({e.primary_off, std::move(replica)});
     }
+    ++report.repaired;
+    ++stats_.replica_repairs;
   }
   if (w.tail_next != 0) {
     throw PmError("MirrorModel::scrub: layer list longer than the model");

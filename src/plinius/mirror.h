@@ -189,12 +189,12 @@ class MirrorModel {
 
   /// Scrub pass: authenticates every sealed copy (primary and, when
   /// replicated, the sibling) against `net`'s layout without touching its
-  /// weights, charging scrub read traffic. With `repair` set, a corrupt
-  /// copy whose sibling authenticates is rebuilt from it inside one durable
-  /// transaction (also clearing any line poison under the rewrite). Layout
-  /// violations (corrupt offsets, truncated list) throw PmError/MlError;
-  /// authentication results are reported, not thrown.
-  MirrorScrubReport scrub(ml::Network& net, bool repair = true);
+  /// weights, charging scrub read traffic. A corrupt copy whose sibling
+  /// authenticates is rebuilt from it inside one durable transaction (also
+  /// clearing any line poison under the rewrite). Layout violations
+  /// (corrupt offsets, truncated list) throw PmError/MlError; authentication
+  /// results are reported, not thrown.
+  MirrorScrubReport scrub(ml::Network& net);
 
   /// Frees every PM allocation of the mirror (nodes, sealed buffers,
   /// replicas, header) and clears the root, in one durable transaction.

@@ -47,14 +47,4 @@ void Platform::charge_compute(double macs) {
                       a, 1);
 }
 
-void Platform::charge_compute_int8(double macs) {
-  const auto lanes = static_cast<double>(enclave_->tcs_count());
-  const double rate = profile_.compute_macs_per_s * profile_.sgx.int8_gemm_speedup;
-  const sim::Nanos t0 = clock_.now();
-  clock_.advance(macs / (rate * lanes) * 1e9);
-  const obs::Attr a[] = {{"macs", macs}};
-  obs::trace_complete(clock_, obs::Category::kCompute, "compute_int8", t0,
-                      clock_.now(), a, 1);
-}
-
 }  // namespace plinius

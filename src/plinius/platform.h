@@ -60,11 +60,6 @@ class Platform {
   /// "Parallelism and simulated time".
   void charge_compute(double macs);
 
-  /// charge_compute for the int8 inference path: same lane model, but at
-  /// compute_macs_per_s * sgx.int8_gemm_speedup (the int8 GEMM kernels
-  /// retire ~2x the MACs per cycle; see sgx::SgxCostModel).
-  void charge_compute_int8(double macs);
-
  private:
   MachineProfile profile_;
   sim::Clock clock_;

@@ -27,7 +27,7 @@ ScrubReport scrub_arena(romulus::Romulus& rom, MirrorModel* mirror,
   // media fault. One shot only — if back is the corrupt twin, restoring again
   // would just re-copy the damage.
   const auto try_twin_restore = [&]() -> bool {
-    if (!options.repair || report.twin_restored) return false;
+    if (report.twin_restored) return false;
     rom.restore_main_from_back();
     report.twin_restored = true;
     return true;
@@ -58,7 +58,7 @@ ScrubReport scrub_arena(romulus::Romulus& rom, MirrorModel* mirror,
       report.mirror = MirrorScrubReport{};
       if (!mirror->exists()) return true;
       report.mirror_present = true;
-      report.mirror = mirror->scrub(*net, options.repair);
+      report.mirror = mirror->scrub(*net);
       return true;
     };
     try {
@@ -95,7 +95,7 @@ ScrubReport scrub_arena(romulus::Romulus& rom, MirrorModel* mirror,
 
   // Everything main-side validates: re-arm twin-based repair by rewriting a
   // diverged back twin from the known-good main (heals back-side faults).
-  if (options.repair && report.healthy() && rom.twin_divergence() > 0) {
+  if (report.healthy() && rom.twin_divergence() > 0) {
     rom.rewrite_back_from_main();
     report.twins_resynced = true;
   }

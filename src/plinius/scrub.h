@@ -49,7 +49,6 @@ struct ScrubReport {
 };
 
 struct ScrubOptions {
-  bool repair = true;        // apply twin restores / A/B rebuilds
   bool scan_dataset = false; // authenticate every PM data record (expensive)
 };
 

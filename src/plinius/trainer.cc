@@ -359,12 +359,6 @@ std::uint64_t Trainer::resume_or_init() {
       }
       return iter;
     }
-    case CheckpointBackend::kSsd:
-      if (ckpt_->exists()) {
-        platform_->ssd().drop_caches();  // cold after a crash
-        return ckpt_->restore(net_);
-      }
-      return 0;
     case CheckpointBackend::kNone:
       // Non-crash-resilient baseline: always restarts from scratch.
       net_.set_iterations(0);
@@ -527,9 +521,6 @@ float Trainer::train(std::uint64_t target_iterations,
           if (pipelined) drain_seal(*seal_stream);
           ckpt_->save(net_);  // periodic SSD rung for the recovery ladder
         }
-      } else if (options_.backend == CheckpointBackend::kSsd &&
-                 (iter % options_.mirror_every == 0 || last)) {
-        ckpt_->save(net_);
       }
 
       if (on_iteration) on_iteration(iter, loss);

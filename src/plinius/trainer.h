@@ -71,7 +71,6 @@ struct RecoveryReport {
 /// Which fault-tolerance backend the trainer uses.
 enum class CheckpointBackend {
   kPmMirror,  // Plinius' mirroring mechanism (the contribution)
-  kSsd,       // traditional encrypt+fwrite+fsync checkpointing (baseline)
   kNone,      // no model saving (the non-crash-resilient comparison)
 };
 

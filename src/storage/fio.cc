@@ -36,12 +36,11 @@ FioResult run_fio(SimFileSystem& fs, const FioJob& job) {
     const std::size_t offset = b * job.block_size;
     if (job.op == FioJob::Op::kWrite) {
       file.pwrite(offset, block);
-      if (job.fsync_per_block) file.fsync();
+      file.fsync();
     } else {
       file.pread(offset, block);
     }
   }
-  if (job.op == FioJob::Op::kWrite && !job.fsync_per_block) file.fsync();
 
   FioResult result;
   result.elapsed_ns = sw.elapsed();

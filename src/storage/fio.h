@@ -20,7 +20,6 @@ struct FioJob {
   Pattern pattern = Pattern::kSequential;
   std::size_t file_size = 512ULL * 1024 * 1024;
   std::size_t block_size = 4096;
-  bool fsync_per_block = true;  // applies to write jobs
   std::uint64_t seed = 1;
 };
 

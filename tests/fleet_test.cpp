@@ -13,6 +13,7 @@
 #include "ml/config.h"
 #include "ml/synth_digits.h"
 #include "obs/registry.h"
+#include "obs/stats_bridge.h"
 #include "plinius/fleet/fleet.h"
 
 namespace plinius::fleet {
@@ -593,6 +594,23 @@ TEST(Fleet, PublishesCanonicalTelemetry) {
   const std::string snap = reg.snapshot_json();
   EXPECT_NE(snap.find("cluster.peer_provisions"), std::string::npos);
   EXPECT_NE(snap.find("fleet.recovery_tier"), std::string::npos);
+}
+
+// obs/stats_bridge.cc keeps its own copy of the tier names (the obs library
+// does not link the trainer). Distinct counts per tier make a missing, extra
+// or swapped label show up as a wrong count.
+TEST(Fleet, RecoveryTierLabelsMatchTrainerNames) {
+  FleetReport rep;
+  for (std::size_t t = 0; t < rep.recoveries_by_tier.size(); ++t) {
+    rep.recoveries_by_tier[t] = t + 1;
+  }
+  obs::Registry reg;
+  obs::publish(reg, rep);
+  for (std::size_t t = 0; t < rep.recoveries_by_tier.size(); ++t) {
+    const char* tier = to_string(static_cast<RecoveryTier>(t));
+    EXPECT_STRNE(tier, "?");
+    EXPECT_EQ(reg.counter("fleet.recoveries", {{"tier", tier}}), t + 1) << tier;
+  }
 }
 
 }  // namespace

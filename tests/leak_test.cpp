@@ -33,8 +33,7 @@
 namespace plinius {
 namespace {
 
-using ml::ObliviousOptions;
-using ml::ScopedObliviousOptions;
+using ml::ScopedObliviousKernels;
 using obs::LeakEvent;
 using obs::LeakKind;
 using obs::LeakTrace;
@@ -242,9 +241,7 @@ TEST(ObliviousKernels, MaxpoolForwardAndBackwardBitwiseEqual) {
   obl.prepare(batch);
   base.forward(input.data(), batch, true);
   {
-    ObliviousOptions o;
-    o.branchless_maxpool = true;
-    ScopedObliviousOptions scope(o);
+    ScopedObliviousKernels scope;
     obl.forward(input.data(), batch, true);
   }
   ASSERT_EQ(base.output().size(), obl.output().size());
@@ -375,7 +372,7 @@ TEST(ObliviousKernels, ShuffleTraceLeaksSeedOnlyInBaseline) {
     }));
     oblivious.push_back(obs::record_leak_trace([&] {
       ml::Dataset d = original;
-      ScopedObliviousOptions scope(ObliviousOptions::all());
+      ScopedObliviousKernels scope;
       ml::shuffle_dataset(d, seed);
     }));
   }
@@ -429,7 +426,7 @@ TEST(LeakObservatory, BaselineForwardDistinguishesInputsObliviousDoesNot) {
     baseline.push_back(
         obs::record_leak_trace([&] { net.forward(in.data(), 1, false); }));
     oblivious.push_back(obs::record_leak_trace([&] {
-      ScopedObliviousOptions scope(ObliviousOptions::all());
+      ScopedObliviousKernels scope;
       net.forward(in.data(), 1, false);
     }));
   }
@@ -454,7 +451,7 @@ TEST(LeakObservatory, BaselineForwardDistinguishesWeightPerturbations) {
     baseline.push_back(
         obs::record_leak_trace([&] { net.forward(input.data(), 1, false); }));
     oblivious.push_back(obs::record_leak_trace([&] {
-      ScopedObliviousOptions scope(ObliviousOptions::all());
+      ScopedObliviousKernels scope;
       net.forward(input.data(), 1, false);
     }));
   }
@@ -468,7 +465,7 @@ TEST(LeakObservatory, ObliviousVariantsPreserveForwardBitwise) {
   const auto input = make_secret_inputs(1, base.input_shape().size(), 3)[0];
   base.forward(input.data(), 1, false);
   {
-    ScopedObliviousOptions scope(ObliviousOptions::all());
+    ScopedObliviousKernels scope;
     obl.forward(input.data(), 1, false);
   }
   ASSERT_EQ(base.output().size(), obl.output().size());

@@ -354,7 +354,7 @@ TEST_F(MirrorMediaTest, BothCopiesRottenIsUnrecoverableAtMirrorTier) {
     dev.flip_bit(rom_.back_region_offset() + extents[0].replica_off + i, 1);
   }
 
-  const auto report = mirror.scrub(net_, /*repair=*/true);
+  const auto report = mirror.scrub(net_);
   EXPECT_EQ(report.unrecoverable, 1u);
   EXPECT_FALSE(report.healthy());
   try {

@@ -395,6 +395,14 @@ TEST(MaxPool, ForwardSelectsMaxAndRoutesGradient) {
   EXPECT_FLOAT_EQ(in_delta[3], 0);
 }
 
+TEST(MaxPool, BadWindowThrowsBeforeDividing) {
+  // The output shape is computed in the base-class initializer, so the
+  // checks must come first: a zero stride would divide by zero there.
+  EXPECT_THROW(MaxPoolLayer(Shape{1, 4, 4}, MaxPoolConfig{2, 0}), MlError);
+  EXPECT_THROW(MaxPoolLayer(Shape{1, 4, 4}, MaxPoolConfig{0, 2}), MlError);
+  EXPECT_THROW(MaxPoolLayer(Shape{1, 2, 2}, MaxPoolConfig{3, 1}), MlError);
+}
+
 TEST(Softmax, OutputsAreDistribution) {
   SoftmaxLayer sm(Shape{4, 1, 1});
   sm.prepare(2);
@@ -483,6 +491,87 @@ TEST(Config, UnknownSectionRejected) {
   const auto cfg = ModelConfig::parse("[net]\nheight=6\nwidth=6\nchannels=1\n[lstm]\n");
   Rng rng(1);
   EXPECT_THROW((void)build_network(cfg, rng), MlError);
+}
+
+// --- hostile configs: every malformed value fails closed as MlError --------------
+
+// Parses and builds `text`; returns the MlError message, or "" if the network
+// built. Any other exception escapes and fails the test.
+std::string config_error(const std::string& text) {
+  try {
+    Rng rng(1);
+    (void)build_network(ModelConfig::parse(text), rng);
+  } catch (const MlError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+constexpr const char* kSmallNet = "[net]\nbatch=4\nheight=8\nwidth=8\nchannels=1\n";
+
+void expect_rejects(const std::string& layers, const std::string& option) {
+  const std::string msg = config_error(std::string(kSmallNet) + layers);
+  EXPECT_NE(msg.find("'" + option + "'"), std::string::npos)
+      << layers << " -> \"" << msg << "\"";
+}
+
+TEST(ConfigHostile, ZeroStrideThrowsInsteadOfDividing) {
+  expect_rejects("[convolutional]\nstride=0\n", "stride");
+  expect_rejects("[maxpool]\nstride=0\n", "stride");
+  expect_rejects("[avgpool]\nsize=2\nstride=0\n", "stride");
+}
+
+TEST(ConfigHostile, NegativeCountsThrowInsteadOfResizing) {
+  expect_rejects("[connected]\noutput=-1\n", "output");
+  expect_rejects("[convolutional]\nfilters=-2\n", "filters");
+  expect_rejects("[convolutional]\nsize=-3\n", "size");
+  expect_rejects("[maxpool]\nsize=-2\n", "size");
+  expect_rejects("[avgpool]\nsize=-2\n", "size");
+}
+
+TEST(ConfigHostile, ZeroExtentsThrow) {
+  expect_rejects("[connected]\noutput=0\n", "output");
+  expect_rejects("[convolutional]\nfilters=0\n", "filters");
+  expect_rejects("[convolutional]\nsize=0\n", "size");
+  expect_rejects("[maxpool]\nsize=0\n", "size");
+}
+
+TEST(ConfigHostile, NegativePadThrows) {
+  expect_rejects("[convolutional]\npad=-1\n", "pad");
+  // pad=0 is a valid convolution.
+  EXPECT_EQ(config_error(std::string(kSmallNet) + "[convolutional]\npad=0\n"), "");
+}
+
+TEST(ConfigHostile, BadInputDimensionsThrow) {
+  for (const std::string key : {"height", "width", "channels"}) {
+    for (const std::string value : {"-4", "0"}) {
+      const std::string msg =
+          config_error("[net]\n" + key + "=" + value + "\n[connected]\noutput=2\n");
+      EXPECT_NE(msg.find("'" + key + "'"), std::string::npos)
+          << key << "=" << value << " -> \"" << msg << "\"";
+    }
+  }
+  EXPECT_THROW((void)ModelConfig::parse("[net]\nbatch=-1\n").batch(), MlError);
+  EXPECT_THROW((void)ModelConfig::parse("[net]\nbatch=0\n").batch(), MlError);
+}
+
+TEST(ConfigHostile, TrailingCharactersRejected) {
+  expect_rejects("[connected]\noutput=3abc\n", "output");
+  expect_rejects("[convolutional]\nstride=1 2\n", "stride");
+  EXPECT_NE(config_error("[net]\nlearning_rate=0.1x\n[connected]\n")
+                .find("'learning_rate'"),
+            std::string::npos);
+  EXPECT_THROW((void)ModelConfig::parse("[net]\nsteps=10x,20\n").lr_schedule(),
+               MlError);
+  EXPECT_THROW((void)ModelConfig::parse("[net]\nscales=0.1,0.5y\n").lr_schedule(),
+               MlError);
+}
+
+TEST(ConfigHostile, GlobalAvgpoolNeedsNoStride) {
+  // size=0 (the default) is global pooling: stride is unused and may be 0.
+  EXPECT_EQ(config_error(std::string(kSmallNet) + "[avgpool]\n[connected]\noutput=2\n"),
+            "");
+  EXPECT_EQ(config_error(std::string(kSmallNet) + "[avgpool]\nsize=0\nstride=0\n"), "");
 }
 
 // --- data / synth digits -----------------------------------------------------------------

@@ -6,6 +6,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -144,6 +147,33 @@ TEST(Tracer, CancelDiscardsInnermostOpenSpan) {
   EXPECT_EQ(t.cancelled(), 1u);
   t.clear();
   EXPECT_EQ(t.cancelled(), 0u);
+}
+
+// tools/validate_obs.py checks every trace event's `cat` against its own
+// CATEGORIES set, a hand-kept copy of the obs::Category names.
+TEST(Tracer, ValidatorCategoriesMatchCategoryNames) {
+  std::ifstream in(PLINIUS_DATA_DIR "/../tools/validate_obs.py");
+  ASSERT_TRUE(in) << "cannot open tools/validate_obs.py";
+  std::ostringstream text;
+  text << in.rdbuf();
+  const std::string py = text.str();
+  const std::size_t begin = py.find("CATEGORIES = {");
+  ASSERT_NE(begin, std::string::npos);
+  const std::size_t end = py.find('}', begin);
+  ASSERT_NE(end, std::string::npos);
+
+  std::set<std::string> validator;
+  for (std::size_t q = py.find('"', begin); q < end; q = py.find('"', q + 1)) {
+    const std::size_t close = py.find('"', q + 1);
+    ASSERT_LT(close, end);
+    validator.insert(py.substr(q + 1, close - q - 1));
+    q = close;
+  }
+  std::set<std::string> names;
+  for (std::size_t c = 0; c < obs::kCategoryCount; ++c) {
+    names.insert(obs::to_string(static_cast<obs::Category>(c)));
+  }
+  EXPECT_EQ(validator, names);
 }
 
 TEST(Tracer, RingAccountingPublishesAsGauges) {

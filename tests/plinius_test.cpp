@@ -415,22 +415,6 @@ TEST_F(TrainerTest, NonResilientBackendRestartsFromScratch) {
   EXPECT_EQ(restarted.resume_or_init(), 0u);
 }
 
-TEST_F(TrainerTest, SsdBackendResumesToo) {
-  Platform platform(MachineProfile::sgx_emlpm(), kPmBytes);
-  TrainerOptions opt;
-  opt.backend = CheckpointBackend::kSsd;
-  const auto config = tiny_config();
-  const auto data = tiny_dataset(128);
-  {
-    Trainer trainer(platform, config, opt);
-    trainer.load_dataset(data);
-    (void)trainer.train(8);
-  }
-  Trainer resumed(platform, config, opt);
-  resumed.load_dataset(data);
-  EXPECT_EQ(resumed.resume_or_init(), 8u);
-}
-
 TEST_F(TrainerTest, MirrorFrequencyReducesSaves) {
   Platform platform(MachineProfile::emlsgx_pm(), kPmBytes);
   TrainerOptions opt;

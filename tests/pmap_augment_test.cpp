@@ -173,16 +173,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PMapRandomized, ::testing::Values(1, 2, 3, 4, 5)
 
 // --- Augmenter --------------------------------------------------------------------
 
-TEST(Augment, DisabledIsIdentity) {
-  ml::AugmentOptions opt;
-  opt.enabled = false;
-  ml::Augmenter aug(ml::Shape{1, 28, 28}, opt, 1);
-  std::vector<float> x(784, 0.5f);
-  const auto before = x;
-  aug.apply(x.data(), 1);
-  EXPECT_EQ(x, before);
-}
-
 TEST(Augment, ShiftMovesMass) {
   ml::AugmentOptions opt;
   opt.max_shift = 3;

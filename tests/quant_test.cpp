@@ -1,8 +1,8 @@
 // INT8 quantization path tests: requantize numerics, int8 GEMM kernels vs
 // the scalar oracle (and bitwise determinism across thread counts), the
 // quantized network's accuracy against its float parent, the v2 weight
-// format (including the v1 legacy path and expected-vs-got header errors),
-// the quantized PM mirror, and int8 serving with hot reload.
+// format (expected-vs-got header errors; the retired v1 layout fails as a
+// bad magic), the quantized PM mirror, and int8 serving with hot reload.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -324,25 +324,6 @@ TEST(QuantSerializeTest, FloatRoundTripBitIdentical) {
   EXPECT_EQ(param_snapshot(net), param_snapshot(net2));
 }
 
-TEST(QuantSerializeTest, LegacyV1BlobLoads) {
-  ml::Network net = make_float_net(32);
-  net.set_iterations(5);
-  const Bytes v2 = ml::serialize_weights(net);
-  ASSERT_GE(v2.size(), 24u);
-
-  // v1 = v1 magic + the float body (v2 drops in a version/dtype pair after
-  // the magic; the body is byte-identical).
-  constexpr std::uint64_t kMagicV1 = 0x504C4E57454948ULL;  // "PLNWEIH"
-  Bytes v1(v2.size() - 16);
-  std::memcpy(v1.data(), &kMagicV1, 8);
-  std::memcpy(v1.data() + 8, v2.data() + 24, v2.size() - 24);
-
-  ml::Network net2 = make_float_net(98);
-  ml::deserialize_weights(net2, v1);
-  EXPECT_EQ(net2.iterations(), 5u);
-  EXPECT_EQ(param_snapshot(net), param_snapshot(net2));
-}
-
 std::string error_message(const std::function<void()>& fn) {
   try {
     fn();
@@ -380,14 +361,27 @@ TEST(QuantSerializeTest, DtypeMismatchReportsExpectedVsGot) {
   msg = error_message([&] { (void)ml::deserialize_quantized(float_blob); });
   EXPECT_NE(msg.find("expected int8 (1), got float32 (0)"), std::string::npos)
       << msg;
+}
 
-  // A legacy v1 blob can never hold int8 weights.
-  constexpr std::uint64_t kMagicV1 = 0x504C4E57454948ULL;
-  Bytes v1(float_blob.size() - 16);
+TEST(QuantSerializeTest, LegacyV1BlobFailsAsBadMagic) {
+  ml::Network net = make_float_net(32);
+  const Bytes v2 = ml::serialize_weights(net);
+  ASSERT_GE(v2.size(), 24u);
+
+  // The v1 layout: v1 magic + the float body, without v2's version/dtype
+  // pair. Only v2 is read.
+  constexpr std::uint64_t kMagicV1 = 0x504C4E57454948ULL;  // "PLNWEIH"
+  Bytes v1(v2.size() - 16);
   std::memcpy(v1.data(), &kMagicV1, 8);
-  std::memcpy(v1.data() + 8, float_blob.data() + 24, float_blob.size() - 24);
+  std::memcpy(v1.data() + 8, v2.data() + 24, v2.size() - 24);
+
+  ml::Network net2 = make_float_net(98);
+  const auto before = param_snapshot(net2);
+  std::string msg = error_message([&] { ml::deserialize_weights(net2, v1); });
+  EXPECT_NE(msg.find("bad magic"), std::string::npos) << msg;
+  EXPECT_EQ(param_snapshot(net2), before);  // nothing was loaded
   msg = error_message([&] { (void)ml::deserialize_quantized(v1); });
-  EXPECT_NE(msg.find("legacy v1"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("bad magic"), std::string::npos) << msg;
 }
 
 void expect_quant_equal(const ml::QuantizedNetwork& a, const ml::QuantizedNetwork& b) {
