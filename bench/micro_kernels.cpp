@@ -1,11 +1,12 @@
 // Real wall-clock micro-benchmarks (google-benchmark) for the kernels the
 // simulation's cost models abstract: AES-GCM sealing, SHA-256, GEMM,
-// im2col/col2im, PM-device store/flush bookkeeping, and a full Romulus
-// transaction. These measure the *host* machine, not the simulated one —
+// im2col/col2im, one conv layer's training step, PM-device store/flush
+// bookkeeping, and a full Romulus transaction. These measure the *host* machine, not the simulated one —
 // useful for validating that the framework's real compute (which does run)
 // is not a bottleneck for the experiment harnesses.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 
 #include "common/clock.h"
@@ -17,6 +18,7 @@
 #include "ml/gemm.h"
 #include "ml/gemm_reference.h"
 #include "ml/gemm_s8.h"
+#include "ml/conv_layer.h"
 #include "ml/im2col.h"
 #include "pm/device.h"
 #include "romulus/romulus.h"
@@ -238,13 +240,54 @@ void BM_Col2im(benchmark::State& state) {
   Rng rng(5);
   for (auto& v : col) v = rng.normal();
   for (auto _ : state) {
-    plan.col2im(col.data(), scratch.data(), im.data());
+    plan.col2im(col.data(), im.data());
     benchmark::DoNotOptimize(im.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * col.size()));
 }
 BENCHMARK(BM_Col2im)->Apply(conv_shapes);
+
+// One ConvLayer training step's layer work, forward then backward, at the
+// paper model's batch of 128 on one thread, over paper_5layer.cfg's five conv
+// layers as {channels, height, width, filters, stride} (3x3, pad 1). The
+// first layer, as in the network, computes no input gradient. Each
+// iteration also copies a fixed seed into the layer's delta, which backward
+// consumes in place.
+void BM_ConvTrainStep(benchmark::State& state) {
+  const std::size_t saved = par::max_threads();
+  par::set_max_threads(1);
+  const ml::Shape in{static_cast<std::size_t>(state.range(0)),
+                     static_cast<std::size_t>(state.range(1)),
+                     static_cast<std::size_t>(state.range(2))};
+  ml::ConvConfig cfg;
+  cfg.filters = static_cast<std::size_t>(state.range(3));
+  cfg.stride = static_cast<std::size_t>(state.range(4));
+  constexpr std::size_t kBatch = 128;
+  Rng rng(7);
+  ml::ConvLayer layer(in, cfg, rng);
+  layer.prepare(kBatch);
+  std::vector<float> x(kBatch * in.size()), seed(layer.delta().size());
+  for (auto& v : x) v = rng.normal();
+  for (auto& v : seed) v = 0.01f * rng.normal();
+  std::vector<float> input_delta(in.c == 1 ? 0 : x.size());
+  for (auto _ : state) {
+    layer.forward(x.data(), kBatch, /*train=*/true);
+    std::copy(seed.begin(), seed.end(), layer.delta().begin());
+    layer.backward(x.data(), input_delta.empty() ? nullptr : input_delta.data(), kBatch);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kBatch));
+  par::set_max_threads(saved);
+}
+BENCHMARK(BM_ConvTrainStep)
+    ->Args({1, 28, 28, 8, 2})
+    ->Args({8, 14, 14, 16, 2})
+    ->Args({16, 7, 7, 16, 1})
+    ->Args({16, 7, 7, 32, 2})
+    ->Args({32, 4, 4, 32, 1})
+    ->ArgNames({"c", "h", "w", "filters", "stride"})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_PmStoreFlushFence(benchmark::State& state) {
   sim::Clock clock;

@@ -1,6 +1,7 @@
 #include "ml/config.h"
 
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 
 #include "ml/avgpool_layer.h"
@@ -19,9 +20,19 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
+// The most elements any one buffer of a layer may hold: its parameters, one
+// sample's column matrix or activations, or a batch's activations. 2^28
+// floats is 1 GiB; the largest buffer of the paper's model is a batch of
+// 128 x 8 x 14 x 14 activations, about 2e5. Every extent a config names is
+// capped the same way, so a hostile one fails as MlError here, before the
+// layer that would size a buffer from it is built, instead of as
+// std::bad_alloc inside it.
+constexpr std::size_t kMaxLayerElements = std::size_t{1} << 28;
+
 // A size, stride, count or pad read from section `s`: rejects values below
 // `min` (1 for every extent, 0 for a pad), so a hostile config fails here
-// instead of dividing by zero or sizing a vector from a negative number.
+// instead of dividing by zero or sizing a vector from a negative number, and
+// values above kMaxLayerElements.
 std::size_t get_dim(const ConfigSection& s, const std::string& key, long fallback,
                     long min = 1) {
   const long v = s.get_int(key, fallback);
@@ -29,7 +40,30 @@ std::size_t get_dim(const ConfigSection& s, const std::string& key, long fallbac
     throw MlError("config: [" + s.name + "] option '" + key + "' must be >= " +
                   std::to_string(min) + ", got " + std::to_string(v));
   }
+  if (static_cast<unsigned long>(v) > kMaxLayerElements) {
+    throw MlError("config: [" + s.name + "] option '" + key + "' must be <= " +
+                  std::to_string(kMaxLayerElements) + ", got " + std::to_string(v));
+  }
   return static_cast<std::size_t>(v);
+}
+
+// Throws MlError when the product of `factors`, the element count of the
+// buffer `what` of `section`, exceeds kMaxLayerElements (overflow included).
+void check_elements(const std::string& section, const char* what,
+                    std::initializer_list<std::size_t> factors) {
+  std::size_t n = 1;
+  bool over = false;
+  for (const std::size_t f : factors) over = over || __builtin_mul_overflow(n, f, &n);
+  if (over || n > kMaxLayerElements) {
+    throw MlError("config: [" + section + "] " + what + " exceed the cap of " +
+                  std::to_string(kMaxLayerElements) + " elements per layer buffer");
+  }
+}
+
+// A layer's one-sample and whole-batch activations.
+void check_activations(const std::string& section, Shape shape, std::size_t batch) {
+  check_elements(section, "activations", {shape.c, shape.h, shape.w});
+  check_elements(section, "batch activations", {batch, shape.c, shape.h, shape.w});
 }
 }  // namespace
 
@@ -184,9 +218,15 @@ Shape ModelConfig::input_shape() const {
                get_dim(n, "width", 28)};
 }
 
+// Every layer's buffers are checked against kMaxLayerElements before the
+// layer is built: weights and column matrices before the constructors that
+// allocate them, activations (allocated per batch, later) before the layer
+// joins the network.
 Network build_network(const ModelConfig& config, Rng& init_rng) {
+  const std::size_t batch = config.batch();
   Network net(config.input_shape(), config.sgd_params());
   net.set_lr_schedule(config.lr_schedule());
+  check_activations("net", net.input_shape(), batch);
 
   for (std::size_t i = 1; i < config.sections.size(); ++i) {
     const ConfigSection& s = config.sections[i];
@@ -199,6 +239,14 @@ Network build_network(const ModelConfig& config, Rng& init_rng) {
       c.pad = get_dim(s, "pad", 1, 0);
       c.batch_normalize = s.get_int("batch_normalize", 1) != 0;
       c.activation = activation_from_name(s.get("activation", "leaky"));
+      check_elements(s.name, "weights", {c.filters, in.c, c.ksize, c.ksize});
+      // A kernel wider than the padded input is the plan's to reject.
+      if (in.h + 2 * c.pad >= c.ksize && in.w + 2 * c.pad >= c.ksize) {
+        const std::size_t out_h = conv_out_dim(in.h, c.ksize, c.stride, c.pad);
+        const std::size_t out_w = conv_out_dim(in.w, c.ksize, c.stride, c.pad);
+        check_elements(s.name, "column matrix", {in.c, c.ksize, c.ksize, out_h, out_w});
+        check_activations(s.name, Shape{c.filters, out_h, out_w}, batch);
+      }
       net.add(std::make_unique<ConvLayer>(in, c, init_rng));
     } else if (s.name == "maxpool") {
       MaxPoolConfig c;
@@ -218,12 +266,17 @@ Network build_network(const ModelConfig& config, Rng& init_rng) {
       ConnectedConfig c;
       c.outputs = get_dim(s, "output", 10);
       c.activation = activation_from_name(s.get("activation", "linear"));
+      check_elements(s.name, "weights", {c.outputs, in.c, in.h, in.w});
+      check_activations(s.name, Shape{c.outputs, 1, 1}, batch);
       net.add(std::make_unique<ConnectedLayer>(in, c, init_rng));
     } else if (s.name == "softmax") {
       net.add(std::make_unique<SoftmaxLayer>(in));
     } else {
       throw MlError("config: unknown layer type [" + s.name + "]");
     }
+    // The pooling, dropout and softmax layers allocate nothing until the
+    // first batch; their output shape is known once built.
+    check_activations(s.name, net.next_input_shape(), batch);
   }
   expects(net.num_layers() > 0, "build_network: config has no layers");
   return net;

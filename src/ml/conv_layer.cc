@@ -1,6 +1,9 @@
 #include "ml/conv_layer.h"
 
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <type_traits>
 
 #include "ml/gemm.h"
 #include "ml/oblivious.h"
@@ -11,6 +14,151 @@ namespace plinius::ml {
 namespace {
 constexpr float kBnEps = 1e-5f;
 constexpr float kRollingMomentum = 0.99f;
+
+// The per-filter reductions (batch-norm statistics and their gradients, the
+// bias gradient) each add in one fixed order, b ascending then s ascending,
+// into one double accumulator per filter. kLanes filters run their chains
+// side by side in the lanes of one vector (GCC/Clang vector extensions), so
+// one vector op advances kLanes chains; lane by lane it is the scalar code.
+constexpr std::size_t kLanes = 4;
+using FloatLanes = float __attribute__((vector_size(4 * kLanes)));
+using DoublePair = double __attribute__((vector_size(16)));
+using DoubleQuad = double __attribute__((vector_size(32)));
+// kLanes doubles as two 128-bit pairs: without AVX a 32-byte vector would
+// be kept in memory, and each add would wait on a store.
+struct DoubleLanes {
+  DoublePair lo{}, hi{};
+  double operator[](std::size_t l) const { return l < 2 ? lo[l] : hi[l - 2]; }
+};
+
+// Lanes filters' floats and doubles: vectors of kLanes, or plain scalars for
+// the filters left over.
+template <std::size_t Lanes>
+using Floats = std::conditional_t<Lanes == 1, float, FloatLanes>;
+template <std::size_t Lanes>
+using Doubles = std::conditional_t<Lanes == 1, double, DoubleLanes>;
+
+// p[0], p[stride], ...: one element of each of Lanes filters.
+template <std::size_t Lanes>
+Floats<Lanes> load(const float* p, std::size_t stride) {
+  if constexpr (Lanes == 1) {
+    return *p;
+  } else {
+    return FloatLanes{p[0], p[stride], p[2 * stride], p[3 * stride]};
+  }
+}
+
+template <std::size_t Lanes>
+void store(float* p, std::size_t stride, Floats<Lanes> v) {
+  if constexpr (Lanes == 1) {
+    *p = v;
+  } else {
+    for (std::size_t l = 0; l < kLanes; ++l) p[l * stride] = v[l];
+  }
+}
+
+// A kLanes x kLanes block transposed in place (its own inverse): rows of
+// kLanes elements become kLanes vectors of one element per row.
+void transpose_block(FloatLanes (&v)[kLanes]) {
+  static_assert(kLanes == 4, "a 4 x 4 shuffle network");
+  const FloatLanes t0 = __builtin_shufflevector(v[0], v[1], 0, 4, 1, 5);
+  const FloatLanes t1 = __builtin_shufflevector(v[0], v[1], 2, 6, 3, 7);
+  const FloatLanes t2 = __builtin_shufflevector(v[2], v[3], 0, 4, 1, 5);
+  const FloatLanes t3 = __builtin_shufflevector(v[2], v[3], 2, 6, 3, 7);
+  v[0] = __builtin_shufflevector(t0, t2, 0, 1, 4, 5);
+  v[1] = __builtin_shufflevector(t0, t2, 2, 3, 6, 7);
+  v[2] = __builtin_shufflevector(t1, t3, 0, 1, 4, 5);
+  v[3] = __builtin_shufflevector(t1, t3, 2, 3, 6, 7);
+}
+
+// acc += v and acc += v * v, v widened to double lane by lane.
+template <std::size_t Lanes>
+void add(Doubles<Lanes>& acc, Floats<Lanes> v) {
+  if constexpr (Lanes == 1) {
+    acc += v;
+  } else {
+    const DoubleQuad d = __builtin_convertvector(v, DoubleQuad);
+    acc.lo += __builtin_shufflevector(d, d, 0, 1);
+    acc.hi += __builtin_shufflevector(d, d, 2, 3);
+  }
+}
+
+template <std::size_t Lanes>
+void add_square(Doubles<Lanes>& acc, Floats<Lanes> v) {
+  if constexpr (Lanes == 1) {
+    acc += static_cast<double>(v) * v;
+  } else {
+    const DoubleQuad d = __builtin_convertvector(v, DoubleQuad);
+    const DoublePair lo = __builtin_shufflevector(d, d, 0, 1);
+    const DoublePair hi = __builtin_shufflevector(d, d, 2, 3);
+    acc.lo += lo * lo;
+    acc.hi += hi * hi;
+  }
+}
+
+// The per-filter scalar of lane l.
+template <std::size_t Lanes, class V>
+auto lane(const V& v, std::size_t l) {
+  if constexpr (Lanes == 1) {
+    return v;
+  } else {
+    return v[l];
+  }
+}
+
+// Calls group.operator()<Lanes>(f0) on [f0, f0 + Lanes) for every filter:
+// kLanes at a time, then one at a time.
+template <class Group>
+void by_filter_groups(std::size_t filters, Group&& group) {
+  std::size_t f = 0;
+  for (; f + kLanes <= filters; f += kLanes) group.template operator()<kLanes>(f);
+  for (; f < filters; ++f) group.template operator()<1>(f);
+}
+
+// Calls step(v) on every element of filters [f0, f0 + Lanes) of images
+// [0, batch), b ascending, then s ascending, where v[a] holds that element
+// of those filters in arrays[a] ([batch x filters x n_spatial]). With Write,
+// what step leaves in v[0] is stored back to arrays[0]. Whole blocks of
+// kLanes elements move as kLanes row loads (and stores) and one transpose.
+template <std::size_t Lanes, bool Write, std::size_t N, class Step>
+void walk(std::size_t batch, std::size_t filters, std::size_t n_spatial, std::size_t f0,
+          const std::array<float*, N>& arrays, Step&& step) {
+  for (std::size_t b = 0; b < batch; ++b) {
+    const std::size_t row = (b * filters + f0) * n_spatial;
+    std::size_t s = 0;
+    if constexpr (Lanes == kLanes) {
+      for (; s + kLanes <= n_spatial; s += kLanes) {
+        FloatLanes block[N][kLanes];
+        for (std::size_t a = 0; a < N; ++a) {
+          for (std::size_t l = 0; l < kLanes; ++l) {
+            std::memcpy(&block[a][l], arrays[a] + row + l * n_spatial + s,
+                        sizeof(FloatLanes));
+          }
+          transpose_block(block[a]);
+        }
+        for (std::size_t j = 0; j < kLanes; ++j) {
+          FloatLanes v[N];
+          for (std::size_t a = 0; a < N; ++a) v[a] = block[a][j];
+          step(v);
+          if constexpr (Write) block[0][j] = v[0];
+        }
+        if constexpr (Write) {
+          transpose_block(block[0]);
+          for (std::size_t l = 0; l < kLanes; ++l) {
+            std::memcpy(arrays[0] + row + l * n_spatial + s, &block[0][l],
+                        sizeof(FloatLanes));
+          }
+        }
+      }
+    }
+    for (; s < n_spatial; ++s) {
+      Floats<Lanes> v[N];
+      for (std::size_t a = 0; a < N; ++a) v[a] = load<Lanes>(arrays[a] + row + s, n_spatial);
+      step(v);
+      if constexpr (Write) store<Lanes>(arrays[0] + row + s, n_spatial, v[0]);
+    }
+  }
+}
 }  // namespace
 
 // The plan rejects a kernel larger than the padded input before the output
@@ -96,124 +244,127 @@ void ConvLayer::add_bias(std::size_t batch) {
 }
 
 void ConvLayer::forward_batchnorm(std::size_t batch, bool train) {
+  const std::size_t filters = config_.filters;
   const std::size_t n_spatial = spatial();
   const std::size_t per_filter = batch * n_spatial;
 
   if (train) {
-    x_ = output_;  // save pre-normalization activations for backward
-    for (std::size_t f = 0; f < config_.filters; ++f) {
-      double sum = 0;
-      for (std::size_t b = 0; b < batch; ++b) {
-        const float* out = output_.data() + (b * config_.filters + f) * n_spatial;
-        for (std::size_t s = 0; s < n_spatial; ++s) sum += out[s];
+    // The pre-normalization activations stay behind as x_ for backward; the
+    // normalized ones go to the other buffer.
+    x_.swap(output_);
+    output_.resize(x_.size());
+    float* x = x_.data();
+    by_filter_groups(filters, [&]<std::size_t Lanes>(std::size_t f0) {
+      Doubles<Lanes> sum{};
+      walk<Lanes, false, 1>(batch, filters, n_spatial, f0, {x},
+                            [&](const Floats<Lanes>* v) { add<Lanes>(sum, v[0]); });
+      for (std::size_t l = 0; l < Lanes; ++l) {
+        mean_[f0 + l] = static_cast<float>(lane<Lanes>(sum, l) / per_filter);
       }
-      mean_[f] = static_cast<float>(sum / per_filter);
 
-      double var = 0;
-      for (std::size_t b = 0; b < batch; ++b) {
-        const float* out = output_.data() + (b * config_.filters + f) * n_spatial;
-        for (std::size_t s = 0; s < n_spatial; ++s) {
-          const double d = out[s] - mean_[f];
-          var += d * d;
-        }
+      const Floats<Lanes> mean = load<Lanes>(mean_.data() + f0, 1);
+      Doubles<Lanes> var{};
+      walk<Lanes, false, 1>(batch, filters, n_spatial, f0, {x},
+                            [&](const Floats<Lanes>* v) { add_square<Lanes>(var, v[0] - mean); });
+
+      for (std::size_t l = 0; l < Lanes; ++l) {
+        const std::size_t f = f0 + l;
+        variance_[f] = static_cast<float>(lane<Lanes>(var, l) / per_filter);
+        rolling_mean_[f] = kRollingMomentum * rolling_mean_[f] +
+                           (1.0f - kRollingMomentum) * mean_[f];
+        rolling_variance_[f] = kRollingMomentum * rolling_variance_[f] +
+                               (1.0f - kRollingMomentum) * variance_[f];
       }
-      variance_[f] = static_cast<float>(var / per_filter);
-
-      rolling_mean_[f] = kRollingMomentum * rolling_mean_[f] +
-                         (1.0f - kRollingMomentum) * mean_[f];
-      rolling_variance_[f] = kRollingMomentum * rolling_variance_[f] +
-                             (1.0f - kRollingMomentum) * variance_[f];
-    }
+    });
   }
 
   const float* use_mean = train ? mean_.data() : rolling_mean_.data();
   const float* use_var = train ? variance_.data() : rolling_variance_.data();
 
-  x_norm_.resize(output_.size());
+  const float* src = train ? x_.data() : output_.data();
   for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t f = 0; f < config_.filters; ++f) {
-      float* out = output_.data() + (b * config_.filters + f) * n_spatial;
+    for (std::size_t f = 0; f < filters; ++f) {
+      const std::size_t row = (b * filters + f) * n_spatial;
+      const float* in = src + row;
+      float* o = output_.data() + row;
       const float inv_std = 1.0f / std::sqrt(use_var[f] + kBnEps);
       const float m = use_mean[f];
       const float g = scales_[f];
-      float* xn = x_norm_.data() + (b * config_.filters + f) * n_spatial;
-      for (std::size_t s = 0; s < n_spatial; ++s) {
-        const float normalized = (out[s] - m) * inv_std;
-        xn[s] = normalized;
-        out[s] = g * normalized;
-      }
+      for (std::size_t s = 0; s < n_spatial; ++s) o[s] = g * ((in[s] - m) * inv_std);
     }
   }
 }
 
 void ConvLayer::backward_batchnorm(std::size_t batch) {
+  const std::size_t filters = config_.filters;
   const std::size_t n_spatial = spatial();
   const auto per_filter = static_cast<float>(batch * n_spatial);
+  float* delta = delta_.data();
+  float* x = x_.data();
 
-  // d/d scale and switch delta to d/d x_hat.
-  for (std::size_t f = 0; f < config_.filters; ++f) {
-    double ssum = 0;
+  by_filter_groups(filters, [&]<std::size_t Lanes>(std::size_t f0) {
+    float inv_std_f[Lanes];
+    for (std::size_t l = 0; l < Lanes; ++l) {
+      inv_std_f[l] = 1.0f / std::sqrt(variance_[f0 + l] + kBnEps);
+    }
+    const Floats<Lanes> g = load<Lanes>(scales_.data() + f0, 1);
+    const Floats<Lanes> mean = load<Lanes>(mean_.data() + f0, 1);
+    const Floats<Lanes> inv_std = load<Lanes>(inv_std_f, 1);
+
+    // One pass: d/d scale over x_hat (recomputed from x exactly as forward
+    // computed it), delta switched to d/d x_hat, then the mean and variance
+    // gradients (Darknet's formulation) over the switched delta.
+    Doubles<Lanes> ssum{}, dmean{}, dvar{};
+    walk<Lanes, true, 2>(batch, filters, n_spatial, f0, {delta, x}, [&](Floats<Lanes>* v) {
+      const Floats<Lanes> centered = v[1] - mean;
+      add<Lanes>(ssum, v[0] * (centered * inv_std));
+      v[0] *= g;
+      add<Lanes>(dmean, v[0]);
+      add<Lanes>(dvar, v[0] * centered);
+    });
+
+    for (std::size_t l = 0; l < Lanes; ++l) {
+      const std::size_t f = f0 + l;
+      scale_updates_[f] += static_cast<float>(lane<Lanes>(ssum, l));
+      mean_delta_[f] = static_cast<float>(-lane<Lanes>(dmean, l) * inv_std_f[l]);
+      variance_delta_[f] =
+          static_cast<float>(lane<Lanes>(dvar, l) * -0.5 *
+                             std::pow(static_cast<double>(variance_[f]) + kBnEps, -1.5));
+    }
+
     for (std::size_t b = 0; b < batch; ++b) {
-      const std::size_t off = (b * config_.filters + f) * n_spatial;
-      for (std::size_t s = 0; s < n_spatial; ++s) {
-        ssum += delta_[off + s] * x_norm_[off + s];
+      for (std::size_t f = f0; f < f0 + Lanes; ++f) {
+        float* d = delta + (b * filters + f) * n_spatial;
+        const float* xf = x + (b * filters + f) * n_spatial;
+        const float is = inv_std_f[f - f0], m = mean_[f];
+        const float vd = variance_delta_[f], md = mean_delta_[f];
+        for (std::size_t s = 0; s < n_spatial; ++s) {
+          d[s] = d[s] * is + vd * 2.0f * (xf[s] - m) / per_filter + md / per_filter;
+        }
       }
     }
-    scale_updates_[f] += static_cast<float>(ssum);
-  }
-  for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t f = 0; f < config_.filters; ++f) {
-      float* d = delta_.data() + (b * config_.filters + f) * n_spatial;
-      const float g = scales_[f];
-      for (std::size_t s = 0; s < n_spatial; ++s) d[s] *= g;
-    }
-  }
-
-  // Mean/variance gradients (Darknet's formulation).
-  for (std::size_t f = 0; f < config_.filters; ++f) {
-    const float inv_std = 1.0f / std::sqrt(variance_[f] + kBnEps);
-    double dmean = 0, dvar = 0;
-    for (std::size_t b = 0; b < batch; ++b) {
-      const std::size_t off = (b * config_.filters + f) * n_spatial;
-      for (std::size_t s = 0; s < n_spatial; ++s) {
-        dmean += delta_[off + s];
-        dvar += delta_[off + s] * (x_[off + s] - mean_[f]);
-      }
-    }
-    mean_delta_[f] = static_cast<float>(-dmean * inv_std);
-    variance_delta_[f] = static_cast<float>(
-        dvar * -0.5 * std::pow(static_cast<double>(variance_[f]) + kBnEps, -1.5));
-  }
-
-  for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t f = 0; f < config_.filters; ++f) {
-      const std::size_t off = (b * config_.filters + f) * n_spatial;
-      const float inv_std = 1.0f / std::sqrt(variance_[f] + kBnEps);
-      for (std::size_t s = 0; s < n_spatial; ++s) {
-        delta_[off + s] = delta_[off + s] * inv_std +
-                          variance_delta_[f] * 2.0f * (x_[off + s] - mean_[f]) /
-                              per_filter +
-                          mean_delta_[f] / per_filter;
-      }
-    }
-  }
+  });
 }
 
 void ConvLayer::backward(const float* input, float* input_delta, std::size_t batch) {
+  const std::size_t filters = config_.filters;
   const std::size_t k = in_shape_.c * config_.ksize * config_.ksize;
   const std::size_t n_spatial = spatial();
 
   gradient(config_.activation, output_.data(), delta_.data(), output_.size());
 
-  // Bias gradients.
-  for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t f = 0; f < config_.filters; ++f) {
-      const float* d = delta_.data() + (b * config_.filters + f) * n_spatial;
-      double sum = 0;
-      for (std::size_t s = 0; s < n_spatial; ++s) sum += d[s];
-      bias_updates_[f] += static_cast<float>(sum);
+  // Bias gradients: one double sum per image and filter.
+  float* delta = delta_.data();
+  by_filter_groups(filters, [&]<std::size_t Lanes>(std::size_t f0) {
+    for (std::size_t b = 0; b < batch; ++b) {
+      Doubles<Lanes> sum{};
+      walk<Lanes, false, 1>(1, filters, n_spatial, f0, {delta + b * out_shape_.size()},
+                            [&](const Floats<Lanes>* v) { add<Lanes>(sum, v[0]); });
+      for (std::size_t l = 0; l < Lanes; ++l) {
+        bias_updates_[f0 + l] += static_cast<float>(lane<Lanes>(sum, l));
+      }
     }
-  }
+  });
 
   if (config_.batch_normalize) {
     backward_batchnorm(batch);
@@ -222,26 +373,32 @@ void ConvLayer::backward(const float* input, float* input_delta, std::size_t bat
   if (input_delta != nullptr) {
     // W^T once per call; every sample's input gradient reuses it.
     weights_t_.resize(weights_.size());
-    transpose(config_.filters, k, weights_.data(), weights_t_.data());
+    transpose(filters, k, weights_.data(), weights_t_.data());
     col_delta_.resize(k * n_spatial);
   }
 
+  // Weight gradients accumulate transposed, dW^T [k x filters], so each
+  // sample's gemm packs its small delta rather than its k x S columns. Every
+  // element is the same chain either way (ml/gemm.h, transpose symmetry).
+  weight_updates_t_.resize(weight_updates_.size());
+  transpose(filters, k, weight_updates_.data(), weight_updates_t_.data());
+
   for (std::size_t b = 0; b < batch; ++b) {
     const float* im = input + b * in_shape_.size();
-    const float* d = delta_.data() + b * out_shape_.size();
+    const float* d = delta + b * out_shape_.size();
 
-    // Weight gradients: dW += delta_b x cols(im)^T.
-    gemm_nt(config_.filters, k, n_spatial, 1.0f, d, columns(im), weight_updates_.data());
+    // dW^T += cols(im) x delta_b^T.
+    gemm_nt(k, filters, n_spatial, 1.0f, columns(im), d, weight_updates_t_.data());
 
-    // Input gradients: cols_delta = W^T x delta_b, scattered back by col2im.
+    // Input gradients: cols_delta = W^T x delta_b, added back by col2im.
     if (input_delta != nullptr) {
       std::fill(col_delta_.begin(), col_delta_.end(), 0.0f);
-      gemm_nn(k, n_spatial, config_.filters, 1.0f, weights_t_.data(), d,
-              col_delta_.data());
-      plan_.col2im(col_delta_.data(), scratch_.data(),
-                   input_delta + b * in_shape_.size());
+      gemm_nn(k, n_spatial, filters, 1.0f, weights_t_.data(), d, col_delta_.data());
+      plan_.col2im(col_delta_.data(), input_delta + b * in_shape_.size());
     }
   }
+
+  transpose(k, filters, weight_updates_t_.data(), weight_updates_.data());
 }
 
 void ConvLayer::update(const SgdParams& params, std::size_t batch) {

@@ -54,18 +54,24 @@ class ConvLayer final : public Layer {
 
   ConvConfig config_;
 
+  // weights_ and weight_updates_ are [filters x k], k = channels * ksize^2.
   std::vector<float> weights_, weight_updates_;
   std::vector<float> biases_, bias_updates_;
   // Batch-norm state (present only when batch_normalize).
   std::vector<float> scales_, scale_updates_;
   std::vector<float> rolling_mean_, rolling_variance_;
   std::vector<float> mean_, variance_, mean_delta_, variance_delta_;
-  std::vector<float> x_, x_norm_;  // pre-BN and normalized activations
+  // The last training forward's pre-normalization activations, swapped out
+  // of output_ rather than copied; backward recomputes x_hat from them.
+  std::vector<float> x_;
 
   LoweringPlan plan_;             // this layer's one im2col/col2im plan
-  std::vector<float> workspace_;  // im2col scratch
+  std::vector<float> workspace_;  // im2col scratch: one sample's k x S columns
   std::vector<float> scratch_;    // the plan's staged image
   std::vector<float> weights_t_;  // backward: W^T [k x filters]
+  // backward: dW^T [k x filters], weight_updates_ transposed in at the start
+  // and out at the end; each sample's weight-gradient gemm accumulates here.
+  std::vector<float> weight_updates_t_;
   std::vector<float> col_delta_;  // backward: one sample's column gradient
 };
 

@@ -1,13 +1,16 @@
 #include "ml/dropout_layer.h"
 
 #include <cstring>
+#include <string>
 
 namespace plinius::ml {
 
 DropoutLayer::DropoutLayer(Shape in, float probability, std::uint64_t seed)
     : Layer(in, in), probability_(probability), rng_(seed) {
-  expects(probability >= 0.0f && probability < 1.0f,
-          "DropoutLayer: probability must be in [0,1)");
+  if (!(probability >= 0.0f && probability < 1.0f)) {
+    throw MlError("DropoutLayer: option 'probability' must be in [0,1), got " +
+                  std::to_string(probability));
+  }
 }
 
 void DropoutLayer::forward(const float* input, std::size_t batch, bool train) {

@@ -15,13 +15,18 @@
 // MR-row tile whose code path depends only on the matrix shape. Results are
 // therefore bitwise identical at every thread count, including 1.
 //
-// Transpose symmetry: with alpha = 1 and a zeroed C, gemm_nt(m, n, k, A, B)
-// is bitwise the transpose of gemm_nt(n, m, k, B, A). Every C element is the
-// same chain on either orientation and in every tile shape (full, row tail,
-// column tail): per KC block, one accumulator adds a[i][p] * b[j][p] in
-// ascending p (fused on the SIMD paths), then C += block sum — and the
-// products commute. ConnectedLayer::forward relies on this to choose its
-// orientation from its own shape (tests/gemm_test.cpp pins it).
+// Transpose symmetry: with alpha = 1, gemm_nt(m, n, k, A, B) into C is
+// bitwise the transpose of gemm_nt(n, m, k, B, A) into C^T, for any C, not
+// only a zeroed one. Every C element is the same chain on either orientation
+// and in every tile shape (full, row tail, column tail): per KC block, one
+// accumulator adds a[i][p] * b[j][p] in ascending p (fused on the SIMD
+// paths), then C += block sum (fma(1, sum, C): one rounding of the same two
+// values) — and the products commute. Two layers rely on it:
+// ConnectedLayer::forward chooses its orientation from its own shape, and
+// ConvLayer::backward accumulates its momentum-carried weight gradient
+// transposed, dW^T += cols x delta^T, so each sample's gemm packs the small
+// delta instead of the column matrix (tests/gemm_test.cpp and the
+// LayerLowering tests in tests/ml_test.cpp pin both).
 //
 // When the build enables AVX2/FMA for this translation unit (the default on
 // compilers that support it — see PLINIUS_GEMM_SIMD in src/CMakeLists.txt),

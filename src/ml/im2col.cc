@@ -30,6 +30,28 @@ __attribute__((target("avx2"))) std::size_t gather_avx2(const std::uint32_t* ind
   return i;
 }
 
+// col2im over the longest prefix of whole groups of eight image elements;
+// returns its length. Eight elements advance together, one masked gather
+// per tap slot: a slot with no tap gathers -0.0f, and x + -0.0f == x for
+// every x, so each element gets exactly the scalar loop's adds.
+__attribute__((target("avx2"))) std::size_t col2im_avx2(const std::int32_t* slots,
+                                                        std::size_t taps, std::size_t n,
+                                                        const float* col, float* im) {
+  const __m256 neg_zero = _mm256_set1_ps(-0.0f);
+  const __m256i none = _mm256_set1_epi32(-1);
+  std::size_t e = 0;
+  for (; e + 8 <= n; e += 8) {
+    __m256 v = _mm256_loadu_ps(im + e);
+    for (std::size_t t = 0; t < taps; ++t, slots += 8) {
+      const __m256i lanes = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(slots));
+      const __m256 live = _mm256_castsi256_ps(_mm256_cmpgt_epi32(lanes, none));
+      v = _mm256_add_ps(v, _mm256_mask_i32gather_ps(neg_zero, col, lanes, live, 4));
+    }
+    _mm256_storeu_ps(im + e, v);
+  }
+  return e;
+}
+
 }  // namespace
 #endif
 
@@ -62,6 +84,22 @@ LoweringPlan::LoweringPlan(const ConvShape& shape)
             inside ? (c_im * height + row - pad) * width + col - pad : image_size_));
       }
     }
+  }
+
+  // The walk inverted for col2im: slot t of image element e holds the
+  // column element of e's t-th tap (ascending), or -1 past its last one.
+  // Padding taps read no image element and have no slot.
+  expects(index_.size() <= std::numeric_limits<std::int32_t>::max(),
+          "LoweringPlan: column matrix exceeds 31-bit tap indexing");
+  std::vector<std::uint32_t> count(image_size_ + 1, 0);
+  for (const std::uint32_t e : index_) ++count[e];
+  count.pop_back();  // the padding taps
+  max_taps_ = count.empty() ? 0 : *std::max_element(count.begin(), count.end());
+  tap_slots_.assign((image_size_ + 7) / 8 * 8 * max_taps_, -1);
+  std::fill(count.begin(), count.end(), 0);
+  for (std::size_t i = 0; i < index_.size(); ++i) {
+    const std::size_t e = index_[i];
+    if (e < image_size_) tap_slots_[slot(e, count[e]++)] = static_cast<std::int32_t>(i);
   }
 }
 
@@ -96,14 +134,22 @@ void LoweringPlan::im2col(const float* im, float* scratch, float* col) const {
   gather(im, scratch, col);
 }
 
-void LoweringPlan::col2im(const float* col, float* scratch, float* im) const {
-  // With padding the adds land in a staged copy whose extra element takes
-  // every padding tap, and only the image part is copied back.
-  float* dst = shape_.pad > 0 ? scratch : im;
-  if (dst != im) std::copy_n(im, image_size_, dst);
-  const std::uint32_t* index = index_.data();
-  for (std::size_t i = 0, n = index_.size(); i < n; ++i) dst[index[i]] += col[i];
-  if (dst != im) std::copy_n(dst, image_size_, im);
+void LoweringPlan::col2im(const float* col, float* im) const {
+  // Each image element's adds are one short chain of its own, and no add
+  // waits on another element's store.
+  std::size_t e = 0;
+#if defined(__x86_64__)
+  static const bool avx2 = __builtin_cpu_supports("avx2");
+  if (avx2) e = col2im_avx2(tap_slots_.data(), max_taps_, image_size_, col, im);
+#endif
+  for (; e < image_size_; ++e) {
+    float v = im[e];
+    for (std::size_t t = 0; t < max_taps_; ++t) {
+      const std::int32_t i = tap_slots_[slot(e, t)];
+      if (i >= 0) v += col[i];
+    }
+    im[e] = v;
+  }
 }
 
 }  // namespace plinius::ml

@@ -4,7 +4,8 @@
 // reads (padding taps read one staged zero past the image), per column row a
 // vertical-padding flag. im2col and im2col_fixed (ml/oblivious.h) are the
 // same float gather under different trace hooks, the int8 conv (ml/quant.h)
-// gathers int8, and col2im scatter-adds in ascending column-element order.
+// gathers int8, and col2im adds each image element's taps in ascending
+// column-element order through the same walk inverted (a tap table).
 // Host work only: nothing here charges the simulated clock.
 #pragma once
 
@@ -36,7 +37,7 @@ class LoweringPlan {
 
   [[nodiscard]] const ConvShape& shape() const noexcept { return shape_; }
   [[nodiscard]] std::size_t col_size() const noexcept { return index_.size(); }
-  /// Elements of the staging scratch the lowerings take: the image plus its
+  /// Elements of the staging scratch the gathers take: the image plus its
   /// zero, or none when pad == 0.
   [[nodiscard]] std::size_t scratch_size() const noexcept {
     return shape_.pad == 0 ? 0 : image_size_ + 1;
@@ -53,14 +54,25 @@ class LoweringPlan {
   /// Inverse accumulation (input gradients): im[e] += col[i] for every
   /// column element i that reads image element e, i ascending, so each image
   /// element gets the same adds in the same order whatever it held. Padding
-  /// taps are dropped.
-  void col2im(const float* col, float* scratch, float* im) const;
+  /// taps are dropped. Walks the image, not the columns (the plan's tap
+  /// slots), so it needs no staging.
+  void col2im(const float* col, float* im) const;
 
  private:
+  /// Position of image element e's tap slot t: groups of eight elements,
+  /// each group's slots tap-major, so eight elements' slot t are adjacent.
+  [[nodiscard]] std::size_t slot(std::size_t e, std::size_t t) const noexcept {
+    return (e / 8 * max_taps_ + t) * 8 + e % 8;
+  }
+
   ConvShape shape_;
   std::size_t image_size_;
   std::vector<std::uint32_t> index_;
   std::vector<std::uint8_t> pad_rows_;  // per column row: all vertical padding
+  // index_ inverted for col2im: max_taps_ slots per image element, each the
+  // column element of one of its taps, ascending, then -1s.
+  std::size_t max_taps_ = 0;
+  std::vector<std::int32_t> tap_slots_;
 };
 
 }  // namespace plinius::ml

@@ -133,7 +133,7 @@ TEST(GemmDeterminism, BitwiseIdenticalAcrossThreadCounts) {
 }
 
 // The transpose symmetry of ml/gemm.h that lets ConnectedLayer::forward pick
-// its orientation: with alpha = 1 and a zeroed C, gemm_nt(m, n, k, A, B) is
+// its orientation: with alpha = 1, gemm_nt(m, n, k, A, B) into a zeroed C is
 // bitwise the transpose of gemm_nt(n, m, k, B, A).
 TEST(GemmDeterminism, NtBitwiseEqualsTransposeOfSwappedNt) {
   Rng rng(0x7A5);
@@ -141,6 +141,28 @@ TEST(GemmDeterminism, NtBitwiseEqualsTransposeOfSwappedNt) {
     const auto a = random_matrix(s.m * s.k, rng);  // M x K
     const auto b = random_matrix(s.n * s.k, rng);  // N x K
     std::vector<float> direct(s.m * s.n, 0.0f), swapped(s.n * s.m, 0.0f);
+    ml::gemm_nt(s.m, s.n, s.k, 1.0f, a.data(), b.data(), direct.data());
+    ml::gemm_nt(s.n, s.m, s.k, 1.0f, b.data(), a.data(), swapped.data());
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < s.m; ++i) {
+      for (std::size_t j = 0; j < s.n; ++j) {
+        mismatches += std::bit_cast<std::uint32_t>(direct[i * s.n + j]) !=
+                      std::bit_cast<std::uint32_t>(swapped[j * s.m + i]);
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "m=" << s.m << " n=" << s.n << " k=" << s.k;
+  }
+}
+
+// The same symmetry into a non-zero C, as ConvLayer::backward uses it: its
+// weight gradient accumulates transposed on top of the momentum-carried one.
+TEST(GemmDeterminism, NtIntoNonZeroCBitwiseEqualsTransposeOfSwappedNt) {
+  Rng rng(0x7A7);
+  for (const Shape& s : kShapes) {
+    const auto a = random_matrix(s.m * s.k, rng);  // M x K
+    const auto b = random_matrix(s.n * s.k, rng);  // N x K
+    std::vector<float> direct = random_matrix(s.m * s.n, rng), swapped(s.n * s.m);
+    ml::transpose(s.m, s.n, direct.data(), swapped.data());
     ml::gemm_nt(s.m, s.n, s.k, 1.0f, a.data(), b.data(), direct.data());
     ml::gemm_nt(s.n, s.m, s.k, 1.0f, b.data(), a.data(), swapped.data());
     std::size_t mismatches = 0;

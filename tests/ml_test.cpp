@@ -125,7 +125,7 @@ TEST(Im2col, Col2imAdjointProperty) {
   double lhs = std::inner_product(colx.begin(), colx.end(), y.begin(), 0.0);
 
   std::vector<float> imy(x.size(), 0.0f);
-  plan.col2im(y.data(), scratch.data(), imy.data());
+  plan.col2im(y.data(), imy.data());
   double rhs = std::inner_product(imy.begin(), imy.end(), x.begin(), 0.0);
 
   EXPECT_NEAR(lhs, rhs, 1e-3);
@@ -178,9 +178,10 @@ TEST(Im2col, PlanMatchesReferenceWalkOnShapeGrid) {
               std::vector<float> cols(n), scattered(im.size());
               for (auto& v : cols) v = rng.normal();
               for (auto& v : scattered) v = rng.normal();
+              scattered[0] = -0.0f;
               std::vector<float> scattered_want = scattered;
               reference::col2im(cols.data(), shape, scattered_want.data());
-              plan.col2im(cols.data(), scratch.data(), scattered.data());
+              plan.col2im(cols.data(), scattered.data());
 
               const std::string at = reference::describe(shape);
               ASSERT_TRUE(same_bits(got, want)) << "im2col " << at;
@@ -567,6 +568,41 @@ TEST(ConfigHostile, TrailingCharactersRejected) {
                MlError);
 }
 
+TEST(ConfigHostile, HugeExtentsThrowInsteadOfAllocating) {
+  // Each alone is positive and passes the >= checks; sized into a vector it
+  // would throw std::bad_alloc (or try the allocation).
+  expect_rejects("[convolutional]\nfilters=1000000000000\n", "filters");
+  expect_rejects("[connected]\noutput=100000000000000\n", "output");
+  expect_rejects("[convolutional]\npad=1000000000000\n", "pad");
+  const std::string msg =
+      config_error("[net]\nheight=100000000\nwidth=100000000\n[connected]\noutput=2\n");
+  EXPECT_NE(msg.find("[net] activations exceed the cap"), std::string::npos) << msg;
+  EXPECT_THROW((void)ModelConfig::parse("[net]\nbatch=1000000000000\n").batch(), MlError);
+}
+
+TEST(ConfigHostile, HugeLayerBuffersThrowBeforeTheLayerIsBuilt) {
+  // Every extent is under the cap; the buffers they multiply into are not.
+  for (const std::string& layers : {
+           std::string("[convolutional]\nfilters=100000\nsize=100\npad=50\n"),  // weights
+           std::string("[convolutional]\nfilters=1\npad=100000\n"),  // activations
+           std::string("[connected]\noutput=10000000\n"),  // weights: 64 x 1e7
+       }) {
+    const std::string msg = config_error("[net]\nbatch=4\nheight=8\nwidth=8\n" + layers);
+    EXPECT_NE(msg.find("exceed the cap"), std::string::npos) << layers << " -> " << msg;
+  }
+  // A batch whose activations alone pass per sample but not together.
+  EXPECT_NE(config_error("[net]\nbatch=100000\nheight=64\nwidth=64\nchannels=1\n"
+                         "[connected]\noutput=2\n")
+                .find("batch activations"),
+            std::string::npos);
+}
+
+TEST(ConfigHostile, DropoutProbabilityThrowsMlError) {
+  expect_rejects("[dropout]\nprobability=1.5\n", "probability");
+  expect_rejects("[dropout]\nprobability=-0.1\n", "probability");
+  expect_rejects("[dropout]\nprobability=1\n", "probability");
+}
+
 TEST(ConfigHostile, GlobalAvgpoolNeedsNoStride) {
   // size=0 (the default) is global pooling: stride is unused and may be 0.
   EXPECT_EQ(config_error(std::string(kSmallNet) + "[avgpool]\n[connected]\noutput=2\n"),
@@ -723,10 +759,14 @@ TEST(Training, LossDecreasesOnSynthDigits) {
 // The layers lower Darknet's training step onto gemm with shortcuts that must
 // not change a bit: ConnectedLayer::forward computes W * X^T and transposes
 // it back when outputs > batch, ConvLayer::backward multiplies by a
-// once-transposed W, sgd_update is one pass, and the rectifiers run
+// once-transposed W and accumulates its weight gradient transposed,
+// ConvLayer runs its per-filter reductions several filters at a time and
+// col2im per image element, sgd_update is one pass, and the rectifiers run
 // branch-free. The reference below is the direct lowering — gemm_nt(batch,
-// ...) forward, per-sample gemm_tn input gradients, three-pass SGD, ternary
-// activations — and one Network::train_batch step must match it bitwise.
+// ...) forward, per-sample gemm_nt weight and gemm_tn input gradients, the
+// per-element reference col2im, one filter's reductions at a time,
+// three-pass SGD, ternary activations — and two Network::train_batch steps
+// must match it bitwise.
 
 void ref_activate(Activation a, float* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -753,9 +793,11 @@ void ref_sgd(std::vector<float>& values, std::vector<float>& grads, const SgdPar
   for (std::size_t i = 0; i < values.size(); ++i) grads[i] *= p.momentum;
 }
 
-// The state one training step leaves behind in the layer under test.
+// The state one training step leaves behind in the layer under test; the
+// next step starts from its parameters and momentum-carried updates.
 struct StepState {
-  std::vector<float> output, input_delta, weight_updates;
+  std::vector<float> output, input_delta;
+  std::vector<float> weight_updates, bias_updates, scale_updates;
   std::vector<std::vector<float>> params;  // parameters() order
 };
 
@@ -773,14 +815,12 @@ std::vector<float> ref_head_delta(const std::vector<float>& logits,
   return delta;
 }
 
-StepState ref_connected_step(Shape in, const ConnectedConfig& cfg,
-                             std::vector<std::vector<float>> params,
+StepState ref_connected_step(Shape in, const ConnectedConfig& cfg, StepState r,
                              const std::vector<float>& x, const std::vector<float>& y,
                              std::size_t batch, const SgdParams& hyper) {
   const std::size_t inputs = in.size(), outputs = cfg.outputs;
-  std::vector<float>& w = params[0];
-  std::vector<float>& bias = params[1];
-  StepState r;
+  std::vector<float>& w = r.params[0];
+  std::vector<float>& bias = r.params[1];
   r.output.assign(batch * outputs, 0.0f);
   gemm_nt(batch, outputs, inputs, 1.0f, x.data(), w.data(), r.output.data());
   for (std::size_t b = 0; b < batch; ++b) {
@@ -790,23 +830,20 @@ StepState ref_connected_step(Shape in, const ConnectedConfig& cfg,
 
   std::vector<float> delta = ref_head_delta(r.output, y, Shape{outputs, 1, 1}, batch);
   ref_gradient(cfg.activation, r.output.data(), delta.data(), delta.size());
-  std::vector<float> bias_updates(outputs, 0.0f);
+  std::vector<float>& bias_updates = r.bias_updates;
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t o = 0; o < outputs; ++o) bias_updates[o] += delta[b * outputs + o];
   }
-  r.weight_updates.assign(outputs * inputs, 0.0f);
   gemm_tn(outputs, inputs, batch, 1.0f, delta.data(), x.data(), r.weight_updates.data());
   r.input_delta.assign(batch * inputs, 0.0f);
   gemm_nn(batch, inputs, outputs, 1.0f, delta.data(), w.data(), r.input_delta.data());
 
   ref_sgd(w, r.weight_updates, hyper, batch, true);
   ref_sgd(bias, bias_updates, hyper, batch, false);
-  r.params = std::move(params);
   return r;
 }
 
-StepState ref_conv_step(Shape in, const ConvConfig& cfg,
-                        std::vector<std::vector<float>> params,
+StepState ref_conv_step(Shape in, const ConvConfig& cfg, StepState r,
                         const std::vector<float>& x, const std::vector<float>& y,
                         std::size_t batch, const SgdParams& hyper) {
   constexpr float kEps = 1e-5f, kMomentum = 0.99f;
@@ -817,6 +854,7 @@ StepState ref_conv_step(Shape in, const ConvConfig& cfg,
   const std::size_t k = in.c * cfg.ksize * cfg.ksize;
   const bool direct = cfg.ksize == 1 && cfg.stride == 1 && cfg.pad == 0;
   const bool bn = cfg.batch_normalize;
+  std::vector<std::vector<float>>& params = r.params;
   std::vector<float>& w = params[0];
   std::vector<float>& bias = params[1];
   std::vector<float> cols(k * sp);
@@ -828,7 +866,6 @@ StepState ref_conv_step(Shape in, const ConvConfig& cfg,
     return static_cast<const float*>(cols.data());
   };
 
-  StepState r;
   r.output.assign(batch * out.size(), 0.0f);
   for (std::size_t b = 0; b < batch; ++b) {
     gemm_nn(f_n, sp, k, 1.0f, w.data(), cols_of(b), r.output.data() + b * out.size());
@@ -872,7 +909,8 @@ StepState ref_conv_step(Shape in, const ConvConfig& cfg,
 
   std::vector<float> delta = ref_head_delta(r.output, y, out, batch);
   ref_gradient(cfg.activation, r.output.data(), delta.data(), delta.size());
-  std::vector<float> bias_updates(f_n, 0.0f), scale_updates(f_n, 0.0f);
+  std::vector<float>& bias_updates = r.bias_updates;
+  std::vector<float>& scale_updates = r.scale_updates;
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t f = 0; f < f_n; ++f) {
       double sum = 0;
@@ -925,7 +963,6 @@ StepState ref_conv_step(Shape in, const ConvConfig& cfg,
     }
   }
 
-  r.weight_updates.assign(w.size(), 0.0f);
   r.input_delta.assign(batch * in.size(), 0.0f);
   std::vector<float> col_delta(k * sp);
   for (std::size_t b = 0; b < batch; ++b) {
@@ -944,7 +981,6 @@ StepState ref_conv_step(Shape in, const ConvConfig& cfg,
   ref_sgd(w, r.weight_updates, hyper, batch, true);
   ref_sgd(bias, bias_updates, hyper, batch, false);
   if (bn) ref_sgd(params[2], scale_updates, hyper, batch, false);
-  r.params = std::move(params);
   return r;
 }
 
@@ -955,10 +991,11 @@ void expect_bitwise(std::span<const float> got, std::span<const float> want,
       << what;
 }
 
-// One Network::train_batch step of `L` behind an identity (1x1) max-pool,
+// Two Network::train_batch steps of `L` behind an identity (1x1) max-pool,
 // which passes the input through and receives the layer's input delta, and
-// in front of a softmax head; checked bitwise against `ref` at 1 and 4
-// threads.
+// in front of a softmax head; each checked bitwise against `ref` at 1 and 4
+// threads. The second step starts from the first's parameters and its
+// momentum-carried (non-zero) gradient accumulators.
 template <class L, class Config, class Ref>
 void check_lowering(Shape in, const Config& cfg, std::size_t batch, Ref ref,
                     const std::string& name) {
@@ -982,19 +1019,27 @@ void check_lowering(Shape in, const Config& cfg, std::size_t batch, Ref ref,
       y[b * out.size() + data_rng.below(out.size())] = 1.0f;
     }
 
-    std::vector<std::vector<float>> initial;
-    for (const auto& p : layer.parameters()) initial.emplace_back(p.values.begin(), p.values.end());
-    const StepState want = ref(in, cfg, std::move(initial), x, y, batch, net.hyper());
-    net.train_batch(x.data(), y.data(), batch);
+    StepState want;
+    for (const auto& p : layer.parameters()) {
+      want.params.emplace_back(p.values.begin(), p.values.end());
+    }
+    want.weight_updates.assign(want.params[0].size(), 0.0f);
+    want.bias_updates.assign(want.params[1].size(), 0.0f);
+    if (want.params.size() > 2) want.scale_updates.assign(want.params[2].size(), 0.0f);
+    for (const int step : {1, 2}) {
+      want = ref(in, cfg, std::move(want), x, y, batch, net.hyper());
+      net.train_batch(x.data(), y.data(), batch);
 
-    const std::string at = name + " @" + std::to_string(threads) + " threads: ";
-    expect_bitwise(layer.output(), want.output, at + "output");
-    expect_bitwise(net.layer(0).delta(), want.input_delta, at + "input delta");
-    expect_bitwise(layer.weight_updates(), want.weight_updates, at + "weight_updates");
-    const auto params = layer.parameters();
-    ASSERT_EQ(params.size(), want.params.size());
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      expect_bitwise(params[i].values, want.params[i], at + params[i].name);
+      const std::string at = name + " @" + std::to_string(threads) + " threads, step " +
+                             std::to_string(step) + ": ";
+      expect_bitwise(layer.output(), want.output, at + "output");
+      expect_bitwise(net.layer(0).delta(), want.input_delta, at + "input delta");
+      expect_bitwise(layer.weight_updates(), want.weight_updates, at + "weight_updates");
+      const auto params = layer.parameters();
+      ASSERT_EQ(params.size(), want.params.size());
+      for (std::size_t i = 0; i < params.size(); ++i) {
+        expect_bitwise(params[i].values, want.params[i], at + params[i].name);
+      }
     }
   }
   par::set_max_threads(saved);
@@ -1032,8 +1077,11 @@ TEST(LayerLowering, ConvMatchesDirectLoweringBitwise) {
     bool bn;
     Activation act;
   };
-  // paper_5layer.cfg's five conv layers, the serving CNN's two
-  // (make_cnn_config(2, 4, .)), then a 1x1 conv (an identity plan).
+  // paper_5layer.cfg's five conv layers (the first, 8 filters, accumulates
+  // its transposed weight gradient in a masked n < 16 tile), the serving
+  // CNN's two (make_cnn_config(2, 4, .)), a batch-normalized layer whose
+  // filter count and spatial size leave lane and block tails in the
+  // per-filter reductions, then a 1x1 conv (an identity plan).
   const Case cases[] = {
       {{1, 28, 28}, 8, 3, 2, 1, true, Activation::kLeakyRelu},
       {{8, 14, 14}, 16, 3, 2, 1, true, Activation::kLeakyRelu},
@@ -1042,6 +1090,7 @@ TEST(LayerLowering, ConvMatchesDirectLoweringBitwise) {
       {{32, 4, 4}, 32, 3, 1, 1, true, Activation::kLeakyRelu},
       {{1, 28, 28}, 4, 3, 2, 1, true, Activation::kLeakyRelu},
       {{4, 14, 14}, 8, 3, 2, 1, true, Activation::kLeakyRelu},
+      {{3, 9, 9}, 6, 3, 1, 1, true, Activation::kLeakyRelu},
       {{8, 5, 5}, 6, 1, 1, 0, false, Activation::kRelu},
   };
   for (const Case& c : cases) {
