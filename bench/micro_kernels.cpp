@@ -1,9 +1,10 @@
 // Real wall-clock micro-benchmarks (google-benchmark) for the kernels the
 // simulation's cost models abstract: AES-GCM sealing, SHA-256, GEMM,
 // im2col/col2im, one conv layer's training step, PM-device store/flush
-// bookkeeping, and a full Romulus transaction. These measure the *host* machine, not the simulated one —
-// useful for validating that the framework's real compute (which does run)
-// is not a bottleneck for the experiment harnesses.
+// bookkeeping, and a full Romulus transaction. These measure the *host*
+// machine, not the simulated one — useful for validating that the
+// framework's real compute (which does run) is not a bottleneck for the
+// experiment harnesses.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -233,10 +234,9 @@ void BM_Im2col(benchmark::State& state) {
 BENCHMARK(BM_Im2col)->Apply(conv_shapes);
 
 void BM_Col2im(benchmark::State& state) {
-  const ml::LoweringPlan plan = plan_for(state);
+  ml::LoweringPlan plan = plan_for(state);
   const ml::ConvShape& s = plan.shape();
-  std::vector<float> im(s.channels * s.height * s.width), scratch(plan.scratch_size()),
-      col(plan.col_size());
+  std::vector<float> im(s.channels * s.height * s.width), col(plan.col_size());
   Rng rng(5);
   for (auto& v : col) v = rng.normal();
   for (auto _ : state) {

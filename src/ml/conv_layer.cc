@@ -1,9 +1,7 @@
 #include "ml/conv_layer.h"
 
-#include <array>
+#include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <type_traits>
 
 #include "ml/gemm.h"
 #include "ml/oblivious.h"
@@ -17,145 +15,29 @@ constexpr float kRollingMomentum = 0.99f;
 
 // The per-filter reductions (batch-norm statistics and their gradients, the
 // bias gradient) each add in one fixed order, b ascending then s ascending,
-// into one double accumulator per filter. kLanes filters run their chains
-// side by side in the lanes of one vector (GCC/Clang vector extensions), so
-// one vector op advances kLanes chains; lane by lane it is the scalar code.
-constexpr std::size_t kLanes = 4;
-using FloatLanes = float __attribute__((vector_size(4 * kLanes)));
-using DoublePair = double __attribute__((vector_size(16)));
-using DoubleQuad = double __attribute__((vector_size(32)));
-// kLanes doubles as two 128-bit pairs: without AVX a 32-byte vector would
-// be kept in memory, and each add would wait on a store.
-struct DoubleLanes {
-  DoublePair lo{}, hi{};
-  double operator[](std::size_t l) const { return l < 2 ? lo[l] : hi[l - 2]; }
-};
+// into one double accumulator per filter. kChains filters run their chains
+// side by side, so no add waits on the add before it in its own filter.
+constexpr std::size_t kChains = 4;
 
-// Lanes filters' floats and doubles: vectors of kLanes, or plain scalars for
-// the filters left over.
-template <std::size_t Lanes>
-using Floats = std::conditional_t<Lanes == 1, float, FloatLanes>;
-template <std::size_t Lanes>
-using Doubles = std::conditional_t<Lanes == 1, double, DoubleLanes>;
-
-// p[0], p[stride], ...: one element of each of Lanes filters.
-template <std::size_t Lanes>
-Floats<Lanes> load(const float* p, std::size_t stride) {
-  if constexpr (Lanes == 1) {
-    return *p;
-  } else {
-    return FloatLanes{p[0], p[stride], p[2 * stride], p[3 * stride]};
-  }
-}
-
-template <std::size_t Lanes>
-void store(float* p, std::size_t stride, Floats<Lanes> v) {
-  if constexpr (Lanes == 1) {
-    *p = v;
-  } else {
-    for (std::size_t l = 0; l < kLanes; ++l) p[l * stride] = v[l];
-  }
-}
-
-// A kLanes x kLanes block transposed in place (its own inverse): rows of
-// kLanes elements become kLanes vectors of one element per row.
-void transpose_block(FloatLanes (&v)[kLanes]) {
-  static_assert(kLanes == 4, "a 4 x 4 shuffle network");
-  const FloatLanes t0 = __builtin_shufflevector(v[0], v[1], 0, 4, 1, 5);
-  const FloatLanes t1 = __builtin_shufflevector(v[0], v[1], 2, 6, 3, 7);
-  const FloatLanes t2 = __builtin_shufflevector(v[2], v[3], 0, 4, 1, 5);
-  const FloatLanes t3 = __builtin_shufflevector(v[2], v[3], 2, 6, 3, 7);
-  v[0] = __builtin_shufflevector(t0, t2, 0, 1, 4, 5);
-  v[1] = __builtin_shufflevector(t0, t2, 2, 3, 6, 7);
-  v[2] = __builtin_shufflevector(t1, t3, 0, 1, 4, 5);
-  v[3] = __builtin_shufflevector(t1, t3, 2, 3, 6, 7);
-}
-
-// acc += v and acc += v * v, v widened to double lane by lane.
-template <std::size_t Lanes>
-void add(Doubles<Lanes>& acc, Floats<Lanes> v) {
-  if constexpr (Lanes == 1) {
-    acc += v;
-  } else {
-    const DoubleQuad d = __builtin_convertvector(v, DoubleQuad);
-    acc.lo += __builtin_shufflevector(d, d, 0, 1);
-    acc.hi += __builtin_shufflevector(d, d, 2, 3);
-  }
-}
-
-template <std::size_t Lanes>
-void add_square(Doubles<Lanes>& acc, Floats<Lanes> v) {
-  if constexpr (Lanes == 1) {
-    acc += static_cast<double>(v) * v;
-  } else {
-    const DoubleQuad d = __builtin_convertvector(v, DoubleQuad);
-    const DoublePair lo = __builtin_shufflevector(d, d, 0, 1);
-    const DoublePair hi = __builtin_shufflevector(d, d, 2, 3);
-    acc.lo += lo * lo;
-    acc.hi += hi * hi;
-  }
-}
-
-// The per-filter scalar of lane l.
-template <std::size_t Lanes, class V>
-auto lane(const V& v, std::size_t l) {
-  if constexpr (Lanes == 1) {
-    return v;
-  } else {
-    return v[l];
-  }
-}
-
-// Calls group.operator()<Lanes>(f0) on [f0, f0 + Lanes) for every filter:
-// kLanes at a time, then one at a time.
+// Calls group.operator()<N>(f0) on filters [f0, f0 + N) for every filter:
+// kChains at a time, then one at a time.
 template <class Group>
 void by_filter_groups(std::size_t filters, Group&& group) {
   std::size_t f = 0;
-  for (; f + kLanes <= filters; f += kLanes) group.template operator()<kLanes>(f);
+  for (; f + kChains <= filters; f += kChains) group.template operator()<kChains>(f);
   for (; f < filters; ++f) group.template operator()<1>(f);
 }
 
-// Calls step(v) on every element of filters [f0, f0 + Lanes) of images
-// [0, batch), b ascending, then s ascending, where v[a] holds that element
-// of those filters in arrays[a] ([batch x filters x n_spatial]). With Write,
-// what step leaves in v[0] is stored back to arrays[0]. Whole blocks of
-// kLanes elements move as kLanes row loads (and stores) and one transpose.
-template <std::size_t Lanes, bool Write, std::size_t N, class Step>
+// Calls step(l, i) for every l in [0, N) on each element i of filters
+// [f0, f0 + N) of images [0, batch) ([batch x filters x n_spatial]): b
+// ascending, then s ascending, the N filters' elements of one (b, s) in a row.
+template <std::size_t N, class Step>
 void walk(std::size_t batch, std::size_t filters, std::size_t n_spatial, std::size_t f0,
-          const std::array<float*, N>& arrays, Step&& step) {
+          Step&& step) {
   for (std::size_t b = 0; b < batch; ++b) {
     const std::size_t row = (b * filters + f0) * n_spatial;
-    std::size_t s = 0;
-    if constexpr (Lanes == kLanes) {
-      for (; s + kLanes <= n_spatial; s += kLanes) {
-        FloatLanes block[N][kLanes];
-        for (std::size_t a = 0; a < N; ++a) {
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            std::memcpy(&block[a][l], arrays[a] + row + l * n_spatial + s,
-                        sizeof(FloatLanes));
-          }
-          transpose_block(block[a]);
-        }
-        for (std::size_t j = 0; j < kLanes; ++j) {
-          FloatLanes v[N];
-          for (std::size_t a = 0; a < N; ++a) v[a] = block[a][j];
-          step(v);
-          if constexpr (Write) block[0][j] = v[0];
-        }
-        if constexpr (Write) {
-          transpose_block(block[0]);
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            std::memcpy(arrays[0] + row + l * n_spatial + s, &block[0][l],
-                        sizeof(FloatLanes));
-          }
-        }
-      }
-    }
-    for (; s < n_spatial; ++s) {
-      Floats<Lanes> v[N];
-      for (std::size_t a = 0; a < N; ++a) v[a] = load<Lanes>(arrays[a] + row + s, n_spatial);
-      step(v);
-      if constexpr (Write) store<Lanes>(arrays[0] + row + s, n_spatial, v[0]);
+    for (std::size_t s = 0; s < n_spatial; ++s) {
+      for (std::size_t l = 0; l < N; ++l) step(l, row + l * n_spatial + s);
     }
   }
 }
@@ -254,22 +136,25 @@ void ConvLayer::forward_batchnorm(std::size_t batch, bool train) {
     x_.swap(output_);
     output_.resize(x_.size());
     float* x = x_.data();
-    by_filter_groups(filters, [&]<std::size_t Lanes>(std::size_t f0) {
-      Doubles<Lanes> sum{};
-      walk<Lanes, false, 1>(batch, filters, n_spatial, f0, {x},
-                            [&](const Floats<Lanes>* v) { add<Lanes>(sum, v[0]); });
-      for (std::size_t l = 0; l < Lanes; ++l) {
-        mean_[f0 + l] = static_cast<float>(lane<Lanes>(sum, l) / per_filter);
+    by_filter_groups(filters, [&]<std::size_t N>(std::size_t f0) {
+      double sum[N] = {};
+      walk<N>(batch, filters, n_spatial, f0,
+              [&](std::size_t l, std::size_t i) { sum[l] += x[i]; });
+      for (std::size_t l = 0; l < N; ++l) {
+        mean_[f0 + l] = static_cast<float>(sum[l] / per_filter);
       }
 
-      const Floats<Lanes> mean = load<Lanes>(mean_.data() + f0, 1);
-      Doubles<Lanes> var{};
-      walk<Lanes, false, 1>(batch, filters, n_spatial, f0, {x},
-                            [&](const Floats<Lanes>* v) { add_square<Lanes>(var, v[0] - mean); });
+      float mean[N];
+      std::copy_n(mean_.data() + f0, N, mean);
+      double var[N] = {};
+      walk<N>(batch, filters, n_spatial, f0, [&](std::size_t l, std::size_t i) {
+        const double d = x[i] - mean[l];
+        var[l] += d * d;
+      });
 
-      for (std::size_t l = 0; l < Lanes; ++l) {
+      for (std::size_t l = 0; l < N; ++l) {
         const std::size_t f = f0 + l;
-        variance_[f] = static_cast<float>(lane<Lanes>(var, l) / per_filter);
+        variance_[f] = static_cast<float>(var[l] / per_filter);
         rolling_mean_[f] = kRollingMomentum * rolling_mean_[f] +
                            (1.0f - kRollingMomentum) * mean_[f];
         rolling_variance_[f] = kRollingMomentum * rolling_variance_[f] +
@@ -302,41 +187,39 @@ void ConvLayer::backward_batchnorm(std::size_t batch) {
   float* delta = delta_.data();
   float* x = x_.data();
 
-  by_filter_groups(filters, [&]<std::size_t Lanes>(std::size_t f0) {
-    float inv_std_f[Lanes];
-    for (std::size_t l = 0; l < Lanes; ++l) {
-      inv_std_f[l] = 1.0f / std::sqrt(variance_[f0 + l] + kBnEps);
+  by_filter_groups(filters, [&]<std::size_t N>(std::size_t f0) {
+    float inv_std[N], g[N], mean[N];
+    for (std::size_t l = 0; l < N; ++l) {
+      inv_std[l] = 1.0f / std::sqrt(variance_[f0 + l] + kBnEps);
+      g[l] = scales_[f0 + l];
+      mean[l] = mean_[f0 + l];
     }
-    const Floats<Lanes> g = load<Lanes>(scales_.data() + f0, 1);
-    const Floats<Lanes> mean = load<Lanes>(mean_.data() + f0, 1);
-    const Floats<Lanes> inv_std = load<Lanes>(inv_std_f, 1);
 
     // One pass: d/d scale over x_hat (recomputed from x exactly as forward
     // computed it), delta switched to d/d x_hat, then the mean and variance
     // gradients (Darknet's formulation) over the switched delta.
-    Doubles<Lanes> ssum{}, dmean{}, dvar{};
-    walk<Lanes, true, 2>(batch, filters, n_spatial, f0, {delta, x}, [&](Floats<Lanes>* v) {
-      const Floats<Lanes> centered = v[1] - mean;
-      add<Lanes>(ssum, v[0] * (centered * inv_std));
-      v[0] *= g;
-      add<Lanes>(dmean, v[0]);
-      add<Lanes>(dvar, v[0] * centered);
+    double ssum[N] = {}, dmean[N] = {}, dvar[N] = {};
+    walk<N>(batch, filters, n_spatial, f0, [&](std::size_t l, std::size_t i) {
+      const float centered = x[i] - mean[l];
+      ssum[l] += delta[i] * (centered * inv_std[l]);
+      delta[i] *= g[l];
+      dmean[l] += delta[i];
+      dvar[l] += delta[i] * centered;
     });
 
-    for (std::size_t l = 0; l < Lanes; ++l) {
+    for (std::size_t l = 0; l < N; ++l) {
       const std::size_t f = f0 + l;
-      scale_updates_[f] += static_cast<float>(lane<Lanes>(ssum, l));
-      mean_delta_[f] = static_cast<float>(-lane<Lanes>(dmean, l) * inv_std_f[l]);
-      variance_delta_[f] =
-          static_cast<float>(lane<Lanes>(dvar, l) * -0.5 *
-                             std::pow(static_cast<double>(variance_[f]) + kBnEps, -1.5));
+      scale_updates_[f] += static_cast<float>(ssum[l]);
+      mean_delta_[f] = static_cast<float>(-dmean[l] * inv_std[l]);
+      variance_delta_[f] = static_cast<float>(
+          dvar[l] * -0.5 * std::pow(static_cast<double>(variance_[f]) + kBnEps, -1.5));
     }
 
     for (std::size_t b = 0; b < batch; ++b) {
-      for (std::size_t f = f0; f < f0 + Lanes; ++f) {
+      for (std::size_t f = f0; f < f0 + N; ++f) {
         float* d = delta + (b * filters + f) * n_spatial;
         const float* xf = x + (b * filters + f) * n_spatial;
-        const float is = inv_std_f[f - f0], m = mean_[f];
+        const float is = inv_std[f - f0], m = mean_[f];
         const float vd = variance_delta_[f], md = mean_delta_[f];
         for (std::size_t s = 0; s < n_spatial; ++s) {
           d[s] = d[s] * is + vd * 2.0f * (xf[s] - m) / per_filter + md / per_filter;
@@ -355,13 +238,14 @@ void ConvLayer::backward(const float* input, float* input_delta, std::size_t bat
 
   // Bias gradients: one double sum per image and filter.
   float* delta = delta_.data();
-  by_filter_groups(filters, [&]<std::size_t Lanes>(std::size_t f0) {
+  by_filter_groups(filters, [&]<std::size_t N>(std::size_t f0) {
     for (std::size_t b = 0; b < batch; ++b) {
-      Doubles<Lanes> sum{};
-      walk<Lanes, false, 1>(1, filters, n_spatial, f0, {delta + b * out_shape_.size()},
-                            [&](const Floats<Lanes>* v) { add<Lanes>(sum, v[0]); });
-      for (std::size_t l = 0; l < Lanes; ++l) {
-        bias_updates_[f0 + l] += static_cast<float>(lane<Lanes>(sum, l));
+      double sum[N] = {};
+      walk<N>(1, filters, n_spatial, f0, [&](std::size_t l, std::size_t i) {
+        sum[l] += delta[b * out_shape_.size() + i];
+      });
+      for (std::size_t l = 0; l < N; ++l) {
+        bias_updates_[f0 + l] += static_cast<float>(sum[l]);
       }
     }
   });

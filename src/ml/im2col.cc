@@ -86,21 +86,8 @@ LoweringPlan::LoweringPlan(const ConvShape& shape)
     }
   }
 
-  // The walk inverted for col2im: slot t of image element e holds the
-  // column element of e's t-th tap (ascending), or -1 past its last one.
-  // Padding taps read no image element and have no slot.
   expects(index_.size() <= std::numeric_limits<std::int32_t>::max(),
           "LoweringPlan: column matrix exceeds 31-bit tap indexing");
-  std::vector<std::uint32_t> count(image_size_ + 1, 0);
-  for (const std::uint32_t e : index_) ++count[e];
-  count.pop_back();  // the padding taps
-  max_taps_ = count.empty() ? 0 : *std::max_element(count.begin(), count.end());
-  tap_slots_.assign((image_size_ + 7) / 8 * 8 * max_taps_, -1);
-  std::fill(count.begin(), count.end(), 0);
-  for (std::size_t i = 0; i < index_.size(); ++i) {
-    const std::size_t e = index_[i];
-    if (e < image_size_) tap_slots_[slot(e, count[e]++)] = static_cast<std::int32_t>(i);
-  }
 }
 
 template <class T>
@@ -134,7 +121,24 @@ void LoweringPlan::im2col(const float* im, float* scratch, float* col) const {
   gather(im, scratch, col);
 }
 
-void LoweringPlan::col2im(const float* col, float* im) const {
+void LoweringPlan::col2im(const float* col, float* im) {
+  // The walk inverted, on the first call only: slot t of image element e
+  // holds the column element of e's t-th tap (ascending), or -1 past its
+  // last one. Padding taps read no image element and have no slot.
+  if (!tap_slots_built_) {
+    std::vector<std::uint32_t> count(image_size_ + 1, 0);
+    for (const std::uint32_t e : index_) ++count[e];
+    count.pop_back();  // the padding taps
+    max_taps_ = count.empty() ? 0 : *std::max_element(count.begin(), count.end());
+    tap_slots_.assign((image_size_ + 7) / 8 * 8 * max_taps_, -1);
+    std::fill(count.begin(), count.end(), 0);
+    for (std::size_t i = 0; i < index_.size(); ++i) {
+      const std::size_t e = index_[i];
+      if (e < image_size_) tap_slots_[slot(e, count[e]++)] = static_cast<std::int32_t>(i);
+    }
+    tap_slots_built_ = true;
+  }
+
   // Each image element's adds are one short chain of its own, and no add
   // waits on another element's store.
   std::size_t e = 0;

@@ -1,11 +1,12 @@
-// Darknet's convolution lowering (im2col / col2im) through one immutable
-// plan per conv shape, built once by the layer that owns the shape. Per
+// Darknet's convolution lowering (im2col / col2im) through one plan per conv
+// shape, built once by the layer that owns the shape. Per
 // column-matrix element the plan holds the index of the image element it
 // reads (padding taps read one staged zero past the image), per column row a
 // vertical-padding flag. im2col and im2col_fixed (ml/oblivious.h) are the
 // same float gather under different trace hooks, the int8 conv (ml/quant.h)
 // gathers int8, and col2im adds each image element's taps in ascending
-// column-element order through the same walk inverted (a tap table).
+// column-element order through the same walk inverted (tap slots, built on
+// col2im's first call, so the gathers never pay for them).
 // Host work only: nothing here charges the simulated clock.
 #pragma once
 
@@ -54,9 +55,10 @@ class LoweringPlan {
   /// Inverse accumulation (input gradients): im[e] += col[i] for every
   /// column element i that reads image element e, i ascending, so each image
   /// element gets the same adds in the same order whatever it held. Padding
-  /// taps are dropped. Walks the image, not the columns (the plan's tap
-  /// slots), so it needs no staging.
-  void col2im(const float* col, float* im) const;
+  /// taps are dropped. Walks the image, not the columns, through tap slots
+  /// built on the first call (a gather-only plan never builds them), so it
+  /// needs no staging.
+  void col2im(const float* col, float* im);
 
  private:
   /// Position of image element e's tap slot t: groups of eight elements,
@@ -69,8 +71,10 @@ class LoweringPlan {
   std::size_t image_size_;
   std::vector<std::uint32_t> index_;
   std::vector<std::uint8_t> pad_rows_;  // per column row: all vertical padding
-  // index_ inverted for col2im: max_taps_ slots per image element, each the
-  // column element of one of its taps, ascending, then -1s.
+  // index_ inverted for col2im (by its first call): max_taps_ slots per
+  // image element, each the column element of one of its taps, ascending,
+  // then -1s.
+  bool tap_slots_built_ = false;
   std::size_t max_taps_ = 0;
   std::vector<std::int32_t> tap_slots_;
 };
