@@ -1,8 +1,8 @@
 // Real wall-clock micro-benchmarks (google-benchmark) for the kernels the
 // simulation's cost models abstract: AES-GCM sealing, SHA-256, GEMM,
-// im2col/col2im, one conv layer's training step, PM-device store/flush
-// bookkeeping, and a full Romulus transaction. These measure the *host*
-// machine, not the simulated one — useful for validating that the
+// im2col/col2im, one conv and one connected layer's training step, PM-device
+// store/flush bookkeeping, and a full Romulus transaction. These measure the
+// *host* machine, not the simulated one — useful for validating that the
 // framework's real compute (which does run) is not a bottleneck for the
 // experiment harnesses.
 #include <benchmark/benchmark.h>
@@ -19,6 +19,7 @@
 #include "ml/gemm.h"
 #include "ml/gemm_reference.h"
 #include "ml/gemm_s8.h"
+#include "ml/connected_layer.h"
 #include "ml/conv_layer.h"
 #include "ml/im2col.h"
 #include "pm/device.h"
@@ -72,21 +73,34 @@ void BM_Sha256(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256)->Arg(1 << 16);
 
+// C[m x n] += A[m x k] * B[k x n] on one thread. 16 x 2048 x 2048 is the
+// input gradient of mirror_heavy's 2048 -> 2048 connected layer at batch 16:
+// B's rows are 8 KiB apart, so it takes the panel-packed walk.
 void BM_GemmNN(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<float> a(n * n), b(n * n), c(n * n, 0.0f);
+  const std::size_t saved = par::max_threads();
+  par::set_max_threads(1);
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const auto k = static_cast<std::size_t>(state.range(2));
+  std::vector<float> a(m * k), b(k * n), c(m * n, 0.0f);
   Rng rng(4);
   for (auto& v : a) v = rng.normal();
   for (auto& v : b) v = rng.normal();
   for (auto _ : state) {
-    ml::gemm_nn(n, n, n, 1.0f, a.data(), b.data(), c.data());
+    ml::gemm_nn(m, n, k, 1.0f, a.data(), b.data(), c.data());
     benchmark::DoNotOptimize(c.data());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * 2.0 * n * n * n,
+      static_cast<double>(state.iterations()) * 2.0 * m * n * k,
       benchmark::Counter::kIsRate);
+  par::set_max_threads(saved);
 }
-BENCHMARK(BM_GemmNN)->Arg(64)->Arg(256);
+BENCHMARK(BM_GemmNN)
+    ->Args({64, 64, 64})
+    ->Args({256, 256, 256})
+    ->Args({16, 2048, 2048})
+    ->ArgNames({"m", "n", "k"})
+    ->Unit(benchmark::kMicrosecond);
 
 // The seed's scalar triple-loop kernel (ml/gemm_reference.cc), kept as the
 // baseline the blocked/SIMD/parallel kernel is measured against.
@@ -287,6 +301,40 @@ BENCHMARK(BM_ConvTrainStep)
     ->Args({16, 7, 7, 32, 2})
     ->Args({32, 4, 4, 32, 1})
     ->ArgNames({"c", "h", "w", "filters", "stride"})
+    ->Unit(benchmark::kMicrosecond);
+
+// One ConnectedLayer training step, forward + backward + update, of
+// mirror_heavy's 2048 -> 2048 leaky layer at batch 16 on one thread. The
+// layer computes its input gradient, as every layer but the first does.
+void BM_ConnectedTrainStep(benchmark::State& state) {
+  const std::size_t saved = par::max_threads();
+  par::set_max_threads(1);
+  const auto width = static_cast<std::size_t>(state.range(0));
+  const auto batch = static_cast<std::size_t>(state.range(1));
+  ml::ConnectedConfig cfg;
+  cfg.outputs = width;
+  cfg.activation = ml::Activation::kLeakyRelu;
+  Rng rng(8);
+  ml::ConnectedLayer layer(ml::Shape{width, 1, 1}, cfg, rng);
+  layer.prepare(batch);
+  std::vector<float> x(batch * width), seed(layer.delta().size());
+  std::vector<float> input_delta(x.size());
+  for (auto& v : x) v = rng.normal();
+  for (auto& v : seed) v = 0.01f * rng.normal();
+  const ml::SgdParams hyper{0.01f, 0.9f, 0.0005f};
+  for (auto _ : state) {
+    layer.forward(x.data(), batch, /*train=*/true);
+    std::copy(seed.begin(), seed.end(), layer.delta().begin());
+    layer.backward(x.data(), input_delta.data(), batch);
+    layer.update(hyper, batch);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * batch));
+  par::set_max_threads(saved);
+}
+BENCHMARK(BM_ConnectedTrainStep)
+    ->Args({2048, 16})
+    ->ArgNames({"width", "batch"})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_PmStoreFlushFence(benchmark::State& state) {

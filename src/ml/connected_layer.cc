@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
+#include "common/parallel.h"
 #include "ml/gemm.h"
 #include "obs/leakage.h"
 
@@ -59,8 +61,12 @@ void ConnectedLayer::backward(const float* input, float* input_delta,
     for (std::size_t o = 0; o < outputs; ++o) bias_updates_[o] += d[o];
   }
 
-  // dW[outputs x inputs] += delta^T[outputs x batch] * input[batch x inputs]
-  gemm_tn(outputs, inputs, batch, 1.0f, delta_.data(), input, weight_updates_.data());
+  // The weight gradient is left to update(), which folds it into the SGD
+  // pass; it needs delta^T and the input, which stays valid until then.
+  delta_t_.resize(outputs * batch);
+  transpose(batch, outputs, delta_.data(), delta_t_.data());
+  pending_input_ = input;
+  pending_batch_ = batch;
 
   if (input_delta != nullptr) {
     // dX[batch x inputs] += delta[batch x outputs] * W[outputs x inputs]
@@ -69,7 +75,27 @@ void ConnectedLayer::backward(const float* input, float* input_delta,
 }
 
 void ConnectedLayer::update(const SgdParams& params, std::size_t batch) {
-  sgd_update(weights_, weight_updates_, params, batch, /*use_decay=*/true);
+  const std::size_t inputs = in_shape_.size();
+  const std::size_t outputs = out_shape_.size();
+  // dW[outputs x inputs] += delta^T[outputs x batch] * input[batch x inputs],
+  // one row block at a time, each stepped by SGD while it is still in
+  // cache: dW crosses DRAM once per step instead of twice. Every element
+  // is the same chain as one whole-matrix gemm (one K = batch block).
+  const float* input = std::exchange(pending_input_, nullptr);
+  const std::size_t blocks = (outputs + kFoldRows - 1) / kFoldRows;
+  par::parallel_for(blocks, [&](par::Range r) {
+    for (std::size_t blk = r.begin; blk < r.end; ++blk) {
+      const std::size_t r0 = blk * kFoldRows;
+      const std::size_t rows = std::min(kFoldRows, outputs - r0);
+      float* dw = weight_updates_.data() + r0 * inputs;
+      if (input != nullptr) {
+        gemm_nn(rows, inputs, pending_batch_, 1.0f, delta_t_.data() + r0 * pending_batch_,
+                input, dw);
+      }
+      sgd_update(std::span(weights_).subspan(r0 * inputs, rows * inputs),
+                 std::span(dw, rows * inputs), params, batch, /*use_decay=*/true);
+    }
+  });
   sgd_update(biases_, bias_updates_, params, batch, /*use_decay=*/false);
 }
 

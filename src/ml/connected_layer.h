@@ -11,6 +11,10 @@ struct ConnectedConfig {
   Activation activation = Activation::kLinear;
 };
 
+/// backward() adds the bias gradient and the input gradient, and keeps
+/// delta^T and a pointer to its input; update() then accumulates the weight
+/// gradient one row block at a time, each block stepped by SGD while it is
+/// still in cache (layer.h: backward and update form one step).
 class ConnectedLayer final : public Layer {
  public:
   ConnectedLayer(Shape in, const ConnectedConfig& config, Rng& init_rng);
@@ -33,6 +37,14 @@ class ConnectedLayer final : public Layer {
   std::vector<float> weights_, weight_updates_;  // [outputs x inputs]
   std::vector<float> biases_, bias_updates_;
   std::vector<float> output_t_;  // [outputs x batch] forward scratch
+  std::vector<float> delta_t_;   // [outputs x batch] delta^T, from backward
+  const float* pending_input_ = nullptr;  // backward's input, until update
+  std::size_t pending_batch_ = 0;
+
+  // Weight-gradient rows per update block: a multiple of both kernels' tile
+  // heights (6 and 16 rows, ml/gemm.cc), so the blocks' register tiles are
+  // exactly those of one whole-matrix gemm.
+  static constexpr std::size_t kFoldRows = 48;
 };
 
 }  // namespace plinius::ml

@@ -9,6 +9,16 @@
 // gemm_tt's column-strided inner loop) — then a cache-blocked register-tiled
 // kernel runs parallelized over MR-row output tiles via par::parallel_for.
 //
+// Packing rule for B: when its rows lie >= 4 KiB apart (N >= 1024 floats),
+// each KC x 128 block of B is copied into contiguous KC x 16 column strips
+// before the register tiles read it (a 2048-wide connected layer's input
+// gradient, 16 x 2048 x 2048 at batch 16, and its weight gradient, in
+// 48-row blocks of 2048 x 2048 x 16); a tile reading such B in place touches one cache line in each of KC rows
+// 8 KiB apart. Narrower B (every conv shape) is read in place. The choice
+// depends only on N, and a packed strip holds the same values in the same
+// K order, so the result is the same bits either way. A is never packed by
+// this rule. Scratch: 128 KiB per thread that runs a packed band.
+//
 // Determinism contract: for each C element the K-dimension is accumulated in
 // a fixed order (KC blocks ascending, p ascending inside a block, one
 // register accumulator per element), and the parallel work unit is an

@@ -8,7 +8,12 @@
 //     accumulates parameter gradients into *_updates buffers and adds the
 //     input gradient into the previous layer's delta;
 //   * update() applies SGD with momentum and weight decay and clears the
-//     accumulated gradients.
+//     accumulated gradients;
+//   * backward() and update() form one step: a layer may leave part of its
+//     gradient to update(), so backward's `input` must stay valid and
+//     unchanged until update() (Network::train_batch runs every backward,
+//     then every update). ConnectedLayer does: its weight gradient lands in
+//     update(), one row block at a time just before that block's SGD step.
 //
 // parameters() exposes the layer's learnable + running state as named
 // buffers — this is exactly what Plinius' mirroring module encrypts to PM.
@@ -61,10 +66,13 @@ class Layer {
   virtual void forward(const float* input, std::size_t batch, bool train) = 0;
 
   /// Consumes delta_ (dLoss/dOutput); accumulates parameter gradients and,
-  /// when `input_delta` is non-null, adds dLoss/dInput into it.
+  /// when `input_delta` is non-null, adds dLoss/dInput into it. `input`
+  /// must stay valid and unchanged until the matching update().
   virtual void backward(const float* input, float* input_delta, std::size_t batch) = 0;
 
-  /// Applies and clears accumulated gradients. Default: no parameters.
+  /// Completes the step backward() began: applies (and, where the layer
+  /// defers part of the gradient, first accumulates) the gradients.
+  /// Default: no parameters.
   virtual void update(const SgdParams& /*params*/, std::size_t /*batch*/) {}
 
   /// Persistent parameter state, in a stable order.

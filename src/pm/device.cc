@@ -9,6 +9,10 @@
 
 #include <sys/mman.h>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "common/error.h"
 #include "obs/trace.h"
 #include "pm/faultpoint.h"
@@ -67,6 +71,41 @@ void for_each_run(std::size_t first, std::size_t last, Take&& take, Emit&& emit)
   if (count > 0) emit(run, count);
 }
 
+// Copies at or above this length stream; shorter ones are not worth the
+// store fence and would leave partial write-combining buffers.
+constexpr std::size_t kStreamMin = std::size_t{64} << 10;
+
+// memcpy for the device's write-mostly destinations: the persistent image
+// and Romulus' back copy, which only a crash, recovery, abort or scrub
+// reads. A long copy writes them with non-temporal stores (SSE2, baseline
+// x86-64), which skip the read-for-ownership of every destination line and
+// leave the cache to what the enclave reads next. Same bytes as memcpy.
+void stream_copy(std::uint8_t* dst, const std::uint8_t* src, std::size_t len) {
+#if defined(__SSE2__)
+  if (len >= kStreamMin) {
+    const std::size_t head = (0 - reinterpret_cast<std::uintptr_t>(dst)) % 16;
+    std::memcpy(dst, src, head);
+    std::size_t i = head;
+    for (; i + 64 <= len; i += 64) {
+      auto* d = reinterpret_cast<__m128i*>(dst + i);
+      const auto* s = reinterpret_cast<const __m128i*>(src + i);
+      const __m128i v0 = _mm_loadu_si128(s);
+      const __m128i v1 = _mm_loadu_si128(s + 1);
+      const __m128i v2 = _mm_loadu_si128(s + 2);
+      const __m128i v3 = _mm_loadu_si128(s + 3);
+      _mm_stream_si128(d, v0);
+      _mm_stream_si128(d + 1, v1);
+      _mm_stream_si128(d + 2, v2);
+      _mm_stream_si128(d + 3, v3);
+    }
+    _mm_sfence();
+    std::memcpy(dst + i, src + i, len - i);
+    return;
+  }
+#endif
+  std::memcpy(dst, src, len);
+}
+
 }  // namespace
 
 PmDevice::PmDevice(sim::Clock& clock, std::size_t size, PmLatencyModel model,
@@ -116,6 +155,13 @@ void PmDevice::clear_bit(std::vector<std::uint64_t>& bits, std::size_t line) noe
 void PmDevice::store(std::size_t offset, const void* src, std::size_t len) {
   record_store(offset, len);
   std::memcpy(volatile_.get() + offset, src, len);
+}
+
+void PmDevice::copy_within(std::size_t dst, std::size_t src, std::size_t len) {
+  check_range(src, len);
+  expects(src + len <= dst || dst + len <= src, "PmDevice::copy_within: ranges overlap");
+  record_store(dst, len);
+  stream_copy(volatile_.get() + dst, volatile_.get() + src, len);
 }
 
 void PmDevice::attach_fault_injector(FaultInjector* injector) {
@@ -194,8 +240,8 @@ void PmDevice::commit_line(std::size_t line, const std::uint8_t* snapshot) {
 }
 
 void PmDevice::commit_run(std::size_t first, std::size_t count) {
-  std::memcpy(persistent_.get() + first * kCacheLine, volatile_.get() + first * kCacheLine,
-              count * kCacheLine);
+  stream_copy(persistent_.get() + first * kCacheLine,
+              volatile_.get() + first * kCacheLine, count * kCacheLine);
   if (poisoned_count_ == 0) return;
   for_each_word(first, first + count - 1, [&](std::size_t w, std::uint64_t mask) {
     const auto cleared = static_cast<std::size_t>(std::popcount(poison_bits_[w] & mask));

@@ -15,11 +15,13 @@
 //
 // Line state lives in 64-line bitmap words, and store/flush/fence act on a
 // whole word at a time: counts are popcounts and runs of contiguous lines
-// commit with one memcpy each. Lines enter the pending set in flush order;
-// the device keeps that order as a list of runs of newly pended lines, and
-// a seeded crash draws one coin per still-pending line in list order (a line
-// draws at its first entry), so outcomes depend only on the seed and the
-// op sequence.
+// commit with one copy each. The persistent image is write-mostly (only a
+// crash, a snapshot or a save reads it), so a run of 64 KiB or more is
+// copied with non-temporal stores that bypass the cache. Lines enter the
+// pending set in flush order; the device keeps that order as a list of
+// runs of newly pended lines, and a seeded crash draws one coin per
+// still-pending line in list order (a line draws at its first entry), so
+// outcomes depend only on the seed and the op sequence.
 //
 // This reproduces exactly the failure modes the Romulus twin-copy protocol
 // and the Plinius mirroring protocol exist to mask, so crash-consistency
@@ -80,6 +82,13 @@ class PmDevice {
   /// store cost. This is the store-interposition entry point persist<T> and
   /// the allocator use.
   void store(std::size_t offset, const void* src, std::size_t len);
+
+  /// store() of the volatile image's own [src, src+len) into [dst,
+  /// dst+len): same dirty lines, stats, charges and crash point. The ranges
+  /// must not overlap. For write-mostly destinations (Romulus' back copy):
+  /// a long copy streams past the cache, as a fence's write-back into the
+  /// persistent image does.
+  void copy_within(std::size_t dst, std::size_t src, std::size_t len);
 
   /// Marks lines dirty for an in-place mutation done directly through
   /// data() (charges store cost too).

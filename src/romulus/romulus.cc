@@ -175,7 +175,7 @@ void Romulus::end_transaction() {
 
   // Apply the volatile log: replicate modified ranges into back.
   for (const LogEntry& e : log_) {
-    dev_->store(back_offset() + e.offset, main_base() + e.offset, e.len);
+    dev_->copy_within(back_offset() + e.offset, main_offset() + e.offset, e.len);
     pwb(back_offset() + e.offset, e.len);
   }
   pfence();  // fence 4: back is consistent
@@ -257,7 +257,7 @@ void Romulus::tx_record(std::size_t offset, std::size_t len) {
 
 void Romulus::copy_main_to_back_full() {
   dev_->charge_read(main_size_);
-  dev_->store(back_offset(), main_base(), main_size_);
+  dev_->copy_within(back_offset(), main_offset(), main_size_);
   dev_->flush(back_offset(), main_size_, policy_.pwb);
   pfence();
 }

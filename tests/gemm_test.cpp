@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "common/parallel.h"
@@ -26,11 +27,14 @@ struct Shape {
 
 // Tiles in ml/gemm.cc are MR=6 rows (AVX2 and scalar kernels) or MR=16
 // (AVX-512 kernel) by NR=16 columns, with KC=256: cover below, at, and above
-// every boundary, plus degenerate vectors.
+// every boundary, plus degenerate vectors. The last three have n >= 1024, so
+// their B is read from packed KC x 16 panels, 128 columns per block: an
+// n % 16 tail, K over two KC blocks, and m below and above one tile.
 const Shape kShapes[] = {
     {1, 1, 1},   {1, 16, 7},  {3, 15, 5},   {4, 16, 16},  {5, 17, 31},
     {7, 33, 64}, {8, 48, 96}, {13, 29, 257}, {16, 64, 300}, {17, 24, 40},
     {31, 80, 40}, {32, 19, 70}, {64, 1, 64}, {1, 64, 64}, {33, 100, 20},
+    {16, 1040, 300}, {5, 1024, 17}, {40, 2050, 260},
 };
 
 // Fills with values whose products stay well-scaled so a relative tolerance
@@ -103,13 +107,15 @@ TEST(GemmOracle, EmptyDimensionsAreNoOps) {
   ml::gemm_nn(0, 8, 8, 1.0f, a.data(), b.data(), c.data());
   ml::gemm_nt(8, 0, 8, 1.0f, a.data(), b.data(), c.data());
   ml::gemm_tn(8, 8, 0, 1.0f, a.data(), b.data(), c.data());
+  ml::transpose(0, 8, a.data(), c.data());
+  ml::transpose(8, 0, a.data(), c.data());
   EXPECT_EQ(c, c0);
 }
 
 // The determinism contract: bitwise-identical C at every thread count.
 TEST(GemmDeterminism, BitwiseIdenticalAcrossThreadCounts) {
   Rng rng(0xDE7);
-  const Shape shapes[] = {{64, 64, 64}, {37, 53, 129}, {128, 100, 80}};
+  const Shape shapes[] = {{64, 64, 64}, {37, 53, 129}, {128, 100, 80}, {40, 2050, 260}};
   const std::size_t saved = par::max_threads();
   for (const Shape& s : shapes) {
     const auto a = random_matrix(s.m * s.k, rng);
@@ -178,7 +184,13 @@ TEST(GemmDeterminism, NtIntoNonZeroCBitwiseEqualsTransposeOfSwappedNt) {
 
 TEST(GemmTranspose, ExactOutOfPlaceCopy) {
   Rng rng(0x7A6);
-  for (const Shape& s : kShapes) {
+  // kShapes as m x n, then a conv delta (8 x 196) and an FC delta at batch
+  // 16 (16 x 2048) with their transposes, and 33 x 1: 8 x 8 tiles with row
+  // and column remainders, and a one-column matrix that is all remainder.
+  std::vector<Shape> shapes(std::begin(kShapes), std::end(kShapes));
+  shapes.insert(shapes.end(), {{8, 196, 0}, {196, 8, 0}, {16, 2048, 0}, {2048, 16, 0},
+                               {33, 1, 0}});
+  for (const Shape& s : shapes) {
     const auto src = random_matrix(s.m * s.n, rng);  // M x N
     std::vector<float> dst(s.n * s.m);
     ml::transpose(s.m, s.n, src.data(), dst.data());

@@ -1060,6 +1060,10 @@ TEST(LayerLowering, ConnectedMatchesDirectLoweringBitwise) {
       {40, 10, 32, Activation::kLinear},       // outputs < batch: direct form
       {24, 16, 16, Activation::kLeakyRelu},    // outputs == batch: direct form
       {50, 10, 1, Activation::kLeakyRelu},     // batch 1
+      // inputs >= 1024: dX and the weight gradient read packed B panels;
+      // neither output count is a multiple of the update's row block.
+      {1040, 1030, 16, Activation::kLeakyRelu},
+      {1100, 40, 5, Activation::kRelu},
   };
   for (const Case& c : cases) {
     ConnectedConfig cfg;

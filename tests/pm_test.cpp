@@ -3,7 +3,9 @@
 #include <array>
 #include <cstring>
 #include <optional>
+#include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -836,6 +838,93 @@ TEST_P(PmDifferentialTest, WordParallelDeviceMatchesPerLineReference) {
   for (int outcome = 0; outcome < 3; ++outcome) {
     EXPECT_GT(c.crashes_with_pending[outcome], 0u) << "crash outcome " << outcome;
   }
+  EXPECT_GT(dev.stats().crash_coin_flips, 0u);
+}
+
+// Long copies stream into the persistent image (a fence's or clflush's
+// write-back) and into Romulus' back copy (copy_within): each round stores a
+// >= 64 KiB range of "main" at an unaligned offset and flushes it, then
+// crashes between flush and fence or fences; then copies a long range of
+// main into "back" as Romulus' twin copy does and crashes right after it,
+// after its flush, or after its fence. Both images, the stats and the sim
+// clock must match the per-line reference after every step.
+TEST_P(PmDifferentialTest, StreamedCopiesMatchPerLineReference) {
+  constexpr std::size_t kLines = 4096;
+  constexpr std::size_t kSize = kLines * kCacheLine;
+  constexpr std::size_t kBack = kSize / 2;
+  const std::uint64_t seed = GetParam();
+  sim::Clock clock;
+  PmDevice dev(clock, kSize, PmLatencyModel::optane(), seed);
+  RefPmDevice ref(kSize, PmLatencyModel::optane(), seed);
+  Rng rng(seed * 104729 + 11);
+  std::uint64_t crashes_with_pending = 0;
+
+  const auto check = [&](const std::string& where) {
+    ASSERT_EQ(0, std::memcmp(dev.data(), ref.data(), kSize))
+        << "volatile image, " << where;
+    ASSERT_EQ(0, std::memcmp(dev.persistent_image(), ref.persistent_image(), kSize))
+        << "persistent image, " << where;
+    expect_same_stats(dev.stats(), ref.stats(), where);
+    ASSERT_EQ(dev.quiescent(), ref.quiescent()) << where;
+    ASSERT_EQ(clock.now(), ref.clock().now()) << "sim clock, " << where;
+  };
+  const auto crash = [&](PmDevice::CrashOutcome outcome) {
+    crashes_with_pending += !dev.quiescent();
+    dev.crash(outcome);
+    ref.crash(outcome);
+  };
+  // A long range of one half: past the 64 KiB streaming threshold, at a
+  // byte offset that is neither line- nor 16-byte aligned.
+  const auto pick_range = [&] {
+    const std::size_t len = (64 << 10) + 1 + rng.below(48 << 10);
+    return std::pair{1 + rng.below(kBack - len - 1), len};
+  };
+
+  for (int round = 0; round < 12; ++round) {
+    const std::string at =
+        "seed " + std::to_string(seed) + " round " + std::to_string(round);
+    auto [off, len] = pick_range();
+    Bytes data(len);
+    rng.fill(data.data(), data.size());
+    dev.store(off, data.data(), len);
+    ref.store(off, data.data(), len);
+    // Even rounds leave the lines pending (a weak flush) and crash with each
+    // outcome in turn; odd rounds take any flush and fence it.
+    const auto kind =
+        static_cast<FlushKind>(round % 2 == 0 ? 1 + rng.below(2) : rng.below(3));
+    dev.flush(off, len, kind);
+    ref.flush(off, len, kind);
+    check(at + ", main flushed");
+    if (round % 2 == 0) {
+      crash(static_cast<PmDevice::CrashOutcome>(round / 2 % 3));
+      check(at + ", crash between flush and fence");
+    } else {
+      dev.fence(FenceKind::kSfence);
+      ref.fence(FenceKind::kSfence);
+      check(at + ", main fenced");
+    }
+
+    std::tie(off, len) = pick_range();
+    dev.copy_within(kBack + off, off, len);
+    ref.store(kBack + off, ref.data() + off, len);
+    check(at + ", twin copy");
+    const std::uint64_t stop = rng.below(3);
+    if (stop > 0) {
+      const auto back_kind = static_cast<FlushKind>(rng.below(3));
+      dev.flush(kBack + off, len, back_kind);
+      ref.flush(kBack + off, len, back_kind);
+      check(at + ", back flushed");
+    }
+    if (stop > 1) {
+      dev.fence(FenceKind::kSfence);
+      ref.fence(FenceKind::kSfence);
+      check(at + ", back fenced");
+    }
+    crash(static_cast<PmDevice::CrashOutcome>(rng.below(3)));
+    check(at + ", crash after the twin copy");
+    if (HasFailure()) return;
+  }
+  EXPECT_GE(crashes_with_pending, 6u);
   EXPECT_GT(dev.stats().crash_coin_flips, 0u);
 }
 
