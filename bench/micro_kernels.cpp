@@ -1,7 +1,8 @@
 // Real wall-clock micro-benchmarks (google-benchmark) for the kernels the
 // simulation's cost models abstract: AES-GCM sealing, SHA-256, GEMM,
 // im2col/col2im, one conv and one connected layer's training step, PM-device
-// store/flush bookkeeping, and a full Romulus transaction. These measure the
+// store/flush bookkeeping, a full Romulus transaction, and the PM mirror's
+// restore and pipelined save of an FC model. These measure the
 // *host* machine, not the simulated one — useful for validating that the
 // framework's real compute (which does run) is not a bottleneck for the
 // experiment harnesses.
@@ -9,6 +10,8 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
+#include <optional>
 
 #include "common/clock.h"
 #include "common/parallel.h"
@@ -22,6 +25,10 @@
 #include "ml/connected_layer.h"
 #include "ml/conv_layer.h"
 #include "ml/im2col.h"
+#include "ml/network.h"
+#include "ml/softmax_layer.h"
+#include "plinius/mirror.h"
+#include "plinius/platform.h"
 #include "pm/device.h"
 #include "romulus/romulus.h"
 
@@ -367,6 +374,83 @@ void BM_RomulusTransaction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RomulusTransaction);
+
+// The FC model of the mirror-bound workloads: 784 -> width x 3 -> 10 leaky
+// connected layers and a softmax head (width 2048: ~40 MB of weights).
+ml::Network fc_model(std::size_t width, Rng& rng) {
+  ml::Network net(ml::Shape{784, 1, 1});
+  ml::Shape in{784, 1, 1};
+  for (const std::size_t outputs : {width, width, width, std::size_t{10}}) {
+    ml::ConnectedConfig cfg;
+    cfg.outputs = outputs;
+    cfg.activation = outputs == 10 ? ml::Activation::kLinear : ml::Activation::kLeakyRelu;
+    net.add(std::make_unique<ml::ConnectedLayer>(in, cfg, rng));
+    in = ml::Shape{outputs, 1, 1};
+  }
+  net.add(std::make_unique<ml::SoftmaxLayer>(in));
+  return net;
+}
+
+/// A PM device holding one Romulus region with room for `copies` sealed
+/// copies of `net`.
+struct MirrorRig {
+  MirrorRig(ml::Network& net, std::size_t copies)
+      : main_bytes(copies * net.parameter_bytes() + (8u << 20)),
+        platform(MachineProfile::emlsgx_pm(), romulus::Romulus::region_bytes(main_bytes)),
+        rom(platform.pm(), 0, main_bytes, romulus::PwbPolicy::clflushopt_sfence(), true) {}
+  std::size_t main_bytes;
+  Platform platform;
+  romulus::Romulus rom;
+};
+
+// Recovery's mirror_in: a new MirrorModel restores the sealed model into a
+// network just built for it. Building them is not timed.
+void BM_MirrorRestore(benchmark::State& state) {
+  const auto width = static_cast<std::size_t>(state.range(0));
+  Rng rng(11);
+  ml::Network net = fc_model(width, rng);
+  MirrorRig rig(net, 1);
+  const Bytes key(16, 0x42);
+  MirrorModel writer(rig.rom, rig.platform.enclave(), crypto::AesGcm(key));
+  writer.alloc(net);
+  writer.mirror_out(net, 1);
+  std::optional<ml::Network> fresh;
+  std::optional<MirrorModel> mirror;
+  for (auto _ : state) {
+    state.PauseTiming();
+    fresh.reset();
+    mirror.reset();
+    fresh.emplace(fc_model(width, rng));
+    mirror.emplace(rig.rom, rig.platform.enclave(), crypto::AesGcm(key));
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(mirror->mirror_in(*fresh));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(net.parameter_bytes()));
+}
+BENCHMARK(BM_MirrorRestore)->Arg(2048)->ArgName("width")->Unit(benchmark::kMillisecond);
+
+// One pipelined save of a replicated mirror on four TCS: stage and seal
+// (begin_async_save), then join and commit (complete_async_save).
+void BM_PipelinedSave(benchmark::State& state) {
+  const auto width = static_cast<std::size_t>(state.range(0));
+  Rng rng(12);
+  ml::Network net = fc_model(width, rng);
+  MirrorRig rig(net, 2);  // primary + A/B replica
+  rig.platform.enclave().set_tcs_count(4);
+  MirrorModel mirror(rig.rom, rig.platform.enclave(), crypto::AesGcm(Bytes(16, 0x43)),
+                     MirrorOptions{true});
+  mirror.alloc(net);
+  sgx::ChargeStream stream = rig.platform.enclave().open_stream(4);
+  std::uint64_t iteration = 0;
+  for (auto _ : state) {
+    mirror.begin_async_save(net, ++iteration, stream);
+    benchmark::DoNotOptimize(mirror.complete_async_save(stream));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(net.parameter_bytes()));
+}
+BENCHMARK(BM_PipelinedSave)->Arg(1024)->ArgName("width")->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

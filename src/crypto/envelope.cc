@@ -54,6 +54,18 @@ bool open_into(const AesGcm& gcm, ByteSpan sealed, MutableByteSpan plain) {
   return gcm.decrypt(ByteSpan(iv, kGcmIvSize), {}, ByteSpan(ct, pt_len), plain, tag);
 }
 
+void split_into(ByteSpan sealed, MutableByteSpan ct, EnvelopeTrailer& trailer) {
+  const std::size_t pt_len = unsealed_size(sealed.size());
+  if (ct.size() != pt_len) throw CryptoError("split_into: output size mismatch");
+  std::memcpy(trailer.iv, sealed.data(), kGcmIvSize);
+  std::memcpy(ct.data(), sealed.data() + kGcmIvSize, pt_len);
+  std::memcpy(trailer.tag, sealed.data() + kGcmIvSize + pt_len, kGcmTagSize);
+}
+
+bool open_in_place(const AesGcm& gcm, const EnvelopeTrailer& trailer, MutableByteSpan data) {
+  return gcm.decrypt(ByteSpan(trailer.iv, kGcmIvSize), {}, data, data, trailer.tag);
+}
+
 Bytes seal(const AesGcm& gcm, IvSequence& ivs, ByteSpan plain) {
   Bytes out(sealed_size(plain.size()));
   seal_into(gcm, ivs, plain, MutableByteSpan(out.data(), out.size()));

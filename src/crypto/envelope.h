@@ -68,6 +68,23 @@ void seal_into_iv(const AesGcm& gcm, const std::uint8_t iv[kGcmIvSize], ByteSpan
 /// the MAC does not verify — i.e. the PM/disk copy was corrupted or tampered.
 [[nodiscard]] bool open_into(const AesGcm& gcm, ByteSpan sealed, MutableByteSpan plain);
 
+/// An envelope's IV and MAC, held apart from its ciphertext so that the
+/// ciphertext can be decrypted in place.
+struct EnvelopeTrailer {
+  std::uint8_t iv[kGcmIvSize];
+  std::uint8_t tag[kGcmTagSize];
+};
+
+/// Splits `sealed`: its ciphertext into `ct` (exactly its plaintext size,
+/// typically where the plaintext goes) and its IV and MAC into `trailer`.
+void split_into(ByteSpan sealed, MutableByteSpan ct, EnvelopeTrailer& trailer);
+
+/// Authenticates the ciphertext in `data` against `trailer` and decrypts it
+/// in place. Returns false (and zeroes `data`) when the MAC does not verify;
+/// no plaintext exists before it does.
+[[nodiscard]] bool open_in_place(const AesGcm& gcm, const EnvelopeTrailer& trailer,
+                                 MutableByteSpan data);
+
 /// Convenience allocating variants.
 [[nodiscard]] Bytes seal(const AesGcm& gcm, IvSequence& ivs, ByteSpan plain);
 [[nodiscard]] Bytes open(const AesGcm& gcm, ByteSpan sealed);  // throws CryptoError on MAC failure

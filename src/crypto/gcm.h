@@ -94,7 +94,10 @@ class AesGcm {
 
   /// Authenticates, then decrypts. Returns false on MAC mismatch; no
   /// plaintext is written before the tag verifies, and the output is zeroed
-  /// on mismatch. Throws CryptoError as encrypt does.
+  /// on mismatch. Throws CryptoError as encrypt does. `plain` may alias
+  /// `cipher` exactly (same first byte): the whole ciphertext is hashed for
+  /// the tag first, and every CTR path loads each block before storing it.
+  /// Partial overlap is undefined.
   [[nodiscard]] bool decrypt(ByteSpan iv, ByteSpan aad, ByteSpan cipher,
                              MutableByteSpan plain,
                              const std::uint8_t tag[kGcmTagSize]) const;

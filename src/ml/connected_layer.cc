@@ -15,7 +15,6 @@ ConnectedLayer::ConnectedLayer(Shape in, const ConnectedConfig& config, Rng& ini
   expects(in.size() > 0 && config.outputs > 0, "ConnectedLayer: empty shape");
   const std::size_t inputs = in.size();
   weights_.resize(config.outputs * inputs);
-  weight_updates_.assign(weights_.size(), 0.0f);
   biases_.assign(config.outputs, 0.0f);
   bias_updates_.assign(config.outputs, 0.0f);
 
@@ -82,6 +81,7 @@ void ConnectedLayer::update(const SgdParams& params, std::size_t batch) {
   // cache: dW crosses DRAM once per step instead of twice. Every element
   // is the same chain as one whole-matrix gemm (one K = batch block).
   const float* input = std::exchange(pending_input_, nullptr);
+  if (weight_updates_.empty()) weight_updates_.assign(weights_.size(), 0.0f);
   const std::size_t blocks = (outputs + kFoldRows - 1) / kFoldRows;
   par::parallel_for(blocks, [&](par::Range r) {
     for (std::size_t blk = r.begin; blk < r.end; ++blk) {

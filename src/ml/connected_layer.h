@@ -28,13 +28,15 @@ class ConnectedLayer final : public Layer {
     return in_shape_.size() * out_shape_.size();
   }
   [[nodiscard]] const ConnectedConfig& config() const noexcept { return config_; }
+  /// Empty until the first update() (layer.h).
   [[nodiscard]] std::span<const float> weight_updates() const noexcept {
     return weight_updates_;
   }
 
  private:
   ConnectedConfig config_;
-  std::vector<float> weights_, weight_updates_;  // [outputs x inputs]
+  // [outputs x inputs]; weight_updates_ is empty until the first update().
+  std::vector<float> weights_, weight_updates_;
   std::vector<float> biases_, bias_updates_;
   std::vector<float> output_t_;  // [outputs x batch] forward scratch
   std::vector<float> delta_t_;   // [outputs x batch] delta^T, from backward

@@ -57,7 +57,6 @@ ConvLayer::ConvLayer(Shape in, const ConvConfig& c, Rng& init_rng)
   const std::size_t n = config_.filters;
   const std::size_t wsize = n * in.c * config_.ksize * config_.ksize;
   weights_.resize(wsize);
-  weight_updates_.assign(wsize, 0.0f);
   biases_.assign(n, 0.0f);
   bias_updates_.assign(n, 0.0f);
 
@@ -264,6 +263,7 @@ void ConvLayer::backward(const float* input, float* input_delta, std::size_t bat
   // Weight gradients accumulate transposed, dW^T [k x filters], so each
   // sample's gemm packs its small delta rather than its k x S columns. Every
   // element is the same chain either way (ml/gemm.h, transpose symmetry).
+  if (weight_updates_.empty()) weight_updates_.assign(weights_.size(), 0.0f);
   weight_updates_t_.resize(weight_updates_.size());
   transpose(filters, k, weight_updates_.data(), weight_updates_t_.data());
 
@@ -286,6 +286,7 @@ void ConvLayer::backward(const float* input, float* input_delta, std::size_t bat
 }
 
 void ConvLayer::update(const SgdParams& params, std::size_t batch) {
+  if (weight_updates_.empty()) weight_updates_.assign(weights_.size(), 0.0f);
   sgd_update(weights_, weight_updates_, params, batch, /*use_decay=*/true);
   sgd_update(biases_, bias_updates_, params, batch, /*use_decay=*/false);
   if (config_.batch_normalize) {

@@ -37,6 +37,7 @@ class ConvLayer final : public Layer {
   [[nodiscard]] std::size_t forward_macs() const override;
 
   [[nodiscard]] const ConvConfig& config() const noexcept { return config_; }
+  /// Empty until the first backward() or update() (layer.h).
   [[nodiscard]] std::span<const float> weight_updates() const noexcept {
     return weight_updates_;
   }
@@ -54,7 +55,8 @@ class ConvLayer final : public Layer {
 
   ConvConfig config_;
 
-  // weights_ and weight_updates_ are [filters x k], k = channels * ksize^2.
+  // weights_ and weight_updates_ are [filters x k], k = channels * ksize^2;
+  // weight_updates_ is empty until the first step.
   std::vector<float> weights_, weight_updates_;
   std::vector<float> biases_, bias_updates_;
   // Batch-norm state (present only when batch_normalize).

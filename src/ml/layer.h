@@ -13,7 +13,11 @@
 //     gradient to update(), so backward's `input` must stay valid and
 //     unchanged until update() (Network::train_batch runs every backward,
 //     then every update). ConnectedLayer does: its weight gradient lands in
-//     update(), one row block at a time just before that block's SGD step.
+//     update(), one row block at a time just before that block's SGD step;
+//   * a gradient buffer as large as the weights (weight_updates_, which also
+//     carries the momentum) exists from the first step on: the first
+//     backward() or update() that uses it allocates it zeroed, so a network
+//     that only restores or serves holds its weights once.
 //
 // parameters() exposes the layer's learnable + running state as named
 // buffers — this is exactly what Plinius' mirroring module encrypts to PM.

@@ -10,6 +10,26 @@
 #include "obs/trace.h"
 
 namespace plinius {
+namespace {
+
+/// A corrupt sealed copy's replacement: its A/B sibling's authenticated bytes.
+struct Repair {
+  std::uint64_t dest_off;
+  Bytes sealed;
+};
+
+/// Rewrites every repaired copy in one durable transaction (tx_store's
+/// full-line write-back also clears line poison under the rewrite).
+void write_repairs(romulus::Romulus& rom, const std::vector<Repair>& repairs) {
+  if (repairs.empty()) return;
+  rom.run_transaction([&] {
+    for (const Repair& r : repairs) {
+      rom.tx_store(r.dest_off, r.sealed.data(), r.sealed.size());
+    }
+  });
+}
+
+}  // namespace
 
 MirrorModel::MirrorModel(romulus::Romulus& rom, sgx::EnclaveRuntime& enclave,
                          crypto::AesGcm gcm, MirrorOptions options)
@@ -173,7 +193,7 @@ void MirrorModel::commit_seal(const SealPlan& plan, std::uint64_t iteration,
 }
 
 void MirrorModel::mirror_out(ml::Network& net, std::uint64_t iteration) {
-  expects(async_ == nullptr,
+  expects(!async_pending_,
           "MirrorModel::mirror_out: async save in flight — drain it first");
   ++stats_.save_attempts;
   obs::Span span(enclave_->clock(), obs::Category::kMirrorSave, "mirror.save");
@@ -204,49 +224,43 @@ void MirrorModel::mirror_out(ml::Network& net, std::uint64_t iteration) {
   ++stats_.saves;
 }
 
-// Pending double-buffered save: the weight snapshot (so compute can mutate
-// the live buffers immediately) and the sealed bytes awaiting their durable
-// commit. Owning both here keeps scratch_ free for any synchronous restore
-// the recovery path may need while a seal is in flight.
+// The pipelined save's state: the plan and the sealed bytes awaiting their
+// durable commit. It outlives its save, so the next one seals into the same
+// buffer instead of allocating the model's size again.
 struct MirrorModel::AsyncSeal {
   SealPlan plan;
   std::uint64_t iteration = 0;
-  Bytes snapshot;
   Bytes sealed;
 };
 
 void MirrorModel::begin_async_save(ml::Network& net, std::uint64_t iteration,
                                    sgx::ChargeStream& stream) {
-  expects(async_ == nullptr,
+  expects(!async_pending_,
           "MirrorModel::begin_async_save: previous async save still pending");
   ++stats_.save_attempts;
   obs::Span span(enclave_->clock(), obs::Category::kMirrorSave, "mirror.save.stage");
   span.attr("iteration", static_cast<double>(iteration));
   enclave_->charge_ecall();
 
-  auto async = std::make_unique<AsyncSeal>();
-  async->plan = build_seal_plan(net, "MirrorModel::begin_async_save");
-  async->iteration = iteration;
+  if (async_ == nullptr) async_ = std::make_unique<AsyncSeal>();
+  async_->plan = build_seal_plan(net, "MirrorModel::begin_async_save");
+  async_->iteration = iteration;
+  const SealPlan& plan = async_->plan;
 
-  // Double buffer: gather the live weights into the enclave staging snapshot.
-  // This copy is the only weight-touching cost left on the foreground; the
-  // moment it is done, training may mutate the live buffers again.
-  const SealPlan& plan = async->plan;
-  async->snapshot.resize(plan.plain_bytes);
-  std::vector<ByteSpan> plains;
-  std::uint8_t* at = async->snapshot.data();
-  for (const SealTask& task : plan.tasks) {
-    std::memcpy(at, task.plain.data(), task.plain.size());
-    plains.emplace_back(at, task.plain.size());
-    at += task.plain.size();
-  }
+  // Double buffer, as modelled: the enclave snapshots the live weights so
+  // compute may mutate them at once, and the foreground pays that copy. The
+  // host seals the live weights directly instead: seal_batch has finished
+  // when this returns, so the sealed bytes are the snapshot's.
   enclave_->charge_plain_copy(plan.plain_bytes);
+  std::vector<ByteSpan> plains;
+  plains.reserve(plan.tasks.size());
+  for (const SealTask& task : plan.tasks) plains.push_back(task.plain);
 
-  // Seal the snapshot now — the sealed bytes must be bitwise identical to
-  // the serial path's — but book the simulated cost on the background
-  // stream's lanes instead of the foreground clock.
-  async->sealed.resize(plan.sealed_bytes);
-  blobs_.seal_batch(plains, async->sealed);
+  // Seal now — the sealed bytes must be bitwise identical to the serial
+  // path's — but book the simulated cost on the background stream's lanes
+  // instead of the foreground clock.
+  async_->sealed.resize(plan.sealed_bytes);
+  blobs_.seal_batch(plains, async_->sealed);
   const sgx::ChargeStream::Window window = stream.submit(plan.costs);
   stats_.encrypt_ns += window.duration();
 
@@ -273,14 +287,16 @@ void MirrorModel::begin_async_save(ml::Network& net, std::uint64_t iteration,
                        window.begin + paging_ns, window.end, bracket, /*track=*/1);
     }
   }
-  async_ = std::move(async);
+  async_pending_ = true;
 }
 
 bool MirrorModel::complete_async_save(sgx::ChargeStream& stream) {
-  if (async_ == nullptr) return false;
+  if (!async_pending_) return false;
   // Consume the pending state up front: if the commit below throws, the
-  // snapshot is spent either way and the caller re-seals from live weights.
-  const std::unique_ptr<AsyncSeal> pending = std::move(async_);
+  // sealed bytes are spent either way and the caller re-seals from live
+  // weights.
+  async_pending_ = false;
+  const AsyncSeal& pending = *async_;
   const sim::Nanos stall_t0 = enclave_->clock().now();
   const sim::Nanos stall = stream.join();
   stats_.pipeline_stall_ns += stall;
@@ -289,19 +305,19 @@ bool MirrorModel::complete_async_save(sgx::ChargeStream& stream) {
                         "pipeline.stall", stall_t0, enclave_->clock().now());
   }
   obs::Span span(enclave_->clock(), obs::Category::kMirrorSave, "mirror.save.commit");
-  span.attr("iteration", static_cast<double>(pending->iteration));
-  commit_seal(pending->plan, pending->iteration, pending->sealed.data());
+  span.attr("iteration", static_cast<double>(pending.iteration));
+  commit_seal(pending.plan, pending.iteration, pending.sealed.data());
   ++stats_.saves;
   ++stats_.async_saves;
   return true;
 }
 
-void MirrorModel::abandon_async_save() noexcept { async_.reset(); }
+void MirrorModel::abandon_async_save() noexcept { async_pending_ = false; }
 
-bool MirrorModel::async_save_pending() const noexcept { return async_ != nullptr; }
+bool MirrorModel::async_save_pending() const noexcept { return async_pending_; }
 
 std::uint64_t MirrorModel::pending_iteration() const {
-  expects(async_ != nullptr, "MirrorModel::pending_iteration: no pending save");
+  expects(async_pending_, "MirrorModel::pending_iteration: no pending save");
   return async_->iteration;
 }
 
@@ -315,32 +331,28 @@ std::uint64_t MirrorModel::mirror_in_snapshot(ml::Network& net) {
 
 std::uint64_t MirrorModel::restore_model(ml::Network& net, bool snapshot) {
   const char* ctx = snapshot ? "MirrorModel::mirror_in_snapshot" : "MirrorModel::mirror_in";
-  expects(async_ == nullptr,
+  expects(!async_pending_,
           "MirrorModel: restore with an async save in flight — drain it first");
   ++stats_.restore_attempts;
   obs::Span span(enclave_->clock(), obs::Category::kMirrorRestore,
                  snapshot ? "mirror.restore.snapshot" : "mirror.restore");
   enclave_->charge_ecall();
 
-  // Phase 1 (serial): lay the validated walk's buffers out in enclave
-  // scratch, stage every sealed buffer there, and charge the reads. PM reads
-  // stay serial: the media bandwidth is shared, so lanes would not overlap
-  // them anyway.
+  // Phase 1 (serial): stage every sealed buffer straight into the span its
+  // plaintext goes to (the layer arrays, or the snapshot stage), with its IV
+  // and MAC beside it, and charge the reads. PM reads stay serial: the media
+  // bandwidth is shared, so lanes would not overlap them anyway.
   const Walk w = walk(&net, ctx);
   const std::size_t n = w.extents.size();
-  std::vector<std::size_t> scratch_off(n);
   std::vector<std::size_t> plain_off(n);  // float offset into the snapshot stage
   std::vector<sim::Nanos> costs;
   sim::Nanos open_crypto_sum = 0;  // GCM share of the decrypt costs
   sim::Nanos open_copy_sum = 0;    // plain-copy share
-  std::size_t scratch_bytes = 0;
   std::size_t plain_floats = 0;
   for (std::size_t t = 0; t < n; ++t) {
     const std::size_t sealed_len = w.extents[t].sealed_len;
     const std::span<float> values = w.params[t].values;
-    scratch_off[t] = scratch_bytes;
     plain_off[t] = plain_floats;
-    scratch_bytes += sealed_len;
     plain_floats += values.size();
     // Decrypt cost: one GCM pass + the plain copy into the layer arrays.
     const sim::Nanos crypto_ns = enclave_->crypto_task_ns(sealed_len);
@@ -353,29 +365,28 @@ std::uint64_t MirrorModel::restore_model(ml::Network& net, bool snapshot) {
   // Snapshot mode decrypts into this staging buffer; the layer arrays are
   // only written after every buffer has authenticated.
   std::vector<float> plain_stage(snapshot ? plain_floats : 0);
-  const auto dest_span = [&](std::size_t t) {
+  const auto dest = [&](std::size_t t) {
     const std::span<float> values = w.params[t].values;
-    return snapshot ? std::span<float>(plain_stage.data() + plain_off[t], values.size())
-                    : values;
-  };
-  const auto sealed_span = [&](std::size_t t) {
-    return MutableByteSpan(scratch_.data() + scratch_off[t], w.extents[t].sealed_len);
+    return float_bytes_mut(snapshot ? std::span<float>(plain_stage.data() + plain_off[t],
+                                                       values.size())
+                                    : values);
   };
 
   sim::Stopwatch rd(enclave_->clock());
-  scratch_.resize(scratch_bytes);
-  // Stage PM -> enclave scratch. The walk validated every extent.
+  std::vector<crypto::EnvelopeTrailer> trailers(n);
+  // Stage PM -> enclave, read once. The walk validated every extent.
   for (std::size_t t = 0; t < n; ++t) {
-    blobs_.stage(blob(w.extents[t], w.extents[t].primary_off), sealed_span(t));
+    blobs_.stage_in_place(blob(w.extents[t], w.extents[t].primary_off), dest(t),
+                          trailers[t]);
   }
   stats_.read_ns += rd.elapsed();
 
-  // Phase 2: authenticate + decrypt every buffer concurrently, straight into
-  // the layers' (disjoint) parameter arrays.
+  // Phase 2: authenticate + decrypt every buffer concurrently, in place in
+  // its (disjoint) destination span.
   std::vector<std::uint8_t> auth_ok(n, 0);
   par::parallel_for(n, [&](par::Range r) {
     for (std::size_t t = r.begin; t < r.end; ++t) {
-      auth_ok[t] = blobs_.open(sealed_span(t), float_bytes_mut(dest_span(t))) ? 1 : 0;
+      auth_ok[t] = blobs_.open_in_place(trailers[t], dest(t)) ? 1 : 0;
     }
   });
   const sim::Nanos open_t0 = enclave_->clock().now();
@@ -391,18 +402,19 @@ std::uint64_t MirrorModel::restore_model(ml::Network& net, bool snapshot) {
   }
 
   // Phase 3 (rare, serial): any buffer whose primary failed authentication
-  // retries from its A/B sibling. A sibling that authenticates both restores
-  // the weights and rewrites the corrupt primary (one durable transaction for
-  // all repairs; tx_store's full-line write-back also clears line poison).
-  std::vector<std::size_t> repairs;  // tasks whose primary is rebuilt
+  // retries from its A/B sibling, staged whole into a buffer of its own. A
+  // sibling that authenticates both restores the weights and rewrites the
+  // corrupt primary from its sealed bytes.
+  std::vector<Repair> repairs;
   for (std::size_t t = 0; t < n; ++t) {
     if (auth_ok[t]) continue;
     const SealedExtent& e = w.extents[t];
     if (e.replica_off != 0) {
-      blobs_.stage(blob(e, e.replica_off), sealed_span(t));
+      Bytes sibling(e.sealed_len);
+      blobs_.stage(blob(e, e.replica_off), sibling);
       stats_.decrypt_ns += enclave_->crypto_task_ns(e.sealed_len);
-      if (blobs_.open(sealed_span(t), float_bytes_mut(dest_span(t)))) {
-        repairs.push_back(t);
+      if (blobs_.open(sibling, dest(t))) {
+        repairs.push_back({e.primary_off, std::move(sibling)});
         ++stats_.replica_repairs;
         continue;
       }
@@ -412,14 +424,7 @@ std::uint64_t MirrorModel::restore_model(ml::Network& net, bool snapshot) {
                       (e.replica_off != 0 ? " (both A/B copies corrupt)"
                                           : " (PM mirror corrupted or tampered)"));
   }
-  if (!repairs.empty()) {
-    rom_->run_transaction([&] {
-      for (const std::size_t t : repairs) {
-        rom_->tx_store(w.extents[t].primary_off, scratch_.data() + scratch_off[t],
-                       w.extents[t].sealed_len);
-      }
-    });
-  }
+  write_repairs(*rom_, repairs);
 
   // Snapshot install: everything authenticated, so the staged weights can be
   // copied into the layer arrays (plain enclave-DRAM copies, charged above in
@@ -459,16 +464,12 @@ bool MirrorModel::replicated() const {
 }
 
 MirrorScrubReport MirrorModel::scrub(ml::Network& net) {
-  expects(async_ == nullptr,
+  expects(!async_pending_,
           "MirrorModel::scrub: async save in flight — drain it first");
   const Walk w = walk(&net, "MirrorModel::scrub");
   MirrorScrubReport report;
   obs::Span span(enclave_->clock(), obs::Category::kScrub, "mirror.scrub");
 
-  struct Repair {
-    std::uint64_t dest_off;
-    Bytes sealed;  // the authenticated sibling's bytes
-  };
   std::vector<Repair> repairs;
   Bytes primary;
   Bytes replica;
@@ -514,18 +515,12 @@ MirrorScrubReport MirrorModel::scrub(ml::Network& net) {
     throw PmError("MirrorModel::scrub: layer list longer than the model");
   }
 
-  if (!repairs.empty()) {
-    rom_->run_transaction([&] {
-      for (const Repair& r : repairs) {
-        rom_->tx_store(r.dest_off, r.sealed.data(), r.sealed.size());
-      }
-    });
-  }
+  write_repairs(*rom_, repairs);
   return report;
 }
 
 void MirrorModel::dispose() {
-  expects(async_ == nullptr,
+  expects(!async_pending_,
           "MirrorModel::dispose: async save in flight — drain it first");
   // Walk first (it throws on a corrupt list), free second, in list order:
   // each node's buffers (primary, then replica), then the node itself.

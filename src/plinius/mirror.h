@@ -8,7 +8,8 @@
 //     PM inside a single Romulus durable transaction, together with the
 //     iteration counter — a crash mid-save recovers the previous mirror;
 //   * mirror-in (restore): read each sealed buffer from PM into the enclave
-//     and decrypt it into the model's layer arrays.
+//     (its ciphertext straight into the layer array it restores) and
+//     decrypt it there, in place.
 //
 // Every sealed buffer is a blob of the shared SealedBlobs store
 // (plinius/sealed_blob.h), which owns the key, the IV order and the moves of
@@ -120,11 +121,13 @@ class MirrorModel {
   // mirror_out split into a stage and a commit so the GCM sweep can run on a
   // background ChargeStream while the trainer's next iteration computes:
   //
-  //   begin_async_save: snapshot the live weights into an enclave staging
-  //     buffer (so compute may mutate them immediately), seal the snapshot
-  //     (SealedBlobs::seal_batch: IVs in list order, GCM passes in
-  //     parallel), and book the seal costs on `stream` — the foreground only
-  //     pays the ecall + the snapshot copy;
+  //   begin_async_save: seal the live weights (SealedBlobs::seal_batch: IVs
+  //     in list order, GCM passes in parallel) into a buffer the mirror keeps
+  //     from save to save, and book the seal costs on `stream`. The seal has
+  //     finished when this returns, so compute may mutate the weights at
+  //     once. The modelled enclave snapshots them into a staging buffer
+  //     first; the foreground pays the ecall + that snapshot copy, which is
+  //     charged but never made on the host;
   //   complete_async_save: join the stream (the stall, if any, is the
   //     unhidden remainder of the seal) and commit the sealed buffers + the
   //     iteration counter in one durable Romulus transaction.
@@ -142,7 +145,8 @@ class MirrorModel {
 
   /// Joins `stream` and durably commits the pending seal. Returns false if
   /// no save is pending. The pending state is consumed even when the commit
-  /// throws (the snapshot is spent; the caller re-seals from live weights).
+  /// throws (the sealed bytes are spent; the caller re-seals from live
+  /// weights).
   bool complete_async_save(sgx::ChargeStream& stream);
 
   /// Drops a pending async save without committing (crash paths).
@@ -154,6 +158,9 @@ class MirrorModel {
   [[nodiscard]] std::uint64_t pending_iteration() const;
 
   /// Algorithm 3, mirror_in: decrypts the PM mirror into the enclave model.
+  /// Each envelope is read once from PM, its ciphertext into the layer array
+  /// itself and its IV and MAC beside it, then authenticated and decrypted
+  /// in place: no model-sized buffer besides the weights is allocated.
   /// Returns the recorded iteration (also set on `net`). Throws CryptoError
   /// if any buffer fails authentication (the model is partially restored in
   /// that case and must not be used), MlError on layout mismatch, PmError
@@ -168,7 +175,8 @@ class MirrorModel {
   /// restored). This is what lets a serving worker refresh its model from a
   /// mirror that a concurrent trainer keeps advancing, without downtime on
   /// failure and without ever serving torn weights. Costs an extra plain
-  /// copy of the parameter bytes over mirror_in.
+  /// copy of the parameter bytes over mirror_in; the staging buffer is its
+  /// one model-sized allocation (the ciphertext is staged into it, in place).
   std::uint64_t mirror_in_snapshot(ml::Network& net);
 
   /// Iteration recorded by the last mirror_out (0 if none).
@@ -289,8 +297,10 @@ class MirrorModel {
   SealedBlobs blobs_;
   MirrorOptions options_;
   MirrorStats stats_;
-  Bytes scratch_;
-  std::unique_ptr<AsyncSeal> async_;  // in-flight pipelined save, if any
+  // The pipelined save's plan and sealed bytes, kept between saves so each
+  // save reuses the sealed buffer; async_pending_ while one is in flight.
+  std::unique_ptr<AsyncSeal> async_;
+  bool async_pending_ = false;
 };
 
 /// Reinterprets a float parameter buffer as bytes (for sealing).

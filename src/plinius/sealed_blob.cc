@@ -55,11 +55,27 @@ void SealedBlobs::seal_batch(std::span<const ByteSpan> plains, MutableByteSpan o
   });
 }
 
-void SealedBlobs::stage(const SealedRef& ref, MutableByteSpan dst) {
-  expects(dst.size() == ref.sealed_len, "SealedBlobs::stage: envelope size mismatch");
+void SealedBlobs::charge_stage(const SealedRef& ref) {
   rom_->device().charge_read(ref.sealed_len);
   if (enclave_->model().real_sgx) enclave_->copy_into_enclave(ref.sealed_len);
+}
+
+void SealedBlobs::stage(const SealedRef& ref, MutableByteSpan dst) {
+  expects(dst.size() == ref.sealed_len, "SealedBlobs::stage: envelope size mismatch");
+  charge_stage(ref);
   std::memcpy(dst.data(), rom_->main_base() + ref.sealed_off, ref.sealed_len);
+}
+
+void SealedBlobs::stage_in_place(const SealedRef& ref, MutableByteSpan dst,
+                                 crypto::EnvelopeTrailer& trailer) {
+  crypto::split_into(ByteSpan(rom_->main_base() + ref.sealed_off, ref.sealed_len), dst,
+                     trailer);
+  charge_stage(ref);
+}
+
+bool SealedBlobs::open_in_place(const crypto::EnvelopeTrailer& trailer,
+                                MutableByteSpan data) const {
+  return crypto::open_in_place(gcm_, trailer, data);
 }
 
 bool SealedBlobs::open(const SealedRef& ref, MutableByteSpan out) {

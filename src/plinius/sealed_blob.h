@@ -8,10 +8,10 @@
 // each format keeps only its own index layout.
 //
 // Charges stay with the callers, because the formats order them differently:
-// seal, seal_batch, authenticate and open(sealed, out) charge nothing. Only
-// the two primitives that stage sealed bytes into the enclave book traffic:
-// stage charges the PM read and the real-SGX copy-in, and open(ref, out) adds
-// the GCM pass on top of stage.
+// seal, seal_batch, authenticate and the opens of staged envelopes charge
+// nothing. Only the primitives that stage sealed bytes into the enclave book
+// traffic: stage and stage_in_place charge the PM read and the real-SGX
+// copy-in, and open(ref, out) adds the GCM pass on top of stage.
 #pragma once
 
 #include <cstdint>
@@ -62,6 +62,18 @@ class SealedBlobs {
   /// copy-in. `ref` must have passed check().
   void stage(const SealedRef& ref, MutableByteSpan dst);
 
+  /// Stages the envelope at `ref` split (crypto::split_into): its
+  /// ciphertext into `dst` (exactly ref.plain_len bytes) and its IV and MAC
+  /// into `trailer`. Charges exactly what stage charges. `ref` must have
+  /// passed check().
+  void stage_in_place(const SealedRef& ref, MutableByteSpan dst,
+                      crypto::EnvelopeTrailer& trailer);
+
+  /// crypto::open_in_place with this key. Charges nothing, and is safe to
+  /// call from several threads at once.
+  [[nodiscard]] bool open_in_place(const crypto::EnvelopeTrailer& trailer,
+                                   MutableByteSpan data) const;
+
   /// Stages the envelope, charges its GCM pass and authenticates it into
   /// `out` (exactly ref.plain_len bytes). Returns false, with `out` zeroed,
   /// when the MAC does not verify. `ref` must have passed check().
@@ -77,6 +89,9 @@ class SealedBlobs {
   [[nodiscard]] bool authenticate(const SealedRef& ref, Bytes& sealed);
 
  private:
+  /// The PM read and, on real SGX, the copy-in of staging `ref`.
+  void charge_stage(const SealedRef& ref);
+
   romulus::Romulus* rom_;
   sgx::EnclaveRuntime* enclave_;
   crypto::AesGcm gcm_;

@@ -789,6 +789,13 @@ TEST(GcmKernels, UnalignedAndInPlaceBuffersMatchAcrossKernels) {
       if (HasFatalFailure()) return;
     }
   }
+  // One in-place pass above a megabyte, a restored parameter buffer's size.
+  Bytes big((std::size_t{1} << 20) + 33);
+  rng.fill(big.data(), big.size());
+  std::uint8_t counter[16], y0[16];
+  rng.fill(counter, 16);
+  rng.fill(y0, 16);
+  expect_kernels_agree(k, counter, y0, big, 3, 0, /*in_place=*/true);
 }
 
 TEST(GcmKernels, FortyMegabyteBufferMatchesAcrossKernels) {
@@ -843,6 +850,50 @@ TEST(GcmKernels, AesGcmPicksTheKernelForThisCpu) {
   RecordProperty("gcm_kernel", static_cast<int>(gcm.kernel()));
 }
 
+// decrypt's in-place contract (gcm.h) on the kernel this CPU picks: plain
+// aliasing cipher gives the out-of-place plaintext, and a flipped tag or
+// ciphertext byte leaves the whole span zero. The mirror restores every
+// parameter buffer this way. Every kernel's CTR runs in place in
+// GcmKernels.UnalignedAndInPlaceBuffersMatchAcrossKernels.
+TEST(AesGcm, InPlaceDecryptMatchesOutOfPlace) {
+  Rng rng(36);
+  Bytes key(16), iv(12);
+  rng.fill(key.data(), key.size());
+  rng.fill(iv.data(), iv.size());
+  const AesGcm gcm(key);
+  const auto all_zero = [](const Bytes& b) {
+    return std::all_of(b.begin(), b.end(), [](std::uint8_t v) { return v == 0; });
+  };
+  for (const std::size_t len :
+       {std::size_t{1}, std::size_t{255}, std::size_t{256}, std::size_t{257},
+        std::size_t{4097}, (std::size_t{1} << 20) + 33}) {
+    SCOPED_TRACE(testing::Message() << kernel_name(gcm.kernel()) << ", len " << len);
+    Bytes plain(len), ct(len);
+    rng.fill(plain.data(), plain.size());
+    std::uint8_t tag[16];
+    gcm.encrypt(iv, {}, plain, ct, tag);
+
+    Bytes out(len);
+    ASSERT_TRUE(gcm.decrypt(iv, {}, ct, out, tag));
+    Bytes in_place = ct;
+    ASSERT_TRUE(gcm.decrypt(iv, {}, in_place, in_place, tag));
+    EXPECT_TRUE(in_place == out);
+    EXPECT_TRUE(in_place == plain);
+
+    std::uint8_t bad_tag[16];
+    std::memcpy(bad_tag, tag, 16);
+    bad_tag[len % 16] ^= 0x01;
+    in_place = ct;
+    EXPECT_FALSE(gcm.decrypt(iv, {}, in_place, in_place, bad_tag));
+    EXPECT_TRUE(all_zero(in_place)) << "flipped tag";
+
+    in_place = ct;
+    in_place[len / 2] ^= 0x80;
+    EXPECT_FALSE(gcm.decrypt(iv, {}, in_place, in_place, tag));
+    EXPECT_TRUE(all_zero(in_place)) << "flipped ciphertext";
+  }
+}
+
 // --- Envelope (IV || CT || MAC, the paper's 28-byte overhead) ---------------
 
 TEST(Envelope, OverheadIs28Bytes) {
@@ -889,6 +940,33 @@ TEST(Envelope, OpenThrowsOnCorruption) {
   Bytes sealed = seal(gcm, iv_seq, plain);
   sealed[20] ^= 0xFF;
   EXPECT_THROW(open(gcm, sealed), CryptoError);
+}
+
+TEST(Envelope, SplitThenOpenInPlaceMatchesOpenInto) {
+  Rng rng(19);
+  IvSequence iv_seq(20);
+  Bytes key(16), plain(1000);
+  rng.fill(key.data(), 16);
+  rng.fill(plain.data(), plain.size());
+  AesGcm gcm(key);
+  const Bytes sealed = seal(gcm, iv_seq, plain);
+
+  EnvelopeTrailer trailer;
+  Bytes data(plain.size());
+  split_into(sealed, data, trailer);
+  EXPECT_EQ(0, std::memcmp(trailer.iv, sealed.data(), kGcmIvSize));
+  EXPECT_EQ(0, std::memcmp(trailer.tag, sealed.data() + kGcmIvSize + plain.size(),
+                           kGcmTagSize));
+  ASSERT_TRUE(open_in_place(gcm, trailer, data));
+  EXPECT_EQ(data, plain);
+
+  split_into(sealed, data, trailer);
+  trailer.tag[3] ^= 0x10;
+  EXPECT_FALSE(open_in_place(gcm, trailer, data));
+  EXPECT_TRUE(std::all_of(data.begin(), data.end(), [](std::uint8_t v) { return v == 0; }));
+
+  Bytes short_ct(plain.size() - 1);
+  EXPECT_THROW(split_into(sealed, short_ct, trailer), CryptoError);
 }
 
 TEST(Envelope, WrongKeyFails) {

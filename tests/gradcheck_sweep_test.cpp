@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <tuple>
 
 #include "common/rng.h"
@@ -24,6 +26,17 @@ struct SweepCase {
   bool batch_normalize;
   Activation activation;
 };
+
+/// "k3_s1_p1_bn_tanh": the case's fields, so its test name and printed value
+/// are the same in every build. gtest would otherwise print the struct's
+/// bytes, padding included, and CTest names the test after that value.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << 'k' << c.ksize << "_s" << c.stride << "_p" << c.pad
+      << (c.batch_normalize ? "_bn_" : "_nobn_") << activation_name(c.activation);
+}
+std::string sweep_case_name(const ::testing::TestParamInfo<SweepCase>& info) {
+  return ::testing::PrintToString(info.param);
+}
 
 class ConvGradSweep : public ::testing::TestWithParam<SweepCase> {};
 
@@ -116,7 +129,8 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepCase{3, 1, 0, false, Activation::kTanh},
                       SweepCase{3, 1, 1, true, Activation::kLogistic},
                       SweepCase{3, 1, 1, false, Activation::kLogistic},
-                      SweepCase{4, 2, 1, true, Activation::kTanh}));
+                      SweepCase{4, 2, 1, true, Activation::kTanh}),
+    sweep_case_name);
 
 }  // namespace
 }  // namespace plinius::ml

@@ -13,6 +13,7 @@
 
 #include "common/error.h"
 #include "ml/config.h"
+#include "ml/serialize.h"
 #include "ml/synth_digits.h"
 #include "obs/registry.h"
 #include "obs/stats_bridge.h"
@@ -318,6 +319,64 @@ TEST_F(MirrorMediaTest, ReplicatedMirrorRecoversAndRepairsPrimaryRot) {
   const auto report = mirror.scrub(other);
   EXPECT_TRUE(report.healthy());
   EXPECT_EQ(report.auth_failures, 0u);
+}
+
+// The restore stages each primary in place; a primary that fails its tag is
+// retried from its sibling, staged whole, whose sealed bytes then overwrite
+// the primary. Both restore modes, each followed by a second restore that
+// must find nothing left to repair.
+TEST_F(MirrorMediaTest, RestoreRewritesCorruptPrimaryFromSiblingInBothModes) {
+  for (const bool snapshot : {false, true}) {
+    SCOPED_TRACE(snapshot ? "mirror_in_snapshot" : "mirror_in");
+    MirrorModel mirror(rom_, platform_.enclave(), test_gcm(), MirrorOptions{true});
+    mirror.alloc(net_);
+    net_.set_iterations(6);
+    mirror.mirror_out(net_, 6);
+    const Bytes saved = ml::serialize_weights(net_);
+
+    const auto extents = mirror.sealed_extents();
+    ASSERT_GE(extents.size(), 2u);
+    const auto& e = extents[1];
+    rot_extent(e.primary_off, 48);
+    const std::uint8_t* main = rom_.main_base();
+    ASSERT_NE(std::memcmp(main + e.primary_off, main + e.replica_off, e.sealed_len), 0);
+
+    const auto restore = [&](ml::Network& net) {
+      return snapshot ? mirror.mirror_in_snapshot(net) : mirror.mirror_in(net);
+    };
+    ml::Network other = ml::build_network(tiny_config(), rng_);
+    EXPECT_EQ(restore(other), 6u);
+    EXPECT_EQ(ml::serialize_weights(other), saved);
+    EXPECT_EQ(mirror.stats().replica_repairs, 1u);
+    EXPECT_EQ(std::memcmp(main + e.primary_off, main + e.replica_off, e.sealed_len), 0);
+
+    ml::Network again = ml::build_network(tiny_config(), rng_);
+    EXPECT_EQ(restore(again), 6u);
+    EXPECT_EQ(ml::serialize_weights(again), saved);
+    EXPECT_EQ(mirror.stats().replica_repairs, 1u);
+    EXPECT_EQ(mirror.stats().restores, 2u);
+    mirror.dispose();
+  }
+}
+
+// Snapshot mode stages every buffer before it installs any: when the last
+// buffer's two copies are both corrupt, the buffers before it have already
+// decrypted, into the stage, and the live weights still hold nothing of them.
+TEST_F(MirrorMediaTest, SnapshotRestoreWithBothCopiesCorruptLeavesWeightsUntouched) {
+  MirrorModel mirror(rom_, platform_.enclave(), test_gcm(), MirrorOptions{true});
+  mirror.alloc(net_);
+  mirror.mirror_out(net_, 2);
+  const auto extents = mirror.sealed_extents();
+  rot_extent(extents.back().primary_off, 32);
+  rot_extent(extents.back().replica_off, 32);
+
+  ml::Network other = ml::build_network(tiny_config(), rng_);
+  other.set_iterations(9);
+  const Bytes before = ml::serialize_weights(other);
+  ASSERT_NE(before, ml::serialize_weights(net_));
+  EXPECT_THROW((void)mirror.mirror_in_snapshot(other), CryptoError);
+  EXPECT_EQ(ml::serialize_weights(other), before);
+  EXPECT_EQ(mirror.stats().restores, 0u);
 }
 
 TEST_F(MirrorMediaTest, ScrubRepairsRottenReplica) {

@@ -998,10 +998,12 @@ void expect_bitwise(std::span<const float> got, std::span<const float> want,
 // which passes the input through and receives the layer's input delta, and
 // in front of a softmax head; each checked bitwise against `ref` at 1 and 4
 // threads. The second step starts from the first's parameters and its
-// momentum-carried (non-zero) gradient accumulators.
+// momentum-carried (non-zero) gradient accumulators. With `forward_first`,
+// an inference forward runs before the steps and must leave the layer
+// without a gradient buffer (layer.h: it appears at the first step).
 template <class L, class Config, class Ref>
 void check_lowering(Shape in, const Config& cfg, std::size_t batch, Ref ref,
-                    const std::string& name) {
+                    const std::string& name, bool forward_first = false) {
   Rng data_rng(0x10E5 + batch);
   std::vector<float> x(batch * in.size());
   for (auto& v : x) v = data_rng.normal();
@@ -1020,6 +1022,11 @@ void check_lowering(Shape in, const Config& cfg, std::size_t batch, Ref ref,
     std::vector<float> y(batch * out.size(), 0.0f);
     for (std::size_t b = 0; b < batch; ++b) {
       y[b * out.size() + data_rng.below(out.size())] = 1.0f;
+    }
+
+    if (forward_first) {
+      net.forward(x.data(), batch, /*train=*/false);
+      EXPECT_TRUE(layer.weight_updates().empty()) << name << " after forward";
     }
 
     StepState want;
@@ -1114,6 +1121,21 @@ TEST(LayerLowering, ConvMatchesDirectLoweringBitwise) {
                                   std::to_string(c.filters) + " k" +
                                   std::to_string(c.ksize));
   }
+}
+
+TEST(LayerLowering, GradientBuffersAppearAtTheFirstStep) {
+  ConnectedConfig fc;
+  fc.outputs = 100;
+  fc.activation = Activation::kLeakyRelu;
+  check_lowering<ConnectedLayer>(Shape{520, 1, 1}, fc, 12, ref_connected_step,
+                                 "fc 520->100 batch 12", /*forward_first=*/true);
+  ConvConfig conv;
+  conv.filters = 16;
+  conv.ksize = 3;
+  conv.stride = 2;
+  conv.pad = 1;
+  check_lowering<ConvLayer>(Shape{8, 14, 14}, conv, 6, ref_conv_step, "conv 8x14 f16 k3",
+                            /*forward_first=*/true);
 }
 
 }  // namespace

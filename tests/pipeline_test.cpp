@@ -318,6 +318,83 @@ TEST_F(PipelineTrainerTest, SynchronousEntryPointsRefuseWhileSaveInFlight) {
   EXPECT_EQ(mirror.iteration(), 1u);
 }
 
+// begin_async_save seals the live weights, not a copy of them, so the
+// double-buffer contract rests on the seal being finished when it returns:
+// whatever the trainer does to the weights before complete_async_save, the
+// commit holds the weights of the begin iteration.
+TEST_F(PipelineTrainerTest, CommitHoldsTheWeightsOfTheBeginIteration) {
+  Platform platform(MachineProfile::emlsgx_pm(), kPmBytes);
+  platform.enclave().set_tcs_count(4);
+  Rng rng(42);
+  ml::Network net = ml::build_network(tiny_config(), rng);
+  const ml::Dataset data = tiny_dataset();
+  constexpr std::size_t kBatch = 8;
+  const auto step = [&] { (void)net.train_batch(data.x.row(0), data.y.row(0), kBatch); };
+
+  romulus::Romulus rom(platform.pm(), 0, 14 * 1024 * 1024,
+                       romulus::PwbPolicy::clflushopt_sfence(), true);
+  MirrorModel mirror(rom, platform.enclave(), crypto::AesGcm(Bytes(16, 0x23)),
+                     MirrorOptions{true});
+  mirror.alloc(net);
+  sgx::ChargeStream stream = platform.enclave().open_stream(2);
+
+  step();
+  step();
+  const Bytes at_begin = ml::serialize_weights(net);
+  mirror.begin_async_save(net, 2, stream);
+  step();
+  net.layer(0).parameters()[0].values[0] = 1234.5f;
+  ASSERT_NE(ml::serialize_weights(net), at_begin);
+  ASSERT_TRUE(mirror.complete_async_save(stream));
+
+  Rng other_rng(7);
+  ml::Network fresh = ml::build_network(tiny_config(), other_rng);
+  EXPECT_EQ(mirror.mirror_in(fresh), 2u);
+  EXPECT_EQ(ml::serialize_weights(fresh), at_begin);
+  // Both A/B copies hold those bytes: a scrub finds nothing to repair.
+  EXPECT_EQ(mirror.scrub(fresh).auth_failures, 0u);
+}
+
+// The mirror keeps the pipelined save's sealed buffer between saves; an
+// abandoned save leaves its (never committed) bytes in it, and the next save
+// must seal over them and commit only its own.
+TEST_F(PipelineTrainerTest, SaveAfterAbandonedOneCommitsItsOwnBytes) {
+  Platform platform(MachineProfile::emlsgx_pm(), kPmBytes);
+  platform.enclave().set_tcs_count(4);
+  Rng rng(42);
+  ml::Network net = ml::build_network(tiny_config(), rng);
+  const ml::Dataset data = tiny_dataset();
+  constexpr std::size_t kBatch = 8;
+  const auto step = [&] { (void)net.train_batch(data.x.row(8), data.y.row(8), kBatch); };
+
+  romulus::Romulus rom(platform.pm(), 0, 14 * 1024 * 1024,
+                       romulus::PwbPolicy::clflushopt_sfence(), true);
+  MirrorModel mirror(rom, platform.enclave(), crypto::AesGcm(Bytes(16, 0x24)));
+  mirror.alloc(net);
+  sgx::ChargeStream stream = platform.enclave().open_stream(1);
+
+  step();
+  mirror.begin_async_save(net, 1, stream);
+  ASSERT_TRUE(mirror.complete_async_save(stream));
+  step();
+  mirror.begin_async_save(net, 2, stream);
+  mirror.abandon_async_save();
+  EXPECT_EQ(mirror.iteration(), 1u);
+
+  step();
+  const Bytes at_three = ml::serialize_weights(net);
+  mirror.begin_async_save(net, 3, stream);
+  step();
+  ASSERT_TRUE(mirror.complete_async_save(stream));
+  EXPECT_EQ(mirror.stats().async_saves, 2u);
+  EXPECT_EQ(mirror.stats().save_attempts, 3u);
+
+  Rng other_rng(9);
+  ml::Network fresh = ml::build_network(tiny_config(), other_rng);
+  EXPECT_EQ(mirror.mirror_in(fresh), 3u);
+  EXPECT_EQ(ml::serialize_weights(fresh), at_three);
+}
+
 TEST_F(PipelineTrainerTest, CrashSweepOverInFlightSealWindowRecoversWithLagOne) {
   const auto config = tiny_config();
   const auto data = tiny_dataset(128);
