@@ -1,7 +1,8 @@
 // Real wall-clock micro-benchmarks (google-benchmark) for the kernels the
 // simulation's cost models abstract: AES-GCM sealing, SHA-256, GEMM,
 // im2col/col2im, one conv and one connected layer's training step, PM-device
-// store/flush bookkeeping, a full Romulus transaction, and the PM mirror's
+// set-up and store/flush bookkeeping, Romulus transactions (a small one, a
+// 40 MB commit, and recovery from a torn 40 MB one), and the PM mirror's
 // restore and pipelined save of an FC model. These measure the
 // *host* machine, not the simulated one — useful for validating that the
 // framework's real compute (which does run) is not a bottleneck for the
@@ -10,6 +11,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <memory>
 #include <optional>
 
@@ -374,6 +376,85 @@ void BM_RomulusTransaction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RomulusTransaction);
+
+// Setting up and tearing down one device of state.range(0) MB: mirror_heavy's
+// is 176 MB, train_pipelined's 128 and serve_reload's 64.
+void BM_PmDeviceCreate(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0)) << 20;
+  for (auto _ : state) {
+    sim::Clock clock;
+    pm::PmDevice dev(clock, bytes, pm::PmLatencyModel::optane());
+    benchmark::DoNotOptimize(dev.data());
+  }
+}
+BENCHMARK(BM_PmDeviceCreate)->Arg(64)->Arg(176)->ArgName("mb")->Unit(benchmark::kMillisecond);
+
+// 40 MB of main (mirror_heavy's sealed model) on a 176 MB device: two
+// payloads that differ in every line, so each transaction changes them all.
+constexpr std::size_t kTornMain = 88u << 20;
+constexpr std::size_t kTornBytes = 40u << 20;
+
+struct TornRig {
+  TornRig()
+      : dev(clock, romulus::Romulus::region_bytes(kTornMain), pm::PmLatencyModel::optane()),
+        payload{Bytes(kTornBytes), Bytes(kTornBytes)} {
+    Rng(13).fill(payload[0].data(), kTornBytes);
+    Rng(14).fill(payload[1].data(), kTornBytes);
+  }
+  // One transaction's user stores: the payload written in place into main.
+  void fill(romulus::Romulus& rom, std::size_t off, const Bytes& src) {
+    rom.tx_fill(off, kTornBytes,
+                [&](std::uint8_t* dst) { std::memcpy(dst, src.data(), kTornBytes); });
+  }
+  sim::Clock clock;
+  pm::PmDevice dev;
+  std::array<Bytes, 2> payload;
+};
+
+// A 40 MB tx_fill and its commit: the PWBs, the four fences and the copy of
+// main into back.
+void BM_RomulusCommit(benchmark::State& state) {
+  TornRig rig;
+  romulus::Romulus rom(rig.dev, 0, kTornMain, romulus::PwbPolicy::clflushopt_sfence(), true);
+  std::size_t off = 0;
+  rom.run_transaction([&] { off = rom.pmalloc(kTornBytes); });
+  std::size_t i = 0;
+  for (auto _ : state) {
+    rom.begin_transaction();
+    rig.fill(rom, off, rig.payload[++i % 2]);
+    rom.end_transaction();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * kTornBytes));
+}
+BENCHMARK(BM_RomulusCommit)->Unit(benchmark::kMillisecond);
+
+// Re-attaching after a power failure in the middle of a 40 MB transaction
+// whose stores had all persisted: recovery restores main from back. Tearing
+// the transaction is not timed.
+void BM_RomulusRecoverMutating(benchmark::State& state) {
+  TornRig rig;
+  const auto policy = romulus::PwbPolicy::clflushopt_sfence();
+  std::size_t off = 0;
+  {
+    romulus::Romulus rom(rig.dev, 0, kTornMain, policy, true);
+    rom.run_transaction([&] { off = rom.pmalloc(kTornBytes); });
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    {
+      romulus::Romulus rom(rig.dev, 0, kTornMain, policy, false);
+      rom.begin_transaction();
+      rig.fill(rom, off, rig.payload[++i % 2]);
+      rig.dev.crash(pm::PmDevice::CrashOutcome::kPersistAll);
+      rom.abandon_transaction();
+    }
+    state.ResumeTiming();
+    romulus::Romulus recovered(rig.dev, 0, kTornMain, policy, false);
+    benchmark::DoNotOptimize(recovered.main_base());
+  }
+}
+BENCHMARK(BM_RomulusRecoverMutating)->Unit(benchmark::kMillisecond);
 
 // The FC model of the mirror-bound workloads: 784 -> width x 3 -> 10 leaky
 // connected layers and a softmax head (width 2048: ~40 MB of weights).

@@ -1,5 +1,6 @@
 #include "pm/device.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
@@ -44,66 +45,127 @@ void for_each_bit(std::uint64_t bits, std::size_t base, F&& f) {
   }
 }
 
+// Calls f(lo, n) for each maximal run of set bits of `bits`: bits lo..lo+n-1.
+template <class F>
+void for_each_span(std::uint64_t bits, F&& f) {
+  while (bits != 0) {
+    const int lo = std::countr_zero(bits);
+    const int n = std::countr_one(bits >> lo);
+    f(static_cast<std::size_t>(lo), static_cast<std::size_t>(n));
+    if (lo + n == 64) break;
+    bits &= kAllLines << (lo + n);
+  }
+}
+
+// Lines per 64 KiB: the shortest copy worth streaming past the cache, and
+// the longest run for_each_run hands over at once.
+constexpr std::size_t kStreamLines = 1024;
+
 // Walks lines [first, last] word by word: take(w, mask) returns the lines of
 // word w to act on (and may update the bitmaps), and emit(first, count) gets
-// each maximal run of taken lines, ascending, merged across word edges.
+// the runs of taken lines, ascending, merged across word edges. A run is
+// handed over once it reaches kStreamLines at a word edge, while the lines
+// take() just read are still in cache; a longer run arrives as consecutive
+// pieces.
 template <class Take, class Emit>
 void for_each_run(std::size_t first, std::size_t last, Take&& take, Emit&& emit) {
   std::size_t run = 0;
   std::size_t count = 0;
   for_each_word(first, last, [&](std::size_t w, std::uint64_t mask) {
-    std::uint64_t bits = take(w, mask);
-    while (bits != 0) {
-      const int lo = std::countr_zero(bits);
-      const int n = std::countr_one(bits >> lo);
-      const std::size_t line = w * 64 + static_cast<std::size_t>(lo);
+    for_each_span(take(w, mask), [&](std::size_t lo, std::size_t n) {
+      const std::size_t line = w * 64 + lo;
       if (count > 0 && run + count == line) {
-        count += static_cast<std::size_t>(n);
+        count += n;
       } else {
         if (count > 0) emit(run, count);
         run = line;
-        count = static_cast<std::size_t>(n);
+        count = n;
       }
-      if (lo + n == 64) break;
-      bits &= kAllLines << (lo + n);
+    });
+    if (count >= kStreamLines) {
+      emit(run, count);
+      count = 0;
     }
   });
   if (count > 0) emit(run, count);
 }
 
+// True if the kCacheLine bytes at a and b are equal.
+bool line_equal(const std::uint8_t* a, const std::uint8_t* b) {
+#if defined(__SSE2__)
+  __m128i eq = _mm_set1_epi8(-1);
+  for (std::size_t i = 0; i < kCacheLine; i += 16) {
+    const __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
+    const __m128i y = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
+    eq = _mm_and_si128(eq, _mm_cmpeq_epi8(x, y));
+  }
+  return _mm_movemask_epi8(eq) == 0xFFFF;
+#else
+  return std::memcmp(a, b, kCacheLine) == 0;
+#endif
+}
+
 // Copies at or above this length stream; shorter ones are not worth the
 // store fence and would leave partial write-combining buffers.
-constexpr std::size_t kStreamMin = std::size_t{64} << 10;
+constexpr std::size_t kStreamMin = kStreamLines * kCacheLine;
 
-// memcpy for the device's write-mostly destinations: the persistent image
-// and Romulus' back copy, which only a crash, recovery, abort or scrub
-// reads. A long copy writes them with non-temporal stores (SSE2, baseline
-// x86-64), which skip the read-for-ownership of every destination line and
-// leave the cache to what the enclave reads next. Same bytes as memcpy.
+#if defined(__SSE2__)
+// Copies `len` bytes, a multiple of 64, with SSE2 (baseline x86-64)
+// non-temporal stores to a 16-byte aligned `dst`. Callers fence.
+void stream_body(std::uint8_t* dst, const std::uint8_t* src, std::size_t len) {
+  for (std::size_t i = 0; i < len; i += 64) {
+    auto* d = reinterpret_cast<__m128i*>(dst + i);
+    const auto* s = reinterpret_cast<const __m128i*>(src + i);
+    const __m128i v0 = _mm_loadu_si128(s);
+    const __m128i v1 = _mm_loadu_si128(s + 1);
+    const __m128i v2 = _mm_loadu_si128(s + 2);
+    const __m128i v3 = _mm_loadu_si128(s + 3);
+    _mm_stream_si128(d, v0);
+    _mm_stream_si128(d + 1, v1);
+    _mm_stream_si128(d + 2, v2);
+    _mm_stream_si128(d + 3, v3);
+  }
+}
+#endif
+
+// memcpy for the device's write-mostly destinations: Romulus' back copy,
+// which only a crash, recovery, abort or scrub reads. A long copy writes it
+// with non-temporal stores, which skip the read-for-ownership of every
+// destination line and leave the cache to what the enclave reads next.
+// Same bytes as memcpy.
 void stream_copy(std::uint8_t* dst, const std::uint8_t* src, std::size_t len) {
 #if defined(__SSE2__)
   if (len >= kStreamMin) {
     const std::size_t head = (0 - reinterpret_cast<std::uintptr_t>(dst)) % 16;
+    const std::size_t body = (len - head) / 64 * 64;
     std::memcpy(dst, src, head);
-    std::size_t i = head;
-    for (; i + 64 <= len; i += 64) {
-      auto* d = reinterpret_cast<__m128i*>(dst + i);
-      const auto* s = reinterpret_cast<const __m128i*>(src + i);
-      const __m128i v0 = _mm_loadu_si128(s);
-      const __m128i v1 = _mm_loadu_si128(s + 1);
-      const __m128i v2 = _mm_loadu_si128(s + 2);
-      const __m128i v3 = _mm_loadu_si128(s + 3);
-      _mm_stream_si128(d, v0);
-      _mm_stream_si128(d + 1, v1);
-      _mm_stream_si128(d + 2, v2);
-      _mm_stream_si128(d + 3, v3);
-    }
+    stream_body(dst + head, src + head, body);
     _mm_sfence();
-    std::memcpy(dst + i, src + i, len - i);
+    std::memcpy(dst + head + body, src + head + body, len - head - body);
     return;
   }
 #endif
   std::memcpy(dst, src, len);
+}
+
+// Copies whole cache lines into undo slots; with `stream` (a long store),
+// by non-temporal stores, which the caller fences. Entries are write-mostly
+// as well (only a crash, a media fault or an image read reads them back),
+// and a whole-line non-temporal store needs no read-for-ownership.
+void copy_lines(std::uint8_t* dst, const std::uint8_t* src, std::size_t len, bool stream) {
+#if defined(__SSE2__)
+  if (stream) {
+    stream_body(dst, src, len);
+    return;
+  }
+#endif
+  std::memcpy(dst, src, len);
+}
+
+void store_fence() {
+#if defined(__SSE2__)
+  _mm_sfence();
+#endif
 }
 
 }  // namespace
@@ -113,13 +175,14 @@ PmDevice::PmDevice(sim::Clock& clock, std::size_t size, PmLatencyModel model,
     : clock_(&clock),
       size_(align_up(size, kCacheLine)),
       model_(model),
-      volatile_(map_zeroed(size_)),
-      persistent_(map_zeroed(size_)),
+      image_(map_zeroed(size_)),
       crash_rng_(crash_seed) {
-  const std::size_t lines = size_ / kCacheLine;
-  dirty_bits_.assign((lines + 63) / 64, 0);
-  pending_bits_.assign((lines + 63) / 64, 0);
-  poison_bits_.assign((lines + 63) / 64, 0);
+  const std::size_t words = (size_ / kCacheLine + 63) / 64;
+  dirty_bits_.assign(words, 0);
+  pending_bits_.assign(words, 0);
+  undo_bits_.assign(words, 0);
+  undo_blocks_.assign(words, nullptr);
+  poison_bits_.assign(words, 0);
 }
 
 PmDevice::Image PmDevice::map_zeroed(std::size_t size) {
@@ -148,20 +211,70 @@ void PmDevice::set_bit(std::vector<std::uint64_t>& bits, std::size_t line) noexc
   bits[line / 64] |= (std::uint64_t{1} << (line % 64));
 }
 
-void PmDevice::clear_bit(std::vector<std::uint64_t>& bits, std::size_t line) noexcept {
-  bits[line / 64] &= ~(std::uint64_t{1} << (line % 64));
+// --- undo store ------------------------------------------------------------------
+
+void PmDevice::capture(std::size_t w, std::uint64_t bits, bool stream) {
+  bits &= ~undo_bits_[w];
+  if (bits == 0) return;
+  UndoBlock*& block = undo_blocks_[w];
+  if (block == nullptr) {
+    if (undo_free_.empty()) {
+      undo_pool_.push_back(std::make_unique_for_overwrite<UndoBlock>());
+      block = undo_pool_.back().get();
+    } else {
+      block = undo_free_.back();
+      undo_free_.pop_back();
+    }
+  }
+  for_each_span(bits, [&](std::size_t lo, std::size_t n) {
+    copy_lines(block->line[lo], image_.get() + (w * 64 + lo) * kCacheLine, n * kCacheLine,
+               stream);
+  });
+  undo_bits_[w] |= bits;
+  undo_count_ += static_cast<std::size_t>(std::popcount(bits));
 }
 
+void PmDevice::put_entry(std::size_t line, const std::uint8_t* bytes) {
+  const std::size_t w = line / 64;
+  capture(w, std::uint64_t{1} << (line % 64), /*stream=*/false);
+  std::memcpy(undo_blocks_[w]->line[line % 64], bytes, kCacheLine);
+}
+
+void PmDevice::drop(std::size_t w, std::uint64_t bits) {
+  bits &= undo_bits_[w];
+  if (bits == 0) return;
+  undo_bits_[w] &= ~bits;
+  undo_count_ -= static_cast<std::size_t>(std::popcount(bits));
+  if (undo_bits_[w] == 0) {
+    undo_free_.push_back(std::exchange(undo_blocks_[w], nullptr));
+  }
+}
+
+void PmDevice::commit(std::size_t w, std::uint64_t bits) {
+  drop(w, bits);
+  // A full-line write-back remaps a poisoned line (ndctl clear-error
+  // semantics): the media location is good again.
+  if (poisoned_count_ == 0) return;
+  const auto cleared = static_cast<std::size_t>(std::popcount(poison_bits_[w] & bits));
+  poison_bits_[w] &= ~bits;
+  poisoned_count_ -= cleared;
+  stats_.poison_cleared += cleared;
+}
+
+// --- stores ----------------------------------------------------------------------
+
 void PmDevice::store(std::size_t offset, const void* src, std::size_t len) {
-  record_store(offset, len);
-  std::memcpy(volatile_.get() + offset, src, len);
+  if (len == 0) return;
+  check_range(offset, len);
+  write(offset, static_cast<const std::uint8_t*>(src), len, /*stream=*/false);
 }
 
 void PmDevice::copy_within(std::size_t dst, std::size_t src, std::size_t len) {
   check_range(src, len);
   expects(src + len <= dst || dst + len <= src, "PmDevice::copy_within: ranges overlap");
-  record_store(dst, len);
-  stream_copy(volatile_.get() + dst, volatile_.get() + src, len);
+  if (len == 0) return;
+  check_range(dst, len);
+  write(dst, image_.get() + src, len, /*stream=*/true);
 }
 
 void PmDevice::attach_fault_injector(FaultInjector* injector) {
@@ -170,26 +283,80 @@ void PmDevice::attach_fault_injector(FaultInjector* injector) {
   injector_ = injector;
 }
 
+void PmDevice::mark_dirty(std::size_t w, std::uint64_t mask) {
+  for_each_bit(pending_bits_[w] & mask, w * 64, [&](std::size_t line) {
+    if (pending_snapshots_.contains(line)) return;
+    // Copy-on-write: the flushed-but-unfenced content must be preserved —
+    // it, not the new store, is what the fence will persist.
+    std::array<std::uint8_t, kCacheLine> snap;
+    std::memcpy(snap.data(), image_.get() + line * kCacheLine, kCacheLine);
+    pending_snapshots_.emplace(line, snap);
+  });
+  dirty_count_ += static_cast<std::size_t>(std::popcount(mask & ~dirty_bits_[w]));
+  dirty_bits_[w] |= mask;
+}
+
 void PmDevice::record_store(std::size_t offset, std::size_t len) {
   if (len == 0) return;
   check_range(offset, len);
+  // Every store op is a crash point before it acts: a crash here leaves its
+  // lines as they were.
+  if (injector_ != nullptr) injector_->on_op(FaultOp::kStore, offset, len);
+  const bool stream = len >= kStreamMin;
   for_each_word(offset / kCacheLine, (offset + len - 1) / kCacheLine,
                 [&](std::size_t w, std::uint64_t mask) {
-    for_each_bit(pending_bits_[w] & mask, w * 64, [&](std::size_t line) {
-      if (pending_snapshots_.contains(line)) return;
-      // Copy-on-write: the flushed-but-unfenced content must be preserved —
-      // it, not the new store, is what the fence will persist.
-      std::array<std::uint8_t, kCacheLine> snap;
-      std::memcpy(snap.data(), volatile_.get() + line * kCacheLine, kCacheLine);
-      pending_snapshots_.emplace(line, snap);
-    });
-    dirty_count_ += static_cast<std::size_t>(std::popcount(mask & ~dirty_bits_[w]));
-    dirty_bits_[w] |= mask;
+    mark_dirty(w, mask);
+    capture(w, mask, stream);
   });
-  // The lines are dirty before the injector may crash the device here, so
-  // crash() restores them even when the caller wrote them through data()
-  // ahead of this call (persist<T>, pm_make).
+  if (stream) store_fence();
+  charge_store(len);
+}
+
+void PmDevice::write(std::size_t offset, const std::uint8_t* src, std::size_t len,
+                     bool stream) {
   if (injector_ != nullptr) injector_->on_op(FaultOp::kStore, offset, len);
+  const std::size_t end = offset + len;
+  const bool stream_entries = len >= kStreamMin;
+  std::uint8_t* const image = image_.get();
+  for_each_run(offset / kCacheLine, (end - 1) / kCacheLine,
+               [&](std::size_t w, std::uint64_t mask) {
+                 mark_dirty(w, mask);
+                 std::uint64_t changed = 0;
+                 const std::size_t base = w * 64 * kCacheLine;
+                 if (mask == kAllLines && base >= offset && base + 64 * kCacheLine <= end) {
+                   // A word of whole lines, the bulk of a long store.
+                   const std::uint8_t* from = src + (base - offset);
+                   for (std::size_t i = 0; i < 64; ++i) {
+                     if (!line_equal(image + base + i * kCacheLine, from + i * kCacheLine)) {
+                       changed |= std::uint64_t{1} << i;
+                     }
+                   }
+                 } else {
+                   for_each_bit(mask, w * 64, [&](std::size_t line) {
+                     const std::size_t lo = std::max(offset, line * kCacheLine);
+                     const std::size_t hi = std::min(end, (line + 1) * kCacheLine);
+                     if (std::memcmp(image + lo, src + (lo - offset), hi - lo) != 0) {
+                       changed |= std::uint64_t{1} << (line % 64);
+                     }
+                   });
+                 }
+                 capture(w, changed, stream_entries);
+                 return changed;
+               },
+               [&](std::size_t run, std::size_t count) {
+                 const std::size_t lo = std::max(offset, run * kCacheLine);
+                 const std::size_t hi = std::min(end, (run + count) * kCacheLine);
+                 if (stream) {
+                   stream_copy(image + lo, src + (lo - offset), hi - lo);
+                 } else {
+                   std::memcpy(image + lo, src + (lo - offset), hi - lo);
+                 }
+               });
+  if (stream_entries) store_fence();
+  charge_store(len);
+}
+
+void PmDevice::charge_store(std::size_t len) {
   ++stats_.stores;
   stats_.bytes_stored += len;
   const sim::Nanos t0 = clock_->now();
@@ -213,7 +380,7 @@ void PmDevice::load(std::size_t offset, void* dst, std::size_t len) {
     }
   }
   charge_read(len);
-  std::memcpy(dst, volatile_.get() + offset, len);
+  std::memcpy(dst, image_.get() + offset, len);
 }
 
 void PmDevice::charge_read(std::size_t len) {
@@ -226,30 +393,7 @@ void PmDevice::charge_read(std::size_t len) {
                       clock_->now(), a, 1);
 }
 
-void PmDevice::commit_line(std::size_t line, const std::uint8_t* snapshot) {
-  const std::uint8_t* src =
-      snapshot != nullptr ? snapshot : volatile_.get() + line * kCacheLine;
-  std::memcpy(persistent_.get() + line * kCacheLine, src, kCacheLine);
-  // A full-line write-back remaps a poisoned line (ndctl clear-error
-  // semantics): the media location is good again.
-  if (poisoned_count_ > 0 && test_bit(poison_bits_, line)) {
-    clear_bit(poison_bits_, line);
-    --poisoned_count_;
-    ++stats_.poison_cleared;
-  }
-}
-
-void PmDevice::commit_run(std::size_t first, std::size_t count) {
-  stream_copy(persistent_.get() + first * kCacheLine,
-              volatile_.get() + first * kCacheLine, count * kCacheLine);
-  if (poisoned_count_ == 0) return;
-  for_each_word(first, first + count - 1, [&](std::size_t w, std::uint64_t mask) {
-    const auto cleared = static_cast<std::size_t>(std::popcount(poison_bits_[w] & mask));
-    poison_bits_[w] &= ~mask;
-    poisoned_count_ -= cleared;
-    stats_.poison_cleared += cleared;
-  });
-}
+// --- flush, fence, crash ------------------------------------------------------------
 
 void PmDevice::append_pending_run(std::size_t first, std::size_t count) {
   if (!pending_runs_.empty() &&
@@ -262,19 +406,21 @@ void PmDevice::append_pending_run(std::size_t first, std::size_t count) {
 
 void PmDevice::commit_pending() {
   for (const LineRun& run : pending_runs_) {
-    for_each_run(run.first, run.first + run.count - 1,
-                 [&](std::size_t w, std::uint64_t mask) {
-                   // Lines already committed by clflush have a clear bit.
-                   const std::uint64_t bits = pending_bits_[w] & mask;
-                   pending_bits_[w] &= ~bits;
-                   pending_count_ -= static_cast<std::size_t>(std::popcount(bits));
-                   return bits;
-                 },
-                 [&](std::size_t first, std::size_t count) { commit_run(first, count); });
+    for_each_word(run.first, run.first + run.count - 1,
+                  [&](std::size_t w, std::uint64_t mask) {
+      // Lines already committed by clflush have a clear bit.
+      const std::uint64_t bits = pending_bits_[w] & mask;
+      pending_bits_[w] &= ~bits;
+      pending_count_ -= static_cast<std::size_t>(std::popcount(bits));
+      commit(w, bits);
+    });
   }
-  // Store-after-flush lines persist their flushed content, not the newer
-  // volatile bytes the bulk copy wrote.
-  for (const auto& [line, snap] : pending_snapshots_) commit_line(line, snap.data());
+  // A line stored after its flush persists its flushed content, not the
+  // newer image bytes, and stays dirty: the snapshot becomes its entry. (A
+  // re-flushed line is clean, and its snapshot equals the image.)
+  for (const auto& [line, snap] : pending_snapshots_) {
+    if (test_bit(dirty_bits_, line)) put_entry(line, snap.data());
+  }
   pending_runs_.clear();
   pending_snapshots_.clear();
 }
@@ -302,19 +448,15 @@ void PmDevice::flush(std::size_t offset, std::size_t len, FlushKind kind) {
     // Strongly ordered: the line is persistent when the instruction
     // retires, no fence needed (Romulus' clflush+nop combination). A pending
     // line leaves the pending set; its run entry stays and is skipped.
-    for_each_run(first, last,
-                 [&](std::size_t w, std::uint64_t mask) {
-                   const auto [dirty, pend] = act(w, mask);
-                   pending_bits_[w] &= ~pend;
-                   pending_count_ -= static_cast<std::size_t>(std::popcount(pend));
-                   if (!pending_snapshots_.empty()) {
-                     for_each_bit(pend, w * 64, [&](std::size_t line) {
-                       pending_snapshots_.erase(line);
-                     });
-                   }
-                   return dirty | pend;
-                 },
-                 [&](std::size_t run, std::size_t count) { commit_run(run, count); });
+    for_each_word(first, last, [&](std::size_t w, std::uint64_t mask) {
+      const auto [dirty, pend] = act(w, mask);
+      pending_bits_[w] &= ~pend;
+      pending_count_ -= static_cast<std::size_t>(std::popcount(pend));
+      if (!pending_snapshots_.empty()) {
+        for_each_bit(pend, w * 64, [&](std::size_t line) { pending_snapshots_.erase(line); });
+      }
+      commit(w, dirty | pend);
+    });
   } else {
     for_each_run(first, last,
                  [&](std::size_t w, std::uint64_t mask) {
@@ -325,7 +467,7 @@ void PmDevice::flush(std::size_t offset, std::size_t len, FlushKind kind) {
                        if (auto it = pending_snapshots_.find(line);
                            it != pending_snapshots_.end()) {
                          std::memcpy(it->second.data(),
-                                     volatile_.get() + line * kCacheLine, kCacheLine);
+                                     image_.get() + line * kCacheLine, kCacheLine);
                        }
                      });
                    }
@@ -364,9 +506,8 @@ void PmDevice::fence(FenceKind kind) {
 
 void PmDevice::crash(CrashOutcome outcome) {
   ++stats_.crashes;
-  // Only dirty or pending lines can differ between the two images (a media
-  // fault on a clean line hits both). Fold pending into dirty before the
-  // coins clear it; those runs, and only those, are restored below.
+  // Fold pending into dirty before the coins clear it: every line that does
+  // not persist is restored from its entry below.
   for (std::size_t w = 0; w < dirty_bits_.size(); ++w) dirty_bits_[w] |= pending_bits_[w];
 
   // Weakly-ordered flushes that were not fenced may or may not have reached
@@ -385,8 +526,11 @@ void PmDevice::crash(CrashOutcome outcome) {
         for_each_bit(bits, w * 64, [&](std::size_t line) {
           ++stats_.crash_coin_flips;
           if ((crash_rng_.next() & 1) == 0) return;
-          const auto it = pending_snapshots_.find(line);
-          commit_line(line, it != pending_snapshots_.end() ? it->second.data() : nullptr);
+          const std::uint64_t bit = std::uint64_t{1} << (line % 64);
+          commit(w, bit);
+          if (const auto it = pending_snapshots_.find(line); it != pending_snapshots_.end()) {
+            put_entry(line, it->second.data());
+          }
         });
       });
     }
@@ -395,36 +539,62 @@ void PmDevice::crash(CrashOutcome outcome) {
   }
   pending_count_ = 0;
 
-  // Dirty-unflushed lines never left the cache: lost.
-  for_each_run(0, size_ / kCacheLine - 1,
-               [&](std::size_t w, std::uint64_t mask) {
-                 return std::exchange(dirty_bits_[w], 0) & mask;
-               },
-               [&](std::size_t first, std::size_t count) {
-                 std::memcpy(volatile_.get() + first * kCacheLine,
-                             persistent_.get() + first * kCacheLine, count * kCacheLine);
-               });
+  // Dirty-unflushed lines never left the cache: lost. Each line with an
+  // entry gets its persisted bytes back; the rest already hold them.
+  std::uint8_t* const image = image_.get();
+  for (std::size_t w = 0; w < dirty_bits_.size(); ++w) {
+    const std::uint64_t restore = std::exchange(dirty_bits_[w], 0) & undo_bits_[w];
+    if (restore == 0) continue;
+    const UndoBlock* block = undo_blocks_[w];
+    for_each_span(restore, [&](std::size_t lo, std::size_t n) {
+      std::memcpy(image + (w * 64 + lo) * kCacheLine, block->line[lo], n * kCacheLine);
+    });
+    drop(w, restore);
+  }
   dirty_count_ = 0;
 }
 
-void PmDevice::reset_to_persistent() {
-  std::memcpy(volatile_.get(), persistent_.get(), size_);
+void PmDevice::reset_state() {
   std::fill(dirty_bits_.begin(), dirty_bits_.end(), 0);
   std::fill(pending_bits_.begin(), pending_bits_.end(), 0);
   dirty_count_ = 0;
   pending_count_ = 0;
   pending_runs_.clear();
   pending_snapshots_.clear();
+  for (std::size_t w = 0; w < undo_bits_.size(); ++w) drop(w, kAllLines);
   // Rewinding to a known-good image models replaced/repaired media too.
   std::fill(poison_bits_.begin(), poison_bits_.end(), 0);
   poisoned_count_ = 0;
 }
 
+// --- images ------------------------------------------------------------------------
+
+void PmDevice::read_persistent(std::size_t offset, void* dst, std::size_t len) const {
+  check_range(offset, len);
+  auto* out = static_cast<std::uint8_t*>(dst);
+  std::memcpy(out, image_.get() + offset, len);
+  if (undo_count_ == 0 || len == 0) return;
+  const std::size_t end = offset + len;
+  for_each_word(offset / kCacheLine, (end - 1) / kCacheLine,
+                [&](std::size_t w, std::uint64_t mask) {
+    for_each_bit(undo_bits_[w] & mask, w * 64, [&](std::size_t line) {
+      const std::size_t lo = std::max(offset, line * kCacheLine);
+      const std::size_t hi = std::min(end, (line + 1) * kCacheLine);
+      std::memcpy(out + (lo - offset), undo_blocks_[w]->line[line % 64] + lo % kCacheLine,
+                  hi - lo);
+    });
+  });
+}
+
 void PmDevice::save_image(const std::string& path) const {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw PmError("PmDevice::save_image: cannot open " + path);
-  out.write(reinterpret_cast<const char*>(persistent_.get()),
-            static_cast<std::streamsize>(size_));
+  Bytes chunk(std::min(size_, std::size_t{1} << 20));
+  for (std::size_t off = 0; off < size_ && out; off += chunk.size()) {
+    const std::size_t n = std::min(chunk.size(), size_ - off);
+    read_persistent(off, chunk.data(), n);
+    out.write(reinterpret_cast<const char*>(chunk.data()), static_cast<std::streamsize>(n));
+  }
   if (!out) throw PmError("PmDevice::save_image: short write to " + path);
 }
 
@@ -441,11 +611,11 @@ void PmDevice::load_image(const std::string& path) {
                   std::to_string(size_));
   }
   in.seekg(0, std::ios::beg);
-  in.read(reinterpret_cast<char*>(persistent_.get()), static_cast<std::streamsize>(size_));
+  in.read(reinterpret_cast<char*>(image_.get()), static_cast<std::streamsize>(size_));
   if (in.gcount() != static_cast<std::streamsize>(size_)) {
     throw PmError("PmDevice::load_image: short read from " + path);
   }
-  reset_to_persistent();
+  reset_state();
 }
 
 // --- media faults --------------------------------------------------------------
@@ -460,35 +630,33 @@ void fill_garbage(std::uint8_t* dst, std::size_t len, std::uint64_t seed) {
 }
 }  // namespace
 
+std::uint8_t* PmDevice::media_line(std::size_t line) {
+  const std::size_t w = line / 64;
+  const std::uint64_t bit = std::uint64_t{1} << (line % 64);
+  if (((dirty_bits_[w] | pending_bits_[w]) & bit) == 0) {
+    return image_.get() + line * kCacheLine;
+  }
+  capture(w, bit, /*stream=*/false);
+  return undo_blocks_[w]->line[line % 64];
+}
+
 void PmDevice::flip_bit(std::size_t offset, unsigned bit) {
   check_range(offset, 1);
-  const std::uint8_t mask = static_cast<std::uint8_t>(1u << (bit % 8));
-  persistent_[offset] ^= mask;
-  const std::size_t line = offset / kCacheLine;
-  if (!test_bit(dirty_bits_, line) && !test_bit(pending_bits_, line)) {
-    volatile_[offset] ^= mask;
-  }
+  media_line(offset / kCacheLine)[offset % kCacheLine] ^=
+      static_cast<std::uint8_t>(1u << (bit % 8));
   ++stats_.media_bit_flips;
 }
 
 void PmDevice::tear_line(std::size_t line, std::uint64_t seed) {
-  const std::size_t offset = line * kCacheLine;
-  check_range(offset, kCacheLine);
+  check_range(line * kCacheLine, kCacheLine);
   // The first half of the internal write landed; the second half is garbage.
-  fill_garbage(persistent_.get() + offset + kCacheLine / 2, kCacheLine / 2, seed);
-  if (!test_bit(dirty_bits_, line) && !test_bit(pending_bits_, line)) {
-    std::memcpy(volatile_.get() + offset, persistent_.get() + offset, kCacheLine);
-  }
+  fill_garbage(media_line(line) + kCacheLine / 2, kCacheLine / 2, seed);
   ++stats_.media_torn_lines;
 }
 
 void PmDevice::poison_line(std::size_t line, std::uint64_t seed) {
-  const std::size_t offset = line * kCacheLine;
-  check_range(offset, kCacheLine);
-  fill_garbage(persistent_.get() + offset, kCacheLine, seed);
-  if (!test_bit(dirty_bits_, line) && !test_bit(pending_bits_, line)) {
-    std::memcpy(volatile_.get() + offset, persistent_.get() + offset, kCacheLine);
-  }
+  check_range(line * kCacheLine, kCacheLine);
+  fill_garbage(media_line(line), kCacheLine, seed);
   if (!test_bit(poison_bits_, line)) {
     set_bit(poison_bits_, line);
     ++poisoned_count_;
@@ -521,7 +689,9 @@ std::vector<std::size_t> PmDevice::scrub_range(std::size_t offset, std::size_t l
 }
 
 Bytes PmDevice::snapshot_persistent() const {
-  return Bytes(persistent_.get(), persistent_.get() + size_);
+  Bytes image(size_);
+  read_persistent(0, image.data(), size_);
+  return image;
 }
 
 void PmDevice::restore_persistent(ByteSpan image) {
@@ -530,8 +700,8 @@ void PmDevice::restore_persistent(ByteSpan image) {
                   std::to_string(image.size()) + " bytes, arena is " +
                   std::to_string(size_));
   }
-  std::memcpy(persistent_.get(), image.data(), size_);
-  reset_to_persistent();
+  std::memcpy(image_.get(), image.data(), size_);
+  reset_state();
 }
 
 }  // namespace plinius::pm

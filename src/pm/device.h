@@ -1,27 +1,34 @@
 // Simulated persistent-memory device with cache-line-accurate crash
 // semantics.
 //
-// The device keeps two byte images:
-//   * the volatile image — what the CPU sees through loads/stores, and
-//   * the persistent image — what would survive a power failure.
-// A store dirties its cache lines in the volatile image only. CLFLUSH
-// commits the line to the persistent image immediately (the instruction is
-// strongly ordered, which is why Romulus' clflush+nop combination is sound).
-// CLFLUSHOPT/CLWB snapshot the line into a *pending* set; an SFENCE commits
-// all pending lines. On a simulated crash, pending-but-unfenced lines each
-// persist with probability 1/2 (the flush may or may not have reached the
-// ADR-protected write-pending queue), dirty-unflushed lines are lost, and
-// the volatile image is replaced by the persistent one.
+// The device keeps one byte image, what the CPU sees through loads and
+// stores, plus an undo store holding the persisted bytes of the lines that
+// a power failure would change back. A line's persistent content is its
+// undo entry if it has one, else the image; only dirty or pending lines can
+// have entries.
+//
+// A store dirties its cache lines; a line it changes first saves its
+// persisted bytes as an entry (a line whose bytes stay equal saves none).
+// CLFLUSH commits the line immediately (the instruction is strongly
+// ordered, which is why Romulus' clflush+nop combination is sound): the
+// entry is dropped, since the image already holds the bytes. CLFLUSHOPT/CLWB
+// move the line to a *pending* set; an SFENCE commits all pending lines. A
+// line stored again after its flush keeps its flushed bytes as a
+// copy-on-write snapshot, which the fence makes its entry (the line is still
+// dirty). On a simulated crash, pending-but-unfenced lines each persist with
+// probability 1/2 (the flush may or may not have reached the ADR-protected
+// write-pending queue), dirty-unflushed lines are lost, and every line that
+// did not persist gets its entry copied back into the image.
 //
 // Line state lives in 64-line bitmap words, and store/flush/fence act on a
-// whole word at a time: counts are popcounts and runs of contiguous lines
-// commit with one copy each. The persistent image is write-mostly (only a
-// crash, a snapshot or a save reads it), so a run of 64 KiB or more is
-// copied with non-temporal stores that bypass the cache. Lines enter the
-// pending set in flush order; the device keeps that order as a list of
-// runs of newly pended lines, and a seeded crash draws one coin per
-// still-pending line in list order (a line draws at its first entry), so
-// outcomes depend only on the seed and the op sequence.
+// whole word at a time: counts are popcounts, and each word's entries share
+// one 4 KiB block of 64 line slots. Blocks come from a free list and are
+// kept until the device is destroyed, so the resident set is the high-water
+// mark of differing lines, whatever the host's timing. Lines enter the
+// pending set in flush order; the device keeps that order as a list of runs
+// of newly pended lines, and a seeded crash draws one coin per still-pending
+// line in list order (a line draws at its first entry), so outcomes depend
+// only on the seed and the op sequence.
 //
 // This reproduces exactly the failure modes the Romulus twin-copy protocol
 // and the Plinius mirroring protocol exist to mask, so crash-consistency
@@ -75,26 +82,29 @@ class PmDevice {
   PmDevice& operator=(const PmDevice&) = delete;
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] std::uint8_t* data() noexcept { return volatile_.get(); }
-  [[nodiscard]] const std::uint8_t* data() const noexcept { return volatile_.get(); }
+  /// The image loads see. Write through it only after record_store().
+  [[nodiscard]] std::uint8_t* data() noexcept { return image_.get(); }
+  [[nodiscard]] const std::uint8_t* data() const noexcept { return image_.get(); }
 
-  /// Writes `src` into the volatile image and dirties the lines, charging
-  /// store cost. This is the store-interposition entry point persist<T> and
-  /// the allocator use.
+  /// Writes `src` into the image and dirties the lines, charging store
+  /// cost. This is the store-interposition entry point Romulus and the
+  /// allocator use. A line whose bytes in range already equal `src` is
+  /// dirtied and charged but neither written nor given an undo entry.
   void store(std::size_t offset, const void* src, std::size_t len);
 
-  /// store() of the volatile image's own [src, src+len) into [dst,
-  /// dst+len): same dirty lines, stats, charges and crash point. The ranges
-  /// must not overlap. For write-mostly destinations (Romulus' back copy):
-  /// a long copy streams past the cache, as a fence's write-back into the
-  /// persistent image does.
+  /// store() of the image's own [src, src+len) into [dst, dst+len): same
+  /// dirty lines, stats, charges and crash point. The ranges must not
+  /// overlap. For write-mostly destinations (Romulus' back copy): a long
+  /// copy streams past the cache.
   void copy_within(std::size_t dst, std::size_t src, std::size_t len);
 
-  /// Marks lines dirty for an in-place mutation done directly through
-  /// data() (charges store cost too).
+  /// Marks lines dirty for an in-place mutation through data() (charges
+  /// store cost too). Call it *before* writing the bytes: it saves each
+  /// line's persisted bytes from the image, so bytes written ahead of it
+  /// would be taken for persisted ones and survive a crash they must not.
   void record_store(std::size_t offset, std::size_t len);
 
-  /// Reads from the volatile image, charging load cost.
+  /// Reads from the image, charging load cost.
   void load(std::size_t offset, void* dst, std::size_t len);
 
   /// Charges read cost without copying (for code that reads via data()).
@@ -115,16 +125,18 @@ class PmDevice {
   /// Simulated power failure: see the file comment for semantics.
   void crash(CrashOutcome outcome = CrashOutcome::kSeededRandom);
 
-  /// True if every line is clean (flushed and fenced) — i.e. volatile and
-  /// persistent images agree.
+  /// True if every line is clean (flushed and fenced), i.e. the image is
+  /// what would survive a power failure.
   [[nodiscard]] bool quiescent() const noexcept {
     return dirty_count_ == 0 && pending_count_ == 0;
   }
 
-  /// Peek at the persistent image (tests assert on what *would* survive).
-  [[nodiscard]] const std::uint8_t* persistent_image() const noexcept {
-    return persistent_.get();
-  }
+  /// Copies what would survive a power failure in [offset, offset+len)
+  /// into `dst` (tests assert on it). Charges nothing.
+  void read_persistent(std::size_t offset, void* dst, std::size_t len) const;
+
+  /// Lines holding an undo entry (tests check a quiescent device has none).
+  [[nodiscard]] std::size_t undo_lines() const noexcept { return undo_count_; }
 
   [[nodiscard]] const PmStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = PmStats{}; }
@@ -132,8 +144,9 @@ class PmDevice {
   [[nodiscard]] const PmLatencyModel& model() const noexcept { return model_; }
   [[nodiscard]] sim::Clock& clock() noexcept { return *clock_; }
 
-  /// Persists the current persistent image to / restores it from a file,
-  /// emulating the DAX-mmapped file surviving across process lifetimes.
+  /// Persists what would survive a power failure to a file / restores the
+  /// device from one, emulating the DAX-mmapped file surviving across
+  /// process lifetimes.
   void save_image(const std::string& path) const;
   void load_image(const std::string& path);
 
@@ -154,9 +167,10 @@ class PmDevice {
   // stored bits, a torn internal write garbles part of a line, and
   // uncorrectable errors leave a line *poisoned* (reads raise a machine
   // check until the line is rewritten — the reason ndctl ships
-  // address-range-scrub). Faults land in the persistent image; the volatile
-  // image is updated too unless the line is held dirty/pending in the CPU
-  // cache (the cache copy masks media damage until eviction).
+  // address-range-scrub). Faults land in the line's persistent content: the
+  // image for a clean line; for a dirty or pending line its undo entry
+  // (saved first if it has none), so the cache copy masks the damage until
+  // eviction.
 
   /// Flips bit `bit` (0-7) of the byte at `offset`.
   void flip_bit(std::size_t offset, unsigned bit);
@@ -189,19 +203,44 @@ class PmDevice {
     std::size_t count;
   };
 
-  void commit_line(std::size_t line, const std::uint8_t* snapshot);
-  /// Writes back `count` lines from the volatile image in one copy.
-  void commit_run(std::size_t first, std::size_t count);
+  /// The undo entries of one 64-line bitmap word, slot i for line 64w+i.
+  struct UndoBlock {
+    alignas(kCacheLine) std::uint8_t line[64][kCacheLine];
+  };
+
+  /// Writes [offset, offset+len) from `src` (not overlapping it) as one
+  /// store op: marks the lines dirty, and each line whose bytes in range
+  /// change saves its entry and is written. Long runs of written lines
+  /// stream when `stream` is set.
+  void write(std::size_t offset, const std::uint8_t* src, std::size_t len, bool stream);
+  /// Charges and counts one store op of `len` bytes.
+  void charge_store(std::size_t len);
+  /// Dirties the lines `mask` of word w; a pending one first keeps its
+  /// flushed bytes as a copy-on-write snapshot.
+  void mark_dirty(std::size_t w, std::uint64_t mask);
+  /// Saves the image's bytes as the entry of each line of `bits` (word w)
+  /// that has none, with non-temporal stores if `stream` (the caller
+  /// fences).
+  void capture(std::size_t w, std::uint64_t bits, bool stream);
+  /// Makes `bytes` the entry of `line`.
+  void put_entry(std::size_t line, const std::uint8_t* bytes);
+  /// Drops the entries of `bits` in word w; a word left with none returns
+  /// its block to the free list.
+  void drop(std::size_t w, std::uint64_t bits);
+  /// The lines `bits` of word w persist their image bytes: their entries
+  /// go, and a full-line write-back clears their poison.
+  void commit(std::size_t w, std::uint64_t bits);
+  /// The persisted bytes of `line`, where a media fault lands.
+  std::uint8_t* media_line(std::size_t line);
   /// Commits every pending line (snapshots win) and empties the pending set.
   void commit_pending();
   void append_pending_run(std::size_t first, std::size_t count);
-  /// Volatile image := persistent image, with no dirty, pending or
-  /// poisoned lines (image load and restore).
-  void reset_to_persistent();
+  /// Drops every entry and clears the dirty, pending and poisoned lines:
+  /// the image becomes what persists (image load and restore).
+  void reset_state();
   void check_range(std::size_t offset, std::size_t len) const;
   static bool test_bit(const std::vector<std::uint64_t>& bits, std::size_t line) noexcept;
   static void set_bit(std::vector<std::uint64_t>& bits, std::size_t line) noexcept;
-  static void clear_bit(std::vector<std::uint64_t>& bits, std::size_t line) noexcept;
 
   struct Unmap {
     std::size_t size;
@@ -216,8 +255,7 @@ class PmDevice {
   sim::Clock* clock_;
   std::size_t size_;
   PmLatencyModel model_;
-  Image volatile_;
-  Image persistent_;
+  Image image_;
 
   // Cache-line state as bitmaps (a set of line indices would cost ~50 bytes
   // per entry; a 100 MB mirror write touches ~1.6 M lines).
@@ -231,6 +269,14 @@ class PmDevice {
   std::unordered_map<std::size_t, std::array<std::uint8_t, kCacheLine>> pending_snapshots_;
   std::size_t dirty_count_ = 0;
   std::size_t pending_count_ = 0;
+
+  // Undo store: per word, the lines holding an entry and their block (null
+  // when the word has none). Every block ever taken lives in undo_pool_.
+  std::vector<std::uint64_t> undo_bits_;
+  std::vector<UndoBlock*> undo_blocks_;
+  std::vector<std::unique_ptr<UndoBlock>> undo_pool_;
+  std::vector<UndoBlock*> undo_free_;
+  std::size_t undo_count_ = 0;
 
   // Poisoned (uncorrectable-error) lines; cleared when the line is rewritten.
   std::vector<std::uint64_t> poison_bits_;

@@ -46,8 +46,7 @@ class persist {
     if (rom == nullptr) {
       throw PmError("persist<T>: store outside a Romulus transaction");
     }
-    val_ = v;
-    rom->tx_record(rom->offset_of(this), sizeof(T));
+    rom->tx_store(rom->offset_of(this), &v, sizeof(T));
   }
 
   persist& operator+=(const T& v) { return *this = val_ + v; }
@@ -94,8 +93,7 @@ template <typename T>
   static_assert(std::is_trivially_destructible_v<T>,
                 "persistent objects must not need destructors");
   const std::size_t off = rom.pmalloc(sizeof(T));
-  ::new (rom.main_base() + off) T{};
-  rom.tx_record(off, sizeof(T));
+  rom.tx_fill(off, sizeof(T), [](std::uint8_t* dst) { ::new (dst) T{}; });
   return pm_ptr<T>(off);
 }
 

@@ -227,12 +227,16 @@ void Romulus::close_tx_span() {
   tx_span_id_ = 0;
 }
 
-std::uint8_t* Romulus::tx_begin_store(std::size_t offset, std::size_t len,
-                                       const char* ctx) {
+void Romulus::tx_check(std::size_t offset, std::size_t len, const char* ctx) const {
   if (!in_transaction()) {
     throw Error(std::string("precondition violated: ") + ctx + " outside a transaction");
   }
   check_extent(offset, len, ctx);
+}
+
+std::uint8_t* Romulus::tx_begin_store(std::size_t offset, std::size_t len,
+                                       const char* ctx) {
+  tx_check(offset, len, ctx);
   dev_->record_store(main_offset() + offset, len);
   return main_base() + offset;
 }
@@ -244,12 +248,8 @@ void Romulus::tx_end_store(std::size_t offset, std::size_t len) {
 }
 
 void Romulus::tx_store(std::size_t offset, const void* src, std::size_t len) {
-  std::memcpy(tx_begin_store(offset, len, "Romulus::tx_store"), src, len);
-  tx_end_store(offset, len);
-}
-
-void Romulus::tx_record(std::size_t offset, std::size_t len) {
-  (void)tx_begin_store(offset, len, "Romulus::tx_record");
+  tx_check(offset, len, "Romulus::tx_store");
+  dev_->store(main_offset() + offset, src, len);
   tx_end_store(offset, len);
 }
 

@@ -26,8 +26,9 @@
 // is lost on crash, which is exactly why COPYING recovery re-copies the
 // whole main region.
 //
-// All stores to persistent data must go through tx_store()/persist<T> so the
-// log and PWBs stay correct; reads can use plain loads via main_base().
+// All stores to persistent data must go through tx_store()/tx_fill()/
+// persist<T> so the log and PWBs stay correct, and so each store is recorded
+// before its bytes land; reads can use plain loads via main_base().
 #pragma once
 
 #include <cstdint>
@@ -128,14 +129,14 @@ class Romulus {
   /// `len` bytes at dst = main_base() + offset where tx_store would copy
   /// them — after the store is recorded, before the PWB. The device sees
   /// the same ops, charges and bytes; the caller skips a staging copy.
+  /// This is the only way to mutate main in place: the device saves a
+  /// line's persisted bytes when the store is recorded, so a byte written
+  /// through main_base() before that would be taken for a persisted one.
   template <typename Fill>
   void tx_fill(std::size_t offset, std::size_t len, Fill&& fill) {
     fill(tx_begin_store(offset, len, "Romulus::tx_fill"));
     tx_end_store(offset, len);
   }
-
-  /// Registers an in-place mutation performed directly through main_base().
-  void tx_record(std::size_t offset, std::size_t len);
 
   /// Typed convenience.
   template <typename T>
@@ -239,7 +240,7 @@ class Romulus {
   /// Tri-state consistency flag recorded in the persistent header.
   enum class State : std::uint64_t { kIdle = 0, kMutating = 1, kCopying = 2 };
 
-  /// The header state as currently visible through the volatile image.
+  /// The header state as currently visible through the device image.
   /// Outside a transaction this must be kIdle; fault-injection harnesses
   /// assert exactly that after recovery.
   [[nodiscard]] State header_state() const { return state(); }
@@ -284,9 +285,11 @@ class Romulus {
   void close_tx_span();
   void copy_main_to_back_full();
   void copy_back_to_main_full();
-  /// The two halves of every transactional store: check the extent and
-  /// record the store (returning the destination in main), then PWB and log
-  /// the range once its bytes are in place.
+  /// Throws unless a transaction is open and [offset, offset+len) is in main.
+  void tx_check(std::size_t offset, std::size_t len, const char* ctx) const;
+  /// The two halves of an in-place transactional store: check the extent
+  /// and record the store (returning the destination in main), then PWB and
+  /// log the range once its bytes are in place.
   std::uint8_t* tx_begin_store(std::size_t offset, std::size_t len, const char* ctx);
   void tx_end_store(std::size_t offset, std::size_t len);
 

@@ -21,9 +21,10 @@ SpsResult run_sps(Romulus& rom, const SpsConfig& config) {
   if (array_off == 0) {
     rom.run_transaction([&] {
       array_off = rom.pmalloc(nelems * sizeof(std::uint64_t));
-      auto* elems = reinterpret_cast<std::uint64_t*>(rom.main_base() + array_off);
-      for (std::size_t i = 0; i < nelems; ++i) elems[i] = i;
-      rom.tx_record(array_off, nelems * sizeof(std::uint64_t));
+      rom.tx_fill(array_off, nelems * sizeof(std::uint64_t), [&](std::uint8_t* dst) {
+        auto* elems = reinterpret_cast<std::uint64_t*>(dst);
+        for (std::size_t i = 0; i < nelems; ++i) elems[i] = i;
+      });
       rom.set_root(kArrayRootSlot, array_off);
     });
   }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <optional>
@@ -142,25 +143,30 @@ TEST_F(PmDeviceTest, CrashRestoresVolatileFromPersistent) {
   EXPECT_EQ(back, committed);
 }
 
-// persist<T> and pm_make write through data() and then record the store.
-// When the fault injector crashes the device at that record_store, crash()
-// must still restore the lines the caller already wrote.
-TEST_F(PmDeviceTest, CrashRestoresLinesWrittenAheadOfAnInterruptedStore) {
+// tx_fill, pm_make and persist<T> record a store and then write its bytes
+// in place through data(). The record saves the lines' persisted bytes, so a
+// crash at a later store op, with the bytes written, must bring back the
+// committed value.
+TEST_F(PmDeviceTest, CrashRestoresLinesWrittenAfterTheirRecord) {
   const std::uint32_t committed = 0xAAAAAAAA;
   dev_.store(200, &committed, sizeof(committed));
   dev_.flush(200, sizeof(committed), FlushKind::kClflush);
 
   FaultInjector fi(dev_);
-  fi.arm(1);
-  const std::uint32_t ahead = 0xCCCCCCCC;
-  std::memcpy(dev_.data() + 200, &ahead, sizeof(ahead));
-  EXPECT_THROW(dev_.record_store(200, sizeof(ahead)), SimulatedCrash);
+  fi.arm(2);
+  const std::uint32_t written = 0xCCCCCCCC;
+  dev_.record_store(200, sizeof(written));
+  std::memcpy(dev_.data() + 200, &written, sizeof(written));
+  EXPECT_THROW(dev_.record_store(200, sizeof(written)), SimulatedCrash);
   dev_.crash(PmDevice::CrashOutcome::kDropAll);
 
   std::uint32_t back = 0;
   dev_.load(200, &back, sizeof(back));
   EXPECT_EQ(back, committed);
-  EXPECT_EQ(0, std::memcmp(dev_.data(), dev_.persistent_image(), dev_.size()));
+  Bytes persisted(dev_.size());
+  dev_.read_persistent(0, persisted.data(), persisted.size());
+  EXPECT_EQ(0, std::memcmp(dev_.data(), persisted.data(), dev_.size()));
+  EXPECT_EQ(dev_.undo_lines(), 0u);
 }
 
 TEST_F(PmDeviceTest, QuiescentTracksCleanliness) {
@@ -190,10 +196,10 @@ TEST_F(PmDeviceTest, PersistentImagePeek) {
   const std::uint32_t v = 0x5555AAAA;
   dev_.store(0, &v, sizeof(v));
   std::uint32_t persisted = 1;
-  std::memcpy(&persisted, dev_.persistent_image(), sizeof(persisted));
+  dev_.read_persistent(0, &persisted, sizeof(persisted));
   EXPECT_EQ(persisted, 0u);  // not yet flushed
   dev_.flush(0, sizeof(v), FlushKind::kClflush);
-  std::memcpy(&persisted, dev_.persistent_image(), sizeof(persisted));
+  dev_.read_persistent(0, &persisted, sizeof(persisted));
   EXPECT_EQ(persisted, v);
 }
 
@@ -392,7 +398,8 @@ TEST_P(PmRandomizedTest, CrashNeverYieldsTornState) {
   dev.crash();
 
   for (std::size_t l = 0; l < kLines; ++l) {
-    const std::uint8_t* actual = dev.persistent_image() + l * kCacheLine;
+    std::uint8_t actual[kCacheLine];
+    dev.read_persistent(l * kCacheLine, actual, kCacheLine);
     bool matched = false;
     for (const auto& cand : legal[l]) {
       if (std::memcmp(actual, cand.data(), kCacheLine) == 0) {
@@ -410,11 +417,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PmRandomizedTest,
 
 // --- differential check against the per-line reference --------------------
 //
-// RefPmDevice is the device's line tracking written one cache line at a
-// time: a line index list for the pending set, a loop over every line of a
-// range, one 64-byte copy per committed line. PmDevice works on whole bitmap
+// RefPmDevice is the device written one cache line at a time with two full
+// images, volatile and persistent: a line index list for the pending set, a
+// loop over every line of a range, one 64-byte copy per committed line.
+// PmDevice keeps one image plus an undo store and works on whole bitmap
 // words and merged runs instead; seeded op sequences drive both and every
-// observable must stay bitwise equal.
+// observable must stay bitwise equal. The reference also tracks which lines
+// the design gives an undo entry, so the device's entry count is checked
+// after every op too.
 
 class RefPmDevice {
  public:
@@ -426,6 +436,8 @@ class RefPmDevice {
         pending_(size / kCacheLine, false),
         poison_(size / kCacheLine, false),
         faulted_dirty_(size / kCacheLine, false),
+        entry_(size / kCacheLine, false),
+        word_entries_((size / kCacheLine + 63) / 64, 0),
         crash_rng_(crash_seed) {}
 
   // Situations the op sequences must reach for the check to mean anything.
@@ -438,6 +450,15 @@ class RefPmDevice {
     std::size_t crashes_over_snapshots = 0;
     std::size_t crashes_over_faulted_dirty = 0;
     std::size_t poison_cleared_by_commit = 0;
+    // Undo store paths.
+    std::size_t unchanged_lines_without_entry = 0;
+    std::size_t late_partial_captures = 0;
+    std::size_t faults_on_dirty_without_entry = 0;
+    std::size_t fences_leaving_dirty_entries = 0;
+    std::size_t crashes_restoring_entries[3] = {};
+    std::size_t blocks_reused_after_fence = 0;
+    std::size_t snapshots_with_entries = 0;
+    std::size_t restores_with_entries = 0;
   };
 
   std::uint8_t* data() { return volatile_.data(); }
@@ -447,30 +468,39 @@ class RefPmDevice {
   const Coverage& coverage() const { return coverage_; }
   bool quiescent() const { return dirty_count_ == 0 && pending_count_ == 0; }
   std::size_t poisoned_line_count() const { return poisoned_count_; }
+  std::size_t undo_lines() const { return entry_count_; }
 
+  // A line whose bytes in range change takes an entry (if it has none); an
+  // unchanged one does not.
   void store(std::size_t offset, const void* src, std::size_t len) {
-    record_store(offset, len);
+    if (len == 0) return;
+    const auto* bytes = static_cast<const std::uint8_t*>(src);
+    for (std::size_t line = offset / kCacheLine; line <= (offset + len - 1) / kCacheLine;
+         ++line) {
+      const std::size_t lo = std::max(offset, line * kCacheLine);
+      const std::size_t hi = std::min(offset + len, (line + 1) * kCacheLine);
+      const bool held = dirty_[line] || pending_[line];
+      mark_dirty(line);
+      if (std::memcmp(volatile_.data() + lo, bytes + (lo - offset), hi - lo) == 0) {
+        if (!entry_[line]) ++coverage_.unchanged_lines_without_entry;
+      } else if (!entry_[line]) {
+        if (held && hi - lo < kCacheLine) ++coverage_.late_partial_captures;
+        take_entry(line);
+      }
+    }
     std::memcpy(volatile_.data() + offset, src, len);
+    charge_store(len);
   }
 
+  // Every line in range takes an entry: its bytes are written afterwards.
   void record_store(std::size_t offset, std::size_t len) {
     if (len == 0) return;
     for (std::size_t line = offset / kCacheLine; line <= (offset + len - 1) / kCacheLine;
          ++line) {
-      if (pending_[line] && !snapshots_.contains(line)) {
-        std::array<std::uint8_t, kCacheLine> snap;
-        std::memcpy(snap.data(), volatile_.data() + line * kCacheLine, kCacheLine);
-        snapshots_.emplace(line, snap);
-        ++coverage_.cow_snapshots;
-      }
-      if (!dirty_[line]) {
-        dirty_[line] = true;
-        ++dirty_count_;
-      }
+      mark_dirty(line);
+      take_entry(line);
     }
-    ++stats_.stores;
-    stats_.bytes_stored += len;
-    clock_.advance(sim::bandwidth_ns(static_cast<double>(len), model_.store_gib_s));
+    charge_store(len);
   }
 
   // Returns false where the device throws (a poisoned line in range).
@@ -539,6 +569,7 @@ class RefPmDevice {
     ++stats_.fences;
     if (kind == FenceKind::kNop) return;
     clock_.advance(model_.sfence_ns);
+    fencing_ = true;
     for (const std::size_t line : pending_list_) {
       if (!pending_[line]) continue;
       const auto it = snapshots_.find(line);
@@ -546,6 +577,7 @@ class RefPmDevice {
       pending_[line] = false;
       --pending_count_;
     }
+    fencing_ = false;
     pending_list_.clear();
     snapshots_.clear();
   }
@@ -570,6 +602,9 @@ class RefPmDevice {
       }
       if (persists) {
         const auto it = snapshots_.find(line);
+        // The line is lost from the cache either way: a snapshot is its
+        // entry until the restore below.
+        dirty_[line] = true;
         commit_line(line, it != snapshots_.end() ? it->second.data() : nullptr);
       }
       pending_[line] = false;
@@ -577,7 +612,9 @@ class RefPmDevice {
     pending_count_ = 0;
     pending_list_.clear();
     snapshots_.clear();
+    if (entry_count_ > 0) ++coverage_.crashes_restoring_entries[static_cast<int>(outcome)];
     volatile_ = persistent_;
+    drop_all_entries();
     std::fill(dirty_.begin(), dirty_.end(), false);
     dirty_count_ = 0;
   }
@@ -622,7 +659,13 @@ class RefPmDevice {
     return poisoned;
   }
 
+  Bytes snapshot_persistent() {
+    if (entry_count_ > 0) ++coverage_.snapshots_with_entries;
+    return persistent_;
+  }
+
   void restore_persistent(const Bytes& image) {
+    if (entry_count_ > 0) ++coverage_.restores_with_entries;
     persistent_ = image;
     volatile_ = image;
     std::fill(dirty_.begin(), dirty_.end(), false);
@@ -632,13 +675,41 @@ class RefPmDevice {
     pending_list_.clear();
     snapshots_.clear();
     std::fill(faulted_dirty_.begin(), faulted_dirty_.end(), false);
+    drop_all_entries();
   }
 
  private:
+  void mark_dirty(std::size_t line) {
+    if (pending_[line] && !snapshots_.contains(line)) {
+      std::array<std::uint8_t, kCacheLine> snap;
+      std::memcpy(snap.data(), volatile_.data() + line * kCacheLine, kCacheLine);
+      snapshots_.emplace(line, snap);
+      ++coverage_.cow_snapshots;
+    }
+    if (!dirty_[line]) {
+      dirty_[line] = true;
+      ++dirty_count_;
+    }
+  }
+
+  void charge_store(std::size_t len) {
+    ++stats_.stores;
+    stats_.bytes_stored += len;
+    clock_.advance(sim::bandwidth_ns(static_cast<double>(len), model_.store_gib_s));
+  }
+
+  // Persists the snapshot (or the volatile line). A line still dirty keeps
+  // its new persisted bytes as an entry; any other line drops its entry.
   void commit_line(std::size_t line, const std::uint8_t* snapshot) {
     const std::uint8_t* src =
         snapshot != nullptr ? snapshot : volatile_.data() + line * kCacheLine;
     std::memcpy(persistent_.data() + line * kCacheLine, src, kCacheLine);
+    if (snapshot != nullptr && dirty_[line]) {
+      if (fencing_) ++coverage_.fences_leaving_dirty_entries;
+      take_entry(line);
+    } else {
+      drop_entry(line);
+    }
     faulted_dirty_[line] = false;
     if (poison_[line]) {
       poison_[line] = false;
@@ -648,10 +719,41 @@ class RefPmDevice {
     }
   }
 
+  // Blocks are modelled as the device keeps them: one per word with
+  // entries, returned to a free list when the word has none left.
+  void take_entry(std::size_t line) {
+    if (entry_[line]) return;
+    entry_[line] = true;
+    ++entry_count_;
+    if (word_entries_[line / 64]++ > 0) return;
+    if (free_blocks_ > 0) {
+      --free_blocks_;
+      if (last_freed_by_fence_) ++coverage_.blocks_reused_after_fence;
+    }
+  }
+
+  void drop_entry(std::size_t line) {
+    if (!entry_[line]) return;
+    entry_[line] = false;
+    --entry_count_;
+    if (--word_entries_[line / 64] == 0) {
+      ++free_blocks_;
+      last_freed_by_fence_ = fencing_;
+    }
+  }
+
+  void drop_all_entries() {
+    for (std::size_t line = 0; line < entry_.size(); ++line) drop_entry(line);
+  }
+
   // A media fault on a dirty line reaches only the persistent image, so the
   // two images differ there until a commit or crash.
   void note_fault(std::size_t line) {
     if (dirty_[line]) faulted_dirty_[line] = true;
+    if ((dirty_[line] || pending_[line]) && !entry_[line]) {
+      ++coverage_.faults_on_dirty_without_entry;
+      take_entry(line);
+    }
   }
 
   void refresh_clean_line(std::size_t line) {
@@ -670,10 +772,14 @@ class RefPmDevice {
   sim::Clock clock_;
   Bytes volatile_;
   Bytes persistent_;
-  std::vector<bool> dirty_, pending_, poison_, faulted_dirty_;
+  std::vector<bool> dirty_, pending_, poison_, faulted_dirty_, entry_;
+  std::vector<std::size_t> word_entries_;
   std::vector<std::size_t> pending_list_;
   std::unordered_map<std::size_t, std::array<std::uint8_t, kCacheLine>> snapshots_;
   std::size_t dirty_count_ = 0, pending_count_ = 0, poisoned_count_ = 0;
+  std::size_t entry_count_ = 0, free_blocks_ = 0;
+  bool fencing_ = false;
+  bool last_freed_by_fence_ = false;
   Rng crash_rng_;
   PmStats stats_;
   Coverage coverage_;
@@ -736,22 +842,31 @@ TEST_P(PmDifferentialTest, WordParallelDeviceMatchesPerLineReference) {
   for (int op = 0; op < 4000; ++op) {
     const std::string where = "seed " + std::to_string(seed) + " op " + std::to_string(op);
     const std::uint64_t pick = rng.below(100);
-    if (pick < 22) {
+    if (pick < 14) {
       const std::size_t off = pick_offset();
       Bytes data(pick_len(off));
       rng.fill(data.data(), data.size());
       dev.store(off, data.data(), data.size());
       ref.store(off, data.data(), data.size());
+    } else if (pick < 22) {
+      // A store of the bytes already there, or with one byte changed: the
+      // unchanged lines must take no undo entry.
+      const std::size_t off = pick_offset();
+      const std::size_t len = pick_len(off);
+      Bytes data(ref.data() + off, ref.data() + off + len);
+      if (rng.below(2) == 0) data[rng.below(len)] ^= 0x5A;
+      dev.store(off, data.data(), len);
+      ref.store(off, data.data(), len);
     } else if (pick < 34) {
-      // In-place mutation through data(), then record_store.
+      // In-place mutation through data(), recorded before it is written.
       const std::size_t off = pick_offset();
       const std::size_t len = pick_len(off);
       Bytes data(len);
       rng.fill(data.data(), data.size());
-      std::memcpy(dev.data() + off, data.data(), len);
-      std::memcpy(ref.data() + off, data.data(), len);
       dev.record_store(off, len);
       ref.record_store(off, len);
+      std::memcpy(dev.data() + off, data.data(), len);
+      std::memcpy(ref.data() + off, data.data(), len);
     } else if (pick < 66) {
       const std::size_t off = pick_offset();
       const std::size_t len = pick_len(off);
@@ -811,17 +926,21 @@ TEST_P(PmDifferentialTest, WordParallelDeviceMatchesPerLineReference) {
       ref.charge_read(len);
     } else if (pick < 98) {
       saved = dev.snapshot_persistent();
-      ASSERT_EQ(0, std::memcmp(saved->data(), ref.persistent_image(), kSize)) << where;
+      ASSERT_EQ(*saved, ref.snapshot_persistent()) << where;
     } else if (saved.has_value()) {
       dev.restore_persistent(*saved);
       ref.restore_persistent(*saved);
     }
 
     ASSERT_EQ(0, std::memcmp(dev.data(), ref.data(), kSize)) << "volatile image, " << where;
-    ASSERT_EQ(0, std::memcmp(dev.persistent_image(), ref.persistent_image(), kSize))
+    ASSERT_EQ(0, std::memcmp(dev.snapshot_persistent().data(), ref.persistent_image(), kSize))
         << "persistent image, " << where;
     expect_same_stats(dev.stats(), ref.stats(), where);
     ASSERT_EQ(dev.quiescent(), ref.quiescent()) << where;
+    ASSERT_EQ(dev.undo_lines(), ref.undo_lines()) << "undo entries, " << where;
+    if (dev.quiescent()) {
+      ASSERT_EQ(dev.undo_lines(), 0u) << "entries on a quiescent device, " << where;
+    }
     ASSERT_EQ(dev.poisoned_line_count(), ref.poisoned_line_count()) << where;
     ASSERT_EQ(clock.now(), ref.clock().now()) << "sim clock, " << where;
     if (HasFailure()) return;
@@ -835,19 +954,27 @@ TEST_P(PmDifferentialTest, WordParallelDeviceMatchesPerLineReference) {
   EXPECT_GT(c.poison_cleared_by_commit, 0u);
   EXPECT_GT(c.crashes_over_snapshots, 0u);
   EXPECT_GT(c.crashes_over_faulted_dirty, 0u);
+  EXPECT_GT(c.unchanged_lines_without_entry, 0u);
+  EXPECT_GT(c.late_partial_captures, 0u);
+  EXPECT_GT(c.faults_on_dirty_without_entry, 0u);
+  EXPECT_GT(c.fences_leaving_dirty_entries, 0u);
+  EXPECT_GT(c.blocks_reused_after_fence, 0u);
+  EXPECT_GT(c.snapshots_with_entries, 0u);
+  EXPECT_GT(c.restores_with_entries, 0u);
   for (int outcome = 0; outcome < 3; ++outcome) {
     EXPECT_GT(c.crashes_with_pending[outcome], 0u) << "crash outcome " << outcome;
+    EXPECT_GT(c.crashes_restoring_entries[outcome], 0u) << "crash outcome " << outcome;
   }
   EXPECT_GT(dev.stats().crash_coin_flips, 0u);
 }
 
-// Long copies stream into the persistent image (a fence's or clflush's
-// write-back) and into Romulus' back copy (copy_within): each round stores a
-// >= 64 KiB range of "main" at an unaligned offset and flushes it, then
-// crashes between flush and fence or fences; then copies a long range of
-// main into "back" as Romulus' twin copy does and crashes right after it,
-// after its flush, or after its fence. Both images, the stats and the sim
-// clock must match the per-line reference after every step.
+// Long copies stream into Romulus' back copy (copy_within) and save the
+// lines they change in the undo store: each round stores a >= 64 KiB range
+// of "main" at an unaligned offset and flushes it, then crashes between
+// flush and fence or fences; then copies a long range of main into "back"
+// as Romulus' twin copy does and crashes right after it, after its flush, or
+// after its fence. Both images, the entry count, the stats and the sim clock
+// must match the per-line reference after every step.
 TEST_P(PmDifferentialTest, StreamedCopiesMatchPerLineReference) {
   constexpr std::size_t kLines = 4096;
   constexpr std::size_t kSize = kLines * kCacheLine;
@@ -862,10 +989,11 @@ TEST_P(PmDifferentialTest, StreamedCopiesMatchPerLineReference) {
   const auto check = [&](const std::string& where) {
     ASSERT_EQ(0, std::memcmp(dev.data(), ref.data(), kSize))
         << "volatile image, " << where;
-    ASSERT_EQ(0, std::memcmp(dev.persistent_image(), ref.persistent_image(), kSize))
+    ASSERT_EQ(0, std::memcmp(dev.snapshot_persistent().data(), ref.persistent_image(), kSize))
         << "persistent image, " << where;
     expect_same_stats(dev.stats(), ref.stats(), where);
     ASSERT_EQ(dev.quiescent(), ref.quiescent()) << where;
+    ASSERT_EQ(dev.undo_lines(), ref.undo_lines()) << "undo entries, " << where;
     ASSERT_EQ(clock.now(), ref.clock().now()) << "sim clock, " << where;
   };
   const auto crash = [&](PmDevice::CrashOutcome outcome) {

@@ -166,7 +166,10 @@ TEST(RomulusTxFill, MatchesTxStoreAtEveryCrashPoint) {
     const auto b = run(true, crash_at);
     const pm::PmDevice& da = a->dev;
     const pm::PmDevice& db = b->dev;
-    ASSERT_EQ(0, std::memcmp(da.persistent_image(), db.persistent_image(), da.size()))
+    Bytes pa(da.size()), pb(db.size());
+    da.read_persistent(0, pa.data(), pa.size());
+    db.read_persistent(0, pb.data(), pb.size());
+    ASSERT_EQ(0, std::memcmp(pa.data(), pb.data(), da.size()))
         << "crash before op " << crash_at;
     ASSERT_EQ(0, std::memcmp(da.data(), db.data(), da.size()))
         << "crash before op " << crash_at;
