@@ -378,7 +378,9 @@ void BM_RomulusTransaction(benchmark::State& state) {
 BENCHMARK(BM_RomulusTransaction);
 
 // Setting up and tearing down one device of state.range(0) MB: mirror_heavy's
-// is 176 MB, train_pipelined's 128 and serve_reload's 64.
+// is 176 MB, train_pipelined's 128 and serve_reload's 64. The image is
+// demand-zero, so this times the bitmaps and an unpopulated mapping; a page
+// is paid for at its first write (BM_PmFirstStore).
 void BM_PmDeviceCreate(benchmark::State& state) {
   const auto bytes = static_cast<std::size_t>(state.range(0)) << 20;
   for (auto _ : state) {
@@ -388,6 +390,39 @@ void BM_PmDeviceCreate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PmDeviceCreate)->Arg(64)->Arg(176)->ArgName("mb")->Unit(benchmark::kMillisecond);
+
+// A 40 MB store of new bytes (mirror_heavy's sealed model) into a fresh
+// device (touched:0), whose image pages are faulted in by the store, against
+// the same store into a device that already stored, flushed and fenced other
+// bytes there (touched:1). Both save the same undo entries; the fresh device
+// also allocates their blocks. Setting up and tearing down are not timed.
+void BM_PmFirstStore(benchmark::State& state) {
+  constexpr std::size_t kBytes = 40u << 20;
+  const bool touched = state.range(0) != 0;
+  Bytes payload(kBytes);
+  Bytes other(kBytes);
+  Rng(21).fill(payload.data(), kBytes);
+  Rng(22).fill(other.data(), kBytes);
+  sim::Clock clock;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto dev = std::make_unique<pm::PmDevice>(clock, kBytes, pm::PmLatencyModel::optane());
+    if (touched) {
+      dev->store(0, other.data(), kBytes);
+      dev->flush(0, kBytes, pm::FlushKind::kClflushOpt);
+      dev->fence(pm::FenceKind::kSfence);
+    }
+    state.ResumeTiming();
+    dev->store(0, payload.data(), kBytes);
+    benchmark::DoNotOptimize(dev->data());
+    benchmark::ClobberMemory();
+    state.PauseTiming();
+    dev.reset();
+    state.ResumeTiming();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * kBytes));
+}
+BENCHMARK(BM_PmFirstStore)->Arg(0)->Arg(1)->ArgName("touched")->Unit(benchmark::kMillisecond);
 
 // 40 MB of main (mirror_heavy's sealed model) on a 176 MB device: two
 // payloads that differ in every line, so each transaction changes them all.

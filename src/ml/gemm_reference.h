@@ -7,9 +7,9 @@
 //     variants;
 //   * baseline for benchmarks: bench/micro_kernels and bench/parallel_sweep
 //     report the optimized kernels' speedup over exactly this code, compiled
-//     with the project's default flags (no extra SIMD options).
-//
-// Not used on any training path.
+//     with the project's default flags (no extra SIMD options);
+//   * fallback: ml::gemm_nn/nt/tn/tt run these loops on CPUs without
+//     AVX2/FMA, so there they are the training path.
 #pragma once
 
 #include <cstddef>

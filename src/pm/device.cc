@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <new>
@@ -168,6 +169,28 @@ void store_fence() {
 #endif
 }
 
+// Copies into `dst` the lines of `src` that differ from it, `len` a multiple
+// of kCacheLine: an equal line is only read, so a demand-zero page that
+// stays zero is never faulted in. Runs are copied every 64 KiB, while their
+// source is still in cache from the comparison.
+void copy_changed_lines(std::uint8_t* dst, const std::uint8_t* src, std::size_t len) {
+  std::size_t run = 0;
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < len; i += kCacheLine) {
+    if (!line_equal(dst + i, src + i)) {
+      if (n == 0) run = i;
+      n += kCacheLine;
+      if (n < kStreamMin) continue;
+    }
+    if (n > 0) std::memcpy(dst + run, src + run, n);
+    n = 0;
+  }
+  if (n > 0) std::memcpy(dst + run, src + run, n);
+}
+
+// The staging chunk of image save and load.
+constexpr std::size_t kImageChunk = std::size_t{1} << 20;
+
 }  // namespace
 
 PmDevice::PmDevice(sim::Clock& clock, std::size_t size, PmLatencyModel model,
@@ -175,7 +198,7 @@ PmDevice::PmDevice(sim::Clock& clock, std::size_t size, PmLatencyModel model,
     : clock_(&clock),
       size_(align_up(size, kCacheLine)),
       model_(model),
-      image_(map_zeroed(size_)),
+      image_(map_demand_zero(size_)),
       crash_rng_(crash_seed) {
   const std::size_t words = (size_ / kCacheLine + 63) / 64;
   dirty_bits_.assign(words, 0);
@@ -185,12 +208,20 @@ PmDevice::PmDevice(sim::Clock& clock, std::size_t size, PmLatencyModel model,
   poison_bits_.assign(words, 0);
 }
 
-PmDevice::Image PmDevice::map_zeroed(std::size_t size) {
+PmDevice::Image PmDevice::map_demand_zero(std::size_t size) {
   expects(size > 0, "PmDevice: size must be positive");
-  void* image = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
-                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
+  void* image = ::mmap(nullptr, size, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                       -1, 0);
   if (image == MAP_FAILED) throw std::bad_alloc();
-  return Image(static_cast<std::uint8_t*>(image), Unmap{size});
+  Image owned(static_cast<std::uint8_t*>(image), Unmap{size});
+  // 4 KiB pages only, whatever the host's THP policy: a huge page would make
+  // one touched line resident with its 2 MiB neighbours. EINVAL is a kernel
+  // without THP, which has no huge pages to refuse.
+  if (::madvise(image, size, MADV_NOHUGEPAGE) != 0 && errno != EINVAL) {
+    throw PmError(std::string("PmDevice: madvise(MADV_NOHUGEPAGE) failed: ") +
+                  std::strerror(errno));
+  }
+  return owned;
 }
 
 void PmDevice::Unmap::operator()(std::uint8_t* image) const noexcept {
@@ -589,7 +620,7 @@ void PmDevice::read_persistent(std::size_t offset, void* dst, std::size_t len) c
 void PmDevice::save_image(const std::string& path) const {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw PmError("PmDevice::save_image: cannot open " + path);
-  Bytes chunk(std::min(size_, std::size_t{1} << 20));
+  Bytes chunk(std::min(size_, kImageChunk));
   for (std::size_t off = 0; off < size_ && out; off += chunk.size()) {
     const std::size_t n = std::min(chunk.size(), size_ - off);
     read_persistent(off, chunk.data(), n);
@@ -611,9 +642,14 @@ void PmDevice::load_image(const std::string& path) {
                   std::to_string(size_));
   }
   in.seekg(0, std::ios::beg);
-  in.read(reinterpret_cast<char*>(image_.get()), static_cast<std::streamsize>(size_));
-  if (in.gcount() != static_cast<std::streamsize>(size_)) {
-    throw PmError("PmDevice::load_image: short read from " + path);
+  Bytes chunk(std::min(size_, kImageChunk));
+  for (std::size_t off = 0; off < size_; off += chunk.size()) {
+    const std::size_t n = std::min(chunk.size(), size_ - off);
+    in.read(reinterpret_cast<char*>(chunk.data()), static_cast<std::streamsize>(n));
+    if (in.gcount() != static_cast<std::streamsize>(n)) {
+      throw PmError("PmDevice::load_image: short read from " + path);
+    }
+    copy_changed_lines(image_.get() + off, chunk.data(), n);
   }
   reset_state();
 }
@@ -700,7 +736,7 @@ void PmDevice::restore_persistent(ByteSpan image) {
                   std::to_string(image.size()) + " bytes, arena is " +
                   std::to_string(size_));
   }
-  std::memcpy(image_.get(), image.data(), size_);
+  copy_changed_lines(image_.get(), image.data(), size_);
   reset_state();
 }
 

@@ -7,6 +7,12 @@
 // undo entry if it has one, else the image; only dirty or pending lines can
 // have entries.
 //
+// The image is demand-zero: an anonymous mapping of 4 KiB pages (huge pages
+// refused) in which a page becomes resident on its first write and reads of
+// untouched pages see zeros. Stores, twin copies, image load and restore
+// compare first and skip every line whose bytes would not change, so a
+// run's resident set is the PM it really writes, not the device size.
+//
 // A store dirties its cache lines; a line it changes first saves its
 // persisted bytes as an entry (a line whose bytes stay equal saves none).
 // CLFLUSH commits the line immediately (the instruction is strongly
@@ -153,6 +159,7 @@ class PmDevice {
   /// In-memory equivalents of save_image/load_image, used by crash-point
   /// sweeps to rewind a workload thousands of times without file I/O.
   /// restore_persistent rejects images whose size differs from the arena.
+  /// Load and restore write only the lines that differ from the image.
   [[nodiscard]] Bytes snapshot_persistent() const;
   void restore_persistent(ByteSpan image);
 
@@ -247,10 +254,9 @@ class PmDevice {
     void operator()(std::uint8_t* image) const noexcept;
   };
   using Image = std::unique_ptr<std::uint8_t[], Unmap>;
-  /// Zero-filled and resident in full from construction (the kernel zeroes
-  /// the pages once, with no per-page faults and no second zeroing pass),
-  /// so a run's resident set does not depend on which lines it touches.
-  static Image map_zeroed(std::size_t size);
+  /// Zero-filled and resident page by page: each 4 KiB page on its first
+  /// write, never as part of a transparent huge page.
+  static Image map_demand_zero(std::size_t size);
 
   sim::Clock* clock_;
   std::size_t size_;

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <cinttypes>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <optional>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
@@ -14,6 +18,9 @@
 #include "common/rng.h"
 #include "pm/device.h"
 #include "pm/faultpoint.h"
+#include "romulus/romulus.h"
+
+#include <unistd.h>
 
 namespace plinius::pm {
 namespace {
@@ -1058,6 +1065,135 @@ TEST_P(PmDifferentialTest, StreamedCopiesMatchPerLineReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PmDifferentialTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// --- residency -------------------------------------------------------------------
+//
+// The image is demand-zero: a page is resident once something writes it,
+// and only then. These tests read the image mapping's Rss from
+// /proc/self/smaps (the shared zero page that reads of untouched pages map
+// is not counted there).
+
+const std::size_t kPage = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+constexpr std::size_t kResidencyDevice = std::size_t{64} << 20;
+
+// Resident pages of the mapping that holds dev's image. Fails the test
+// unless smaps lists one mapping spanning exactly the image.
+std::size_t resident_pages(const PmDevice& dev) {
+  const auto image = reinterpret_cast<std::uintptr_t>(dev.data());
+  std::ifstream smaps("/proc/self/smaps");
+  std::string line;
+  bool found = false;
+  bool inside = false;
+  std::size_t rss_kb = 0;
+  while (std::getline(smaps, line)) {
+    std::uintptr_t lo = 0;
+    std::uintptr_t hi = 0;
+    if (std::sscanf(line.c_str(), "%" SCNxPTR "-%" SCNxPTR " ", &lo, &hi) == 2) {
+      inside = lo <= image && image < hi;
+      if (inside) {
+        found = true;
+        EXPECT_EQ(lo, image) << "the image's mapping starts before it";
+        EXPECT_EQ(hi, image + dev.size()) << "the image's mapping is not its own";
+      }
+    } else if (inside && line.rfind("Rss:", 0) == 0) {
+      rss_kb = std::stoul(line.substr(4));
+    }
+  }
+  EXPECT_TRUE(found) << "no /proc/self/smaps mapping holds the image";
+  return rss_kb * 1024 / kPage;
+}
+
+// Pages of the image holding a nonzero byte (reading one maps no page).
+std::size_t nonzero_pages(const PmDevice& dev) {
+  std::size_t pages = 0;
+  for (std::size_t off = 0; off < dev.size(); off += kPage) {
+    const std::uint8_t* page = dev.data() + off;
+    if (std::any_of(page, page + kPage, [](std::uint8_t b) { return b != 0; })) ++pages;
+  }
+  return pages;
+}
+
+TEST(PmDeviceResidency, FreshDeviceHoldsNoPages) {
+  sim::Clock clock;
+  PmDevice dev(clock, kResidencyDevice, PmLatencyModel::optane());
+  EXPECT_EQ(resident_pages(dev), 0u);
+}
+
+TEST(PmDeviceResidency, UnchangedWritesRecoveryAndCrashLeavePagesUnmapped) {
+  sim::Clock clock;
+  PmDevice dev(clock, kResidencyDevice, PmLatencyModel::optane());
+  Bytes buf(std::size_t{1} << 20);
+  dev.load(std::size_t{40} << 20, buf.data(), buf.size());
+  dev.read_persistent(std::size_t{42} << 20, buf.data(), buf.size());
+  std::fill(buf.begin(), buf.end(), std::uint8_t{0});
+  dev.store(std::size_t{44} << 20, buf.data(), buf.size());
+  dev.copy_within(std::size_t{48} << 20, std::size_t{52} << 20, std::size_t{4} << 20);
+  dev.flush(std::size_t{44} << 20, std::size_t{8} << 20, FlushKind::kClflushOpt);
+  dev.crash();
+  EXPECT_EQ(resident_pages(dev), 0u);
+
+  // Format writes the header and the allocator metadata of both twins.
+  constexpr std::size_t kMain = std::size_t{16} << 20;
+  const auto policy = romulus::PwbPolicy::clflushopt_sfence();
+  std::size_t formatted = 0;
+  {
+    romulus::Romulus rom(dev, 0, kMain, policy, /*format=*/true);
+    formatted = nonzero_pages(dev);
+    EXPECT_GT(formatted, 0u);
+    EXPECT_EQ(resident_pages(dev), formatted);
+    // A transaction that dies before writing leaves the header MUTATING.
+    EXPECT_THROW(rom.run_transaction([] { throw SimulatedCrash("residency"); }),
+                 SimulatedCrash);
+  }
+  dev.crash();
+  // Re-attaching recovers: the full back -> main copy over twins that never
+  // diverged writes nothing.
+  const std::uint64_t stored = dev.stats().bytes_stored;
+  romulus::Romulus rom(dev, 0, kMain, policy);
+  EXPECT_GE(dev.stats().bytes_stored - stored, kMain);
+  EXPECT_EQ(rom.header_state(), romulus::Romulus::State::kIdle);
+  EXPECT_EQ(resident_pages(dev), formatted);
+  EXPECT_EQ(nonzero_pages(dev), formatted);
+}
+
+TEST(PmDeviceResidency, ChangedStoreAddsThePagesItSpans) {
+  sim::Clock clock;
+  PmDevice dev(clock, kResidencyDevice, PmLatencyModel::optane());
+  const Bytes ones(2 * kPage, 0xA5);
+  // Two pages' worth of bytes starting mid-page span three pages.
+  dev.store(10 * kPage + 100, ones.data(), ones.size());
+  EXPECT_EQ(resident_pages(dev), 3u);
+  dev.store(100 * kPage, ones.data(), kPage);
+  EXPECT_EQ(resident_pages(dev), 4u);
+  // Storing the same bytes again writes nothing new.
+  dev.store(10 * kPage + 100, ones.data(), ones.size());
+  EXPECT_EQ(resident_pages(dev), 4u);
+}
+
+TEST(PmDeviceResidency, RestoreAndLoadOfMostlyZeroImageLeaveZeroPagesUnmapped) {
+  Bytes snap(kResidencyDevice);
+  const std::size_t last = kResidencyDevice / kPage - 1;
+  for (const std::size_t page : {std::size_t{3}, std::size_t{1000}, last}) {
+    snap.at(page * kPage + 7) = 0x5A;
+  }
+
+  sim::Clock clock;
+  const std::string path = ::testing::TempDir() + "/pm_residency.img";
+  {
+    // One device at a time: the kernel merges adjacent images into one
+    // mapping.
+    PmDevice restored(clock, kResidencyDevice, PmLatencyModel::optane());
+    restored.restore_persistent(snap);
+    EXPECT_EQ(resident_pages(restored), 3u);
+    EXPECT_EQ(std::memcmp(restored.data(), snap.data(), snap.size()), 0);
+    restored.save_image(path);
+  }
+  PmDevice loaded(clock, kResidencyDevice, PmLatencyModel::optane());
+  loaded.load_image(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(resident_pages(loaded), 3u);
+  EXPECT_EQ(std::memcmp(loaded.data(), snap.data(), snap.size()), 0);
+}
 
 }  // namespace
 }  // namespace plinius::pm
