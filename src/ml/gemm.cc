@@ -1,5 +1,6 @@
 #include "ml/gemm.h"
 
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -50,7 +51,9 @@ constexpr double kMinMacsPerChunk = 1 << 15;
 // auto-vectorizer: GCC 12 at -O3 vectorizes this exact loop nest at 128-bit
 // width with the accumulator tile spilled to the stack (~10x slower than
 // the ~26 GFLOP/s the intrinsic form reaches on one core). The scalar
-// fallback computes the same per-element FMA sequence, just narrower.
+// fallback computes the same per-element FMA sequence, just narrower:
+// std::fma rounds once, as the SIMD bands do, so a build without AVX2
+// produces the same bits.
 template <std::size_t Rows>
 void micro_full(std::size_t kc, float alpha, const float* a, std::size_t lda,
                 const float* b, std::size_t ldb, float* c, std::size_t ldc) {
@@ -87,12 +90,14 @@ void micro_full(std::size_t kc, float alpha, const float* a, std::size_t lda,
     const float* brow = b + p * ldb;
     for (std::size_t r = 0; r < Rows; ++r) {
       const float apart = a[r * lda + p];
-      for (std::size_t j = 0; j < kNr; ++j) acc[r][j] += apart * brow[j];
+      for (std::size_t j = 0; j < kNr; ++j) {
+        acc[r][j] = std::fma(apart, brow[j], acc[r][j]);
+      }
     }
   }
   for (std::size_t r = 0; r < Rows; ++r) {
     float* crow = c + r * ldc;
-    for (std::size_t j = 0; j < kNr; ++j) crow[j] += alpha * acc[r][j];
+    for (std::size_t j = 0; j < kNr; ++j) crow[j] = std::fma(alpha, acc[r][j], crow[j]);
   }
 #endif
 }
@@ -107,7 +112,9 @@ void micro_tail(std::size_t kc, float alpha, const float* a, std::size_t lda,
     const float* brow = b + p * ldb;
     for (std::size_t r = 0; r < rows; ++r) {
       const float apart = alpha * a[r * lda + p];
-      for (std::size_t j = 0; j < cols; ++j) acc[r][j] += apart * brow[j];
+      for (std::size_t j = 0; j < cols; ++j) {
+        acc[r][j] = std::fma(apart, brow[j], acc[r][j]);
+      }
     }
   }
   for (std::size_t r = 0; r < rows; ++r) {
@@ -150,7 +157,6 @@ void band(const GemmBlock& g, std::size_t tile_begin, std::size_t tile_end) {
 // so the pool's workers can run gemm calls side by side (ConnectedLayer's
 // update runs one per row block; a nested call runs inline on its worker).
 thread_local std::vector<float> t_panel;
-thread_local std::vector<float> t_pack_a;
 thread_local std::vector<float> t_pack_b;
 
 // Copies rows [0, kc) x columns [0, cols) of `src` (row stride ld) into
@@ -249,50 +255,6 @@ void transpose_tile(const float* s, std::size_t lds, float* d, std::size_t ldd) 
 }
 #endif
 
-// Out-of-place transpose: dst (rows x cols, row-major) from src (cols x
-// rows, row-major). An exact copy. With AVX2 and both sides at least 8, one
-// pass of 8 x 8 register tiles, each eight 8-float runs of src in and eight
-// of dst out, so neither side is walked one strided element at a time
-// whatever the shape (an 8 x 196 conv delta, a 2048 x 16 FC delta), the
-// row and column remainders copied element by element; otherwise 32 x 32
-// blocks of scalar copies keep both sides cache friendly. Parallel over
-// destination row bands (disjoint writes).
-void transpose_pack(std::size_t rows, std::size_t cols, const float* src, float* dst) {
-  if (rows == 0 || cols == 0) return;
-#if PLINIUS_GEMM_AVX2
-  if (rows >= 8 && cols >= 8 && cpu_has_kernel_isa()) {
-    const std::size_t cf = cols - cols % 8;
-    const std::size_t grain = 1 + (std::size_t{1} << 11) / cols;
-    par::parallel_for((rows + 7) / 8, grain, [&](par::Range b) {
-      for (std::size_t r0 = b.begin * 8; r0 < b.end * 8 && r0 < rows; r0 += 8) {
-        const std::size_t c0 = r0 + 8 <= rows ? cf : 0;
-        for (std::size_t c = 0; c < c0; c += 8) {
-          transpose_tile(src + c * rows + r0, rows, dst + r0 * cols + c, cols);
-        }
-        for (std::size_t r = r0; r < r0 + 8 && r < rows; ++r) {
-          for (std::size_t c = c0; c < cols; ++c) dst[r * cols + c] = src[c * rows + r];
-        }
-      }
-    });
-    return;
-  }
-#endif
-  constexpr std::size_t kBlk = 32;
-  const std::size_t row_blocks = (rows + kBlk - 1) / kBlk;
-  par::parallel_for(row_blocks, 4, [&](par::Range blk) {
-    for (std::size_t rb = blk.begin; rb < blk.end; ++rb) {
-      const std::size_t r0 = rb * kBlk;
-      const std::size_t r1 = r0 + kBlk < rows ? r0 + kBlk : rows;
-      for (std::size_t c0 = 0; c0 < cols; c0 += kBlk) {
-        const std::size_t c1 = c0 + kBlk < cols ? c0 + kBlk : cols;
-        for (std::size_t r = r0; r < r1; ++r) {
-          for (std::size_t c = c0; c < c1; ++c) dst[r * cols + c] = src[c * rows + r];
-        }
-      }
-    }
-  });
-}
-
 }  // namespace
 
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, float alpha, const float* a,
@@ -307,45 +269,51 @@ void gemm_nt(std::size_t m, std::size_t n, std::size_t k, float alpha, const flo
   if (m == 0 || n == 0 || k == 0) return;
   if (!cpu_has_kernel_isa()) return reference::gemm_nt(m, n, k, alpha, a, b, c);
   t_pack_b.resize(k * n);
-  transpose_pack(k, n, b, t_pack_b.data());  // B: N x K -> B^T: K x N
+  transpose(n, k, b, t_pack_b.data());  // B: N x K -> B^T: K x N
   gemm_packed(m, n, k, alpha, a, t_pack_b.data(), c);
 }
 
-void gemm_tn(std::size_t m, std::size_t n, std::size_t k, float alpha, const float* a,
-             const float* b, float* c) {
-  if (m == 0 || n == 0 || k == 0) return;
-  if (!cpu_has_kernel_isa()) return reference::gemm_tn(m, n, k, alpha, a, b, c);
-  t_pack_a.resize(m * k);
-  transpose_pack(m, k, a, t_pack_a.data());  // A: K x M -> A^T: M x K
-  gemm_packed(m, n, k, alpha, t_pack_a.data(), b, c);
-}
-
-void gemm_tt(std::size_t m, std::size_t n, std::size_t k, float alpha, const float* a,
-             const float* b, float* c) {
-  if (m == 0 || n == 0 || k == 0) return;
-  if (!cpu_has_kernel_isa()) return reference::gemm_tt(m, n, k, alpha, a, b, c);
-  t_pack_a.resize(m * k);
-  transpose_pack(m, k, a, t_pack_a.data());
-  t_pack_b.resize(k * n);
-  transpose_pack(k, n, b, t_pack_b.data());
-  gemm_packed(m, n, k, alpha, t_pack_a.data(), t_pack_b.data(), c);
-}
-
+// An exact copy. With AVX2 and both sides at least 8, one pass of 8 x 8
+// register tiles, each eight 8-float runs of src in and eight of dst out, so
+// neither side is walked one strided element at a time whatever the shape
+// (an 8 x 196 conv delta, a 2048 x 16 FC delta), the remainders copied
+// element by element; otherwise 32 x 32 blocks of scalar copies keep both
+// sides cache friendly. Parallel over destination row bands (disjoint
+// writes).
 void transpose(std::size_t rows, std::size_t cols, const float* src, float* dst) {
-  transpose_pack(cols, rows, src, dst);
-}
-
-void gemm(bool ta, bool tb, std::size_t m, std::size_t n, std::size_t k, float alpha,
-          const float* a, const float* b, float* c) {
-  if (!ta && !tb) {
-    gemm_nn(m, n, k, alpha, a, b, c);
-  } else if (!ta && tb) {
-    gemm_nt(m, n, k, alpha, a, b, c);
-  } else if (ta && !tb) {
-    gemm_tn(m, n, k, alpha, a, b, c);
-  } else {
-    gemm_tt(m, n, k, alpha, a, b, c);
+  if (rows == 0 || cols == 0) return;
+#if PLINIUS_GEMM_AVX2
+  if (rows >= 8 && cols >= 8 && cpu_has_kernel_isa()) {
+    const std::size_t rf = rows - rows % 8;
+    const std::size_t grain = 1 + (std::size_t{1} << 11) / rows;
+    par::parallel_for((cols + 7) / 8, grain, [&](par::Range b) {
+      for (std::size_t c0 = b.begin * 8; c0 < b.end * 8 && c0 < cols; c0 += 8) {
+        const std::size_t r0 = c0 + 8 <= cols ? rf : 0;
+        for (std::size_t r = 0; r < r0; r += 8) {
+          transpose_tile(src + r * cols + c0, cols, dst + c0 * rows + r, rows);
+        }
+        for (std::size_t c = c0; c < c0 + 8 && c < cols; ++c) {
+          for (std::size_t r = r0; r < rows; ++r) dst[c * rows + r] = src[r * cols + c];
+        }
+      }
+    });
+    return;
   }
+#endif
+  constexpr std::size_t kBlk = 32;
+  const std::size_t col_blocks = (cols + kBlk - 1) / kBlk;
+  par::parallel_for(col_blocks, 4, [&](par::Range blk) {
+    for (std::size_t cb = blk.begin; cb < blk.end; ++cb) {
+      const std::size_t c0 = cb * kBlk;
+      const std::size_t c1 = c0 + kBlk < cols ? c0 + kBlk : cols;
+      for (std::size_t r0 = 0; r0 < rows; r0 += kBlk) {
+        const std::size_t r1 = r0 + kBlk < rows ? r0 + kBlk : rows;
+        for (std::size_t c = c0; c < c1; ++c) {
+          for (std::size_t r = r0; r < r1; ++r) dst[c * rows + r] = src[r * cols + c];
+        }
+      }
+    }
+  });
 }
 
 }  // namespace plinius::ml

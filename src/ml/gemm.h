@@ -1,13 +1,14 @@
 // Dense GEMM kernels for the convolutional and connected layers (im2col +
 // gemm, as Darknet). Row-major storage throughout.
 //
-// C[M x N] = alpha * op(A) * op(B) + C, where op is optional transposition.
+// C[M x N] += alpha * A * B (gemm_nn) or alpha * A * B^T (gemm_nt): the two
+// products the layers issue. A transposed A is the caller's transpose()
+// followed by gemm_nn.
 //
-// Implementation (ml/gemm.cc): every variant is normalized to a row-major
-// M x K by K x N product — transposed operands are panel-packed into
-// contiguous row-major scratch first (this is also what fixed the old
-// gemm_tt's column-strided inner loop) — then a cache-blocked register-tiled
-// kernel runs parallelized over MR-row output tiles via par::parallel_for.
+// Implementation (ml/gemm.cc): both entry points run one row-major M x K by
+// K x N product. gemm_nt first transposes B into contiguous row-major
+// scratch; then a cache-blocked register-tiled kernel runs parallelized over
+// MR-row output tiles via par::parallel_for.
 //
 // Packing rule for B: when its rows lie >= 4 KiB apart (N >= 1024 floats),
 // each KC x 128 block of B is copied into contiguous KC x 16 column strips
@@ -29,9 +30,9 @@
 // bitwise the transpose of gemm_nt(n, m, k, B, A) into C^T, for any C, not
 // only a zeroed one. Every C element is the same chain on either orientation
 // and in every tile shape (full, row tail, column tail): per KC block, one
-// accumulator adds a[i][p] * b[j][p] in ascending p (fused on the SIMD
-// paths), then C += block sum (fma(1, sum, C): one rounding of the same two
-// values) — and the products commute. Two layers rely on it:
+// accumulator adds a[i][p] * b[j][p] in ascending p (one fused multiply-add
+// each, on every band), then C += block sum (fma(1, sum, C): one rounding of
+// the same two values) — and the products commute. Two layers rely on it:
 // ConnectedLayer::forward chooses its orientation from its own shape, and
 // ConvLayer::backward accumulates its momentum-carried weight gradient
 // transposed, dW^T += cols x delta^T, so each sample's gemm packs the small
@@ -41,7 +42,9 @@
 // When the build enables AVX2/FMA for this translation unit (the default on
 // compilers that support it — see PLINIUS_GEMM_SIMD in src/CMakeLists.txt),
 // the kernels check CPU support at runtime and fall back to the scalar
-// reference kernels on hardware without AVX2.
+// reference kernels on hardware without AVX2. A PLINIUS_GEMM_SIMD=OFF build
+// runs the blocked scalar band instead; it fuses each multiply-add with
+// std::fma, so its results are bitwise those of the AVX2 and AVX-512 bands.
 #pragma once
 
 #include <cstddef>
@@ -56,19 +59,7 @@ void gemm_nn(std::size_t m, std::size_t n, std::size_t k, float alpha, const flo
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, float alpha, const float* a,
              const float* b, float* c);
 
-/// C += alpha * A^T * B    (A: K x M, B: K x N)
-void gemm_tn(std::size_t m, std::size_t n, std::size_t k, float alpha, const float* a,
-             const float* b, float* c);
-
-/// C += alpha * A^T * B^T  (A: K x M, B: N x K)
-void gemm_tt(std::size_t m, std::size_t n, std::size_t k, float alpha, const float* a,
-             const float* b, float* c);
-
 /// dst[cols x rows] = src[rows x cols]^T (out of place, exact copy).
 void transpose(std::size_t rows, std::size_t cols, const float* src, float* dst);
-
-/// General entry point mirroring Darknet's gemm(TA, TB, ...).
-void gemm(bool ta, bool tb, std::size_t m, std::size_t n, std::size_t k, float alpha,
-          const float* a, const float* b, float* c);
 
 }  // namespace plinius::ml

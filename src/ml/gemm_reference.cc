@@ -27,45 +27,6 @@ void gemm_nt(std::size_t m, std::size_t n, std::size_t k, float alpha, const flo
   }
 }
 
-void gemm_tn(std::size_t m, std::size_t n, std::size_t k, float alpha, const float* a,
-             const float* b, float* c) {
-  for (std::size_t p = 0; p < k; ++p) {
-    const float* arow = a + p * m;
-    const float* brow = b + p * n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const float apart = alpha * arow[i];
-      float* crow = c + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += apart * brow[j];
-    }
-  }
-}
-
-// Written directly from the definition C[i][j] += alpha * sum_p At[i][p]*Bt[p][j]
-// with At[i][p] = A[p][i], Bt[p][j] = B[j][p]; deliberately naive.
-void gemm_tt(std::size_t m, std::size_t n, std::size_t k, float alpha, const float* a,
-             const float* b, float* c) {
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      float sum = 0;
-      for (std::size_t p = 0; p < k; ++p) sum += a[p * m + i] * b[j * k + p];
-      c[i * n + j] += alpha * sum;
-    }
-  }
-}
-
-void gemm(bool ta, bool tb, std::size_t m, std::size_t n, std::size_t k, float alpha,
-          const float* a, const float* b, float* c) {
-  if (!ta && !tb) {
-    gemm_nn(m, n, k, alpha, a, b, c);
-  } else if (!ta && tb) {
-    gemm_nt(m, n, k, alpha, a, b, c);
-  } else if (ta && !tb) {
-    gemm_tn(m, n, k, alpha, a, b, c);
-  } else {
-    gemm_tt(m, n, k, alpha, a, b, c);
-  }
-}
-
 void gemm_s8_nn(std::size_t m, std::size_t n, std::size_t k, const std::int8_t* a,
                 const std::int8_t* b, std::int32_t* c) {
   for (std::size_t i = 0; i < m; ++i) {

@@ -1,15 +1,14 @@
 // Reference GEMM kernels: the original scalar triple loops this repo seeded
-// with (plus a trivially-correct gemm_tt written index-by-index from the
-// definition). They are kept for two purposes:
+// with. They are kept for three purposes:
 //
-//   * oracle for tests: the blocked/parallel kernels in ml/gemm.h must match
-//     these to floating-point reassociation tolerance on all four transpose
-//     variants;
+//   * oracle for tests: ml::gemm_nn and ml::gemm_nt must match gemm_nn and
+//     gemm_nt here to floating-point reassociation tolerance, and the int8
+//     kernels in ml/gemm_s8.h must match gemm_s8_nn and gemm_s8_nt bitwise;
 //   * baseline for benchmarks: bench/micro_kernels and bench/parallel_sweep
 //     report the optimized kernels' speedup over exactly this code, compiled
 //     with the project's default flags (no extra SIMD options);
-//   * fallback: ml::gemm_nn/nt/tn/tt run these loops on CPUs without
-//     AVX2/FMA, so there they are the training path.
+//   * fallback: ml::gemm_nn/nt run these loops on CPUs without AVX2/FMA, so
+//     there they are the training path.
 #pragma once
 
 #include <cstddef>
@@ -24,18 +23,6 @@ void gemm_nn(std::size_t m, std::size_t n, std::size_t k, float alpha, const flo
 /// C += alpha * A * B^T    (A: M x K, B: N x K)
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, float alpha, const float* a,
              const float* b, float* c);
-
-/// C += alpha * A^T * B    (A: K x M, B: K x N)
-void gemm_tn(std::size_t m, std::size_t n, std::size_t k, float alpha, const float* a,
-             const float* b, float* c);
-
-/// C += alpha * A^T * B^T  (A: K x M, B: N x K)
-void gemm_tt(std::size_t m, std::size_t n, std::size_t k, float alpha, const float* a,
-             const float* b, float* c);
-
-/// Dispatch mirroring ml::gemm(TA, TB, ...).
-void gemm(bool ta, bool tb, std::size_t m, std::size_t n, std::size_t k, float alpha,
-          const float* a, const float* b, float* c);
 
 // INT8 inference GEMM oracles (C accumulates in int32; no alpha — the
 // requantization multiplier is applied by the caller). Integer arithmetic is

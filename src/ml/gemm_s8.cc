@@ -211,8 +211,9 @@ void gemm_s8_packed(std::size_t m, std::size_t n, std::size_t kp,
   });
 }
 
-// Pack scratch. Thread-local, as the float path: gemm is dispatched from one
-// orchestrating thread at a time and worker threads never re-enter gemm.
+// Pack scratch. Thread-local, as the float path's: each thread packs into its
+// own, so calls may run side by side on the pool's workers (a nested call
+// runs inline on its worker) without sharing scratch.
 thread_local std::vector<std::int16_t> t_pack_a8;
 thread_local std::vector<std::int16_t> t_pack_b8;
 

@@ -1,8 +1,8 @@
 // GEMM oracle tests: the blocked/panel-packed/parallel kernels in ml/gemm.h
 // against the trivially-correct reference kernels in ml/gemm_reference.h,
-// over all four transpose variants, awkward shapes (tile remainders, vectors,
-// empty dimensions), alpha values, and C-accumulation — plus the bitwise
-// serial-vs-parallel identity the kernels guarantee by construction.
+// for both products (A * B and A * B^T), awkward shapes (tile remainders,
+// vectors, empty dimensions), alpha values, and C-accumulation — plus the
+// bitwise serial-vs-parallel identity the kernels guarantee by construction.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -62,8 +62,8 @@ void expect_close(const std::vector<float>& got, const std::vector<float>& want,
 using GemmFn = void (*)(std::size_t, std::size_t, std::size_t, float, const float*,
                         const float*, float*);
 
-void check_variant(GemmFn fast, GemmFn oracle, bool ta, bool tb, const char* what) {
-  Rng rng(0xC0FFEE ^ (ta ? 1 : 0) ^ (tb ? 2 : 0));
+void check_variant(GemmFn fast, GemmFn oracle, std::uint64_t seed, const char* what) {
+  Rng rng(seed);
   for (const Shape& s : kShapes) {
     for (const float alpha : {1.0f, 0.5f, -2.0f}) {
       const auto a = random_matrix(s.m * s.k, rng);
@@ -78,35 +78,22 @@ void check_variant(GemmFn fast, GemmFn oracle, bool ta, bool tb, const char* wha
   }
 }
 
-TEST(GemmOracle, NN) { check_variant(ml::gemm_nn, ml::reference::gemm_nn, false, false, "nn"); }
-TEST(GemmOracle, NT) { check_variant(ml::gemm_nt, ml::reference::gemm_nt, false, true, "nt"); }
-TEST(GemmOracle, TN) { check_variant(ml::gemm_tn, ml::reference::gemm_tn, true, false, "tn"); }
-TEST(GemmOracle, TT) { check_variant(ml::gemm_tt, ml::reference::gemm_tt, true, true, "tt"); }
-
-TEST(GemmOracle, DispatchMatchesVariants) {
-  Rng rng(7);
-  const Shape s{9, 21, 33};
-  const auto a = random_matrix(s.m * s.k, rng);
-  const auto b = random_matrix(s.k * s.n, rng);
-  const auto c0 = random_matrix(s.m * s.n, rng);
-  for (const bool ta : {false, true}) {
-    for (const bool tb : {false, true}) {
-      std::vector<float> via_dispatch = c0, via_ref = c0;
-      ml::gemm(ta, tb, s.m, s.n, s.k, 1.25f, a.data(), b.data(), via_dispatch.data());
-      ml::reference::gemm(ta, tb, s.m, s.n, s.k, 1.25f, a.data(), b.data(),
-                          via_ref.data());
-      expect_close(via_dispatch, via_ref, s.k, "dispatch", s);
-    }
-  }
+TEST(GemmOracle, NN) {
+  check_variant(ml::gemm_nn, ml::reference::gemm_nn, 0xC0FFEE, "nn");
+}
+TEST(GemmOracle, NT) {
+  check_variant(ml::gemm_nt, ml::reference::gemm_nt, 0xC0FFEE ^ 2, "nt");
 }
 
 TEST(GemmOracle, EmptyDimensionsAreNoOps) {
   const std::vector<float> a(64, 1.0f), b(64, 1.0f);
   std::vector<float> c(64, 3.0f);
   const std::vector<float> c0 = c;
-  ml::gemm_nn(0, 8, 8, 1.0f, a.data(), b.data(), c.data());
-  ml::gemm_nt(8, 0, 8, 1.0f, a.data(), b.data(), c.data());
-  ml::gemm_tn(8, 8, 0, 1.0f, a.data(), b.data(), c.data());
+  for (const GemmFn product : {ml::gemm_nn, ml::gemm_nt}) {
+    product(0, 8, 8, 1.0f, a.data(), b.data(), c.data());
+    product(8, 0, 8, 1.0f, a.data(), b.data(), c.data());
+    product(8, 8, 0, 1.0f, a.data(), b.data(), c.data());
+  }
   ml::transpose(0, 8, a.data(), c.data());
   ml::transpose(8, 0, a.data(), c.data());
   EXPECT_EQ(c, c0);

@@ -49,23 +49,15 @@ TEST(Gemm, VariantsAgreeWithExplicitTransposition) {
   for (auto& v : a) v = rng.normal();
   for (auto& v : b) v = rng.normal();
 
-  std::vector<float> at(k * m), bt(n * k);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t p = 0; p < k; ++p) at[p * m + i] = a[i * k + p];
+  std::vector<float> bt(n * k);
   for (std::size_t p = 0; p < k; ++p)
     for (std::size_t j = 0; j < n; ++j) bt[j * k + p] = b[p * n + j];
 
-  std::vector<float> c_nn(m * n, 0), c_nt(m * n, 0), c_tn(m * n, 0), c_tt(m * n, 0);
-  gemm(false, false, m, n, k, 1.0f, a.data(), b.data(), c_nn.data());
-  gemm(false, true, m, n, k, 1.0f, a.data(), bt.data(), c_nt.data());
-  gemm(true, false, m, n, k, 1.0f, at.data(), b.data(), c_tn.data());
-  gemm(true, true, m, n, k, 1.0f, at.data(), bt.data(), c_tt.data());
+  std::vector<float> c_nn(m * n, 0), c_nt(m * n, 0);
+  gemm_nn(m, n, k, 1.0f, a.data(), b.data(), c_nn.data());
+  gemm_nt(m, n, k, 1.0f, a.data(), bt.data(), c_nt.data());
 
-  for (std::size_t i = 0; i < m * n; ++i) {
-    EXPECT_NEAR(c_nn[i], c_nt[i], 1e-4);
-    EXPECT_NEAR(c_nn[i], c_tn[i], 1e-4);
-    EXPECT_NEAR(c_nn[i], c_tt[i], 1e-4);
-  }
+  for (std::size_t i = 0; i < m * n; ++i) EXPECT_NEAR(c_nn[i], c_nt[i], 1e-4);
 }
 
 TEST(Gemm, AlphaAndAccumulate) {
@@ -766,7 +758,8 @@ TEST(Training, LossDecreasesOnSynthDigits) {
 // ConvLayer runs its per-filter reductions several filters at a time and
 // col2im per image element, sgd_update is one pass, and the rectifiers run
 // branch-free. The reference below is the direct lowering — gemm_nt(batch,
-// ...) forward, per-sample gemm_nt weight and gemm_tn input gradients, the
+// ...) forward, per-sample gemm_nt weight gradients, input gradients as
+// transpose then gemm_nn (delta^T in the FC layer, W^T in the conv), the
 // per-element reference col2im, one filter's reductions at a time,
 // three-pass SGD, ternary activations — and two Network::train_batch steps
 // must match it bitwise.
@@ -837,7 +830,10 @@ StepState ref_connected_step(Shape in, const ConnectedConfig& cfg, StepState r,
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t o = 0; o < outputs; ++o) bias_updates[o] += delta[b * outputs + o];
   }
-  gemm_tn(outputs, inputs, batch, 1.0f, delta.data(), x.data(), r.weight_updates.data());
+  std::vector<float> delta_t(outputs * batch);
+  transpose(batch, outputs, delta.data(), delta_t.data());
+  gemm_nn(outputs, inputs, batch, 1.0f, delta_t.data(), x.data(),
+          r.weight_updates.data());
   r.input_delta.assign(batch * inputs, 0.0f);
   gemm_nn(batch, inputs, outputs, 1.0f, delta.data(), w.data(), r.input_delta.data());
 
@@ -967,12 +963,13 @@ StepState ref_conv_step(Shape in, const ConvConfig& cfg, StepState r,
   }
 
   r.input_delta.assign(batch * in.size(), 0.0f);
-  std::vector<float> col_delta(k * sp);
+  std::vector<float> col_delta(k * sp), w_t(k * f_n);
+  transpose(f_n, k, w.data(), w_t.data());
   for (std::size_t b = 0; b < batch; ++b) {
     const float* d = delta.data() + b * out.size();
     gemm_nt(f_n, k, sp, 1.0f, d, cols_of(b), r.weight_updates.data());
     std::fill(col_delta.begin(), col_delta.end(), 0.0f);
-    gemm_tn(k, sp, f_n, 1.0f, w.data(), d, col_delta.data());
+    gemm_nn(k, sp, f_n, 1.0f, w_t.data(), d, col_delta.data());
     float* id = r.input_delta.data() + b * in.size();
     if (direct) {
       for (std::size_t i = 0; i < in.size(); ++i) id[i] += col_delta[i];
