@@ -15,7 +15,6 @@
 #include <cstring>
 #include <string>
 
-#include "common/log.h"
 #include "ml/config.h"
 #include "ml/synth_digits.h"
 #include "obs/export.h"
@@ -46,7 +45,6 @@ int main(int argc, char** argv) {
 
   obs::Tracer tracer;
   platform.clock().set_tracer(&tracer);
-  log::set_clock(&platform.clock());
 
   // -- traced training --------------------------------------------------
   ml::SynthDigitsOptions dopt;
@@ -103,7 +101,6 @@ int main(int argc, char** argv) {
   ok = obs::write_text_file(metrics_path, registry.snapshot_json()) && ok;
   std::printf("# trace -> %s, metrics -> %s\n", trace_path, metrics_path);
 
-  log::set_clock(nullptr);
   platform.clock().set_tracer(nullptr);
   return ok && tracer.total_recorded() > 0 && rep.served > 0 ? 0 : 1;
 }

@@ -1,32 +1,32 @@
 #include "ml/gemm.h"
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
+#include <array>
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
-#include "ml/gemm_kernel_avx512.h"
-#include "ml/gemm_reference.h"
-
-#if defined(__AVX2__) && defined(__FMA__)
-#include <immintrin.h>
-#define PLINIUS_GEMM_AVX2 1
-#endif
 
 namespace plinius::ml {
 
 namespace {
 
-using detail::GemmBlock;
-using detail::kStrip;
+using detail::Isa;
 
 // Register tile: MR output rows x NR output columns held in accumulators
 // across the K loop. 6 x 16 floats is 12 ymm accumulators, leaving three
 // registers for the two B vectors and the broadcast A element — the classic
-// AVX2 GEMM tile shape. KC blocks the K dimension so the B panel slice
+// AVX2 GEMM tile shape (the scalar band uses it too). The AVX-512 band holds
+// 16 rows, one zmm each. KC blocks the K dimension so the B panel slice
 // streamed by a tile sweep stays cache resident.
 constexpr std::size_t kMr = 6;
-constexpr std::size_t kNr = kStrip;
+constexpr std::size_t kMrAvx512 = 16;
+constexpr std::size_t kNr = 16;
 constexpr std::size_t kKc = 256;
 
 // B whose rows lie at least this many floats (4 KiB) apart is packed, one
@@ -42,22 +42,117 @@ constexpr std::size_t kNc = 128;
 // whole call runs on the caller thread.
 constexpr double kMinMacsPerChunk = 1 << 15;
 
+// One KC block of C[m x n] += alpha * A[m x k] * B[k x n], row-major: the
+// K range [p0, p1) over the C columns [j0, j1). The bands read B in
+// 16-column strips; element (p, j) of strip s (C column j0 + 16 s + j) sits
+// at b[s * strip + (p - p0) * ldb + j]. B read in place is
+// {B + p0 * n + j0, ldb = n, strip = 16}; a packed panel is
+// {panel, ldb = 16, strip = (p1 - p0) * 16}.
+struct GemmBlock {
+  std::size_t m, n, k;
+  float alpha;
+  const float* a;
+  float* c;
+  std::size_t p0, p1;
+  std::size_t j0, j1;
+  const float* b;
+  std::size_t ldb, strip;
+};
+
 // Computes one Rows x 16 tile of C over kc steps of K (A rows lda apart, B
 // rows ldb apart, C rows ldc apart). One accumulator per C element, K
 // ascending: the per-element rounding sequence is independent of how tiles
-// are distributed over threads and of where B is read from.
-//
-// The AVX2 path is written with intrinsics rather than relying on the
-// auto-vectorizer: GCC 12 at -O3 vectorizes this exact loop nest at 128-bit
-// width with the accumulator tile spilled to the stack (~10x slower than
-// the ~26 GFLOP/s the intrinsic form reaches on one core). The scalar
-// fallback computes the same per-element FMA sequence, just narrower:
-// std::fma rounds once, as the SIMD bands do, so a build without AVX2
-// produces the same bits.
+// are distributed over threads and of where B is read from. std::fma rounds
+// once, as the SIMD bands' vfmadd does, so every band produces the same
+// bits.
 template <std::size_t Rows>
 void micro_full(std::size_t kc, float alpha, const float* a, std::size_t lda,
                 const float* b, std::size_t ldb, float* c, std::size_t ldc) {
-#if PLINIUS_GEMM_AVX2
+  float acc[Rows][kNr] = {};
+  for (std::size_t p = 0; p < kc; ++p) {
+    const float* brow = b + p * ldb;
+    for (std::size_t r = 0; r < Rows; ++r) {
+      const float apart = a[r * lda + p];
+      for (std::size_t j = 0; j < kNr; ++j) {
+        acc[r][j] = std::fma(apart, brow[j], acc[r][j]);
+      }
+    }
+  }
+  for (std::size_t r = 0; r < Rows; ++r) {
+    float* crow = c + r * ldc;
+    for (std::size_t j = 0; j < kNr; ++j) crow[j] = std::fma(alpha, acc[r][j], crow[j]);
+  }
+}
+
+// Row or column remainder, `rows` x `cols`: same expression per element.
+// Edge-only, so the scalar form serves every band; inlined into each, it
+// compiles under that band's target (a vfmadd, not a call, on the AVX2 band).
+[[gnu::always_inline]] inline void micro_tail(std::size_t kc, float alpha, const float* a,
+                                              std::size_t lda, const float* b,
+                                              std::size_t ldb, float* c, std::size_t ldc,
+                                              std::size_t rows, std::size_t cols) {
+  float acc[kMr][kNr] = {};
+  for (std::size_t p = 0; p < kc; ++p) {
+    const float* brow = b + p * ldb;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const float apart = alpha * a[r * lda + p];
+      for (std::size_t j = 0; j < cols; ++j) {
+        acc[r][j] = std::fma(apart, brow[j], acc[r][j]);
+      }
+    }
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* crow = c + r * ldc;
+    for (std::size_t j = 0; j < cols; ++j) crow[j] += acc[r][j];
+  }
+}
+
+// One task's band of kMr-row tiles over block g, full tiles through Full.
+template <auto Full>
+[[gnu::always_inline]] inline void band_tiles(const GemmBlock& g, std::size_t tile_begin,
+                                              std::size_t tile_end) {
+  const std::size_t kc = g.p1 - g.p0;
+  const std::size_t full = (g.j1 - g.j0) / kNr;
+  const std::size_t tail = (g.j1 - g.j0) % kNr;
+  const std::size_t lda = g.k;
+  const std::size_t ldc = g.n;
+  const std::size_t ldb = g.ldb;
+  const std::size_t strip = g.strip;
+  const float* b = g.b;
+  const float alpha = g.alpha;
+  for (std::size_t t = tile_begin; t < tile_end; ++t) {
+    const std::size_t i0 = t * kMr;
+    const std::size_t rows = i0 + kMr <= g.m ? kMr : g.m - i0;
+    const float* a = g.a + i0 * lda + g.p0;
+    float* c = g.c + i0 * ldc + g.j0;
+    for (std::size_t s = 0; s < full; ++s) {
+      if (rows == kMr) {
+        Full(kc, alpha, a, lda, b + s * strip, ldb, c + s * kNr, ldc);
+      } else {
+        micro_tail(kc, alpha, a, lda, b + s * strip, ldb, c + s * kNr, ldc, rows, kNr);
+      }
+    }
+    if (tail != 0) {
+      micro_tail(kc, alpha, a, lda, b + full * strip, ldb, c + full * kNr, ldc, rows,
+                 tail);
+    }
+  }
+}
+
+void band_scalar(const GemmBlock& g, std::size_t tile_begin, std::size_t tile_end) {
+  band_tiles<micro_full<kMr>>(g, tile_begin, tile_end);
+}
+
+#if defined(__x86_64__)
+// micro_full in AVX2 intrinsics rather than left to the auto-vectorizer:
+// GCC 12 at -O3 vectorizes the scalar loop nest at 128-bit width with the
+// accumulator tile spilled to the stack (~10x slower than the ~26 GFLOP/s
+// this form reaches on one core).
+template <std::size_t Rows>
+[[gnu::target("avx2,fma")]] void micro_full_avx2(std::size_t kc, float alpha,
+                                                 const float* a, std::size_t lda,
+                                                 const float* b, std::size_t ldb, float* c,
+                                                 std::size_t ldc) {
   static_assert(kNr == 16, "two ymm accumulators per row");
   __m256 acc[Rows][2];
   for (std::size_t r = 0; r < Rows; ++r) {
@@ -84,50 +179,76 @@ void micro_full(std::size_t kc, float alpha, const float* a, std::size_t lda,
     _mm256_storeu_ps(crow + 8,
                      _mm256_fmadd_ps(av, acc[r][1], _mm256_loadu_ps(crow + 8)));
   }
-#else
-  float acc[Rows][kNr] = {};
+}
+
+[[gnu::target("avx2,fma")]] void band_avx2(const GemmBlock& g, std::size_t tile_begin,
+                                           std::size_t tile_end) {
+  band_tiles<micro_full_avx2<kMr>>(g, tile_begin, tile_end);
+}
+
+// One AVX-512 register tile: `Rows` x 16 C elements, one zmm accumulator
+// per row. The Masked variant selects live columns for the n % 16
+// remainder; masked-off lanes load as zero and are never stored, so the
+// remainder computes the same per-element FMA sequence as a full tile. The
+// common full-width case uses plain loads — a runtime mask on the B load
+// (which feeds every FMA) measurably halves throughput even when it is
+// all-ones.
+template <std::size_t Rows, bool Masked>
+[[gnu::target("avx512f")]] void micro_avx512(std::size_t kc, float alpha, const float* a,
+                                             std::size_t lda, const float* b,
+                                             std::size_t ldb, float* c, std::size_t ldc,
+                                             __mmask16 mask) {
+  __m512 acc[Rows];
+  for (std::size_t r = 0; r < Rows; ++r) acc[r] = _mm512_setzero_ps();
   for (std::size_t p = 0; p < kc; ++p) {
     const float* brow = b + p * ldb;
+    const __m512 bv =
+        Masked ? _mm512_maskz_loadu_ps(mask, brow) : _mm512_loadu_ps(brow);
     for (std::size_t r = 0; r < Rows; ++r) {
-      const float apart = a[r * lda + p];
-      for (std::size_t j = 0; j < kNr; ++j) {
-        acc[r][j] = std::fma(apart, brow[j], acc[r][j]);
-      }
+      // Plain broadcast (no alpha) folds into the FMA as an EVEX embedded
+      // broadcast memory operand — one uop per row. Scaling A here instead
+      // costs a vmulss + vbroadcastss per row and halves throughput; alpha
+      // is applied once per C element at the update below.
+      const __m512 apart = _mm512_set1_ps(a[r * lda + p]);
+      acc[r] = _mm512_fmadd_ps(apart, bv, acc[r]);
     }
   }
+  const __m512 av = _mm512_set1_ps(alpha);
   for (std::size_t r = 0; r < Rows; ++r) {
     float* crow = c + r * ldc;
-    for (std::size_t j = 0; j < kNr; ++j) crow[j] = std::fma(alpha, acc[r][j], crow[j]);
-  }
-#endif
-}
-
-// Row or column remainder, `rows` x `cols`: same expression per element.
-// Edge-only, so the scalar form is fine at any ISA level.
-void micro_tail(std::size_t kc, float alpha, const float* a, std::size_t lda,
-                const float* b, std::size_t ldb, float* c, std::size_t ldc,
-                std::size_t rows, std::size_t cols) {
-  float acc[kMr][kNr] = {};
-  for (std::size_t p = 0; p < kc; ++p) {
-    const float* brow = b + p * ldb;
-    for (std::size_t r = 0; r < rows; ++r) {
-      const float apart = alpha * a[r * lda + p];
-      for (std::size_t j = 0; j < cols; ++j) {
-        acc[r][j] = std::fma(apart, brow[j], acc[r][j]);
-      }
+    if constexpr (Masked) {
+      const __m512 cur = _mm512_maskz_loadu_ps(mask, crow);
+      _mm512_mask_storeu_ps(crow, mask, _mm512_fmadd_ps(av, acc[r], cur));
+    } else {
+      _mm512_storeu_ps(crow, _mm512_fmadd_ps(av, acc[r], _mm512_loadu_ps(crow)));
     }
   }
-  for (std::size_t r = 0; r < rows; ++r) {
-    float* crow = c + r * ldc;
-    for (std::size_t j = 0; j < cols; ++j) crow[j] += acc[r][j];
-  }
 }
 
-// One task's band of row tiles over block g.
-void band(const GemmBlock& g, std::size_t tile_begin, std::size_t tile_end) {
+using MicroAvx512 = void (*)(std::size_t, float, const float*, std::size_t, const float*,
+                             std::size_t, float*, std::size_t, __mmask16);
+
+// micro_avx512<1> .. <kMrAvx512>, indexed by rows - 1: the m % 16 row
+// remainder runs the same vector kernel with a narrower accumulator tile.
+template <bool Masked, std::size_t... I>
+constexpr std::array<MicroAvx512, sizeof...(I)> micro_avx512_table(
+    std::index_sequence<I...>) {
+  return {{&micro_avx512<I + 1, Masked>...}};
+}
+constexpr auto kMicroAvx512Full =
+    micro_avx512_table<false>(std::make_index_sequence<kMrAvx512>{});
+constexpr auto kMicroAvx512Masked =
+    micro_avx512_table<true>(std::make_index_sequence<kMrAvx512>{});
+
+// One task's band of kMrAvx512-row tiles over block g. Column remainders
+// use masked lanes and row remainders narrower tiles, both functions of the
+// shape alone.
+[[gnu::target("avx512f")]] void band_avx512(const GemmBlock& g, std::size_t tile_begin,
+                                            std::size_t tile_end) {
   const std::size_t kc = g.p1 - g.p0;
   const std::size_t full = (g.j1 - g.j0) / kNr;
   const std::size_t tail = (g.j1 - g.j0) % kNr;
+  const auto tail_mask = static_cast<__mmask16>((1u << tail) - 1u);
   const std::size_t lda = g.k;
   const std::size_t ldc = g.n;
   const std::size_t ldb = g.ldb;
@@ -135,23 +256,22 @@ void band(const GemmBlock& g, std::size_t tile_begin, std::size_t tile_end) {
   const float* b = g.b;
   const float alpha = g.alpha;
   for (std::size_t t = tile_begin; t < tile_end; ++t) {
-    const std::size_t i0 = t * kMr;
-    const std::size_t rows = i0 + kMr <= g.m ? kMr : g.m - i0;
+    const std::size_t i0 = t * kMrAvx512;
+    const std::size_t rows = i0 + kMrAvx512 <= g.m ? kMrAvx512 : g.m - i0;
     const float* a = g.a + i0 * lda + g.p0;
     float* c = g.c + i0 * ldc + g.j0;
+    const MicroAvx512 fn = kMicroAvx512Full[rows - 1];
     for (std::size_t s = 0; s < full; ++s) {
-      if (rows == kMr) {
-        micro_full<kMr>(kc, alpha, a, lda, b + s * strip, ldb, c + s * kNr, ldc);
-      } else {
-        micro_tail(kc, alpha, a, lda, b + s * strip, ldb, c + s * kNr, ldc, rows, kNr);
-      }
+      fn(kc, alpha, a, lda, b + s * strip, ldb, c + s * kNr, ldc,
+         static_cast<__mmask16>(0xFFFF));
     }
     if (tail != 0) {
-      micro_tail(kc, alpha, a, lda, b + full * strip, ldb, c + full * kNr, ldc, rows,
-                 tail);
+      kMicroAvx512Masked[rows - 1](kc, alpha, a, lda, b + full * strip, ldb,
+                                   c + full * kNr, ldc, tail_mask);
     }
   }
 }
+#endif
 
 // Panel and transpose scratch. Thread-local: each thread packs into its own,
 // so the pool's workers can run gemm calls side by side (ConnectedLayer's
@@ -180,14 +300,12 @@ const float* pack_panel(const float* src, std::size_t ld, std::size_t kc,
   return panel;
 }
 
-/// Row-major M x K by K x N kernel, parallel over mr-row output tiles.
-/// The best compiled-in + CPU-supported band kernel wins: AVX-512, then
-/// AVX2 (this TU's micro kernels), with tile height matched to the kernel.
-/// Every band walks the KC blocks in ascending order.
-void gemm_packed(std::size_t m, std::size_t n, std::size_t k, float alpha,
+/// Row-major M x K by K x N kernel on band `isa`, parallel over mr-row
+/// output tiles, with tile height matched to the band. Every band walks the
+/// KC blocks in ascending order.
+void gemm_packed(Isa isa, std::size_t m, std::size_t n, std::size_t k, float alpha,
                  const float* a, const float* b, float* c) {
-  const bool use512 = detail::avx512_usable();
-  const std::size_t mr = use512 ? detail::kMrAvx512 : kMr;
+  const std::size_t mr = isa == Isa::kAvx512 ? kMrAvx512 : kMr;
   const std::size_t ntiles = (m + mr - 1) / mr;
   const double tile_macs =
       static_cast<double>(mr) * static_cast<double>(n) * static_cast<double>(k);
@@ -195,11 +313,11 @@ void gemm_packed(std::size_t m, std::size_t n, std::size_t k, float alpha,
   const bool pack = n >= kPackMinN;
   par::parallel_for(ntiles, grain, [&](par::Range r) {
     const auto run = [&](const GemmBlock& g) {
-      if (use512) {
-        detail::band_avx512(g, r.begin, r.end);
-      } else {
-        band(g, r.begin, r.end);
-      }
+#if defined(__x86_64__)
+      if (isa == Isa::kAvx512) return band_avx512(g, r.begin, r.end);
+      if (isa == Isa::kAvx2) return band_avx2(g, r.begin, r.end);
+#endif
+      band_scalar(g, r.begin, r.end);
     };
     GemmBlock g{m, n, k, alpha, a, c, 0, 0, 0, n, nullptr, n, kNr};
     for (g.p0 = 0; g.p0 < k; g.p0 += kKc) {
@@ -220,22 +338,11 @@ void gemm_packed(std::size_t m, std::size_t n, std::size_t k, float alpha,
   });
 }
 
-bool cpu_has_kernel_isa() {
-#if defined(__AVX2__) && defined(__FMA__)
-  // This TU was compiled with AVX2/FMA; verify the CPU agrees, else use the
-  // scalar reference kernels (compiled with default flags, always safe).
-  static const bool ok =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-  return ok;
-#else
-  return true;
-#endif
-}
-
-#if PLINIUS_GEMM_AVX2
+#if defined(__x86_64__)
 // d[j][i] = s[i][j] for one 8 x 8 tile (row strides lds and ldd), through
 // registers: eight 8-float loads, three shuffle stages, eight 8-float stores.
-void transpose_tile(const float* s, std::size_t lds, float* d, std::size_t ldd) {
+[[gnu::target("avx2")]] void transpose_tile(const float* s, std::size_t lds, float* d,
+                                            std::size_t ldd) {
   __m256 r[8], t[8];
   for (std::size_t i = 0; i < 8; ++i) r[i] = _mm256_loadu_ps(s + i * lds);
   for (std::size_t i = 0; i < 8; i += 2) {
@@ -253,49 +360,70 @@ void transpose_tile(const float* s, std::size_t lds, float* d, std::size_t ldd) 
     _mm256_storeu_ps(d + (i + 4) * ldd, _mm256_permute2f128_ps(r[i], r[i + 4], 0x31));
   }
 }
+
+// Columns [c_begin, c_end) of src (c_begin a multiple of 8) in 8 x 8 tiles,
+// the remainders copied element by element.
+[[gnu::target("avx2")]] void transpose_avx2(std::size_t rows, std::size_t cols,
+                                            const float* src, float* dst,
+                                            std::size_t c_begin, std::size_t c_end) {
+  const std::size_t rf = rows - rows % 8;
+  for (std::size_t c0 = c_begin; c0 < c_end && c0 < cols; c0 += 8) {
+    const std::size_t r0 = c0 + 8 <= cols ? rf : 0;
+    for (std::size_t r = 0; r < r0; r += 8) {
+      transpose_tile(src + r * cols + c0, cols, dst + c0 * rows + r, rows);
+    }
+    for (std::size_t c = c0; c < c0 + 8 && c < cols; ++c) {
+      for (std::size_t r = r0; r < rows; ++r) dst[c * rows + r] = src[r * cols + c];
+    }
+  }
+}
 #endif
 
 }  // namespace
 
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, float alpha, const float* a,
              const float* b, float* c) {
-  if (m == 0 || n == 0 || k == 0) return;
-  if (!cpu_has_kernel_isa()) return reference::gemm_nn(m, n, k, alpha, a, b, c);
-  gemm_packed(m, n, k, alpha, a, b, c);
+  detail::gemm_nn(detail::cpu_isa(), m, n, k, alpha, a, b, c);
 }
 
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, float alpha, const float* a,
              const float* b, float* c) {
-  if (m == 0 || n == 0 || k == 0) return;
-  if (!cpu_has_kernel_isa()) return reference::gemm_nt(m, n, k, alpha, a, b, c);
-  t_pack_b.resize(k * n);
-  transpose(n, k, b, t_pack_b.data());  // B: N x K -> B^T: K x N
-  gemm_packed(m, n, k, alpha, a, t_pack_b.data(), c);
+  detail::gemm_nt(detail::cpu_isa(), m, n, k, alpha, a, b, c);
 }
 
-// An exact copy. With AVX2 and both sides at least 8, one pass of 8 x 8
-// register tiles, each eight 8-float runs of src in and eight of dst out, so
-// neither side is walked one strided element at a time whatever the shape
-// (an 8 x 196 conv delta, a 2048 x 16 FC delta), the remainders copied
-// element by element; otherwise 32 x 32 blocks of scalar copies keep both
-// sides cache friendly. Parallel over destination row bands (disjoint
-// writes).
 void transpose(std::size_t rows, std::size_t cols, const float* src, float* dst) {
+  detail::transpose(detail::cpu_isa(), rows, cols, src, dst);
+}
+
+void detail::gemm_nn(Isa isa, std::size_t m, std::size_t n, std::size_t k, float alpha,
+                     const float* a, const float* b, float* c) {
+  if (m == 0 || n == 0 || k == 0) return;
+  gemm_packed(isa, m, n, k, alpha, a, b, c);
+}
+
+void detail::gemm_nt(Isa isa, std::size_t m, std::size_t n, std::size_t k, float alpha,
+                     const float* a, const float* b, float* c) {
+  if (m == 0 || n == 0 || k == 0) return;
+  t_pack_b.resize(k * n);
+  transpose(isa, n, k, b, t_pack_b.data());  // B: N x K -> B^T: K x N
+  gemm_packed(isa, m, n, k, alpha, a, t_pack_b.data(), c);
+}
+
+// An exact copy. On the SIMD bands with both sides at least 8, one pass of
+// 8 x 8 register tiles, each eight 8-float runs of src in and eight of dst
+// out, so neither side is walked one strided element at a time whatever the
+// shape (an 8 x 196 conv delta, a 2048 x 16 FC delta), the remainders
+// copied element by element; otherwise 32 x 32 blocks of scalar copies keep
+// both sides cache friendly. Parallel over destination row bands (disjoint
+// writes).
+void detail::transpose(Isa isa, std::size_t rows, std::size_t cols, const float* src,
+                       float* dst) {
   if (rows == 0 || cols == 0) return;
-#if PLINIUS_GEMM_AVX2
-  if (rows >= 8 && cols >= 8 && cpu_has_kernel_isa()) {
-    const std::size_t rf = rows - rows % 8;
+#if defined(__x86_64__)
+  if (isa != Isa::kScalar && rows >= 8 && cols >= 8) {
     const std::size_t grain = 1 + (std::size_t{1} << 11) / rows;
     par::parallel_for((cols + 7) / 8, grain, [&](par::Range b) {
-      for (std::size_t c0 = b.begin * 8; c0 < b.end * 8 && c0 < cols; c0 += 8) {
-        const std::size_t r0 = c0 + 8 <= cols ? rf : 0;
-        for (std::size_t r = 0; r < r0; r += 8) {
-          transpose_tile(src + r * cols + c0, cols, dst + c0 * rows + r, rows);
-        }
-        for (std::size_t c = c0; c < c0 + 8 && c < cols; ++c) {
-          for (std::size_t r = r0; r < rows; ++r) dst[c * rows + r] = src[r * cols + c];
-        }
-      }
+      transpose_avx2(rows, cols, src, dst, b.begin * 8, b.end * 8);
     });
     return;
   }

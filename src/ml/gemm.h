@@ -39,15 +39,19 @@
 // delta instead of the column matrix (tests/gemm_test.cpp and the
 // LayerLowering tests in tests/ml_test.cpp pin both).
 //
-// When the build enables AVX2/FMA for this translation unit (the default on
-// compilers that support it — see PLINIUS_GEMM_SIMD in src/CMakeLists.txt),
-// the kernels check CPU support at runtime and fall back to the scalar
-// reference kernels on hardware without AVX2. A PLINIUS_GEMM_SIMD=OFF build
-// runs the blocked scalar band instead; it fuses each multiply-add with
-// std::fma, so its results are bitwise those of the AVX2 and AVX-512 bands.
+// Across hosts the results are bitwise on any x86-64 host; every band is
+// compiled into every build and picked by CPUID (ml/isa.h): a blocked
+// scalar band, an AVX2/FMA band and an AVX-512 band. Each fuses every
+// multiply-add (std::fma on the scalar band) over the same K order, and
+// tests/gemm_test.cpp's GemmBands suite compares every band the CPU runs.
+// This holds for alpha = 1, which every caller passes: the 6-row bands
+// fold alpha into A in their edge tiles, the AVX-512 band applies it to
+// the block sum, and only a power-of-two alpha rounds the same both ways.
 #pragma once
 
 #include <cstddef>
+
+#include "ml/isa.h"
 
 namespace plinius::ml {
 
@@ -61,5 +65,17 @@ void gemm_nt(std::size_t m, std::size_t n, std::size_t k, float alpha, const flo
 
 /// dst[cols x rows] = src[rows x cols]^T (out of place, exact copy).
 void transpose(std::size_t rows, std::size_t cols, const float* src, float* dst);
+
+namespace detail {
+
+/// The entry points above on band `isa`, which this CPU must run
+/// (isa <= cpu_isa()). They exist so tests can compare the bands.
+void gemm_nn(Isa isa, std::size_t m, std::size_t n, std::size_t k, float alpha,
+             const float* a, const float* b, float* c);
+void gemm_nt(Isa isa, std::size_t m, std::size_t n, std::size_t k, float alpha,
+             const float* a, const float* b, float* c);
+void transpose(Isa isa, std::size_t rows, std::size_t cols, const float* src, float* dst);
+
+}  // namespace detail
 
 }  // namespace plinius::ml

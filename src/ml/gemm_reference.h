@@ -1,14 +1,14 @@
 // Reference GEMM kernels: the original scalar triple loops this repo seeded
-// with. They are kept for three purposes:
+// with, in their own library (plinius_gemm_reference) that nothing in src/
+// links. They are kept for two purposes:
 //
 //   * oracle for tests: ml::gemm_nn and ml::gemm_nt must match gemm_nn and
-//     gemm_nt here to floating-point reassociation tolerance, and the int8
-//     kernels in ml/gemm_s8.h must match gemm_s8_nn and gemm_s8_nt bitwise;
+//     gemm_nt here to floating-point reassociation tolerance, and every band
+//     of the int8 kernels in ml/gemm_s8.h must match gemm_s8_nn and
+//     gemm_s8_nt bitwise;
 //   * baseline for benchmarks: bench/micro_kernels and bench/parallel_sweep
 //     report the optimized kernels' speedup over exactly this code, compiled
-//     with the project's default flags (no extra SIMD options);
-//   * fallback: ml::gemm_nn/nt run these loops on CPUs without AVX2/FMA, so
-//     there they are the training path.
+//     with the project's default flags.
 #pragma once
 
 #include <cstddef>

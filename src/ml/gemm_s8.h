@@ -12,11 +12,12 @@
 // two int8 products summed into an int32 lane, exact for any |value| <= 127.
 // Odd K zero-pads the final pair, which is exact in integer arithmetic.
 //
-// Determinism contract: integer addition is associative, so results are
-// bitwise identical at any thread count and on every ISA level by
-// construction — the blocked kernels, the scalar fallback and the
-// gemm_reference oracles all produce identical bytes. The parallel work unit
-// mirrors the float path (MR-row output tiles split by shape only).
+// Determinism contract: bitwise on any x86-64 host; every band (blocked
+// scalar, AVX2, AVX-512BW) is compiled into every build and picked by CPUID
+// (ml/isa.h). Integer addition is associative, so every band, every thread
+// count and the gemm_reference oracles produce identical bytes by
+// construction. The parallel work unit mirrors the float path (MR-row
+// output tiles split by shape only).
 //
 // Accumulator range: each K pair contributes at most 2 * 127^2 to a lane, so
 // the int32 accumulator is exact for K up to ~66 million — far beyond any
@@ -25,6 +26,8 @@
 
 #include <cstddef>
 #include <cstdint>
+
+#include "ml/isa.h"
 
 namespace plinius::ml {
 
@@ -35,5 +38,16 @@ void gemm_s8_nn(std::size_t m, std::size_t n, std::size_t k, const std::int8_t* 
 /// C += A * B^T    (A: M x K int8, B: N x K int8, C: M x N int32)
 void gemm_s8_nt(std::size_t m, std::size_t n, std::size_t k, const std::int8_t* a,
                 const std::int8_t* b, std::int32_t* c);
+
+namespace detail {
+
+/// The entry points above on band `isa`, which this CPU must run
+/// (isa <= cpu_isa()). They exist so tests can compare the bands.
+void gemm_s8_nn(Isa isa, std::size_t m, std::size_t n, std::size_t k,
+                const std::int8_t* a, const std::int8_t* b, std::int32_t* c);
+void gemm_s8_nt(Isa isa, std::size_t m, std::size_t n, std::size_t k,
+                const std::int8_t* a, const std::int8_t* b, std::int32_t* c);
+
+}  // namespace detail
 
 }  // namespace plinius::ml

@@ -19,9 +19,8 @@ namespace {
 // col[i] = src[index[i]] eight floats per AVX2 gather, over the longest
 // prefix of whole groups of eight; returns its length. A gather moves bits,
 // so it and the scalar loop write identical columns.
-__attribute__((target("avx2"))) std::size_t gather_avx2(const std::uint32_t* index,
-                                                        std::size_t n, const float* src,
-                                                        float* col) {
+[[gnu::target("avx2")]] std::size_t gather_avx2(const std::uint32_t* index, std::size_t n,
+                                                const float* src, float* col) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256i lanes = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(index + i));
@@ -34,9 +33,9 @@ __attribute__((target("avx2"))) std::size_t gather_avx2(const std::uint32_t* ind
 // returns its length. Eight elements advance together, one masked gather
 // per tap slot: a slot with no tap gathers -0.0f, and x + -0.0f == x for
 // every x, so each element gets exactly the scalar loop's adds.
-__attribute__((target("avx2"))) std::size_t col2im_avx2(const std::int32_t* slots,
-                                                        std::size_t taps, std::size_t n,
-                                                        const float* col, float* im) {
+[[gnu::target("avx2")]] std::size_t col2im_avx2(const std::int32_t* slots, std::size_t taps,
+                                                std::size_t n, const float* col,
+                                                float* im) {
   const __m256 neg_zero = _mm256_set1_ps(-0.0f);
   const __m256i none = _mm256_set1_epi32(-1);
   std::size_t e = 0;
@@ -91,7 +90,7 @@ LoweringPlan::LoweringPlan(const ConvShape& shape)
 }
 
 template <class T>
-void LoweringPlan::gather(const T* im, T* scratch, T* col) const {
+void LoweringPlan::gather(const T* im, T* scratch, T* col, detail::Isa isa) const {
   const T* src = shape_.pad > 0 ? scratch : im;
   if (src != im) {
     std::copy_n(im, image_size_, scratch);
@@ -102,15 +101,15 @@ void LoweringPlan::gather(const T* im, T* scratch, T* col) const {
   std::size_t i = 0;
 #if defined(__x86_64__)
   if constexpr (std::is_same_v<T, float>) {
-    static const bool avx2 = __builtin_cpu_supports("avx2");
-    if (avx2) i = gather_avx2(index, n, src, col);
+    if (isa != detail::Isa::kScalar) i = gather_avx2(index, n, src, col);
   }
 #endif
   for (; i < n; ++i) col[i] = src[index[i]];
 }
 
-template void LoweringPlan::gather(const float*, float*, float*) const;
-template void LoweringPlan::gather(const std::int8_t*, std::int8_t*, std::int8_t*) const;
+template void LoweringPlan::gather(const float*, float*, float*, detail::Isa) const;
+template void LoweringPlan::gather(const std::int8_t*, std::int8_t*, std::int8_t*,
+                                   detail::Isa) const;
 
 void LoweringPlan::im2col(const float* im, float* scratch, float* col) const {
   // The attacker-visible branch of a row-by-row walk: one event per column
@@ -121,7 +120,7 @@ void LoweringPlan::im2col(const float* im, float* scratch, float* col) const {
   gather(im, scratch, col);
 }
 
-void LoweringPlan::col2im(const float* col, float* im) {
+void LoweringPlan::col2im(const float* col, float* im, detail::Isa isa) {
   // The walk inverted, on the first call only: slot t of image element e
   // holds the column element of e's t-th tap (ascending), or -1 past its
   // last one. Padding taps read no image element and have no slot.
@@ -143,8 +142,9 @@ void LoweringPlan::col2im(const float* col, float* im) {
   // waits on another element's store.
   std::size_t e = 0;
 #if defined(__x86_64__)
-  static const bool avx2 = __builtin_cpu_supports("avx2");
-  if (avx2) e = col2im_avx2(tap_slots_.data(), max_taps_, image_size_, col, im);
+  if (isa != detail::Isa::kScalar) {
+    e = col2im_avx2(tap_slots_.data(), max_taps_, image_size_, col, im);
+  }
 #endif
   for (; e < image_size_; ++e) {
     float v = im[e];

@@ -7,12 +7,17 @@
 // gathers int8, and col2im adds each image element's taps in ascending
 // column-element order through the same walk inverted (tap slots, built on
 // col2im's first call, so the gathers never pay for them).
-// Host work only: nothing here charges the simulated clock.
+// The float gather and col2im run eight lanes at a time on the SIMD bands
+// (ml/isa.h) and element by element on the scalar band, with the same bits;
+// tests pass each runnable band. Host work only: nothing here charges the
+// simulated clock.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "ml/isa.h"
 
 namespace plinius::ml {
 
@@ -46,7 +51,8 @@ class LoweringPlan {
 
   /// col[i] = the image element column element i reads, or 0.
   template <class T>
-  void gather(const T* im, T* scratch, T* col) const;
+  void gather(const T* im, T* scratch, T* col,
+              detail::Isa isa = detail::cpu_isa()) const;
 
   /// The float gather for GEMM-based convolution, reporting the padded rows
   /// to an attached leakage recorder.
@@ -58,7 +64,7 @@ class LoweringPlan {
   /// taps are dropped. Walks the image, not the columns, through tap slots
   /// built on the first call (a gather-only plan never builds them), so it
   /// needs no staging.
-  void col2im(const float* col, float* im);
+  void col2im(const float* col, float* im, detail::Isa isa = detail::cpu_isa());
 
  private:
   /// Position of image element e's tap slot t: groups of eight elements,

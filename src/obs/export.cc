@@ -6,8 +6,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/log.h"
-
 namespace plinius::obs {
 
 namespace {
@@ -220,13 +218,13 @@ CostReport attribute_under(const Tracer& tracer, const char* root_name) {
 bool write_text_file(const std::string& path, const std::string& content) {
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   if (!f) {
-    log::error("obs: cannot open %s for writing", path.c_str());
+    std::fprintf(stderr, "obs: cannot open %s for writing\n", path.c_str());
     return false;
   }
   f << content;
   f.flush();
   if (!f.good()) {
-    log::error("obs: short write to %s", path.c_str());
+    std::fprintf(stderr, "obs: short write to %s\n", path.c_str());
     return false;
   }
   return true;

@@ -2,7 +2,8 @@
 // against the trivially-correct reference kernels in ml/gemm_reference.h,
 // for both products (A * B and A * B^T), awkward shapes (tile remainders,
 // vectors, empty dimensions), alpha values, and C-accumulation — plus the
-// bitwise serial-vs-parallel identity the kernels guarantee by construction.
+// bitwise serial-vs-parallel identity the kernels guarantee by construction,
+// and the bitwise identity of every band (ml/isa.h) this CPU runs.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -16,6 +17,7 @@
 #include "common/rng.h"
 #include "ml/gemm.h"
 #include "ml/gemm_reference.h"
+#include "ml/gemm_s8.h"
 
 namespace {
 
@@ -189,6 +191,114 @@ TEST(GemmTranspose, ExactOutOfPlaceCopy) {
       }
     }
   }
+}
+
+// --- GemmBands: every band this CPU runs computes the same bits ----------------
+
+using ml::detail::Isa;
+
+// m = 1..32 covers every row remainder of the 6-row (scalar, AVX2) and
+// 16-row (AVX-512) tiles; n covers one 16-column strip and its neighbours, a
+// conv layer's 196 columns and a packed 1040; k covers one and two KC
+// blocks. The grid holds train_paper's first conv product, 16 x 196 x 72.
+template <class Fn>
+void for_each_band_shape(Fn&& fn) {
+  for (std::size_t m = 1; m <= 32; ++m) {
+    for (const std::size_t n : {1, 15, 16, 17, 196, 1040}) {
+      for (const std::size_t k : {1, 72, 257}) fn(Shape{m, n, k});
+    }
+  }
+}
+
+using BandFn = void (*)(Isa, std::size_t, std::size_t, std::size_t, float, const float*,
+                        const float*, float*);
+
+// Each runnable band against the scalar band, bitwise, into a nonzero C at
+// alpha = 1 (every caller's alpha).
+void expect_bands_match_scalar(BandFn product, std::uint64_t seed) {
+  Rng rng(seed);
+  const std::vector<Isa> isas = ml::detail::runnable_isas();
+  for_each_band_shape([&](const Shape& s) {
+    const auto a = random_matrix(s.m * s.k, rng);
+    const auto b = random_matrix(s.k * s.n, rng);
+    const auto c0 = random_matrix(s.m * s.n, rng);
+    std::vector<float> want = c0;
+    product(Isa::kScalar, s.m, s.n, s.k, 1.0f, a.data(), b.data(), want.data());
+    for (const Isa isa : isas) {
+      if (isa == Isa::kScalar) continue;
+      std::vector<float> got = c0;
+      product(isa, s.m, s.n, s.k, 1.0f, a.data(), b.data(), got.data());
+      ASSERT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(float)))
+          << "band " << static_cast<int>(isa) << " m=" << s.m << " n=" << s.n
+          << " k=" << s.k;
+    }
+  });
+}
+
+TEST(GemmBands, NnMatchesScalarBand) {
+  expect_bands_match_scalar(ml::detail::gemm_nn, 0xBA1);
+}
+
+TEST(GemmBands, NtMatchesScalarBand) {
+  expect_bands_match_scalar(ml::detail::gemm_nt, 0xBA2);
+}
+
+TEST(GemmBands, TransposeIsExactOnEveryBand) {
+  Rng rng(0xBA3);
+  for (const Isa isa : ml::detail::runnable_isas()) {
+    for_each_band_shape([&](const Shape& s) {
+      if (s.k != 1) return;  // transpose has no K
+      const auto src = random_matrix(s.m * s.n, rng);
+      std::vector<float> dst(s.n * s.m);
+      ml::detail::transpose(isa, s.m, s.n, src.data(), dst.data());
+      std::vector<float> want(dst.size());
+      for (std::size_t i = 0; i < s.m; ++i) {
+        for (std::size_t j = 0; j < s.n; ++j) want[j * s.m + i] = src[i * s.n + j];
+      }
+      ASSERT_EQ(0, std::memcmp(dst.data(), want.data(), dst.size() * sizeof(float)))
+          << "band " << static_cast<int>(isa) << " rows=" << s.m << " cols=" << s.n;
+    });
+  }
+}
+
+using BandS8Fn = void (*)(Isa, std::size_t, std::size_t, std::size_t, const std::int8_t*,
+                          const std::int8_t*, std::int32_t*);
+using ReferenceS8Fn = void (*)(std::size_t, std::size_t, std::size_t, const std::int8_t*,
+                               const std::int8_t*, std::int32_t*);
+
+// Each runnable int8 band against the reference loops, bitwise (integer
+// sums are exact), into a nonzero C.
+void expect_s8_bands_match_reference(BandS8Fn product, ReferenceS8Fn oracle,
+                                     std::uint64_t seed) {
+  Rng rng(seed);
+  const auto fill = [&](std::size_t len) {
+    std::vector<std::int8_t> v(len);
+    for (auto& x : v) x = static_cast<std::int8_t>(static_cast<int>(rng.below(255)) - 127);
+    return v;
+  };
+  const std::vector<Isa> isas = ml::detail::runnable_isas();
+  for_each_band_shape([&](const Shape& s) {
+    const auto a = fill(s.m * s.k);
+    const auto b = fill(s.k * s.n);
+    std::vector<std::int32_t> c0(s.m * s.n);
+    for (auto& x : c0) x = static_cast<std::int32_t>(rng.below(2001)) - 1000;
+    std::vector<std::int32_t> want = c0;
+    oracle(s.m, s.n, s.k, a.data(), b.data(), want.data());
+    for (const Isa isa : isas) {
+      std::vector<std::int32_t> got = c0;
+      product(isa, s.m, s.n, s.k, a.data(), b.data(), got.data());
+      ASSERT_EQ(got, want) << "band " << static_cast<int>(isa) << " m=" << s.m
+                           << " n=" << s.n << " k=" << s.k;
+    }
+  });
+}
+
+TEST(GemmBands, S8NnMatchesReference) {
+  expect_s8_bands_match_reference(ml::detail::gemm_s8_nn, ml::reference::gemm_s8_nn, 0xBA4);
+}
+
+TEST(GemmBands, S8NtMatchesReference) {
+  expect_s8_bands_match_reference(ml::detail::gemm_s8_nt, ml::reference::gemm_s8_nt, 0xBA5);
 }
 
 }  // namespace

@@ -131,11 +131,13 @@ bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
 
 // Every shape of the grid: channels 1-3, height and width 1-9 each
 // (non-square included), ksize 1-5, stride 1-3, pad 0-2. The plan's float
-// gather, fixed gather and int8 gather must equal the per-element reference
-// walk bit for bit, and its scatter must add the same values in the same
-// order into an image that does not start at zero.
+// gather (on every band this CPU runs), fixed gather and int8 gather must
+// equal the per-element reference walk bit for bit, and its scatter (on
+// every band) must add the same values in the same order into an image that
+// does not start at zero.
 TEST(Im2col, PlanMatchesReferenceWalkOnShapeGrid) {
   Rng rng(21);
+  const std::vector<detail::Isa> isas = detail::runnable_isas();
   std::size_t shapes = 0;
   for (std::size_t c = 1; c <= 3; ++c) {
     for (std::size_t h = 1; h <= 9; ++h) {
@@ -167,22 +169,31 @@ TEST(Im2col, PlanMatchesReferenceWalkOnShapeGrid) {
               reference::im2col(im8.data(), shape, want8.data());
               plan.gather(im8.data(), scratch8.data(), got8.data());
 
-              std::vector<float> cols(n), scattered(im.size());
+              std::vector<float> cols(n), scattered0(im.size());
               for (auto& v : cols) v = rng.normal();
-              for (auto& v : scattered) v = rng.normal();
-              scattered[0] = -0.0f;
-              std::vector<float> scattered_want = scattered;
-              // The second pass reuses the tap table the first one built.
+              for (auto& v : scattered0) v = rng.normal();
+              scattered0[0] = -0.0f;
+              std::vector<float> scattered_want = scattered0;
               for (int pass = 0; pass < 2; ++pass) {
                 reference::col2im(cols.data(), shape, scattered_want.data());
-                plan.col2im(cols.data(), scattered.data());
               }
 
               const std::string at = reference::describe(shape);
               ASSERT_TRUE(same_bits(got, want)) << "im2col " << at;
               ASSERT_TRUE(same_bits(fixed, want)) << "im2col_fixed " << at;
               ASSERT_TRUE(same_bits(got8, want8)) << "int8 gather " << at;
-              ASSERT_TRUE(same_bits(scattered, scattered_want)) << "col2im " << at;
+              for (const detail::Isa isa : isas) {
+                std::vector<float> band_got(n, 1.0f), scattered = scattered0;
+                plan.gather(im.data(), scratch.data(), band_got.data(), isa);
+                // The second pass reuses the tap table the first call built.
+                for (int pass = 0; pass < 2; ++pass) {
+                  plan.col2im(cols.data(), scattered.data(), isa);
+                }
+                ASSERT_TRUE(same_bits(band_got, want))
+                    << "gather, band " << static_cast<int>(isa) << " " << at;
+                ASSERT_TRUE(same_bits(scattered, scattered_want))
+                    << "col2im, band " << static_cast<int>(isa) << " " << at;
+              }
               ++shapes;
             }
           }

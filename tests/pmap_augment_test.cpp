@@ -4,7 +4,6 @@
 
 #include "common/clock.h"
 #include "common/error.h"
-#include "common/log.h"
 #include "ml/augment.h"
 #include "ml/synth_digits.h"
 #include "pm/device.h"
@@ -216,22 +215,6 @@ TEST(Augment, RejectsOversizedShift) {
   ml::AugmentOptions opt;
   opt.max_shift = 30;
   EXPECT_THROW(ml::Augmenter(ml::Shape{1, 28, 28}, opt, 1), Error);
-}
-
-// --- logger ------------------------------------------------------------------------
-
-TEST(Log, ThresholdFilters) {
-  const auto saved = log::threshold();
-  log::set_threshold(log::Level::kError);
-  EXPECT_EQ(log::threshold(), log::Level::kError);
-  // These must be no-ops (nothing observable to assert beyond not crashing,
-  // but the formatting path with arguments is exercised).
-  log::debug("dropped %d", 1);
-  log::info("dropped %s", "too");
-  log::warn("dropped %f", 2.0);
-  log::set_threshold(log::Level::kOff);
-  log::error("dropped as well (%d)", 3);
-  log::set_threshold(saved);
 }
 
 }  // namespace
