@@ -38,13 +38,34 @@ namespace {
 
 using namespace plinius;
 
+// Sizes x every GCM kernel this CPU runs, portable included; the label
+// names the kernel, so the JSON gives host throughput per kernel.
+void gcm_kernel_args(benchmark::internal::Benchmark* b) {
+  for (const crypto::GcmKernel kernel : crypto::detail::runnable_gcm_kernels()) {
+    for (const std::int64_t bytes : {std::int64_t{4096}, std::int64_t{1} << 20}) {
+      b->Args({bytes, static_cast<std::int64_t>(kernel)});
+    }
+  }
+  b->ArgNames({"bytes", "kernel"});
+}
+
+const char* gcm_kernel_label(crypto::GcmKernel kernel) {
+  switch (kernel) {
+    case crypto::GcmKernel::kPortable: return "portable";
+    case crypto::GcmKernel::kClmul8: return "clmul8";
+    case crypto::GcmKernel::kVaes512: return "vaes512";
+  }
+  return "?";
+}
+
 void BM_AesGcmSeal(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const auto kernel = static_cast<crypto::GcmKernel>(state.range(1));
   Bytes key(16), plain(n);
   Rng rng(1);
   rng.fill(key.data(), key.size());
   rng.fill(plain.data(), plain.size());
-  const crypto::AesGcm gcm(key);
+  const crypto::AesGcm gcm(key, kernel);
   Bytes out(crypto::sealed_size(n));
   crypto::IvSequence iv_seq(2);
   for (auto _ : state) {
@@ -52,16 +73,18 @@ void BM_AesGcmSeal(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * n));
+  state.SetLabel(gcm_kernel_label(kernel));
 }
-BENCHMARK(BM_AesGcmSeal)->Arg(4096)->Arg(1 << 20);
+BENCHMARK(BM_AesGcmSeal)->Apply(gcm_kernel_args);
 
 void BM_AesGcmOpen(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const auto kernel = static_cast<crypto::GcmKernel>(state.range(1));
   Bytes key(16), plain(n);
   Rng rng(1);
   rng.fill(key.data(), key.size());
   rng.fill(plain.data(), plain.size());
-  const crypto::AesGcm gcm(key);
+  const crypto::AesGcm gcm(key, kernel);
   crypto::IvSequence iv_seq(2);
   const Bytes sealed = crypto::seal(gcm, iv_seq, plain);
   Bytes out(n);
@@ -69,8 +92,9 @@ void BM_AesGcmOpen(benchmark::State& state) {
     benchmark::DoNotOptimize(crypto::open_into(gcm, sealed, out));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * n));
+  state.SetLabel(gcm_kernel_label(kernel));
 }
-BENCHMARK(BM_AesGcmOpen)->Arg(4096)->Arg(1 << 20);
+BENCHMARK(BM_AesGcmOpen)->Apply(gcm_kernel_args);
 
 void BM_Sha256(benchmark::State& state) {
   Bytes data(static_cast<std::size_t>(state.range(0)));

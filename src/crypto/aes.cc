@@ -30,29 +30,11 @@ constexpr std::uint8_t kSbox[256] = {
     0x28, 0xdf, 0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f,
     0xb0, 0x54, 0xbb, 0x16};
 
-struct InvSbox {
-  std::uint8_t t[256];
-  constexpr InvSbox() : t{} {
-    for (int i = 0; i < 256; ++i) t[kSbox[i]] = static_cast<std::uint8_t>(i);
-  }
-};
-constexpr InvSbox kInvSbox{};
-
 constexpr std::uint8_t kRcon[11] = {0x00, 0x01, 0x02, 0x04, 0x08, 0x10,
                                     0x20, 0x40, 0x80, 0x1b, 0x36};
 
 std::uint8_t xtime(std::uint8_t x) {
   return static_cast<std::uint8_t>((x << 1) ^ ((x >> 7) * 0x1b));
-}
-
-std::uint8_t gmul(std::uint8_t a, std::uint8_t b) {
-  std::uint8_t p = 0;
-  for (int i = 0; i < 8; ++i) {
-    if (b & 1) p ^= a;
-    a = xtime(a);
-    b >>= 1;
-  }
-  return p;
 }
 
 void add_round_key(std::uint8_t state[16], const std::uint8_t* rk) {
@@ -61,10 +43,6 @@ void add_round_key(std::uint8_t state[16], const std::uint8_t* rk) {
 
 void sub_bytes(std::uint8_t state[16]) {
   for (int i = 0; i < 16; ++i) state[i] = kSbox[state[i]];
-}
-
-void inv_sub_bytes(std::uint8_t state[16]) {
-  for (int i = 0; i < 16; ++i) state[i] = kInvSbox.t[state[i]];
 }
 
 // State is column-major: state[4*c + r] is row r, column c (matches the
@@ -88,25 +66,6 @@ void shift_rows(std::uint8_t s[16]) {
   s[3] = t;
 }
 
-void inv_shift_rows(std::uint8_t s[16]) {
-  std::uint8_t t;
-  // row 1: rotate right by 1
-  t = s[13];
-  s[13] = s[9];
-  s[9] = s[5];
-  s[5] = s[1];
-  s[1] = t;
-  // row 2: rotate right by 2
-  std::swap(s[2], s[10]);
-  std::swap(s[6], s[14]);
-  // row 3: rotate right by 3
-  t = s[3];
-  s[3] = s[7];
-  s[7] = s[11];
-  s[11] = s[15];
-  s[15] = t;
-}
-
 void mix_columns(std::uint8_t s[16]) {
   for (int c = 0; c < 4; ++c) {
     std::uint8_t* col = s + 4 * c;
@@ -118,17 +77,6 @@ void mix_columns(std::uint8_t s[16]) {
   }
 }
 
-void inv_mix_columns(std::uint8_t s[16]) {
-  for (int c = 0; c < 4; ++c) {
-    std::uint8_t* col = s + 4 * c;
-    const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-    col[0] = gmul(a0, 14) ^ gmul(a1, 11) ^ gmul(a2, 13) ^ gmul(a3, 9);
-    col[1] = gmul(a0, 9) ^ gmul(a1, 14) ^ gmul(a2, 11) ^ gmul(a3, 13);
-    col[2] = gmul(a0, 13) ^ gmul(a1, 9) ^ gmul(a2, 14) ^ gmul(a3, 11);
-    col[3] = gmul(a0, 11) ^ gmul(a1, 13) ^ gmul(a2, 9) ^ gmul(a3, 14);
-  }
-}
-
 void big_endian_inc32(std::uint8_t counter[16]) {
   for (int i = 15; i >= 12; --i) {
     if (++counter[i] != 0) break;
@@ -137,12 +85,15 @@ void big_endian_inc32(std::uint8_t counter[16]) {
 
 }  // namespace
 
-Aes::Aes(ByteSpan key) {
+Aes::Aes(ByteSpan key) : Aes(key, detail::cpu_gcm_kernel()) {}
+
+Aes::Aes(ByteSpan key, GcmKernel kernel) : kernel_(kernel) {
   const std::size_t nk = key.size() / 4;  // key words
   if (key.size() != kKeySize128 && key.size() != kKeySize192 &&
       key.size() != kKeySize256) {
     throw CryptoError("Aes: key must be 16, 24 or 32 bytes");
   }
+  expects(kernel <= detail::cpu_gcm_kernel(), "Aes: kernel not runnable on this CPU");
   rounds_ = static_cast<int>(nk) + 6;  // 10/12/14
 
   // FIPS-197 key expansion, stored byte-wise.
@@ -167,18 +118,17 @@ Aes::Aes(ByteSpan key) {
           static_cast<std::uint8_t>(enc_round_keys_[4 * (i - nk) + b] ^ temp[b]);
     }
   }
-
-  use_aesni_ = detail::aesni_supported();
-  use_vaes512_ = detail::vaes512_supported();
 }
 
 Aes::~Aes() { secure_zero(enc_round_keys_.data(), enc_round_keys_.size()); }
 
 void Aes::encrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
-  if (use_aesni_) {
+#if defined(__x86_64__)
+  if (kernel_ != GcmKernel::kPortable) {
     detail::aesni_encrypt_blocks(enc_round_keys_.data(), rounds_, in, out, 1);
     return;
   }
+#endif
   std::uint8_t s[16];
   std::memcpy(s, in, 16);
   add_round_key(s, enc_round_keys_.data());
@@ -194,37 +144,23 @@ void Aes::encrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
   std::memcpy(out, s, 16);
 }
 
-void Aes::decrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
-  // Straight inverse cipher on the portable path (decryption of single blocks
-  // is only used by tests; GCM never needs block decryption).
-  std::uint8_t s[16];
-  std::memcpy(s, in, 16);
-  add_round_key(s, &enc_round_keys_[16 * rounds_]);
-  for (int round = rounds_ - 1; round > 0; --round) {
-    inv_shift_rows(s);
-    inv_sub_bytes(s);
-    add_round_key(s, &enc_round_keys_[16 * round]);
-    inv_mix_columns(s);
-  }
-  inv_shift_rows(s);
-  inv_sub_bytes(s);
-  add_round_key(s, enc_round_keys_.data());
-  std::memcpy(out, s, 16);
-}
-
 void Aes::ctr_xcrypt(const std::uint8_t counter[16], ByteSpan in,
                      MutableByteSpan out) const {
   if (out.size() < in.size()) throw CryptoError("ctr_xcrypt: output too small");
-  if (use_vaes512_) {
-    detail::vaes512_ctr_xcrypt(enc_round_keys_.data(), rounds_, counter, in.data(),
+#if defined(__x86_64__)
+  switch (kernel_) {
+    case GcmKernel::kVaes512:
+      detail::vaes512_ctr_xcrypt(enc_round_keys_.data(), rounds_, counter, in.data(),
+                                 out.data(), in.size());
+      return;
+    case GcmKernel::kClmul8:
+      detail::aesni_ctr_xcrypt(enc_round_keys_.data(), rounds_, counter, in.data(),
                                out.data(), in.size());
-    return;
+      return;
+    case GcmKernel::kPortable:
+      break;
   }
-  if (use_aesni_) {
-    detail::aesni_ctr_xcrypt(enc_round_keys_.data(), rounds_, counter, in.data(),
-                             out.data(), in.size());
-    return;
-  }
+#endif
   std::uint8_t ctr[16];
   std::memcpy(ctr, counter, 16);
   std::uint8_t keystream[16];

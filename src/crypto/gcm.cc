@@ -24,55 +24,28 @@ void big_endian_inc32(std::uint8_t counter[16]) {
   }
 }
 
-/// One-time verification that the PCLMUL path agrees with the portable field
-/// multiply; if it does not (e.g. an exotic compiler miscompiles the
-/// intrinsics), the library silently stays on the portable path.
-bool clmul_verified() {
-  static const bool ok = [] {
-    if (!detail::clmul_supported()) return false;
-    Rng rng(0xC1A0C1A0ULL);
-    for (int trial = 0; trial < 64; ++trial) {
-      std::uint8_t x[16], h[16], a[16], b[16];
-      rng.fill(x, 16);
-      rng.fill(h, 16);
-      gf128_mul(x, h, a);
-      detail::clmul_gf128_mul(x, h, b);
-      if (std::memcmp(a, b, 16) != 0) return false;
-    }
-    return true;
-  }();
-  return ok;
-}
-
-GcmKernel pick_kernel() {
-  static const GcmKernel kernel = [] {
-    if (!clmul_verified()) return GcmKernel::kPortable;
-    return detail::vaes512_supported() ? GcmKernel::kVaes512 : GcmKernel::kClmul8;
-  }();
-  return kernel;
-}
-
 /// Fills H^1..H^16 for the aggregated kernels; bit-serial needs only H.
 void derive_h_powers(const std::uint8_t h[16], GcmKernel kernel,
                      std::uint8_t powers[16 * 16]) {
   std::memcpy(powers, h, 16);
   if (kernel == GcmKernel::kPortable) return;
+#if defined(__x86_64__)
   for (int k = 1; k < 16; ++k) {
     detail::clmul_gf128_mul(powers + 16 * (k - 1), h, powers + 16 * k);
   }
+#endif
 }
 
 /// Absorbs `nblocks` whole blocks into the GHASH state `y`.
 void ghash_blocks(const std::uint8_t* h_powers, GcmKernel kernel, std::uint8_t y[16],
                   const std::uint8_t* in, std::size_t nblocks) {
-  if (kernel == GcmKernel::kVaes512) {
-    detail::vaes512_ghash(h_powers, y, in, nblocks);
-    return;
+#if defined(__x86_64__)
+  switch (kernel) {
+    case GcmKernel::kVaes512: return detail::vaes512_ghash(h_powers, y, in, nblocks);
+    case GcmKernel::kClmul8: return detail::clmul_ghash(h_powers, y, in, nblocks);
+    case GcmKernel::kPortable: break;
   }
-  if (kernel == GcmKernel::kClmul8) {
-    detail::clmul_ghash(h_powers, y, in, nblocks);
-    return;
-  }
+#endif
   for (std::size_t b = 0; b < nblocks; ++b) {
     for (int i = 0; i < 16; ++i) y[i] ^= in[16 * b + i];
     std::uint8_t t[16];
@@ -138,55 +111,42 @@ void gf128_mul(const std::uint8_t x[16], const std::uint8_t h[16], std::uint8_t 
   for (int i = 0; i < 8; ++i) out[8 + i] = static_cast<std::uint8_t>(z_lo >> (56 - 8 * i));
 }
 
-Ghash::Ghash(const std::uint8_t h[16]) : kernel_(pick_kernel()) {
-  derive_h_powers(h, kernel_, h_.data());
-}
-
-Ghash::~Ghash() { secure_zero(h_.data(), h_.size()); }
-
-void Ghash::update(ByteSpan data) {
-  std::size_t off = 0;
-  if (partial_len_ > 0) {
-    const std::size_t need = 16 - partial_len_;
-    const std::size_t take = std::min(need, data.size());
-    std::memcpy(partial_.data() + partial_len_, data.data(), take);
-    partial_len_ += take;
-    off += take;
-    if (partial_len_ == 16) {
-      ghash_blocks(h_.data(), kernel_, y_.data(), partial_.data(), 1);
-      partial_len_ = 0;
+GcmKernel detail::cpu_gcm_kernel() noexcept {
+#if defined(__x86_64__)
+  static const GcmKernel kernel = [] {
+    if (!__builtin_cpu_supports("aes") || !__builtin_cpu_supports("pclmul") ||
+        !__builtin_cpu_supports("sse4.1")) {
+      return GcmKernel::kPortable;
     }
-  }
-  const std::size_t whole = (data.size() - off) / 16;
-  ghash_blocks(h_.data(), kernel_, y_.data(), data.data() + off, whole);
-  off += 16 * whole;
-  if (off < data.size()) {
-    std::memcpy(partial_.data(), data.data() + off, data.size() - off);
-    partial_len_ = data.size() - off;
-  }
+    // A PCLMULQDQ multiply that disagrees with the portable one (say, a
+    // miscompiled intrinsic) keeps the process on the portable kernel.
+    Rng rng(0xC1A0C1A0ULL);
+    for (int trial = 0; trial < 64; ++trial) {
+      std::uint8_t x[16], h[16], a[16], b[16];
+      rng.fill(x, 16);
+      rng.fill(h, 16);
+      gf128_mul(x, h, a);
+      clmul_gf128_mul(x, h, b);
+      if (std::memcmp(a, b, 16) != 0) return GcmKernel::kPortable;
+    }
+    return __builtin_cpu_supports("vaes") && __builtin_cpu_supports("vpclmulqdq") &&
+                   __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw")
+               ? GcmKernel::kVaes512
+               : GcmKernel::kClmul8;
+  }();
+  return kernel;
+#else
+  return GcmKernel::kPortable;
+#endif
 }
 
-void Ghash::update_padded(ByteSpan data) {
-  update(data);
-  if (partial_len_ > 0) {
-    std::memset(partial_.data() + partial_len_, 0, 16 - partial_len_);
-    ghash_blocks(h_.data(), kernel_, y_.data(), partial_.data(), 1);
-    partial_len_ = 0;
-  }
-}
+AesGcm::AesGcm(ByteSpan key) : AesGcm(key, detail::cpu_gcm_kernel()) {}
 
-void Ghash::finish_lengths(std::uint64_t aad_bytes, std::uint64_t ct_bytes) {
-  expects(partial_len_ == 0, "Ghash::finish_lengths: unpadded partial block");
-  ghash_lengths(h_.data(), kernel_, y_.data(), aad_bytes, ct_bytes);
-}
-
-void Ghash::digest(std::uint8_t out[16]) const { std::memcpy(out, y_.data(), 16); }
-
-AesGcm::AesGcm(ByteSpan key) : aes_(key), kernel_(pick_kernel()) {
+AesGcm::AesGcm(ByteSpan key, GcmKernel kernel) : aes_(key, kernel) {
   const std::uint8_t zero[16] = {};
   std::uint8_t h[16];
   aes_.encrypt_block(zero, h);
-  derive_h_powers(h, kernel_, h_powers_.data());
+  derive_h_powers(h, kernel, h_powers_.data());
   secure_zero(h, sizeof(h));
 }
 
@@ -201,16 +161,16 @@ void AesGcm::derive_j0(ByteSpan iv, std::uint8_t j0[16]) const {
   }
   // General-length IV: J0 = GHASH(IV || pad || [0]64 || [len(IV) bits]64).
   std::memset(j0, 0, 16);
-  ghash_padded(h_powers_.data(), kernel_, j0, iv);
+  ghash_padded(h_powers_.data(), kernel(), j0, iv);
   std::uint8_t block[16] = {};
   put_be64(block + 8, static_cast<std::uint64_t>(iv.size()) * 8);
-  ghash_blocks(h_powers_.data(), kernel_, j0, block, 1);
+  ghash_blocks(h_powers_.data(), kernel(), j0, block, 1);
 }
 
 void AesGcm::finish_tag(const std::uint8_t j0[16], std::uint8_t y[16],
                         std::uint64_t aad_bytes, std::uint64_t ct_bytes,
                         std::uint8_t tag[kGcmTagSize]) const {
-  ghash_lengths(h_powers_.data(), kernel_, y, aad_bytes, ct_bytes);
+  ghash_lengths(h_powers_.data(), kernel(), y, aad_bytes, ct_bytes);
   std::uint8_t ekj0[16];
   aes_.encrypt_block(j0, ekj0);
   for (int i = 0; i < 16; ++i) tag[i] = y[i] ^ ekj0[i];
@@ -228,16 +188,21 @@ void AesGcm::encrypt(ByteSpan iv, ByteSpan aad, ByteSpan plain, MutableByteSpan 
   big_endian_inc32(ctr);
 
   std::uint8_t y[16] = {};
-  ghash_padded(h_powers_.data(), kernel_, y, aad);
-  if (kernel_ == GcmKernel::kVaes512) {
-    detail::vaes512_ctr_xcrypt(aes_.round_keys(), aes_.rounds(), ctr, plain.data(),
+  ghash_padded(h_powers_.data(), kernel(), y, aad);
+  switch (kernel()) {
+#if defined(__x86_64__)
+    case GcmKernel::kVaes512:
+      detail::vaes512_ctr_xcrypt(aes_.round_keys(), aes_.rounds(), ctr, plain.data(),
+                                 cipher.data(), plain.size(), h_powers_.data(), y);
+      break;
+    case GcmKernel::kClmul8:
+      detail::aesni_ctr_xcrypt(aes_.round_keys(), aes_.rounds(), ctr, plain.data(),
                                cipher.data(), plain.size(), h_powers_.data(), y);
-  } else if (kernel_ == GcmKernel::kClmul8 && detail::aesni_supported()) {
-    detail::aesni_ctr_xcrypt(aes_.round_keys(), aes_.rounds(), ctr, plain.data(),
-                             cipher.data(), plain.size(), h_powers_.data(), y);
-  } else {
-    aes_.ctr_xcrypt(ctr, plain, cipher);
-    ghash_padded(h_powers_.data(), kernel_, y, ByteSpan(cipher.data(), plain.size()));
+      break;
+#endif
+    default:
+      aes_.ctr_xcrypt(ctr, plain, cipher);
+      ghash_padded(h_powers_.data(), kernel(), y, ByteSpan(cipher.data(), plain.size()));
   }
   finish_tag(j0, y, aad.size(), plain.size(), tag);
 }
@@ -251,8 +216,8 @@ bool AesGcm::decrypt(ByteSpan iv, ByteSpan aad, ByteSpan cipher, MutableByteSpan
   derive_j0(iv, j0);
 
   std::uint8_t y[16] = {};
-  ghash_padded(h_powers_.data(), kernel_, y, aad);
-  ghash_padded(h_powers_.data(), kernel_, y, cipher);
+  ghash_padded(h_powers_.data(), kernel(), y, aad);
+  ghash_padded(h_powers_.data(), kernel(), y, cipher);
   std::uint8_t expected[16];
   finish_tag(j0, y, aad.size(), cipher.size(), expected);
 

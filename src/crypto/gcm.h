@@ -8,13 +8,13 @@
 // key. IV + MAC are 28 bytes of metadata per encrypted buffer, exactly the
 // paper's accounting (§VI "CPU and memory overhead").
 //
-// With AES-NI and a verified PCLMULQDQ, encrypt runs one stitched kernel:
-// eight CTR blocks in flight, then GHASH over that ciphertext with H^1..H^8
-// precomputed per key and one field reduction per 128 bytes. On CPUs with
-// VAES and VPCLMULQDQ (AVX-512) the same kernel runs sixteen blocks per
-// iteration with H^1..H^16 and one reduction per 256 bytes. decrypt
-// authenticates the whole ciphertext first and runs CTR only on a tag match.
-// Without either extension a portable bit-serial path gives identical bytes.
+// On the kClmul8 kernel (AES-NI and a verified PCLMULQDQ, aes.h), encrypt
+// runs one stitched kernel: eight CTR blocks in flight, then GHASH over that
+// ciphertext with H^1..H^8 precomputed per key and one field reduction per
+// 128 bytes. On kVaes512 (VAES and VPCLMULQDQ, AVX-512) the same kernel runs
+// sixteen blocks per iteration with H^1..H^16 and one reduction per 256
+// bytes. decrypt authenticates the whole ciphertext first and runs CTR only
+// on a tag match. kPortable, a bit-serial path, gives identical bytes.
 #pragma once
 
 #include <array>
@@ -34,52 +34,15 @@ inline constexpr std::size_t kSealOverhead = kGcmIvSize + kGcmTagSize;
 /// bits). Past it the 32-bit block counter would wrap into J0.
 inline constexpr std::uint64_t kGcmMaxPlaintext = (std::uint64_t{1} << 36) - 32;
 
-/// The GHASH kernel (for AesGcm, also the stitched CTR kernel) a process
-/// runs, picked once from the CPU's features. kVaes512 needs VAES,
-/// VPCLMULQDQ, AVX-512F/BW, AES-NI and PCLMULQDQ; kClmul8 needs PCLMULQDQ.
-/// Both are used only after PCLMULQDQ matched the portable multiply at
-/// startup. All three produce identical bytes.
-enum class GcmKernel {
-  kPortable,  // bit-serial GHASH, byte-oriented AES
-  kClmul8,    // eight blocks per GHASH reduction (aesni.cc)
-  kVaes512,   // sixteen blocks per GHASH reduction (gcm_kernel_vaes512.cc)
-};
-
-/// GHASH accumulator over GF(2^128), absorbing whole-block runs with the
-/// process's GcmKernel.
-class Ghash {
- public:
-  explicit Ghash(const std::uint8_t h[16]);
-  ~Ghash();
-
-  Ghash(const Ghash&) = default;
-  Ghash& operator=(const Ghash&) = default;
-
-  /// Absorbs data; callers append zero padding themselves where GCM needs it.
-  void update(ByteSpan data);
-
-  /// Absorbs data then pads with zeros to a 16-byte boundary.
-  void update_padded(ByteSpan data);
-
-  /// Absorbs the final [len(A)]64 || [len(C)]64 length block (lengths in bits).
-  void finish_lengths(std::uint64_t aad_bytes, std::uint64_t ct_bytes);
-
-  void digest(std::uint8_t out[16]) const;
-
- private:
-  std::array<std::uint8_t, 16 * 16> h_{};  // H^1..H^16 (H^1 only when bit-serial)
-  std::array<std::uint8_t, 16> y_{};
-  std::array<std::uint8_t, 16> partial_{};
-  std::size_t partial_len_ = 0;
-  GcmKernel kernel_ = GcmKernel::kPortable;
-};
-
 /// Portable carry-less multiply in the GHASH field; exposed for tests.
 void gf128_mul(const std::uint8_t x[16], const std::uint8_t h[16], std::uint8_t out[16]);
 
 class AesGcm {
  public:
+  /// Runs detail::cpu_gcm_kernel().
   explicit AesGcm(ByteSpan key);
+  /// Runs `kernel`, which must be runnable on this CPU; see Aes.
+  AesGcm(ByteSpan key, GcmKernel kernel);
   /// Wipes the hash-subkey powers; `aes_` wipes its round keys.
   ~AesGcm();
 
@@ -102,7 +65,7 @@ class AesGcm {
                              MutableByteSpan plain,
                              const std::uint8_t tag[kGcmTagSize]) const;
 
-  [[nodiscard]] GcmKernel kernel() const noexcept { return kernel_; }
+  [[nodiscard]] GcmKernel kernel() const noexcept { return aes_.kernel(); }
 
  private:
   void derive_j0(ByteSpan iv, std::uint8_t j0[16]) const;
@@ -111,10 +74,9 @@ class AesGcm {
                   std::uint64_t ct_bytes, std::uint8_t tag[kGcmTagSize]) const;
 
   Aes aes_;
-  /// Powers H^1..H^16 of the hash subkey H = E_K(0^128); H^1 only when
-  /// PCLMUL is unavailable.
+  /// Powers H^1..H^16 of the hash subkey H = E_K(0^128); H^1 only on
+  /// kPortable.
   std::array<std::uint8_t, 16 * 16> h_powers_{};
-  GcmKernel kernel_ = GcmKernel::kPortable;
 };
 
 }  // namespace plinius::crypto

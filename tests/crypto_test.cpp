@@ -17,16 +17,58 @@
 namespace plinius::crypto {
 namespace {
 
-// --- AES-128 (FIPS-197 / NIST test vectors) -------------------------------
+// Every vector below runs on each kernel this CPU runs
+// (detail::runnable_gcm_kernels(), kPortable first), in one process.
+const char* kernel_name(GcmKernel k) {
+  return k == GcmKernel::kPortable ? "portable" : k == GcmKernel::kClmul8 ? "clmul8" : "vaes512";
+}
+
+// H^1..H^16 by repeated gf128_mul, the layout the aggregated kernels take.
+struct HPowers {
+  explicit HPowers(const std::uint8_t h[16]) {
+    std::memcpy(p, h, 16);
+    for (int k = 1; k < 16; ++k) gf128_mul(p + 16 * (k - 1), h, p + 16 * k);
+  }
+  std::uint8_t p[16 * 16];
+};
+
+void portable_ghash(const std::uint8_t* h, std::uint8_t y[16], const std::uint8_t* in,
+                    std::size_t len) {
+  for (std::size_t off = 0; off < len; off += 16) {
+    for (std::size_t i = 0; i < 16 && off + i < len; ++i) y[i] ^= in[off + i];
+    std::uint8_t t[16];
+    gf128_mul(y, h, t);
+    std::memcpy(y, t, 16);
+  }
+}
+
+// Absorbs `nblocks` whole blocks into `y` through `kernel`'s GHASH entry
+// point; the portable one is one bit-serial gf128_mul per block.
+void kernel_ghash(GcmKernel kernel, const std::uint8_t* h_powers, std::uint8_t y[16],
+                  const std::uint8_t* in, std::size_t nblocks) {
+  switch (kernel) {
+    case GcmKernel::kPortable: portable_ghash(h_powers, y, in, 16 * nblocks); return;
+#if defined(__x86_64__)
+    case GcmKernel::kClmul8: detail::clmul_ghash(h_powers, y, in, nblocks); return;
+    case GcmKernel::kVaes512: detail::vaes512_ghash(h_powers, y, in, nblocks); return;
+#else
+    default: FAIL() << "no x86 kernels in this build";
+#endif
+  }
+}
+
+// --- AES (FIPS-197 / NIST test vectors) ------------------------------------
 
 TEST(Aes128, Fips197AppendixB) {
   const Bytes key = from_hex("2b7e151628aed2a6abf7158809cf4f3c");
   const Bytes plain = from_hex("3243f6a8885a308d313198a2e0370734");
   const Bytes expected = from_hex("3925841d02dc09fbdc118597196a0b32");
-  Aes128 aes(key);
-  std::uint8_t out[16];
-  aes.encrypt_block(plain.data(), out);
-  EXPECT_EQ(to_hex(ByteSpan(out, 16)), to_hex(expected));
+  for (const GcmKernel kernel : detail::runnable_gcm_kernels()) {
+    const Aes aes(key, kernel);
+    std::uint8_t out[16];
+    aes.encrypt_block(plain.data(), out);
+    EXPECT_EQ(to_hex(ByteSpan(out, 16)), to_hex(expected)) << kernel_name(kernel);
+  }
 }
 
 TEST(Aes128, NistEcbVector) {
@@ -34,10 +76,12 @@ TEST(Aes128, NistEcbVector) {
   const Bytes key = from_hex("2b7e151628aed2a6abf7158809cf4f3c");
   const Bytes plain = from_hex("6bc1bee22e409f96e93d7e117393172a");
   const Bytes expected = from_hex("3ad77bb40d7a3660a89ecaf32466ef97");
-  Aes128 aes(key);
-  std::uint8_t out[16];
-  aes.encrypt_block(plain.data(), out);
-  EXPECT_EQ(to_hex(ByteSpan(out, 16)), to_hex(expected));
+  for (const GcmKernel kernel : detail::runnable_gcm_kernels()) {
+    const Aes aes(key, kernel);
+    std::uint8_t out[16];
+    aes.encrypt_block(plain.data(), out);
+    EXPECT_EQ(to_hex(ByteSpan(out, 16)), to_hex(expected)) << kernel_name(kernel);
+  }
 }
 
 TEST(Aes, Fips197AppendixC_AllKeySizes) {
@@ -54,15 +98,14 @@ TEST(Aes, Fips197AppendixC_AllKeySizes) {
       {"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
        "8ea2b7ca516745bfeafc49904b496089", 14},
   };
-  for (const auto& c : cases) {
-    Aes aes(from_hex(c.key));
-    EXPECT_EQ(aes.rounds(), c.rounds);
-    std::uint8_t out[16];
-    aes.encrypt_block(plain.data(), out);
-    EXPECT_EQ(to_hex(ByteSpan(out, 16)), c.expected);
-    std::uint8_t back[16];
-    aes.decrypt_block(out, back);
-    EXPECT_EQ(to_hex(ByteSpan(back, 16)), to_hex(plain));
+  for (const GcmKernel kernel : detail::runnable_gcm_kernels()) {
+    for (const auto& c : cases) {
+      const Aes aes(from_hex(c.key), kernel);
+      EXPECT_EQ(aes.rounds(), c.rounds);
+      std::uint8_t out[16];
+      aes.encrypt_block(plain.data(), out);
+      EXPECT_EQ(to_hex(ByteSpan(out, 16)), c.expected) << kernel_name(kernel);
+    }
   }
 }
 
@@ -83,15 +126,18 @@ TEST(Aes, Gcm256NistTestCase16) {
       "c5f61e6393ba7a0abcc9f662");
   const Bytes expect_tag = from_hex("76fc6ece0f4e1768cddf8853bb2d551b");
 
-  AesGcm gcm(key);
-  Bytes ct(plain.size());
-  std::uint8_t tag[16];
-  gcm.encrypt(iv, aad, plain, ct, tag);
-  EXPECT_EQ(to_hex(ct), to_hex(expect_ct));
-  EXPECT_EQ(to_hex(ByteSpan(tag, 16)), to_hex(expect_tag));
-  Bytes back(plain.size());
-  EXPECT_TRUE(gcm.decrypt(iv, aad, ct, back, tag));
-  EXPECT_EQ(back, plain);
+  for (const GcmKernel kernel : detail::runnable_gcm_kernels()) {
+    SCOPED_TRACE(kernel_name(kernel));
+    const AesGcm gcm(key, kernel);
+    Bytes ct(plain.size());
+    std::uint8_t tag[16];
+    gcm.encrypt(iv, aad, plain, ct, tag);
+    EXPECT_EQ(to_hex(ct), to_hex(expect_ct));
+    EXPECT_EQ(to_hex(ByteSpan(tag, 16)), to_hex(expect_tag));
+    Bytes back(plain.size());
+    EXPECT_TRUE(gcm.decrypt(iv, aad, ct, back, tag));
+    EXPECT_EQ(back, plain);
+  }
 }
 
 TEST(Aes, RejectsInvalidKeySizes) {
@@ -101,23 +147,9 @@ TEST(Aes, RejectsInvalidKeySizes) {
   EXPECT_NO_THROW(Aes{Bytes(24)});
 }
 
-TEST(Aes128, DecryptInvertsEncrypt) {
-  Rng rng(1);
-  Bytes key(16);
-  rng.fill(key.data(), key.size());
-  Aes128 aes(key);
-  for (int i = 0; i < 32; ++i) {
-    std::uint8_t plain[16], ct[16], back[16];
-    rng.fill(plain, 16);
-    aes.encrypt_block(plain, ct);
-    aes.decrypt_block(ct, back);
-    EXPECT_EQ(0, memcmp(plain, back, 16));
-  }
-}
-
 TEST(Aes128, RejectsWrongKeySize) {
   const Bytes short_key(8);
-  EXPECT_THROW(Aes128 a{ByteSpan(short_key)}, CryptoError);
+  EXPECT_THROW(Aes a{ByteSpan(short_key)}, CryptoError);
 }
 
 TEST(Aes128, CtrMatchesNistVector) {
@@ -134,10 +166,12 @@ TEST(Aes128, CtrMatchesNistVector) {
       "9806f66b7970fdff8617187bb9fffdff"
       "5ae4df3edbd5d35e5b4f09020db03eab"
       "1e031dda2fbe03d1792170a0f3009cee");
-  Aes128 aes(key);
-  Bytes out(plain.size());
-  aes.ctr_xcrypt(ctr.data(), plain, out);
-  EXPECT_EQ(to_hex(out), to_hex(expected));
+  for (const GcmKernel kernel : detail::runnable_gcm_kernels()) {
+    const Aes aes(key, kernel);
+    Bytes out(plain.size());
+    aes.ctr_xcrypt(ctr.data(), plain, out);
+    EXPECT_EQ(to_hex(out), to_hex(expected)) << kernel_name(kernel);
+  }
 }
 
 TEST(Aes128, CtrIsAnInvolution) {
@@ -145,7 +179,7 @@ TEST(Aes128, CtrIsAnInvolution) {
   Bytes key(16), ctr(16);
   rng.fill(key.data(), 16);
   rng.fill(ctr.data(), 16);
-  Aes128 aes(key);
+  const Aes aes(key);
   // Odd length exercises the partial-block tail.
   Bytes plain(1000 + 13);
   rng.fill(plain.data(), plain.size());
@@ -159,15 +193,26 @@ TEST(Aes128, CtrIsAnInvolution) {
 // --- GHASH / GF(2^128) ------------------------------------------------------
 
 TEST(Ghash, PortableMatchesClmulWhenAvailable) {
-  if (!detail::clmul_supported()) GTEST_SKIP() << "no PCLMUL on this CPU";
+  // A one-block GHASH from y = 0 is the product x*H, on every kernel.
   Rng rng(3);
   for (int i = 0; i < 200; ++i) {
-    std::uint8_t x[16], h[16], a[16], b[16];
+    std::uint8_t x[16], h[16], a[16];
     rng.fill(x, 16);
     rng.fill(h, 16);
     gf128_mul(x, h, a);
-    detail::clmul_gf128_mul(x, h, b);
-    ASSERT_EQ(0, memcmp(a, b, 16)) << "mismatch at trial " << i;
+    const HPowers powers(h);
+    for (const GcmKernel kernel : detail::runnable_gcm_kernels()) {
+      std::uint8_t y[16] = {};
+      kernel_ghash(kernel, powers.p, y, x, 1);
+      ASSERT_EQ(0, memcmp(a, y, 16)) << kernel_name(kernel) << ", trial " << i;
+    }
+#if defined(__x86_64__)
+    if (detail::cpu_gcm_kernel() >= GcmKernel::kClmul8) {
+      std::uint8_t b[16];
+      detail::clmul_gf128_mul(x, h, b);
+      ASSERT_EQ(0, memcmp(a, b, 16)) << "clmul_gf128_mul, trial " << i;
+    }
+#endif
   }
 }
 
@@ -176,30 +221,6 @@ TEST(Ghash, MultiplyByZeroIsZero) {
   Rng(4).fill(x, 16);
   gf128_mul(x, h, out);
   for (const auto b : out) EXPECT_EQ(b, 0);
-}
-
-TEST(Ghash, IncrementalMatchesOneShot) {
-  Rng rng(5);
-  std::uint8_t h[16];
-  rng.fill(h, 16);
-  Bytes data(321);
-  rng.fill(data.data(), data.size());
-
-  Ghash one(h);
-  one.update_padded(data);
-  one.finish_lengths(0, data.size());
-  std::uint8_t d1[16];
-  one.digest(d1);
-
-  Ghash two(h);
-  two.update(ByteSpan(data.data(), 100));
-  two.update(ByteSpan(data.data() + 100, 21));
-  two.update_padded(ByteSpan(data.data() + 121, 200));
-  two.finish_lengths(0, data.size());
-  std::uint8_t d2[16];
-  two.digest(d2);
-
-  EXPECT_EQ(0, memcmp(d1, d2, 16));
 }
 
 // --- AES-GCM (NIST GCM test vectors) ----------------------------------------
@@ -220,16 +241,19 @@ TEST(AesGcm, NistTestCase3) {
       "1ba30b396a0aac973d58e091473f5985");
   const Bytes expect_tag = from_hex("4d5c2af327cd64a62cf35abd2ba6fab4");
 
-  AesGcm gcm(key);
-  Bytes ct(plain.size());
-  std::uint8_t tag[16];
-  gcm.encrypt(iv, {}, plain, ct, tag);
-  EXPECT_EQ(to_hex(ct), to_hex(expect_ct));
-  EXPECT_EQ(to_hex(ByteSpan(tag, 16)), to_hex(expect_tag));
+  for (const GcmKernel kernel : detail::runnable_gcm_kernels()) {
+    SCOPED_TRACE(kernel_name(kernel));
+    const AesGcm gcm(key, kernel);
+    Bytes ct(plain.size());
+    std::uint8_t tag[16];
+    gcm.encrypt(iv, {}, plain, ct, tag);
+    EXPECT_EQ(to_hex(ct), to_hex(expect_ct));
+    EXPECT_EQ(to_hex(ByteSpan(tag, 16)), to_hex(expect_tag));
 
-  Bytes back(plain.size());
-  EXPECT_TRUE(gcm.decrypt(iv, {}, ct, back, tag));
-  EXPECT_EQ(back, plain);
+    Bytes back(plain.size());
+    EXPECT_TRUE(gcm.decrypt(iv, {}, ct, back, tag));
+    EXPECT_EQ(back, plain);
+  }
 }
 
 TEST(AesGcm, NistTestCase4WithAad) {
@@ -249,12 +273,15 @@ TEST(AesGcm, NistTestCase4WithAad) {
       "1ba30b396a0aac973d58e091");
   const Bytes expect_tag = from_hex("5bc94fbc3221a5db94fae95ae7121a47");
 
-  AesGcm gcm(key);
-  Bytes ct(plain.size());
-  std::uint8_t tag[16];
-  gcm.encrypt(iv, aad, plain, ct, tag);
-  EXPECT_EQ(to_hex(ct), to_hex(expect_ct));
-  EXPECT_EQ(to_hex(ByteSpan(tag, 16)), to_hex(expect_tag));
+  for (const GcmKernel kernel : detail::runnable_gcm_kernels()) {
+    SCOPED_TRACE(kernel_name(kernel));
+    const AesGcm gcm(key, kernel);
+    Bytes ct(plain.size());
+    std::uint8_t tag[16];
+    gcm.encrypt(iv, aad, plain, ct, tag);
+    EXPECT_EQ(to_hex(ct), to_hex(expect_ct));
+    EXPECT_EQ(to_hex(ByteSpan(tag, 16)), to_hex(expect_tag));
+  }
 }
 
 TEST(AesGcm, EmptyPlaintextProducesTagOnly) {
@@ -375,10 +402,10 @@ void oracle_put_be64(std::uint8_t* p, std::uint64_t v) {
   for (int i = 7; i >= 0; --i, v >>= 8) p[i] = static_cast<std::uint8_t>(v);
 }
 
-// Textbook SP 800-38D: one Aes::encrypt_block per counter block and one
-// bit-serial gf128_mul per GHASH block, with no batching anywhere.
+// Textbook SP 800-38D: one portable Aes::encrypt_block per counter block and
+// one bit-serial gf128_mul per GHASH block, with no batching anywhere.
 struct GcmOracle {
-  explicit GcmOracle(ByteSpan key) : aes(key) {
+  explicit GcmOracle(ByteSpan key) : aes(key, GcmKernel::kPortable) {
     const std::uint8_t zero[16] = {};
     aes.encrypt_block(zero, h);
   }
@@ -570,66 +597,43 @@ TEST(Aes128, CtrWrapsLowWordModulo2To32) {
   rng.fill(plain.data(), plain.size());
   ctr[12] = ctr[13] = ctr[14] = 0xFF;
   ctr[15] = 0xFA;  // the low word wraps after 6 blocks
-  const Aes aes(key);
-  Bytes out(plain.size());
-  aes.ctr_xcrypt(ctr.data(), plain, out);
+  for (const GcmKernel kernel : detail::runnable_gcm_kernels()) {
+    SCOPED_TRACE(kernel_name(kernel));
+    const Aes aes(key, kernel);
+    Bytes out(plain.size());
+    aes.ctr_xcrypt(ctr.data(), plain, out);
 
-  std::uint8_t block[16], ks[16];
-  std::memcpy(block, ctr.data(), 16);
-  for (std::size_t off = 0; off < plain.size(); off += 16) {
-    aes.encrypt_block(block, ks);
-    for (std::size_t i = 0; i < 16 && off + i < plain.size(); ++i) {
-      ASSERT_EQ(out[off + i], plain[off + i] ^ ks[i]) << "block " << off / 16;
+    std::uint8_t block[16], ks[16];
+    std::memcpy(block, ctr.data(), 16);
+    for (std::size_t off = 0; off < plain.size(); off += 16) {
+      aes.encrypt_block(block, ks);
+      for (std::size_t i = 0; i < 16 && off + i < plain.size(); ++i) {
+        ASSERT_EQ(out[off + i], plain[off + i] ^ ks[i]) << "block " << off / 16;
+      }
+      oracle_inc32(block);
     }
-    oracle_inc32(block);
-  }
-  EXPECT_EQ(0, memcmp(block, ctr.data(), 12)) << "the wrap must not carry into the IV";
-}
-
-TEST(Ghash, SplitUpdatesMatchOneShot) {
-  Rng rng(37);
-  std::uint8_t h[16];
-  rng.fill(h, 16);
-  Bytes data(400);
-  rng.fill(data.data(), data.size());
-  Ghash one(h);
-  one.update_padded(data);
-  one.finish_lengths(0, data.size());
-  std::uint8_t want[16];
-  one.digest(want);
-
-  for (const std::size_t split : {1u, 15u, 17u, 127u, 129u}) {
-    Ghash two(h);
-    two.update(ByteSpan(data.data(), split));
-    two.update(ByteSpan(data.data() + split, data.size() - split));
-    two.update_padded({});
-    two.finish_lengths(0, data.size());
-    std::uint8_t got[16];
-    two.digest(got);
-    EXPECT_EQ(0, memcmp(got, want, 16)) << "split at " << split;
+    EXPECT_EQ(0, memcmp(block, ctr.data(), 12)) << "the wrap must not carry into the IV";
   }
 }
 
 TEST(Ghash, EveryHPowerMatchesRepeatedGf128Mul) {
   // A run of n blocks that is zero except for the field's one (0x80 0...)
-  // at block j digests to H^(n-j): it reads the precomputed power straight
-  // out of the aggregated kernel.
+  // at block j hashes from y = 0 to H^(n-j): it reads the precomputed power
+  // straight out of each aggregated kernel.
   Rng rng(38);
   std::uint8_t h[16];
   rng.fill(h, 16);
-  std::uint8_t powers[17][16] = {};
-  std::memcpy(powers[1], h, 16);
-  for (int k = 2; k <= 16; ++k) gf128_mul(powers[k - 1], h, powers[k]);
-  for (int n = 1; n <= 16; ++n) {
-    for (int j = 0; j < n; ++j) {
-      Bytes run(16 * static_cast<std::size_t>(n), 0);
-      run[16 * static_cast<std::size_t>(j)] = 0x80;
-      Ghash g(h);
-      g.update(run);
-      std::uint8_t got[16];
-      g.digest(got);
-      EXPECT_EQ(0, memcmp(got, powers[n - j], 16)) << "H^" << n - j << " via a " << n
-                                                   << "-block run";
+  const HPowers powers(h);  // powers.p + 16 * (k - 1) is H^k
+  for (const GcmKernel kernel : detail::runnable_gcm_kernels()) {
+    for (int n = 1; n <= 16; ++n) {
+      for (int j = 0; j < n; ++j) {
+        Bytes run(16 * static_cast<std::size_t>(n), 0);
+        run[16 * static_cast<std::size_t>(j)] = 0x80;
+        std::uint8_t y[16] = {};
+        kernel_ghash(kernel, powers.p, y, run.data(), static_cast<std::size_t>(n));
+        EXPECT_EQ(0, memcmp(y, powers.p + 16 * (n - j - 1), 16))
+            << kernel_name(kernel) << ": H^" << n - j << " via a " << n << "-block run";
+      }
     }
   }
 }
@@ -638,22 +642,11 @@ TEST(Ghash, EveryHPowerMatchesRepeatedGf128Mul) {
 //
 // Each kernel this CPU runs seals (CTR, then GHASH of the zero-padded output
 // into y) and hashes (GHASH of whole blocks). The portable path — one
-// encrypt_block per counter and one bit-serial gf128_mul per block — runs
-// everywhere and is the reference.
-
-const char* kernel_name(GcmKernel k) {
-  return k == GcmKernel::kPortable ? "portable" : k == GcmKernel::kClmul8 ? "clmul8" : "vaes512";
-}
-
-std::vector<GcmKernel> runnable_kernels() {
-  std::vector<GcmKernel> kernels = {GcmKernel::kPortable};
-  if (detail::aesni_supported() && detail::clmul_supported()) kernels.push_back(GcmKernel::kClmul8);
-  if (detail::vaes512_supported()) kernels.push_back(GcmKernel::kVaes512);
-  return kernels;
-}
+// portable encrypt_block per counter and one bit-serial gf128_mul per block
+// — runs everywhere and is the reference.
 
 struct KernelKey {
-  explicit KernelKey(ByteSpan key) : aes(key) {
+  explicit KernelKey(ByteSpan key) : aes(key, GcmKernel::kPortable) {
     const std::uint8_t zero[16] = {};
     aes.encrypt_block(zero, powers);
     for (int k = 1; k < 16; ++k) gf128_mul(powers + 16 * (k - 1), powers, powers + 16 * k);
@@ -661,16 +654,6 @@ struct KernelKey {
   Aes aes;
   std::uint8_t powers[16 * 16];  // H^1..H^16
 };
-
-void portable_ghash(const std::uint8_t* h, std::uint8_t y[16], const std::uint8_t* in,
-                    std::size_t len) {
-  for (std::size_t off = 0; off < len; off += 16) {
-    for (std::size_t i = 0; i < 16 && off + i < len; ++i) y[i] ^= in[off + i];
-    std::uint8_t t[16];
-    gf128_mul(y, h, t);
-    std::memcpy(y, t, 16);
-  }
-}
 
 // CTR from `counter` over `len` bytes; with a non-null `y`, also GHASH of
 // the output. In-place (in == out) is allowed.
@@ -689,6 +672,7 @@ void kernel_seal(GcmKernel kernel, const KernelKey& k, const std::uint8_t counte
       if (y != nullptr) portable_ghash(k.powers, y, out, len);
       return;
     }
+#if defined(__x86_64__)
     case GcmKernel::kClmul8:
       detail::aesni_ctr_xcrypt(k.aes.round_keys(), k.aes.rounds(), counter, in, out, len,
                                k.powers, y);
@@ -697,15 +681,9 @@ void kernel_seal(GcmKernel kernel, const KernelKey& k, const std::uint8_t counte
       detail::vaes512_ctr_xcrypt(k.aes.round_keys(), k.aes.rounds(), counter, in, out, len,
                                  k.powers, y);
       return;
-  }
-}
-
-void kernel_ghash(GcmKernel kernel, const KernelKey& k, std::uint8_t y[16],
-                  const std::uint8_t* in, std::size_t nblocks) {
-  switch (kernel) {
-    case GcmKernel::kPortable: portable_ghash(k.powers, y, in, 16 * nblocks); return;
-    case GcmKernel::kClmul8: detail::clmul_ghash(k.powers, y, in, nblocks); return;
-    case GcmKernel::kVaes512: detail::vaes512_ghash(k.powers, y, in, nblocks); return;
+#else
+    default: FAIL() << "no x86 kernels in this build";
+#endif
   }
 }
 
@@ -716,7 +694,7 @@ void kernel_ghash(GcmKernel kernel, const KernelKey& k, std::uint8_t y[16],
 void expect_kernels_agree(const KernelKey& k, const std::uint8_t counter[16],
                           const std::uint8_t y0[16], ByteSpan plain, std::size_t in_off = 0,
                           std::size_t out_off = 0, bool in_place = false,
-                          const std::vector<GcmKernel>& kernels = runnable_kernels()) {
+                          const std::vector<GcmKernel>& kernels = detail::runnable_gcm_kernels()) {
   const GcmKernel reference = kernels.front();
   const std::size_t len = plain.size();
   Bytes want(len);
@@ -724,7 +702,7 @@ void expect_kernels_agree(const KernelKey& k, const std::uint8_t counter[16],
   std::memcpy(want_y, y0, 16);
   std::memcpy(want_hash, y0, 16);
   kernel_seal(reference, k, counter, plain.data(), want.data(), len, want_y);
-  kernel_ghash(reference, k, want_hash, plain.data(), len / 16);
+  kernel_ghash(reference, k.powers, want_hash, plain.data(), len / 16);
 
   for (const GcmKernel kernel : kernels) {
     if (kernel == reference) continue;
@@ -748,7 +726,7 @@ void expect_kernels_agree(const KernelKey& k, const std::uint8_t counter[16],
     std::copy(plain.begin(), plain.end(), in_buf.begin() + static_cast<std::ptrdiff_t>(in_off));
     std::uint8_t y[16];
     std::memcpy(y, y0, 16);
-    kernel_ghash(kernel, k, y, in_buf.data() + in_off, len / 16);
+    kernel_ghash(kernel, k.powers, y, in_buf.data() + in_off, len / 16);
     ASSERT_EQ(0, std::memcmp(y, want_hash, 16)) << "GHASH-only";
   }
 }
@@ -802,7 +780,7 @@ TEST(GcmKernels, FortyMegabyteBufferMatchesAcrossKernels) {
   // A mirror-sized seal: 163840 full 256-byte chunks plus a 33-byte tail.
   // The eight-block kernel is the reference where it runs (the tests above
   // pin it to the portable one); bit-serial GHASH over 40 MB takes seconds.
-  std::vector<GcmKernel> kernels = runnable_kernels();
+  std::vector<GcmKernel> kernels = detail::runnable_gcm_kernels();
   if (kernels.size() > 1) kernels.erase(kernels.begin());
   Rng rng(42);
   Bytes key(16), plain((std::size_t{40} << 20) + 33);
@@ -833,20 +811,29 @@ TEST(GcmKernels, CounterLowWordWrapsModulo2To32) {
 }
 
 TEST(GcmKernels, AesGcmPicksTheKernelForThisCpu) {
-  bool pclmul = false;
+  // kClmul8 needs AES-NI, PCLMULQDQ and SSE4.1 together; kVaes512 also
+  // VAES, VPCLMULQDQ and AVX-512F/BW.
+  bool clmul8 = false;
   bool vaes512 = false;
-#if defined(__x86_64__) || defined(__i386__)
-  pclmul = __builtin_cpu_supports("pclmul");
-  vaes512 = pclmul && __builtin_cpu_supports("aes") && __builtin_cpu_supports("vaes") &&
+#if defined(__x86_64__)
+  clmul8 = __builtin_cpu_supports("aes") && __builtin_cpu_supports("pclmul") &&
+           __builtin_cpu_supports("sse4.1");
+  vaes512 = clmul8 && __builtin_cpu_supports("vaes") &&
             __builtin_cpu_supports("vpclmulqdq") && __builtin_cpu_supports("avx512f") &&
             __builtin_cpu_supports("avx512bw");
 #endif
   const GcmKernel want = vaes512 ? GcmKernel::kVaes512
-                         : pclmul ? GcmKernel::kClmul8
+                         : clmul8 ? GcmKernel::kClmul8
                                   : GcmKernel::kPortable;
   const Bytes key(16, 0x5A);
   const AesGcm gcm(key);
-  EXPECT_EQ(gcm.kernel(), want) << "vaes512 " << vaes512 << ", pclmul " << pclmul;
+  EXPECT_EQ(gcm.kernel(), want) << "vaes512 " << vaes512 << ", clmul8 " << clmul8;
+  EXPECT_EQ(Aes(key).kernel(), want);
+  const std::vector<GcmKernel> runnable = detail::runnable_gcm_kernels();
+  ASSERT_EQ(runnable.size(), static_cast<std::size_t>(want) + 1);
+  for (std::size_t i = 0; i < runnable.size(); ++i) {
+    EXPECT_EQ(runnable[i], static_cast<GcmKernel>(i));
+  }
   RecordProperty("gcm_kernel", static_cast<int>(gcm.kernel()));
 }
 
