@@ -23,7 +23,6 @@
 #include "crypto/sha256.h"
 #include "ml/gemm.h"
 #include "ml/gemm_reference.h"
-#include "ml/gemm_s8.h"
 #include "ml/connected_layer.h"
 #include "ml/conv_layer.h"
 #include "ml/im2col.h"
@@ -183,25 +182,49 @@ BENCHMARK(BM_GemmNNThreads)
     ->Args({256, 4})
     ->Args({256, 8});
 
-// INT8 GEMM panels: same sizes as the float panels above, so the bench_json
-// artifact carries a direct float-vs-int8 ratio per size. GOP/s counts one
-// int8 multiply-accumulate as two ops, mirroring the float GFLOP/s counter.
-void BM_GemmS8NN(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<std::int8_t> a(n * n), b(n * n);
-  std::vector<std::int32_t> c(n * n, 0);
+// INT8 GEMM panels: the square sizes of the float panels above, so the
+// bench_json artifact carries a direct float-vs-int8 ratio per size, then
+// the products QuantizedNetwork::forward issues for paper_5layer.cfg: its
+// third conv layer (16 filters x 49 pixels x 144 taps) and, in BM_GemmS8NT,
+// its connected layer at the cfg's batch of 128 (128 x 10 outputs x 512
+// inputs). GOP/s counts one int8 multiply-accumulate as two ops, mirroring
+// the float GFLOP/s counter.
+void gemm_s8_bench(benchmark::State& state, bool transposed) {
+  const std::size_t saved = par::max_threads();
+  par::set_max_threads(1);
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const auto k = static_cast<std::size_t>(state.range(2));
+  std::vector<std::int8_t> a(m * k), b(k * n);
+  std::vector<std::int32_t> c(m * n, 0);
   Rng rng(4);
   for (auto& v : a) v = static_cast<std::int8_t>(static_cast<int>(rng.below(255)) - 127);
   for (auto& v : b) v = static_cast<std::int8_t>(static_cast<int>(rng.below(255)) - 127);
   for (auto _ : state) {
-    ml::gemm_s8_nn(n, n, n, a.data(), b.data(), c.data());
+    if (transposed) {
+      ml::gemm_s8_nt(m, n, k, a.data(), b.data(), c.data());
+    } else {
+      ml::gemm_s8_nn(m, n, k, a.data(), b.data(), c.data());
+    }
     benchmark::DoNotOptimize(c.data());
   }
   state.counters["GOP/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * 2.0 * n * n * n,
+      static_cast<double>(state.iterations()) * 2.0 * m * n * k,
       benchmark::Counter::kIsRate);
+  par::set_max_threads(saved);
 }
-BENCHMARK(BM_GemmS8NN)->Arg(64)->Arg(256);
+void BM_GemmS8NN(benchmark::State& state) { gemm_s8_bench(state, false); }
+void BM_GemmS8NT(benchmark::State& state) { gemm_s8_bench(state, true); }
+BENCHMARK(BM_GemmS8NN)
+    ->Args({64, 64, 64})
+    ->Args({256, 256, 256})
+    ->Args({16, 49, 144})
+    ->ArgNames({"m", "n", "k"})
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_GemmS8NT)
+    ->Args({128, 10, 512})
+    ->ArgNames({"m", "n", "k"})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_GemmS8NNScalarRef(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

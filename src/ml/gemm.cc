@@ -19,45 +19,31 @@ namespace {
 using detail::Isa;
 
 // Register tile: MR output rows x NR output columns held in accumulators
-// across the K loop. 6 x 16 floats is 12 ymm accumulators, leaving three
-// registers for the two B vectors and the broadcast A element — the classic
-// AVX2 GEMM tile shape (the scalar band uses it too). The AVX-512 band holds
-// 16 rows, one zmm each. KC blocks the K dimension so the B panel slice
-// streamed by a tile sweep stays cache resident.
+// across the K loop. 6 x 16 is 12 ymm accumulators, leaving three registers
+// for the two B vectors and the broadcast A element — the classic AVX2 GEMM
+// tile shape (the scalar band uses it too). The AVX-512 band holds 16 rows,
+// one zmm each. KC blocks the K dimension (in K steps: one float, or one int8
+// pair) so the B panel slice streamed by a tile sweep stays cache resident.
 constexpr std::size_t kMr = 6;
 constexpr std::size_t kMrAvx512 = 16;
 constexpr std::size_t kNr = 16;
 constexpr std::size_t kKc = 256;
 
-// B whose rows lie at least this many floats (4 KiB) apart is packed, one
-// KC x kNc block at a time, into KC x 16 strips before the tiles read it: a
-// tile reading B in place touches one 64-byte line in each of KC rows that
-// far apart (16 x 2048 x 2048 ran 2-3x slower that way at one thread).
-// Narrower B (every conv shape, n <= 196) is read in place. The panel
-// scratch is kKc * kNc floats (128 KiB) per thread.
+// B whose rows lie at least this many 4-byte elements (4 KiB) apart is
+// packed, one KC x kNc block at a time, into KC x 16 strips before the tiles
+// read it: a tile reading B in place touches one 64-byte line in each of KC
+// rows that far apart (16 x 2048 x 2048 ran 2-3x slower that way at one
+// thread). Narrower B (every conv shape, n <= 196) is read in place. The
+// panel scratch is kKc * kNc elements (128 KiB) per thread.
 constexpr std::size_t kPackMinN = 1024;
 constexpr std::size_t kNc = 128;
 
-// Minimum multiply-accumulates worth one pool dispatch; below this the
-// whole call runs on the caller thread.
+// Minimum tile work (C elements x K steps) worth one pool dispatch; below
+// this the whole call runs on the caller thread.
 constexpr double kMinMacsPerChunk = 1 << 15;
 
-// One KC block of C[m x n] += alpha * A[m x k] * B[k x n], row-major: the
-// K range [p0, p1) over the C columns [j0, j1). The bands read B in
-// 16-column strips; element (p, j) of strip s (C column j0 + 16 s + j) sits
-// at b[s * strip + (p - p0) * ldb + j]. B read in place is
-// {B + p0 * n + j0, ldb = n, strip = 16}; a packed panel is
-// {panel, ldb = 16, strip = (p1 - p0) * 16}.
-struct GemmBlock {
-  std::size_t m, n, k;
-  float alpha;
-  const float* a;
-  float* c;
-  std::size_t p0, p1;
-  std::size_t j0, j1;
-  const float* b;
-  std::size_t ldb, strip;
-};
+// --- float kernels ------------------------------------------------------------
+namespace f32 {
 
 // Computes one Rows x 16 tile of C over kc steps of K (A rows lda apart, B
 // rows ldb apart, C rows ldc apart). One accumulator per C element, K
@@ -95,7 +81,7 @@ void micro_full(std::size_t kc, float alpha, const float* a, std::size_t lda,
   for (std::size_t p = 0; p < kc; ++p) {
     const float* brow = b + p * ldb;
     for (std::size_t r = 0; r < rows; ++r) {
-      const float apart = alpha * a[r * lda + p];
+      const float apart = a[r * lda + p];
       for (std::size_t j = 0; j < cols; ++j) {
         acc[r][j] = std::fma(apart, brow[j], acc[r][j]);
       }
@@ -103,44 +89,8 @@ void micro_full(std::size_t kc, float alpha, const float* a, std::size_t lda,
   }
   for (std::size_t r = 0; r < rows; ++r) {
     float* crow = c + r * ldc;
-    for (std::size_t j = 0; j < cols; ++j) crow[j] += acc[r][j];
+    for (std::size_t j = 0; j < cols; ++j) crow[j] = std::fma(alpha, acc[r][j], crow[j]);
   }
-}
-
-// One task's band of kMr-row tiles over block g, full tiles through Full.
-template <auto Full>
-[[gnu::always_inline]] inline void band_tiles(const GemmBlock& g, std::size_t tile_begin,
-                                              std::size_t tile_end) {
-  const std::size_t kc = g.p1 - g.p0;
-  const std::size_t full = (g.j1 - g.j0) / kNr;
-  const std::size_t tail = (g.j1 - g.j0) % kNr;
-  const std::size_t lda = g.k;
-  const std::size_t ldc = g.n;
-  const std::size_t ldb = g.ldb;
-  const std::size_t strip = g.strip;
-  const float* b = g.b;
-  const float alpha = g.alpha;
-  for (std::size_t t = tile_begin; t < tile_end; ++t) {
-    const std::size_t i0 = t * kMr;
-    const std::size_t rows = i0 + kMr <= g.m ? kMr : g.m - i0;
-    const float* a = g.a + i0 * lda + g.p0;
-    float* c = g.c + i0 * ldc + g.j0;
-    for (std::size_t s = 0; s < full; ++s) {
-      if (rows == kMr) {
-        Full(kc, alpha, a, lda, b + s * strip, ldb, c + s * kNr, ldc);
-      } else {
-        micro_tail(kc, alpha, a, lda, b + s * strip, ldb, c + s * kNr, ldc, rows, kNr);
-      }
-    }
-    if (tail != 0) {
-      micro_tail(kc, alpha, a, lda, b + full * strip, ldb, c + full * kNr, ldc, rows,
-                 tail);
-    }
-  }
-}
-
-void band_scalar(const GemmBlock& g, std::size_t tile_begin, std::size_t tile_end) {
-  band_tiles<micro_full<kMr>>(g, tile_begin, tile_end);
 }
 
 #if defined(__x86_64__)
@@ -181,11 +131,6 @@ template <std::size_t Rows>
   }
 }
 
-[[gnu::target("avx2,fma")]] void band_avx2(const GemmBlock& g, std::size_t tile_begin,
-                                           std::size_t tile_end) {
-  band_tiles<micro_full_avx2<kMr>>(g, tile_begin, tile_end);
-}
-
 // One AVX-512 register tile: `Rows` x 16 C elements, one zmm accumulator
 // per row. The Masked variant selects live columns for the n % 16
 // remainder; masked-off lanes load as zero and are never stored, so the
@@ -224,26 +169,300 @@ template <std::size_t Rows, bool Masked>
     }
   }
 }
+#endif
 
-using MicroAvx512 = void (*)(std::size_t, float, const float*, std::size_t, const float*,
-                             std::size_t, float*, std::size_t, __mmask16);
+// The float policy: every tile applies alpha once to its block sum,
+// C = fma(alpha, acc, C).
+struct Kernels {
+  using Elem = float;
+  using Acc = float;
+  using Scale = float;
+  template <std::size_t Rows>
+  static constexpr auto full = &micro_full<Rows>;
+  static constexpr auto tail = &micro_tail;
+#if defined(__x86_64__)
+  template <std::size_t Rows>
+  static constexpr auto full_avx2 = &micro_full_avx2<Rows>;
+  template <std::size_t Rows, bool Masked>
+  static constexpr auto avx512 = &micro_avx512<Rows, Masked>;
+#endif
+};
 
-// micro_avx512<1> .. <kMrAvx512>, indexed by rows - 1: the m % 16 row
-// remainder runs the same vector kernel with a narrower accumulator tile.
-template <bool Masked, std::size_t... I>
-constexpr std::array<MicroAvx512, sizeof...(I)> micro_avx512_table(
-    std::index_sequence<I...>) {
-  return {{&micro_avx512<I + 1, Masked>...}};
+}  // namespace f32
+
+// --- int8 kernels -------------------------------------------------------------
+//
+// Both operands are packed into int32 words, one K pair each, holding two
+// sign-extended int16 lanes (the first K value in the low half). madd_epi16
+// multiplies 16-bit lanes pairwise and sums adjacent products into an int32
+// lane, so one madd reduces a K pair of one C element:
+//   apack (M x kp words):  (a[i][2pp], a[i][2pp+1])
+//   bpack (kp x N words):  (b[2pp][j], b[2pp+1][j])
+// Odd K zero-pads the final pair — exact in integer arithmetic.
+namespace s8 {
+
+// The int32 sums go into C exactly, unscaled.
+struct Unscaled {};
+
+constexpr std::int32_t pair(std::int32_t lo, std::int32_t hi) {
+  return static_cast<std::int32_t>(static_cast<std::uint16_t>(lo) |
+                                   static_cast<std::uint32_t>(static_cast<std::uint16_t>(hi))
+                                       << 16);
 }
-constexpr auto kMicroAvx512Full =
-    micro_avx512_table<false>(std::make_index_sequence<kMrAvx512>{});
-constexpr auto kMicroAvx512Masked =
-    micro_avx512_table<true>(std::make_index_sequence<kMrAvx512>{});
+
+// One lane of madd_epi16: low halves' product plus high halves' product.
+constexpr std::int32_t madd(std::int32_t a, std::int32_t b) {
+  return static_cast<std::int16_t>(a) * static_cast<std::int16_t>(b) + (a >> 16) * (b >> 16);
+}
+
+void pack_a(std::size_t m, std::size_t k, const std::int8_t* a, std::int32_t* apack) {
+  const std::size_t kp = (k + 1) / 2;
+  par::parallel_for(m, 32, [&](par::Range r) {
+    for (std::size_t i = r.begin; i < r.end; ++i) {
+      const std::int8_t* arow = a + i * k;
+      std::int32_t* dst = apack + i * kp;
+      // Whole pairs first, without a per-pair bound check, so the loop
+      // vectorizes; then odd K's last value, zero-padded.
+      for (std::size_t pp = 0; pp < k / 2; ++pp) dst[pp] = pair(arow[2 * pp], arow[2 * pp + 1]);
+      if (k % 2 != 0) dst[kp - 1] = pair(arow[k - 1], 0);
+    }
+  });
+}
+
+void pack_b_nn(std::size_t k, std::size_t n, const std::int8_t* b, std::int32_t* bpack) {
+  const std::size_t kp = (k + 1) / 2;
+  par::parallel_for(kp, 32, [&](par::Range r) {
+    for (std::size_t pp = r.begin; pp < r.end; ++pp) {
+      const std::int8_t* b0 = b + (2 * pp) * n;
+      const std::int8_t* b1 = 2 * pp + 1 < k ? b + (2 * pp + 1) * n : nullptr;
+      std::int32_t* dst = bpack + pp * n;
+      for (std::size_t j = 0; j < n; ++j) dst[j] = pair(b0[j], b1 != nullptr ? b1[j] : 0);
+    }
+  });
+}
+
+// B arrives N x K (row-major); packing indexes it transposed directly, so no
+// separate transpose pass is needed.
+void pack_b_nt(std::size_t n, std::size_t k, const std::int8_t* b, std::int32_t* bpack) {
+  const std::size_t kp = (k + 1) / 2;
+  par::parallel_for(kp, 32, [&](par::Range r) {
+    for (std::size_t pp = r.begin; pp < r.end; ++pp) {
+      std::int32_t* dst = bpack + pp * n;
+      for (std::size_t j = 0; j < n; ++j) {
+        const std::int8_t* brow = b + j * k;
+        dst[j] = pair(brow[2 * pp], 2 * pp + 1 < k ? brow[2 * pp + 1] : 0);
+      }
+    }
+  });
+}
+
+// Computes one Rows x 16 tile of C over kc K pairs, summing each pair's two
+// products into its int32 accumulator. Integer sums are exact (2 * 127^2
+// fits easily), so every band computes identical bytes.
+template <std::size_t Rows>
+void micro_full(std::size_t kc, Unscaled, const std::int32_t* a, std::size_t lda,
+                const std::int32_t* b, std::size_t ldb, std::int32_t* c, std::size_t ldc) {
+  std::int32_t acc[Rows][kNr] = {};
+  for (std::size_t p = 0; p < kc; ++p) {
+    const std::int32_t* brow = b + p * ldb;
+    for (std::size_t r = 0; r < Rows; ++r) {
+      const std::int32_t apair = a[r * lda + p];
+      for (std::size_t j = 0; j < kNr; ++j) acc[r][j] += madd(apair, brow[j]);
+    }
+  }
+  for (std::size_t r = 0; r < Rows; ++r) {
+    std::int32_t* crow = c + r * ldc;
+    for (std::size_t j = 0; j < kNr; ++j) crow[j] += acc[r][j];
+  }
+}
+
+// Row/column remainder: same per-element integer sums, variable extent.
+// Edge-only, so the scalar form serves every band, inlined into each.
+[[gnu::always_inline]] inline void micro_tail(std::size_t kc, Unscaled, const std::int32_t* a,
+                                              std::size_t lda, const std::int32_t* b,
+                                              std::size_t ldb, std::int32_t* c,
+                                              std::size_t ldc, std::size_t rows,
+                                              std::size_t cols) {
+  std::int32_t acc[kMr][kNr] = {};
+  for (std::size_t p = 0; p < kc; ++p) {
+    const std::int32_t* brow = b + p * ldb;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::int32_t apair = a[r * lda + p];
+      for (std::size_t j = 0; j < cols; ++j) acc[r][j] += madd(apair, brow[j]);
+    }
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::int32_t* crow = c + r * ldc;
+    for (std::size_t j = 0; j < cols; ++j) crow[j] += acc[r][j];
+  }
+}
+
+#if defined(__x86_64__)
+// micro_full with one madd_epi16 per K pair and row half: the B vector
+// holds 8 column pairs, the A pair is broadcast as a 32-bit lane, and madd
+// sums the two int16 products of every pair into its int32 lane.
+template <std::size_t Rows>
+[[gnu::target("avx2")]] void micro_full_avx2(std::size_t kc, Unscaled, const std::int32_t* a,
+                                             std::size_t lda, const std::int32_t* b,
+                                             std::size_t ldb, std::int32_t* c,
+                                             std::size_t ldc) {
+  static_assert(kNr == 16, "two ymm accumulators per row");
+  __m256i acc[Rows][2];
+  for (std::size_t r = 0; r < Rows; ++r) {
+    acc[r][0] = _mm256_setzero_si256();
+    acc[r][1] = _mm256_setzero_si256();
+  }
+  for (std::size_t p = 0; p < kc; ++p) {
+    const std::int32_t* brow = b + p * ldb;
+    const __m256i b0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(brow));
+    const __m256i b1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(brow + 8));
+    for (std::size_t r = 0; r < Rows; ++r) {
+      const __m256i av = _mm256_set1_epi32(a[r * lda + p]);
+      acc[r][0] = _mm256_add_epi32(acc[r][0], _mm256_madd_epi16(av, b0));
+      acc[r][1] = _mm256_add_epi32(acc[r][1], _mm256_madd_epi16(av, b1));
+    }
+  }
+  for (std::size_t r = 0; r < Rows; ++r) {
+    std::int32_t* crow = c + r * ldc;
+    auto* c0 = reinterpret_cast<__m256i*>(crow);
+    auto* c1 = reinterpret_cast<__m256i*>(crow + 8);
+    _mm256_storeu_si256(c0, _mm256_add_epi32(_mm256_loadu_si256(c0), acc[r][0]));
+    _mm256_storeu_si256(c1, _mm256_add_epi32(_mm256_loadu_si256(c1), acc[r][1]));
+  }
+}
+
+// One AVX-512BW register tile: `Rows` x 16 C elements, one zmm of int32
+// accumulators per row; one zmm B load covers 16 column pairs. The Masked
+// variant selects live columns (one 32-bit lane each) for the n % 16
+// remainder; masked-off pairs load as zero and are never stored, so the
+// remainder computes the same integer sums.
+template <std::size_t Rows, bool Masked>
+[[gnu::target("avx512f,avx512bw")]] void micro_avx512(std::size_t kc, Unscaled,
+                                                      const std::int32_t* a, std::size_t lda,
+                                                      const std::int32_t* b, std::size_t ldb,
+                                                      std::int32_t* c, std::size_t ldc,
+                                                      __mmask16 mask) {
+  __m512i acc[Rows];
+  for (std::size_t r = 0; r < Rows; ++r) acc[r] = _mm512_setzero_si512();
+  for (std::size_t p = 0; p < kc; ++p) {
+    const std::int32_t* brow = b + p * ldb;
+    const __m512i bv =
+        Masked ? _mm512_maskz_loadu_epi32(mask, brow) : _mm512_loadu_si512(brow);
+    for (std::size_t r = 0; r < Rows; ++r) {
+      const __m512i av = _mm512_set1_epi32(a[r * lda + p]);
+      acc[r] = _mm512_add_epi32(acc[r], _mm512_madd_epi16(av, bv));
+    }
+  }
+  for (std::size_t r = 0; r < Rows; ++r) {
+    std::int32_t* crow = c + r * ldc;
+    if constexpr (Masked) {
+      const __m512i cur = _mm512_maskz_loadu_epi32(mask, crow);
+      _mm512_mask_storeu_epi32(crow, mask, _mm512_add_epi32(cur, acc[r]));
+    } else {
+      const __m512i cur = _mm512_loadu_si512(crow);
+      _mm512_storeu_si512(crow, _mm512_add_epi32(cur, acc[r]));
+    }
+  }
+}
+#endif
+
+// The int8 policy: every tile adds its exact block sum, C = C + acc.
+struct Kernels {
+  using Elem = std::int32_t;
+  using Acc = std::int32_t;
+  using Scale = Unscaled;
+  template <std::size_t Rows>
+  static constexpr auto full = &micro_full<Rows>;
+  static constexpr auto tail = &micro_tail;
+#if defined(__x86_64__)
+  template <std::size_t Rows>
+  static constexpr auto full_avx2 = &micro_full_avx2<Rows>;
+  template <std::size_t Rows, bool Masked>
+  static constexpr auto avx512 = &micro_avx512<Rows, Masked>;
+#endif
+};
+
+}  // namespace s8
+
+// --- the blocked driver, one for both policies ---------------------------------
+
+// One KC block of C[m x n] += A[m x k] * B[k x n] (k in K steps), row-major:
+// the K range [p0, p1) over the C columns [j0, j1). The bands read B in
+// 16-column strips; element (p, j) of strip s (C column j0 + 16 s + j) sits
+// at b[s * strip + (p - p0) * ldb + j]. B read in place is
+// {B + p0 * n + j0, ldb = n, strip = 16}; a packed panel is
+// {panel, ldb = 16, strip = (p1 - p0) * 16}.
+template <class P>
+struct GemmBlock {
+  std::size_t m, n, k;
+  typename P::Scale alpha;
+  const typename P::Elem* a;
+  typename P::Acc* c;
+  std::size_t p0, p1;
+  std::size_t j0, j1;
+  const typename P::Elem* b;
+  std::size_t ldb, strip;
+};
+
+// One task's band of kMr-row tiles over block g, full tiles through Full.
+template <class P, auto Full>
+[[gnu::always_inline]] inline void band_tiles(const GemmBlock<P>& g, std::size_t tile_begin,
+                                              std::size_t tile_end) {
+  const std::size_t kc = g.p1 - g.p0;
+  const std::size_t full = (g.j1 - g.j0) / kNr;
+  const std::size_t tail = (g.j1 - g.j0) % kNr;
+  const std::size_t lda = g.k;
+  const std::size_t ldc = g.n;
+  const std::size_t ldb = g.ldb;
+  const std::size_t strip = g.strip;
+  const auto* b = g.b;
+  const auto alpha = g.alpha;
+  for (std::size_t t = tile_begin; t < tile_end; ++t) {
+    const std::size_t i0 = t * kMr;
+    const std::size_t rows = i0 + kMr <= g.m ? kMr : g.m - i0;
+    const auto* a = g.a + i0 * lda + g.p0;
+    auto* c = g.c + i0 * ldc + g.j0;
+    for (std::size_t s = 0; s < full; ++s) {
+      if (rows == kMr) {
+        Full(kc, alpha, a, lda, b + s * strip, ldb, c + s * kNr, ldc);
+      } else {
+        P::tail(kc, alpha, a, lda, b + s * strip, ldb, c + s * kNr, ldc, rows, kNr);
+      }
+    }
+    if (tail != 0) {
+      P::tail(kc, alpha, a, lda, b + full * strip, ldb, c + full * kNr, ldc, rows, tail);
+    }
+  }
+}
+
+template <class P>
+void band_scalar(const GemmBlock<P>& g, std::size_t tile_begin, std::size_t tile_end) {
+  band_tiles<P, P::template full<kMr>>(g, tile_begin, tile_end);
+}
+
+#if defined(__x86_64__)
+template <class P>
+[[gnu::target("avx2,fma")]] void band_avx2(const GemmBlock<P>& g, std::size_t tile_begin,
+                                           std::size_t tile_end) {
+  band_tiles<P, P::template full_avx2<kMr>>(g, tile_begin, tile_end);
+}
+
+// P::avx512<1, Masked> .. <kMrAvx512, Masked>, indexed by rows - 1: the
+// m % 16 row remainder runs the same vector kernel with a narrower
+// accumulator tile.
+template <class P, bool Masked, std::size_t... I>
+constexpr auto micro_avx512_table(std::index_sequence<I...>) {
+  return std::array{P::template avx512<I + 1, Masked>...};
+}
+template <class P, bool Masked>
+constexpr auto kMicroAvx512 =
+    micro_avx512_table<P, Masked>(std::make_index_sequence<kMrAvx512>{});
 
 // One task's band of kMrAvx512-row tiles over block g. Column remainders
 // use masked lanes and row remainders narrower tiles, both functions of the
 // shape alone.
-[[gnu::target("avx512f")]] void band_avx512(const GemmBlock& g, std::size_t tile_begin,
+template <class P>
+[[gnu::target("avx512f")]] void band_avx512(const GemmBlock<P>& g, std::size_t tile_begin,
                                             std::size_t tile_end) {
   const std::size_t kc = g.p1 - g.p0;
   const std::size_t full = (g.j1 - g.j0) / kNr;
@@ -253,58 +472,56 @@ constexpr auto kMicroAvx512Masked =
   const std::size_t ldc = g.n;
   const std::size_t ldb = g.ldb;
   const std::size_t strip = g.strip;
-  const float* b = g.b;
-  const float alpha = g.alpha;
+  const auto* b = g.b;
+  const auto alpha = g.alpha;
   for (std::size_t t = tile_begin; t < tile_end; ++t) {
     const std::size_t i0 = t * kMrAvx512;
     const std::size_t rows = i0 + kMrAvx512 <= g.m ? kMrAvx512 : g.m - i0;
-    const float* a = g.a + i0 * lda + g.p0;
-    float* c = g.c + i0 * ldc + g.j0;
-    const MicroAvx512 fn = kMicroAvx512Full[rows - 1];
+    const auto* a = g.a + i0 * lda + g.p0;
+    auto* c = g.c + i0 * ldc + g.j0;
+    const auto fn = kMicroAvx512<P, false>[rows - 1];
     for (std::size_t s = 0; s < full; ++s) {
       fn(kc, alpha, a, lda, b + s * strip, ldb, c + s * kNr, ldc,
          static_cast<__mmask16>(0xFFFF));
     }
     if (tail != 0) {
-      kMicroAvx512Masked[rows - 1](kc, alpha, a, lda, b + full * strip, ldb,
-                                   c + full * kNr, ldc, tail_mask);
+      kMicroAvx512<P, true>[rows - 1](kc, alpha, a, lda, b + full * strip, ldb,
+                                      c + full * kNr, ldc, tail_mask);
     }
   }
 }
 #endif
 
-// Panel and transpose scratch. Thread-local: each thread packs into its own,
-// so the pool's workers can run gemm calls side by side (ConnectedLayer's
-// update runs one per row block; a nested call runs inline on its worker).
-thread_local std::vector<float> t_panel;
-thread_local std::vector<float> t_pack_b;
-
 // Copies rows [0, kc) x columns [0, cols) of `src` (row stride ld) into
-// 16-column strips, each kc x 16 and contiguous; returns the panel.
-const float* pack_panel(const float* src, std::size_t ld, std::size_t kc,
-                        std::size_t cols) {
+// 16-column strips, each kc x 16 and contiguous; returns the panel. The
+// scratch is thread-local: each thread packs into its own, so the pool's
+// workers can run gemm calls side by side (ConnectedLayer's update runs one
+// per row block; a nested call runs inline on its worker).
+template <class T>
+const T* pack_panel(const T* src, std::size_t ld, std::size_t kc, std::size_t cols) {
+  thread_local std::vector<T> t_panel;
   t_panel.resize(kKc * kNc);
-  float* panel = t_panel.data();
+  T* panel = t_panel.data();
   const std::size_t full = cols / kNr;
   const std::size_t tail = cols % kNr;
   for (std::size_t p = 0; p < kc; ++p) {
-    const float* row = src + p * ld;
-    float* dst = panel + p * kNr;
+    const T* row = src + p * ld;
+    T* dst = panel + p * kNr;
     for (std::size_t s = 0; s < full; ++s) {
-      std::memcpy(dst + s * kc * kNr, row + s * kNr, kNr * sizeof(float));
+      std::memcpy(dst + s * kc * kNr, row + s * kNr, kNr * sizeof(T));
     }
-    if (tail != 0) {
-      std::memcpy(dst + full * kc * kNr, row + full * kNr, tail * sizeof(float));
-    }
+    if (tail != 0) std::memcpy(dst + full * kc * kNr, row + full * kNr, tail * sizeof(T));
   }
   return panel;
 }
 
-/// Row-major M x K by K x N kernel on band `isa`, parallel over mr-row
-/// output tiles, with tile height matched to the band. Every band walks the
-/// KC blocks in ascending order.
-void gemm_packed(Isa isa, std::size_t m, std::size_t n, std::size_t k, float alpha,
-                 const float* a, const float* b, float* c) {
+/// Row-major M x K by K x N product (K in steps of policy P) on band `isa`,
+/// parallel over mr-row output tiles, with tile height matched to the band.
+/// Every band walks the KC blocks in ascending order.
+template <class P>
+void gemm_blocked(Isa isa, std::size_t m, std::size_t n, std::size_t k,
+                  typename P::Scale alpha, const typename P::Elem* a,
+                  const typename P::Elem* b, typename P::Acc* c) {
   const std::size_t mr = isa == Isa::kAvx512 ? kMrAvx512 : kMr;
   const std::size_t ntiles = (m + mr - 1) / mr;
   const double tile_macs =
@@ -312,14 +529,14 @@ void gemm_packed(Isa isa, std::size_t m, std::size_t n, std::size_t k, float alp
   const auto grain = static_cast<std::size_t>(kMinMacsPerChunk / (tile_macs + 1.0)) + 1;
   const bool pack = n >= kPackMinN;
   par::parallel_for(ntiles, grain, [&](par::Range r) {
-    const auto run = [&](const GemmBlock& g) {
+    const auto run = [&](const GemmBlock<P>& g) {
 #if defined(__x86_64__)
       if (isa == Isa::kAvx512) return band_avx512(g, r.begin, r.end);
       if (isa == Isa::kAvx2) return band_avx2(g, r.begin, r.end);
 #endif
       band_scalar(g, r.begin, r.end);
     };
-    GemmBlock g{m, n, k, alpha, a, c, 0, 0, 0, n, nullptr, n, kNr};
+    GemmBlock<P> g{m, n, k, alpha, a, c, 0, 0, 0, n, nullptr, n, kNr};
     for (g.p0 = 0; g.p0 < k; g.p0 += kKc) {
       g.p1 = g.p0 + kKc < k ? g.p0 + kKc : k;
       if (!pack) {
@@ -379,6 +596,12 @@ void gemm_packed(Isa isa, std::size_t m, std::size_t n, std::size_t k, float alp
 }
 #endif
 
+// gemm_nt's transposed B and the int8 packed operands. Thread-local, as the
+// panel: calls may run side by side on the pool's workers.
+thread_local std::vector<float> t_pack_b;
+thread_local std::vector<std::int32_t> t_pack_a8;
+thread_local std::vector<std::int32_t> t_pack_b8;
+
 }  // namespace
 
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, float alpha, const float* a,
@@ -395,10 +618,20 @@ void transpose(std::size_t rows, std::size_t cols, const float* src, float* dst)
   detail::transpose(detail::cpu_isa(), rows, cols, src, dst);
 }
 
+void gemm_s8_nn(std::size_t m, std::size_t n, std::size_t k, const std::int8_t* a,
+                const std::int8_t* b, std::int32_t* c) {
+  detail::gemm_s8_nn(detail::cpu_isa(), m, n, k, a, b, c);
+}
+
+void gemm_s8_nt(std::size_t m, std::size_t n, std::size_t k, const std::int8_t* a,
+                const std::int8_t* b, std::int32_t* c) {
+  detail::gemm_s8_nt(detail::cpu_isa(), m, n, k, a, b, c);
+}
+
 void detail::gemm_nn(Isa isa, std::size_t m, std::size_t n, std::size_t k, float alpha,
                      const float* a, const float* b, float* c) {
   if (m == 0 || n == 0 || k == 0) return;
-  gemm_packed(isa, m, n, k, alpha, a, b, c);
+  gemm_blocked<f32::Kernels>(isa, m, n, k, alpha, a, b, c);
 }
 
 void detail::gemm_nt(Isa isa, std::size_t m, std::size_t n, std::size_t k, float alpha,
@@ -406,7 +639,29 @@ void detail::gemm_nt(Isa isa, std::size_t m, std::size_t n, std::size_t k, float
   if (m == 0 || n == 0 || k == 0) return;
   t_pack_b.resize(k * n);
   transpose(isa, n, k, b, t_pack_b.data());  // B: N x K -> B^T: K x N
-  gemm_packed(isa, m, n, k, alpha, a, t_pack_b.data(), c);
+  gemm_blocked<f32::Kernels>(isa, m, n, k, alpha, a, t_pack_b.data(), c);
+}
+
+void detail::gemm_s8_nn(Isa isa, std::size_t m, std::size_t n, std::size_t k,
+                        const std::int8_t* a, const std::int8_t* b, std::int32_t* c) {
+  if (m == 0 || n == 0 || k == 0) return;
+  const std::size_t kp = (k + 1) / 2;
+  t_pack_a8.resize(m * kp);
+  t_pack_b8.resize(kp * n);
+  s8::pack_a(m, k, a, t_pack_a8.data());
+  s8::pack_b_nn(k, n, b, t_pack_b8.data());
+  gemm_blocked<s8::Kernels>(isa, m, n, kp, {}, t_pack_a8.data(), t_pack_b8.data(), c);
+}
+
+void detail::gemm_s8_nt(Isa isa, std::size_t m, std::size_t n, std::size_t k,
+                        const std::int8_t* a, const std::int8_t* b, std::int32_t* c) {
+  if (m == 0 || n == 0 || k == 0) return;
+  const std::size_t kp = (k + 1) / 2;
+  t_pack_a8.resize(m * kp);
+  t_pack_b8.resize(kp * n);
+  s8::pack_a(m, k, a, t_pack_a8.data());
+  s8::pack_b_nt(n, k, b, t_pack_b8.data());
+  gemm_blocked<s8::Kernels>(isa, m, n, kp, {}, t_pack_a8.data(), t_pack_b8.data(), c);
 }
 
 // An exact copy. On the SIMD bands with both sides at least 8, one pass of

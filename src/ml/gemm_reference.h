@@ -4,7 +4,7 @@
 //
 //   * oracle for tests: ml::gemm_nn and ml::gemm_nt must match gemm_nn and
 //     gemm_nt here to floating-point reassociation tolerance, and every band
-//     of the int8 kernels in ml/gemm_s8.h must match gemm_s8_nn and
+//     of the int8 kernels in ml/gemm.h must match gemm_s8_nn and
 //     gemm_s8_nt bitwise;
 //   * baseline for benchmarks: bench/micro_kernels and bench/parallel_sweep
 //     report the optimized kernels' speedup over exactly this code, compiled
@@ -26,7 +26,7 @@ void gemm_nt(std::size_t m, std::size_t n, std::size_t k, float alpha, const flo
 
 // INT8 inference GEMM oracles (C accumulates in int32; no alpha — the
 // requantization multiplier is applied by the caller). Integer arithmetic is
-// exact, so the blocked kernels in ml/gemm_s8.h must match these bitwise.
+// exact, so the blocked kernels in ml/gemm.h must match these bitwise.
 
 /// C += A * B      (A: M x K int8, B: K x N int8, C: M x N int32)
 void gemm_s8_nn(std::size_t m, std::size_t n, std::size_t k, const std::int8_t* a,

@@ -9,7 +9,7 @@
 #include "ml/connected_layer.h"
 #include "ml/conv_layer.h"
 #include "ml/dropout_layer.h"
-#include "ml/gemm_s8.h"
+#include "ml/gemm.h"
 #include "ml/maxpool_layer.h"
 #include "ml/softmax_layer.h"
 

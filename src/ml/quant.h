@@ -4,7 +4,7 @@
 // operands with int32 accumulation. A float value v is represented as
 // q = sat(round(v / scale)) with q in [-127, 127]; keeping -128 unused makes
 // every product bounded by 127^2, which the pair-summing madd kernels in
-// ml/gemm_s8.h rely on.
+// ml/gemm.h rely on.
 //
 //   * Weight scales come from the max-abs weight per layer, after folding
 //     batch-norm (rolling statistics) into conv weights and biases — the
@@ -24,7 +24,7 @@
 //
 // Determinism contract: the whole path is integer arithmetic plus a fixed
 // per-element float multiply, and the int8 GEMM is bitwise-deterministic at
-// any thread count (see ml/gemm_s8.h) — so quantized inference produces
+// any thread count (see ml/gemm.h) — so quantized inference produces
 // identical bytes for 1/2/4/8 threads and at every ISA level.
 #pragma once
 

@@ -36,7 +36,7 @@ struct SgxCostModel {
   // Effective MAC-rate multiplier of the int8 GEMM path over the float
   // path. VPMADDWD retires two int8 MACs per int16 lane where FMA retires
   // one float MAC per float lane, and the narrower operands halve the
-  // bandwidth pressure; ~2x is what the blocked kernels in ml/gemm_s8.cc
+  // bandwidth pressure; ~2x is what the blocked kernels in ml/gemm.cc
   // actually deliver (see bench/micro_kernels). Quantized inference compute
   // is charged at compute_macs_per_s * int8_gemm_speedup.
   double int8_gemm_speedup;

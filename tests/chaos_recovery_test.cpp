@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -80,6 +81,9 @@ const char* to_string(Target t) {
   }
   return "?";
 }
+
+// Names a grid shard's parameter in gtest output.
+void PrintTo(Target t, std::ostream* os) { *os << to_string(t); }
 
 /// Applies one media fault of `kind` guaranteed to damage device extent
 /// [off, off+len). Torn lines only garble the second half of a line, so a
@@ -350,18 +354,18 @@ void run_scenario(const Scenario& s) {
   t.verify_persistent_state();
 }
 
-TEST(ChaosRecovery, SweepCorruptionByCrashGrid) {
-  const Target targets[] = {
-      Target::kCleanCrash,  Target::kMirrorPrimary, Target::kMirrorReplica,
-      Target::kMirrorBoth,  Target::kMirrorDeep,    Target::kAllocMeta,
-      Target::kHeader,      Target::kBackRegion,    Target::kDataRecords,
-  };
+constexpr Target kTargets[] = {
+    Target::kCleanCrash,  Target::kMirrorPrimary, Target::kMirrorReplica,
+    Target::kMirrorBoth,  Target::kMirrorDeep,    Target::kAllocMeta,
+    Target::kHeader,      Target::kBackRegion,    Target::kDataRecords,
+};
+
+/// The whole grid, target-major: scenario n's seed is 0xC0FFEE + 31 n.
+std::vector<Scenario> corruption_grid() {
   const Kind kinds[] = {Kind::kFlip, Kind::kTorn, Kind::kPoison};
-
   const Crash crashes[] = {Crash::kPersistAll, Crash::kDropAll};
-
   std::vector<Scenario> scenarios;
-  for (const Target target : targets) {
+  for (const Target target : kTargets) {
     for (const Kind kind : kinds) {
       for (const bool ssd_rung : {false, true}) {
         for (const Crash crash : crashes) {
@@ -373,10 +377,20 @@ TEST(ChaosRecovery, SweepCorruptionByCrashGrid) {
       }
     }
   }
-  ASSERT_GE(scenarios.size(), 200u)
-      << "acceptance: the chaos sweep must cover at least 200 seeded scenarios";
+  return scenarios;
+}
 
-  for (const Scenario& s : scenarios) {
+TEST(ChaosRecovery, CorruptionGridHasAtLeast200Scenarios) {
+  EXPECT_GE(corruption_grid().size(), 200u)
+      << "acceptance: the chaos sweep must cover at least 200 seeded scenarios";
+}
+
+// One shard of the grid per target, so that ctest -j runs them side by side.
+class SweepCorruptionByCrashGrid : public ::testing::TestWithParam<Target> {};
+
+TEST_P(SweepCorruptionByCrashGrid, Target) {
+  for (const Scenario& s : corruption_grid()) {
+    if (s.target != GetParam()) continue;
     SCOPED_TRACE(s.describe());
     ASSERT_NO_FATAL_FAILURE(run_scenario(s));
     if (::testing::Test::HasFailure()) {
@@ -385,6 +399,13 @@ TEST(ChaosRecovery, SweepCorruptionByCrashGrid) {
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(ChaosRecovery, SweepCorruptionByCrashGrid,
+                         ::testing::ValuesIn(kTargets), [](const auto& info) {
+                           std::string name = to_string(info.param);
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
 
 // --- distributed rung: re-provisioning from a healthy peer --------------------
 

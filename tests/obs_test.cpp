@@ -20,7 +20,9 @@
 #include "obs/registry.h"
 #include "obs/stats_bridge.h"
 #include "obs/trace.h"
+#include "pm/device.h"
 #include "plinius/platform.h"
+#include "plinius/pm_data.h"
 #include "plinius/trainer.h"
 #include "serve/loadgen.h"
 #include "serve/server.h"
@@ -375,6 +377,100 @@ TEST(Registry, StatsBridgePublishesCanonicalNames) {
   EXPECT_EQ(reg.counter("enclave.ecalls", {{"platform", profile.name}}), 1u);
   EXPECT_GE(reg.counter("enclave.bytes_copied_in", {{"platform", profile.name}}),
             data.size());
+
+  // The PM, sealed-dataset and serving overloads, each field a distinct
+  // nonzero value, so a field published under the wrong name shows.
+  const obs::Labels labels{{"run", "bridge"}};
+  pm::PmStats pm;
+  pm.stores = 101;
+  pm.bytes_stored = 102;
+  pm.flushes = 103;
+  pm.lines_flushed = 104;
+  pm.fences = 105;
+  pm.bytes_read = 106;
+  pm.crashes = 107;
+  pm.media_bit_flips = 108;
+  pm.media_torn_lines = 109;
+  pm.media_poisoned_lines = 110;
+  pm.poison_cleared = 111;
+  pm.scrub_bytes = 112;
+  obs::Registry pm_reg;
+  obs::publish(pm_reg, pm, labels);
+  const std::pair<const char*, std::uint64_t> pm_counters[] = {
+      {"pm.stores", 101},          {"pm.bytes_stored", 102},
+      {"pm.flushes", 103},         {"pm.lines_flushed", 104},
+      {"pm.fences", 105},          {"pm.bytes_read", 106},
+      {"pm.crashes", 107},         {"pm.media_bit_flips", 108},
+      {"pm.media_torn_lines", 109}, {"pm.media_poisoned_lines", 110},
+      {"pm.poison_cleared", 111},  {"pm.scrub_bytes", 112},
+  };
+  for (const auto& [name, value] : pm_counters) {
+    EXPECT_EQ(pm_reg.counter(name, labels), value) << name;
+  }
+  EXPECT_EQ(pm_reg.series_count(), std::size(pm_counters));
+
+  PmDataStats pm_data;
+  pm_data.decrypt_ns = 201.5;
+  pm_data.batches = 202;
+  pm_data.records = 203;
+  pm_data.corrupt_records = 204;
+  pm_data.resampled = 205;
+  obs::Registry data_reg;
+  obs::publish(data_reg, pm_data, labels);
+  EXPECT_DOUBLE_EQ(data_reg.gauge("data.decrypt_ns", labels), 201.5);
+  EXPECT_EQ(data_reg.counter("data.batches", labels), 202u);
+  EXPECT_EQ(data_reg.counter("data.records", labels), 203u);
+  EXPECT_EQ(data_reg.counter("data.corrupt_records", labels), 204u);
+  EXPECT_EQ(data_reg.counter("data.resampled", labels), 205u);
+  EXPECT_EQ(data_reg.series_count(), 5u);
+
+  serve::ServerStats serve;
+  serve.arrived = 301;
+  serve.completed = 302;
+  serve.shed_queue_full = 303;
+  serve.shed_deadline = 304;
+  serve.expired = 305;
+  serve.auth_failed = 306;
+  serve.batches = 307;
+  serve.reloads = 308;
+  serve.reload_failures = 309;
+  serve.busy_ns = 310.5;
+  serve.span_ns = 311.5;
+  // Histogram i holds i + 1 samples starting at 1000 (i + 1), so each has
+  // its own count, sum, min and max.
+  LatencyHistogram* const hists[] = {&serve.total_hist,   &serve.queue_hist,
+                                     &serve.decrypt_hist, &serve.forward_hist,
+                                     &serve.seal_hist,    &serve.batch_hist};
+  for (std::size_t i = 0; i < std::size(hists); ++i) {
+    for (std::size_t v = 0; v <= i; ++v) {
+      hists[i]->record(static_cast<sim::Nanos>(1000 * (i + 1) + v));
+    }
+  }
+  obs::Registry serve_reg;
+  obs::publish(serve_reg, serve, labels);
+  const std::pair<const char*, std::uint64_t> serve_counters[] = {
+      {"serve.arrived", 301},         {"serve.completed", 302},
+      {"serve.shed_queue_full", 303}, {"serve.shed_deadline", 304},
+      {"serve.expired", 305},         {"serve.auth_failed", 306},
+      {"serve.batches", 307},         {"serve.reloads", 308},
+      {"serve.reload_failures", 309},
+  };
+  for (const auto& [name, value] : serve_counters) {
+    EXPECT_EQ(serve_reg.counter(name, labels), value) << name;
+  }
+  EXPECT_DOUBLE_EQ(serve_reg.gauge("serve.busy_ns", labels), 310.5);
+  EXPECT_DOUBLE_EQ(serve_reg.gauge("serve.span_ns", labels), 311.5);
+  const char* const hist_names[] = {"serve.latency.total",   "serve.latency.queue",
+                                    "serve.latency.decrypt", "serve.latency.forward",
+                                    "serve.latency.seal",    "serve.batch_size"};
+  for (std::size_t i = 0; i < std::size(hists); ++i) {
+    const LatencyHistogram got = serve_reg.histogram(hist_names[i], labels);
+    EXPECT_EQ(got.count(), hists[i]->count()) << hist_names[i];
+    EXPECT_DOUBLE_EQ(got.sum(), hists[i]->sum()) << hist_names[i];
+    EXPECT_DOUBLE_EQ(got.min(), hists[i]->min()) << hist_names[i];
+    EXPECT_DOUBLE_EQ(got.max(), hists[i]->max()) << hist_names[i];
+  }
+  EXPECT_EQ(serve_reg.series_count(), std::size(serve_counters) + 2 + std::size(hists));
 }
 
 // ------------------------------------------------------------- exporters --

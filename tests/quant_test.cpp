@@ -14,8 +14,8 @@
 #include "common/rng.h"
 #include "crypto/gcm.h"
 #include "ml/config.h"
+#include "ml/gemm.h"
 #include "ml/gemm_reference.h"
-#include "ml/gemm_s8.h"
 #include "ml/quant.h"
 #include "ml/serialize.h"
 #include "ml/synth_digits.h"
